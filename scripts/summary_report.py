@@ -14,9 +14,9 @@ from pillar_qed import (
     Spectrum,
     SystemParams,
     apply_background,
+    conditional_fringe_phase,
     coupling_regime,
     dip_visibility,
-    fringe_phase,
     infer_background_fraction,
     max_conditional_phase,
     polariton_eigenvalues,
@@ -25,21 +25,8 @@ from pillar_qed import (
     rabi_splitting,
     reflection_amplitude,
     reflectivity,
-    simulate_channels,
     sweep_kappa,
 )
-
-
-def fringe_conditional_max(p, grid, bg=None):
-    ref = ReferenceArm(beta=1.0, sb_offset=quadrature_offset(1.0))
-    r_d = reflection_amplitude(p, QdState(p.omega_c, True), grid)
-    r_c = reflection_amplitude(p, QdState(p.omega_c, False), grid)
-    if bg is not None:
-        r_d, r_c = apply_background(r_d, bg), apply_background(r_c, bg)
-    delta = fringe_phase(simulate_channels(r_d, ref, omega=grid)) - fringe_phase(
-        simulate_channels(r_c, ref, omega=grid)
-    )
-    return float(np.max(np.abs(delta)))
 
 
 def main():
@@ -61,9 +48,14 @@ def main():
     print("\n== conditional phase ==")
     mag, argmax = max_conditional_phase(p)
     print(f"arg-convention max           : {mag:.5f} rad at {argmax - p.omega_c:+.3f} ueV")
-    print(f"fringe-readout max           : {fringe_conditional_max(p, grid):.5f} rad")
+    ref = ReferenceArm(beta=1.0, sb_offset=quadrature_offset(1.0))
+    r_d = reflection_amplitude(p, qd, grid)
+    r_c = reflection_amplitude(p, empty, grid)
+    delta = conditional_fringe_phase(r_d, r_c, ref)
+    print(f"fringe-readout max           : {np.max(np.abs(delta)):.5f} rad")
     bg = BackgroundModel(0.7)
-    print(f"fringe-readout max, b=0.7    : {fringe_conditional_max(p, grid, bg):.5f} rad")
+    delta = conditional_fringe_phase(apply_background(r_d, bg), apply_background(r_c, bg), ref)
+    print(f"fringe-readout max, b=0.7    : {np.max(np.abs(delta)):.5f} rad")
 
     print("\n== mode-matching background ==")
     intrinsic = Spectrum(grid, reflectivity(p, empty, grid))

@@ -178,16 +178,7 @@ def cmd_fit(args) -> int:
     intensity = io.read_spectrum_csv(args.intensity_csv)
     phase_obs = io.read_spectrum_csv(args.phase_csv) if args.phase_csv else None
 
-    guess = {
-        "g": cfg.g,
-        "kappa_top": cfg.kappa_top,
-        "kappa_side": cfg.kappa_side,
-        "gamma": cfg.gamma,
-        "omega_c": cfg.omega_c,
-        "omega_qd": cfg.omega_qd,
-        "background": cfg.background,
-        "beta_mag": cfg.beta_mag,
-    }
+    guess = {name: getattr(cfg, name) for name in estimation.PARAM_NAMES}
     problem = estimation.FitProblem(
         guess=guess, intensity=intensity, phase=phase_obs, free=cfg.fit_free
     )

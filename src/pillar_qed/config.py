@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .interferometer import BackgroundModel, ReferenceArm, quadrature_offset
-from .scattering import QdState, SystemParams
+from .scattering import SystemParams
 from .tuning import TuningModel
 
 __all__ = ["ConfigError", "RunConfig", "load_config_file", "parse_energy", "parse_grid"]
@@ -27,7 +27,6 @@ DEFAULTS = {
     "gamma": "5.0",
     "omega_c": "1333596",
     "omega_qd": "1333596",
-    "coupled": "true",
     "background": "0.0",
     "background_phase": "0.0",
     "beta_mag": "1.0",
@@ -68,15 +67,6 @@ def parse_energy(text: str) -> float:
         return float(token)
     except ValueError as exc:
         raise ConfigError(f"bad energy value {text!r}") from exc
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = str(text).strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"bad boolean value {text!r}")
 
 
 def parse_grid(text: str, minimum_points: int = 2) -> np.ndarray:
@@ -132,7 +122,6 @@ class RunConfig:
     gamma: float
     omega_c: float
     omega_qd: float
-    coupled: bool
     background: float
     background_phase: float
     beta_mag: float
@@ -177,7 +166,6 @@ class RunConfig:
                 gamma=parse_energy(raw["gamma"]),
                 omega_c=omega_c,
                 omega_qd=omega_qd,
-                coupled=_parse_bool(raw["coupled"]),
                 background=float(raw["background"]),
                 background_phase=float(raw["background_phase"]),
                 beta_mag=float(raw["beta_mag"]),
@@ -217,12 +205,6 @@ class RunConfig:
                 gamma=self.gamma,
                 omega_c=self.omega_c,
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def qd_state(self) -> QdState:
-        try:
-            return QdState(omega_qd=self.omega_qd, coupled=self.coupled)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

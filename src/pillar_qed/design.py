@@ -19,6 +19,7 @@ from .scattering import (
     QdState,
     Spectrum,
     SystemParams,
+    _amplitude_coefficients,
     principal_angle,
     reflection_amplitude,
 )
@@ -33,9 +34,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -89,51 +87,48 @@ def relative_phase(p: SystemParams, omega_qd: float, omega, bg: BackgroundModel 
     return principal_angle(r_d * np.conj(r_c))
 
 
+def _trim(c):
+    """Drop leading coefficients that cancelled to rounding noise."""
+    big = np.abs(c) >= 1e-12 * np.max(np.abs(c))
+    return c[np.argmax(big):]
+
+
 def max_conditional_phase(
     p: SystemParams,
     omega_qd: float | None = None,
     bg: BackgroundModel | None = None,
-    grid_points: int = 20001,
-    span_factor: float = 5.0,
 ):
     """Largest conditional phase magnitude and where it occurs.
 
-    Scans ``omega_c +- span_factor * (kappa_top + kappa_side)`` on a dense
-    grid and refines the best point by golden-section search. The returned
-    magnitude lies in [0, pi]. ``omega_qd`` defaults to zero detuning.
+    ``r_coupled * conj(r_empty)`` has the phase of the polynomial
+    ``A = N_d conj(N_c) conj(D_d) D_c`` in the scaled offset u, since the
+    two differ by the positive factor ``|D_d D_c|^2``. The magnitude
+    therefore peaks at a root of ``Im(A)' Re(A) - Im(A) Re(A)'``, or
+    reaches pi on a root of ``Im(A)`` where ``Re(A) < 0`` (the
+    overcoupled cusp at resonance). Those roots and ``omega_c`` are
+    evaluated with :func:`relative_phase` and the largest wins, the lowest
+    energy on ties. The returned magnitude lies in [0, pi]. ``omega_qd``
+    defaults to zero detuning.
     """
     if omega_qd is None:
         omega_qd = p.omega_c
-    span = span_factor * p.kappa_total
-    grid = np.linspace(p.omega_c - span, p.omega_c + span, grid_points)
-
-    def f(omega):
-        return abs(relative_phase(p, omega_qd, omega, bg))
-
-    magnitudes = np.abs(relative_phase(p, omega_qd, grid, bg))
+    rates = (p.kappa_top, p.kappa_side, p.gamma, p.omega_c, omega_qd)
+    n_d, d_d = _amplitude_coefficients(p.g, *rates)
+    n_c, d_c = _amplitude_coefficients(0.0, *rates)
+    if bg is not None:
+        scale = np.sqrt(1.0 - bg.fraction)
+        n_d = np.polyadd(bg.field * d_d, scale * n_d)
+        n_c = np.polyadd(bg.field * d_c, scale * n_c)
+    a = np.convolve(np.convolve(n_d, np.conj(n_c)), np.convolve(np.conj(d_d), d_c))
+    re, im = _trim(a.real), _trim(a.imag)
+    stationary = np.polysub(np.convolve(np.polyder(im), re), np.convolve(im, np.polyder(re)))
+    # complex roots add only their real parts: extra candidates, never a
+    # lost one when rounding lifts a real root off the axis
+    roots = np.concatenate([np.roots(_trim(stationary)), np.roots(im), [0.0]])
+    omega = p.omega_c + p.kappa_total * np.unique(roots.real)
+    magnitudes = [abs(relative_phase(p, omega_qd, w, bg)) for w in omega]
     i = int(np.argmax(magnitudes))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
-
-    # golden-section maximization on the bracket
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    tol = max(1e-9, 8.0 * np.finfo(float).eps * max(abs(a), abs(b)))
-    for _ in range(200):
-        if b - a < tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    best = 0.5 * (a + b)
-    return float(f(best)), float(best)
+    return float(magnitudes[i]), float(omega[i])
 
 
 def sweep_kappa(base: SystemParams, kappa_values) -> list:

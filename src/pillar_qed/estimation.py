@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import leastsq
+from .interferometer import _edge_baseline
 from .scattering import Spectrum, _amplitude
 
 __all__ = [
@@ -383,8 +384,7 @@ def estimate_q_from_linewidth(s: Spectrum, omega_c_guess: float) -> float:
     """
     omega = s.omega
     values = np.asarray(s.values, dtype=float)
-    k = max(1, values.size // 10)
-    baseline0 = float(np.median(np.concatenate([values[:k], values[-k:]])))
+    baseline0 = _edge_baseline(values)
     depth0 = baseline0 - float(np.min(values))
     span = float(omega[-1] - omega[0])
     minima = local_minima(omega, values)
@@ -412,6 +412,19 @@ def estimate_q_from_linewidth(s: Spectrum, omega_c_guess: float) -> float:
     return float(center / fwhm)
 
 
+def _dip_separation(s: Spectrum) -> float:
+    """Separation of the two deepest local minima of a spectrum.
+
+    Raises :class:`UnresolvedSplittingError` when fewer than two exist.
+    """
+    minima = local_minima(s.omega, np.asarray(s.values, dtype=float))
+    if len(minima) < 2:
+        raise UnresolvedSplittingError(f"found {len(minima)} local minima, need 2")
+    deepest = sorted(minima, key=lambda m: m[1])[:2]
+    positions = sorted(m[0] for m in deepest)
+    return positions[1] - positions[0]
+
+
 def estimate_g_from_splitting(s: Spectrum) -> float:
     """Half the separation of the two deepest reflectivity minima.
 
@@ -420,9 +433,4 @@ def estimate_g_from_splitting(s: Spectrum) -> float:
     full fit. Raises :class:`UnresolvedSplittingError` when two minima
     cannot be found.
     """
-    minima = local_minima(s.omega, np.asarray(s.values, dtype=float))
-    if len(minima) < 2:
-        raise UnresolvedSplittingError(f"found {len(minima)} local minima, need 2")
-    deepest = sorted(minima, key=lambda m: m[1])[:2]
-    positions = sorted(m[0] for m in deepest)
-    return 0.5 * (positions[1] - positions[0])
+    return 0.5 * _dip_separation(s)

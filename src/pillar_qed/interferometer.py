@@ -209,9 +209,7 @@ def calibrate_bias(rec: ChannelRecord) -> float:
     if h.ndim != 1 or h.size < 5:
         raise ValueError("edge calibration needs a gridded record with >= 5 points")
     s = _normalized_fringe(rec, 2.0 * np.sqrt(rec.h * rec.v))
-    k = max(1, h.size // 10)
-    edges = np.concatenate([s[:k], s[-k:]])
-    return float(np.median(np.arcsin(edges)))
+    return _edge_baseline(np.arcsin(s))
 
 
 def apply_background(r, bg: BackgroundModel):

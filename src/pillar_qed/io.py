@@ -68,31 +68,50 @@ def write_spectrum_csv(path, spectrum: Spectrum):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_rows(path, header, n_fields):
+def _read_columns(path, header, parsers):
+    """Columns of a CSV file: field k of every non-blank row, by ``parsers[k]``.
+
+    The last field takes the rest of the line, commas included. Malformed
+    input raises :class:`FileFormatError` naming ``path:line``.
+    """
+    n = len(parsers)
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if first != header:
             raise FileFormatError(f"{path}: expected header {header!r}, got {first!r}")
-        rows = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != n_fields:
-                raise FileFormatError(f"{path}:{lineno}: expected {n_fields} fields")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        rows = [
+            (lineno, line.split(",", n - 1))
+            for lineno, raw in enumerate(fh, start=2)
+            if (line := raw.strip())
+        ]
     if not rows:
         raise FileFormatError(f"{path}: no data rows")
-    return np.array(rows)
+    for lineno, parts in rows:
+        if len(parts) != n:
+            raise FileFormatError(f"{path}:{lineno}: expected {n} fields")
+    columns = []
+    for k, parse in enumerate(parsers):
+        try:
+            # one pass per column keeps the common all-float read fast
+            columns.append([parse(parts[k]) for _, parts in rows])
+        except ValueError:
+            for lineno, parts in rows:
+                try:
+                    parse(parts[k])
+                except ValueError as exc:
+                    raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+    return columns
+
+
+def _parse_flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    rows = _read_rows(path, SPECTRUM_HEADER, 2)
-    return Spectrum(rows[:, 0], rows[:, 1])
+    omega, values = _read_columns(path, SPECTRUM_HEADER, (float, float))
+    return Spectrum(np.array(omega), np.array(values))
 
 
 def write_channels_csv(path, rec: ChannelRecord):
@@ -108,10 +127,8 @@ def write_channels_csv(path, rec: ChannelRecord):
 
 
 def read_channels_csv(path) -> ChannelRecord:
-    rows = _read_rows(path, CHANNELS_HEADER, 5)
-    return ChannelRecord(
-        omega=rows[:, 0], h=rows[:, 1], v=rows[:, 2], d=rows[:, 3], a=rows[:, 4]
-    )
+    omega, h, v, d, a = (np.array(c) for c in _read_columns(path, CHANNELS_HEADER, (float,) * 5))
+    return ChannelRecord(omega=omega, h=h, v=v, d=d, a=a)
 
 
 def write_design_csv(path, points):
@@ -134,33 +151,8 @@ def write_design_csv(path, points):
 def read_design_csv(path):
     """Design-table rows as dicts (kappa, max_phase_rad, argmax_ueV,
     refl_on_res, feasible)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first != DESIGN_HEADER:
-            raise FileFormatError(f"{path}: expected header {DESIGN_HEADER!r}")
-        rows = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5 or parts[4] not in ("true", "false"):
-                raise FileFormatError(f"{path}:{lineno}: malformed design row")
-            try:
-                rows.append(
-                    {
-                        "kappa": float(parts[0]),
-                        "max_phase_rad": float(parts[1]),
-                        "argmax_ueV": float(parts[2]),
-                        "refl_on_res": float(parts[3]),
-                        "feasible": parts[4] == "true",
-                    }
-                )
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise FileFormatError(f"{path}: no data rows")
-    return rows
+    columns = _read_columns(path, DESIGN_HEADER, (float,) * 4 + (_parse_flag,))
+    return [dict(zip(DESIGN_HEADER.split(","), row)) for row in zip(*columns)]
 
 
 def write_manifest_csv(path, entries):
@@ -171,18 +163,8 @@ def write_manifest_csv(path, entries):
 
 
 def read_manifest_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first != MANIFEST_HEADER:
-            raise FileFormatError(f"{path}: expected header {MANIFEST_HEADER!r}")
-        entries = []
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            t, name = line.split(",", 1)
-            entries.append((float(t), name))
-    return entries
+    """Scan-manifest rows as (temperature, filename) tuples."""
+    return list(zip(*_read_columns(path, MANIFEST_HEADER, (float, str))))
 
 
 def write_report(path, values: dict):

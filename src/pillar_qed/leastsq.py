@@ -42,16 +42,15 @@ def central_difference_jacobian(fun, x, rel_step: float = REL_STEP) -> np.ndarra
     as given (no bound clipping) so the difference stays symmetric.
     """
     x = np.asarray(x, dtype=float)
-    r0 = np.asarray(fun(x), dtype=float)
-    jac = np.empty((r0.size, x.size))
+    columns = []
     for j in range(x.size):
         h = rel_step * max(abs(x[j]), 1.0)
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        jac[:, j] = (np.asarray(fun(xp), dtype=float) - np.asarray(fun(xm), dtype=float)) / (2.0 * h)
-    return jac
+        columns.append((np.asarray(fun(xp), dtype=float) - np.asarray(fun(xm), dtype=float)) / (2.0 * h))
+    return np.column_stack(columns)
 
 
 def _clip(x, lower, upper):

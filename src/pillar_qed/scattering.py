@@ -149,6 +149,25 @@ def _amplitude(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
     return 1.0 - kappa_top * d_qd / den
 
 
+def _amplitude_coefficients(g, kappa_top, kappa_side, gamma, omega_c, omega_qd):
+    """Numerator and denominator of :func:`_amplitude` as polynomials.
+
+    Returns complex coefficient arrays ``(num, den)``, highest power
+    first, in the scaled offset ``u = (omega - omega_c) / (kappa_top +
+    kappa_side)``, so that ``r = polyval(num, u) / polyval(den, u)``.
+    Scaling by the total cavity loss keeps the coefficients of order one
+    at any absolute energy. ``g == 0`` gives the cancelled empty-cavity
+    form, as in :func:`_amplitude`.
+    """
+    k = kappa_top + kappa_side
+    d_c = np.array([-1j, 0.5])
+    if g == 0:
+        return np.polysub(d_c, [kappa_top / k]), d_c
+    d_qd = np.array([-1j, (1j * (omega_qd - omega_c) + 0.5 * gamma) / k])
+    den = np.polyadd(np.convolve(d_qd, d_c), [(g / k) ** 2])
+    return np.polysub(den, kappa_top / k * d_qd), den
+
+
 def principal_angle(z):
     """Argument in (-pi, pi]: the -pi branch edge maps to +pi."""
     ang = np.angle(z)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import UnresolvedSplittingError, local_minima
+from .estimation import UnresolvedSplittingError, _dip_separation, local_minima
 from .interferometer import BackgroundModel, measured_intensity
 from .scattering import QdState, Spectrum, SystemParams
 
@@ -148,13 +148,10 @@ def anticrossing_gap(scan: TemperatureScan) -> float:
     """
     gaps = []
     for s in scan.spectra:
-        values = np.asarray(s.values, dtype=float)
-        minima = local_minima(s.omega, values)
-        if len(minima) < 2:
+        try:
+            gaps.append(_dip_separation(s))
+        except UnresolvedSplittingError:
             continue
-        deepest = sorted(minima, key=lambda m: m[1])[:2]
-        positions = sorted(m[0] for m in deepest)
-        gaps.append(positions[1] - positions[0])
     if not gaps:
         raise UnresolvedSplittingError("no temperature resolves two dips")
     return float(min(gaps))

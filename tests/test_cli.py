@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pillar_qed import (
 from pillar_qed.cli import main
 from pillar_qed.config import ConfigError, RunConfig, parse_energy, parse_grid
 from pillar_qed.io import (
+    FileFormatError,
     read_channels_csv,
     read_design_csv,
     read_manifest_csv,
@@ -284,6 +287,16 @@ class TestDesign:
         assert rows[0]["max_phase_rad"] < 1e-3  # no outcoupling, no signal
         assert rows[1]["feasible"] is False and rows[2]["feasible"] is True
         assert rows[2]["refl_on_res"] == pytest.approx(0.1888210545, abs=1e-9)
+
+
+class TestFileFormats:
+    @pytest.mark.parametrize("row", ["19.5", "abc,scan_T19.5000K.csv"])
+    def test_malformed_manifest_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "manifest.csv"
+        text = f"temperature_K,filename\n19.0,scan_T19.0000K.csv\n{row}\n"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}:3: ")):
+            read_manifest_csv(path)
 
 
 class TestUsageErrors:

@@ -6,6 +6,7 @@ from pillar_qed import (
     DesignPoint,
     QdState,
     SystemParams,
+    apply_background,
     conditional_phase_spectrum,
     interface_feasible,
     max_conditional_phase,
@@ -91,6 +92,37 @@ class TestMaxConditionalPhase:
         assert magnitude == pytest.approx(np.pi, abs=1e-6)
         assert argmax == pytest.approx(WC, abs=0.01)
         assert relative_phase(p, WC, WC) == pytest.approx(np.pi, abs=0.0)
+
+    def test_exact_extrema_beat_dense_grid(self):
+        # rates within 20% of the device, kappa_top across the sign flip,
+        # a third of the inputs detuned, a fifth under a coherent background
+        rng = np.random.default_rng(11)
+        cusps = 0
+        for _ in range(200):
+            g, ks, gam = (v * rng.uniform(0.8, 1.2) for v in (9.4, 24.7, 5.0))
+            kap = rng.uniform(0.05, 60.0)
+            p = SystemParams(g=g, kappa_top=kap, kappa_side=ks, gamma=gam, omega_c=WC)
+            wqd = WC + (rng.uniform(-20.0, 20.0) if rng.uniform() < 1 / 3 else 0.0)
+            bg = None
+            if rng.uniform() < 0.2:
+                bg = BackgroundModel(rng.uniform(0.0, 0.9), rng.uniform(-np.pi, np.pi))
+            magnitude, argmax = max_conditional_phase(p, wqd, bg)
+
+            grid = grid_around(WC, 5 * (kap + ks) + abs(wqd - WC), 400001)
+            r_d = inline_amplitude(g, kap, ks, gam, WC, wqd, grid)
+            r_c = inline_amplitude(0.0, kap, ks, gam, WC, wqd, grid)
+            if bg is not None:
+                r_d, r_c = apply_background(r_d, bg), apply_background(r_c, bg)
+            assert magnitude >= np.max(np.abs(np.angle(r_d * np.conj(r_c)))) - 1e-12
+            assert abs(relative_phase(p, wqd, argmax, bg)) == magnitude
+            # an overcoupled empty cavity (r_c < 0) against a positive coupled
+            # amplitude (4 g^2 > gamma (kappa_top - kappa_side)) at resonance:
+            # the two phases differ by exactly pi there
+            overcoupled = kap > ks and 4 * g * g > gam * (kap - ks)
+            if wqd == WC and bg is None and overcoupled:
+                cusps += 1
+                assert (magnitude, argmax) == (np.pi, WC)
+        assert cusps > 20
 
     def test_magnitude_bounded_by_pi(self):
         for kappa in (0.5, 5.0, 24.7, 60.0):

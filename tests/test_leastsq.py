@@ -28,6 +28,17 @@ class TestJacobian:
         np.testing.assert_allclose(jac[:, 0], 1.0, rtol=1e-9)
         np.testing.assert_allclose(jac[:, 1], t, rtol=0, atol=1e-8)
 
+    def test_two_residual_evaluations_per_parameter(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x.copy())
+            return exponential_residuals(x)
+
+        jac = central_difference_jacobian(counted, np.array([1.7, 1.3, 0.4]))
+        assert jac.shape == (50, 3)
+        assert len(calls) == 6
+
     def test_gradient_consistency_with_objective(self):
         # 2*J^T r against a direct finite difference of sum(r**2)
         rng = np.random.default_rng(7)

@@ -100,6 +100,25 @@ class TestReflectionAmplitude:
         with pytest.raises(DegenerateModelError):
             _amplitude(0.0, 1e-320, 0.0, 0.0, 1000.0, 1000.0, 1000.0)
 
+    def test_polynomial_coefficients_reproduce_amplitude(self):
+        from pillar_qed.scattering import _amplitude, _amplitude_coefficients
+
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(300):
+            g, kap = rng.uniform(0.0, 50.0), rng.uniform(0.05, 60.0)
+            ks, gam = rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)
+            wc = rng.uniform(1e3, 2e6)
+            wqd = wc + rng.uniform(-30.0, 30.0)
+            omega = wc + rng.uniform(-200.0, 200.0, size=64)
+            u = (omega - wc) / (kap + ks)
+            for coupling in (g, 0.0):
+                num, den = _amplitude_coefficients(coupling, kap, ks, gam, wc, wqd)
+                expected = _amplitude(coupling, kap, ks, gam, wc, wqd, omega)
+                r = np.polyval(num, u) / np.polyval(den, u)
+                worst = max(worst, np.max(np.abs(r - expected)))
+        assert worst <= 1e-12
+
     @given(p=system_params(), detuning=st.floats(min_value=-1e3, max_value=1e3))
     def test_coupled_g_zero_equals_empty(self, p, detuning):
         p0 = SystemParams(0.0, p.kappa_top, p.kappa_side, p.gamma, p.omega_c)
