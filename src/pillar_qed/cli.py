@@ -2,7 +2,8 @@
 
 Subcommands: ``synth``, ``fit``, ``phase``, ``scan``, ``design``. All
 outputs are deterministic for a fixed config and seed. Exit codes:
-0 success, 1 usage or configuration error, 2 numerical failure. The
+0 success, 1 usage error (arguments, config, input file or model value),
+2 numerical failure; either error prints one line on stderr. The
 ``PILLAR_QED_LOG`` environment variable sets the log level.
 """
 
@@ -30,7 +31,6 @@ from .interferometer import (
     quadrature_offset,
     simulate_channels,
 )
-from .io import FileFormatError
 from .scattering import DegenerateModelError, QdState, Spectrum, reflection_amplitude
 
 __all__ = ["main", "build_parser"]
@@ -41,7 +41,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
+
+class NonConvergenceError(RuntimeError):
+    """Fit did not converge and --allow-nonconverged was not given."""
+
+
 _NUMERICAL_ERRORS = (
+    NonConvergenceError,
     DegenerateModelError,
     estimation.NoDipError,
     estimation.UnresolvedSplittingError,
@@ -49,10 +55,6 @@ _NUMERICAL_ERRORS = (
     BackgroundInversionError,
     np.linalg.LinAlgError,
 )
-
-
-class NonConvergenceError(RuntimeError):
-    """Fit did not converge and --allow-nonconverged was not given."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,15 +274,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileFormatError, OSError) as exc:
-        print(f"pillar-qed: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonConvergenceError as exc:
-        print(f"pillar-qed: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except _NUMERICAL_ERRORS as exc:
         print(f"pillar-qed: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        # every other ValueError (config, file format, model validation) is
+        # a usage error; the numerical ValueError subclasses are caught above
+        print(f"pillar-qed: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -197,37 +197,28 @@ class RunConfig:
         return cfg
 
     def system_params(self) -> SystemParams:
-        try:
-            return SystemParams(
-                g=self.g,
-                kappa_top=self.kappa_top,
-                kappa_side=self.kappa_side,
-                gamma=self.gamma,
-                omega_c=self.omega_c,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SystemParams(
+            g=self.g,
+            kappa_top=self.kappa_top,
+            kappa_side=self.kappa_side,
+            gamma=self.gamma,
+            omega_c=self.omega_c,
+        )
 
     def background_model(self) -> BackgroundModel:
         return BackgroundModel(fraction=self.background, phase=self.background_phase)
 
     def reference_arm(self) -> ReferenceArm:
         offset = quadrature_offset(self.beta_mag) if self.sb_offset is None else self.sb_offset
-        try:
-            return ReferenceArm(beta=self.beta_mag, sb_offset=offset)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ReferenceArm(beta=self.beta_mag, sb_offset=offset)
 
     def tuning_model(self) -> TuningModel:
-        try:
-            return TuningModel(
-                qd_slope=self.qd_slope,
-                cavity_slope=self.cavity_slope,
-                qd_ref=self.qd_ref,
-                cavity_ref=self.cavity_ref,
-                t_ref=self.t_ref,
-                t_min=self.t_min,
-                t_max=self.t_max,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return TuningModel(
+            qd_slope=self.qd_slope,
+            cavity_slope=self.cavity_slope,
+            qd_ref=self.qd_ref,
+            cavity_ref=self.cavity_ref,
+            t_ref=self.t_ref,
+            t_min=self.t_min,
+            t_max=self.t_max,
+        )

@@ -213,13 +213,18 @@ def residuals(params, problem: FitProblem) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _residual_count(problem: FitProblem) -> int:
-    n = 0
-    if problem.intensity is not None:
-        n += len(problem.intensity)
-    if problem.phase is not None:
-        n += len(problem.phase)
-    return n
+def _free_residuals(problem: FitProblem, params):
+    """Residuals as a function of the free parameters, the rest held at
+    ``params``; returns ``(fun, x0)`` with ``x0`` the free values."""
+    x_full = _as_vector(params)
+    idx = problem.free_indices()
+
+    def fun(x_free):
+        vec = x_full.copy()
+        vec[idx] = x_free
+        return residuals(vec, problem)
+
+    return fun, x_full[idx]
 
 
 def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> FitResult:
@@ -228,24 +233,13 @@ def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> Fi
     Deterministic: identical problems give bit-identical results. Non-
     convergence is reported through the ``converged`` flag, never raised.
     """
-    x_full = _as_vector(problem.guess)
-    idx = problem.free_indices()
-    lower = np.array([problem.bounds[n][0] for n in problem.free])
-    upper = np.array([problem.bounds[n][1] for n in problem.free])
+    fun, x0 = _free_residuals(problem, problem.guess)
+    bounds = np.array([problem.bounds[n] for n in problem.free]).T
+    res = leastsq.levenberg_marquardt(fun, x0, bounds=bounds, max_iterations=max_iterations)
 
-    def fun(x_free):
-        vec = x_full.copy()
-        vec[idx] = x_free
-        return residuals(vec, problem)
-
-    res = leastsq.levenberg_marquardt(
-        fun, x_full[idx], bounds=(lower, upper), max_iterations=max_iterations
-    )
-
-    x_fit = x_full.copy()
-    x_fit[idx] = res.x
-    params = {n: float(v) for n, v in zip(PARAM_NAMES, x_fit)}
-    std_errors, condition = _std_errors_from(res, problem, params)
+    params = {n: problem.guess[n] for n in PARAM_NAMES}
+    params.update(zip(problem.free, map(float, res.x)))
+    std_errors, condition = _std_errors(res.jacobian, res.residuals, problem, params)
     return FitResult(
         params=params,
         residual_norm=res.cost,
@@ -258,13 +252,17 @@ def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> Fi
     )
 
 
-def _std_errors_from(res, problem: FitProblem, params: dict):
-    jac = res.jacobian
-    jtj = jac.T @ jac
+def _std_errors(jacobian, resid, problem: FitProblem, params: dict):
+    """Standard errors of the free parameters and the condition of J^T J.
+
+    The inverse (floor-damped) normal equations are scaled by the residual
+    variance over ``resid.size - len(problem.free)`` degrees of freedom;
+    parameters sitting on a bound are flagged infinite.
+    """
+    jtj = jacobian.T @ jacobian
     diag = np.maximum(np.diag(jtj), max(np.max(np.diag(jtj)), 1.0) * 1e-14)
-    n_obs = _residual_count(problem)
-    dof = max(n_obs - len(problem.free), 1)
-    sigma2 = res.cost / dof
+    dof = max(resid.size - len(problem.free), 1)
+    sigma2 = float(resid @ resid) / dof
     try:
         cov = sigma2 * np.linalg.inv(jtj + 1e-12 * np.diag(diag))
         errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -318,27 +316,9 @@ def uncertainty(result: FitResult, problem: FitProblem) -> dict:
     """
     if not result.converged:
         raise ValueError("uncertainty requires a converged fit result")
-    x_full = _as_vector(result.params)
-    idx = problem.free_indices()
-
-    def fun(x_free):
-        vec = x_full.copy()
-        vec[idx] = x_free
-        return residuals(vec, problem)
-
-    r = fun(x_full[idx])
-    jac = leastsq.central_difference_jacobian(fun, x_full[idx])
-    shim = leastsq.LeastSquaresResult(
-        x=x_full[idx],
-        cost=float(r @ r),
-        residuals=r,
-        jacobian=jac,
-        grad_norm=float(np.linalg.norm(2.0 * jac.T @ r)),
-        iterations=result.iterations,
-        converged=True,
-        reason=result.reason,
-    )
-    std, _ = _std_errors_from(shim, problem, result.params)
+    fun, x = _free_residuals(problem, result.params)
+    jacobian = leastsq.central_difference_jacobian(fun, x)
+    std, _ = _std_errors(jacobian, fun(x), problem, result.params)
     return std
 
 

@@ -69,7 +69,7 @@ def write_spectrum_csv(path, spectrum: Spectrum):
 
 
 def _read_columns(path, header, parsers):
-    """Columns of a CSV file: field k of every non-blank row, by ``parsers[k]``.
+    """Line numbers and columns of a CSV file's non-blank rows, field k by ``parsers[k]``.
 
     The last field takes the rest of the line, commas included. Malformed
     input raises :class:`FileFormatError` naming ``path:line``.
@@ -100,7 +100,24 @@ def _read_columns(path, header, parsers):
                     parse(parts[k])
                 except ValueError as exc:
                     raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-    return columns
+    return [lineno for lineno, _ in rows], columns
+
+
+def _read_grid_table(path, header, n):
+    """The ``n`` float columns of a gridded CSV, omega first, as one array.
+
+    Every value must be finite and omega strictly increasing; the first
+    row that breaks either raises :class:`FileFormatError` naming ``path:line``.
+    """
+    lines, columns = _read_columns(path, header, (float,) * n)
+    table = np.array(columns)
+    finite = np.isfinite(table).all(axis=0)
+    bad = np.flatnonzero(~finite | np.r_[False, table[0, 1:] <= table[0, :-1]])
+    if bad.size:
+        k = bad[0]
+        what = "values must be finite" if not finite[k] else "omega must be strictly increasing"
+        raise FileFormatError(f"{path}:{lines[k]}: {what}")
+    return table
 
 
 def _parse_flag(text: str) -> bool:
@@ -110,8 +127,8 @@ def _parse_flag(text: str) -> bool:
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    omega, values = _read_columns(path, SPECTRUM_HEADER, (float, float))
-    return Spectrum(np.array(omega), np.array(values))
+    omega, values = _read_grid_table(path, SPECTRUM_HEADER, 2)
+    return Spectrum(omega, values)
 
 
 def write_channels_csv(path, rec: ChannelRecord):
@@ -127,7 +144,7 @@ def write_channels_csv(path, rec: ChannelRecord):
 
 
 def read_channels_csv(path) -> ChannelRecord:
-    omega, h, v, d, a = (np.array(c) for c in _read_columns(path, CHANNELS_HEADER, (float,) * 5))
+    omega, h, v, d, a = _read_grid_table(path, CHANNELS_HEADER, 5)
     return ChannelRecord(omega=omega, h=h, v=v, d=d, a=a)
 
 
@@ -151,7 +168,7 @@ def write_design_csv(path, points):
 def read_design_csv(path):
     """Design-table rows as dicts (kappa, max_phase_rad, argmax_ueV,
     refl_on_res, feasible)."""
-    columns = _read_columns(path, DESIGN_HEADER, (float,) * 4 + (_parse_flag,))
+    _, columns = _read_columns(path, DESIGN_HEADER, (float,) * 4 + (_parse_flag,))
     return [dict(zip(DESIGN_HEADER.split(","), row)) for row in zip(*columns)]
 
 
@@ -164,7 +181,8 @@ def write_manifest_csv(path, entries):
 
 def read_manifest_csv(path):
     """Scan-manifest rows as (temperature, filename) tuples."""
-    return list(zip(*_read_columns(path, MANIFEST_HEADER, (float, str))))
+    _, columns = _read_columns(path, MANIFEST_HEADER, (float, str))
+    return list(zip(*columns))
 
 
 def write_report(path, values: dict):

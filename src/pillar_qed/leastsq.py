@@ -1,8 +1,9 @@
 """Damped (Levenberg-Marquardt style) least squares on a residual vector.
 
 Deterministic by construction: the Jacobian is a central difference with a
-fixed relative step, damping updates follow a fixed schedule, and no
-randomness enters anywhere. Accepted steps never increase the cost.
+fixed relative step, damping updates follow a fixed schedule, the stopping
+tolerances are the module constants below, and no randomness enters
+anywhere. Accepted steps never increase the cost.
 """
 
 from __future__ import annotations
@@ -35,16 +36,16 @@ class LeastSquaresResult:
     reason: str
 
 
-def central_difference_jacobian(fun, x, rel_step: float = REL_STEP) -> np.ndarray:
+def central_difference_jacobian(fun, x) -> np.ndarray:
     """Jacobian of ``fun`` at ``x`` by central differences.
 
-    Per-parameter step ``rel_step * max(|x_j|, 1)``; probes are evaluated
+    Per-parameter step ``REL_STEP * max(|x_j|, 1)``; probes are evaluated
     as given (no bound clipping) so the difference stays symmetric.
     """
     x = np.asarray(x, dtype=float)
     columns = []
     for j in range(x.size):
-        h = rel_step * max(abs(x[j]), 1.0)
+        h = REL_STEP * max(abs(x[j]), 1.0)
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
@@ -57,16 +58,7 @@ def _clip(x, lower, upper):
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def levenberg_marquardt(
-    fun,
-    x0,
-    bounds=None,
-    max_iterations: int = MAX_ITERATIONS,
-    rel_step: float = REL_STEP,
-    grad_tol: float = GRAD_TOL,
-    cost_tol: float = COST_TOL,
-    quiet_iterations: int = QUIET_ITERATIONS,
-) -> LeastSquaresResult:
+def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIONS) -> LeastSquaresResult:
     """Minimize ``sum(fun(x)**2)`` with damped normal equations.
 
     The damping multiplies the diagonal of J^T J (with a floor that also
@@ -75,8 +67,8 @@ def levenberg_marquardt(
     accepted only if it lowers the cost; otherwise the damping grows.
 
     Convergence:
-      * gradient norm below ``grad_tol`` (immediate), or
-      * relative cost decrease below ``cost_tol`` on ``quiet_iterations``
+      * gradient norm below ``GRAD_TOL`` (immediate), or
+      * relative cost decrease below ``COST_TOL`` on ``QUIET_ITERATIONS``
         successive iterations, or
       * no damped step improves the cost even at the damping ceiling
         (numerically at an optimum).
@@ -84,16 +76,13 @@ def levenberg_marquardt(
     Non-convergence within ``max_iterations`` returns ``converged=False``
     with diagnostics rather than raising.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if bounds is not None:
-        lower = np.asarray(bounds[0], dtype=float)
-        upper = np.asarray(bounds[1], dtype=float)
-        if np.any(lower > upper):
-            raise ValueError("lower bounds exceed upper bounds")
-        x = _clip(x, lower, upper)
-    else:
-        lower = np.full(x.size, -np.inf)
-        upper = np.full(x.size, np.inf)
+    x = np.asarray(x0, dtype=float)
+    if bounds is None:
+        bounds = (np.full(x.size, -np.inf), np.full(x.size, np.inf))
+    lower, upper = (np.asarray(b, dtype=float) for b in bounds)
+    if np.any(lower > upper):
+        raise ValueError("lower bounds exceed upper bounds")
+    x = _clip(x, lower, upper)
 
     r = np.asarray(fun(x), dtype=float)
     if not np.all(np.isfinite(r)):
@@ -108,10 +97,9 @@ def levenberg_marquardt(
     reason = "max_iterations"
 
     for iterations in range(1, max_iterations + 1):
-        jac = central_difference_jacobian(fun, x, rel_step)
-        grad = 2.0 * jac.T @ r
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < grad_tol:
+        jac = central_difference_jacobian(fun, x)
+        grad_norm = float(np.linalg.norm(2.0 * jac.T @ r))
+        if grad_norm < GRAD_TOL:
             converged = True
             reason = "gradient"
             break
@@ -146,9 +134,9 @@ def levenberg_marquardt(
         rel_decrease = (cost - cost_try) / max(cost, np.finfo(float).tiny)
         x, r, cost = x_try, r_try, cost_try
         lam = max(lam / 3.0, _LAMBDA_FLOOR)
-        if rel_decrease < cost_tol:
+        if rel_decrease < COST_TOL:
             quiet += 1
-            if quiet >= quiet_iterations:
+            if quiet >= QUIET_ITERATIONS:
                 converged = True
                 reason = "cost_stall"
                 break
@@ -156,7 +144,7 @@ def levenberg_marquardt(
             quiet = 0
 
     if jac is None:
-        jac = central_difference_jacobian(fun, x, rel_step)
+        jac = central_difference_jacobian(fun, x)
         grad_norm = float(np.linalg.norm(2.0 * jac.T @ r))
 
     return LeastSquaresResult(

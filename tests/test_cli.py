@@ -1,7 +1,12 @@
+import contextlib
+import io
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillar_qed import (
     BackgroundModel,
@@ -14,6 +19,8 @@ from pillar_qed import (
 from pillar_qed.cli import main
 from pillar_qed.config import ConfigError, RunConfig, parse_energy, parse_grid
 from pillar_qed.io import (
+    CHANNELS_HEADER,
+    SPECTRUM_HEADER,
     FileFormatError,
     read_channels_csv,
     read_design_csv,
@@ -297,6 +304,146 @@ class TestFileFormats:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FileFormatError, match=re.escape(f"{path}:3: ")):
             read_manifest_csv(path)
+
+
+class TestGridTables:
+    """Spectrum and channel tables reject non-finite values and unsorted omega."""
+
+    @pytest.mark.parametrize(
+        "reader, header, rest",
+        [(read_spectrum_csv, SPECTRUM_HEADER, ""), (read_channels_csv, CHANNELS_HEADER, ",1.0,1.0,1.0")],
+        ids=["spectrum", "channels"],
+    )
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (["1.0,0.5", "2.0,nan", "3.0,0.5"], 3),
+            (["1.0,0.5", "2.0,0.5", "inf,0.5"], 4),
+            (["1.0,0.5", "3.0,0.5", "2.0,0.5", "4.0,0.5"], 4),
+            (["1.0,0.5", "1.0,0.5"], 3),
+        ],
+        ids=["nan", "inf", "swapped", "repeated"],
+    )
+    def test_bad_row_names_path_and_line(self, tmp_path, reader, header, rest, rows, line):
+        path = tmp_path / "table.csv"
+        path.write_text(header + "\n" + "".join(row + rest + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}:{line}: ")):
+            reader(path)
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(f"{SPECTRUM_HEADER}\n1.0,0.5\n\n2.0,nan\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}:4: values must be finite")):
+            read_spectrum_csv(path)
+
+
+def _replace_field(path, line, field, text):
+    """Rewrite one field of one line (1-based) of a CSV file in place."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    parts = lines[line - 1].split(",")
+    parts[field] = text
+    lines[line - 1] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestErrorBoundary:
+    """Invalid config, file or model values exit 1 with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("design", "--set", "kappa_values=0,1"),
+            ("fit", "coupled.csv", "--set", "omega_c=1333800"),  # guess outside the data window
+            ("phase", "channels_coupled.csv"),  # one row has h = 0
+            ("fit", "empty.csv"),  # one row holds nan
+        ],
+        ids=["design_kappa_zero", "fit_guess_outside", "phase_h_zero", "fit_nan"],
+    )
+    def test_invalid_value_exits_1_with_one_line(self, tmp_path, capsys, argv):
+        assert run("synth", "--out", str(tmp_path)) == 0
+        _replace_field(tmp_path / "channels_coupled.csv", 8, 1, "0.0")
+        _replace_field(tmp_path / "empty.csv", 6, 1, "nan")
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        capsys.readouterr()
+        assert run(*argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("pillar-qed: error: ")
+
+    def test_numerical_value_error_still_exits_2(self, tmp_path, capsys):
+        # DegenerateModelError is a ValueError: the numerical clause must win
+        argv = ("synth", "--set", "g=1e-200", "--set", "gamma=0", "--out", str(tmp_path))
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == "pillar-qed: numerical failure: coupled response denominator underflow\n"
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_RATE = st.one_of(st.floats(0.01, 100.0), _ANY_FLOAT)
+_RATE_TEXT = st.one_of(_RATE.map(repr), st.sampled_from(["", "fast", "5 meV", "1e400", "-0"]))
+_RATE_KEYS = ("g", "kappa_top", "kappa_side", "gamma")
+
+
+@st.composite
+def _csv_text(draw, header, n_values):
+    """Up to 20 rows on a grid around the cavity, then maybe one field
+    replaced by an arbitrary float and maybe two neighbouring rows swapped."""
+    n = draw(st.integers(0, 20))
+    field = st.floats(0.0, 2.0)
+    rows = [[w] + [draw(field) for _ in range(n_values)] for w in np.linspace(WC - 100.0, WC + 100.0, n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n_values))] = draw(_ANY_FLOAT)
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 2))
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    return header + "\n" + "".join(",".join(map(repr, map(float, row))) + "\n" for row in rows)
+
+
+def _run_quietly(*argv):
+    """Exit code and stderr of ``main``; an escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+class TestBoundaryProperty:
+    """Arbitrary files and rate values never escape the exit-code contract."""
+
+    @settings(max_examples=60)
+    @given(
+        command=st.sampled_from(["fit", "phase"]),
+        data=st.data(),
+    )
+    def test_arbitrary_csv(self, command, data):
+        header, n_values = (SPECTRUM_HEADER, 1) if command == "fit" else (CHANNELS_HEADER, 4)
+        text = data.draw(_csv_text(header, n_values))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/in.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            code, err = _run_quietly(command, path, "--out", f"{tmp}/out")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(max_examples=40)
+    @given(
+        command=st.sampled_from(["design", "scan"]),
+        rates=st.dictionaries(st.sampled_from(_RATE_KEYS), _RATE_TEXT),
+        kappas=st.lists(_RATE, min_size=1, max_size=4, unique=True).map(sorted),
+    )
+    def test_arbitrary_rates(self, command, rates, kappas):
+        overrides = [f"{key}={value}" for key, value in rates.items()]
+        if command == "design":
+            overrides.append("kappa_values=" + ",".join(map(repr, kappas)))
+        else:
+            overrides.append("temperatures=19:23:3")  # three spectra keep each example fast
+        argv = [command]
+        for item in overrides:
+            argv += ["--set", item]
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err = _run_quietly(*argv, "--out", f"{tmp}/out")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
 
 
 class TestUsageErrors:

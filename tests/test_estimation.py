@@ -11,6 +11,7 @@ from pillar_qed import (
     estimate_q_from_linewidth,
     fit,
     make_guess,
+    reflection_amplitude,
     reflectivity,
     residuals,
     uncertainty,
@@ -325,6 +326,36 @@ class TestUncertainty:
         typical_reported = np.median(np.array(reported), axis=0)
         for observed, claimed in zip(spread, typical_reported):
             assert claimed / 2 <= observed <= claimed * 2
+
+    def test_joint_intensity_phase_matches_fit_errors(self):
+        p, qd = device()
+        rng = np.random.default_rng(5)
+        clean = synthetic_intensity(p, qd, n=501)
+        noise = 0.01 * rng.standard_normal((2, len(clean)))
+        intensity = Spectrum(clean.omega, clean.values * (1 + noise[0]))
+        phase = Spectrum(clean.omega, np.angle(reflection_amplitude(p, qd, clean.omega)) + noise[1])
+        problem = FitProblem(guess=make_guess(p, qd), intensity=intensity, phase=phase)
+        result = fit(problem)
+        assert result.converged
+        errs = uncertainty(result, problem)
+        for name in RATES:
+            assert errs[name] == pytest.approx(result.std_errors[name], rel=1e-6)
+
+        # independent covariance: both blocks count towards the degrees of freedom
+        x = np.array([result.params[n] for n in RATES])
+
+        def stacked(free):
+            return residuals({**result.params, **dict(zip(RATES, free))}, problem)
+
+        steps = 1e-6 * np.maximum(np.abs(x), 1.0)
+        jac = np.column_stack(
+            [(stacked(x + h * e) - stacked(x - h * e)) / (2 * h) for h, e in zip(steps, np.eye(x.size))]
+        )
+        r = stacked(x)
+        sigma2 = (r @ r) / (len(intensity) + len(phase) - len(RATES))
+        expected = np.sqrt(np.diag(sigma2 * np.linalg.inv(jac.T @ jac)))
+        for name, value in zip(RATES, expected):
+            assert errs[name] == pytest.approx(value, rel=1e-6)
 
     def test_requires_convergence(self):
         p, qd = device()
