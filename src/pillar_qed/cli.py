@@ -27,7 +27,6 @@ from .interferometer import (
     ReferenceArm,
     calibrate_bias,
     extract_phase,
-    measured_intensity,
     quadrature_offset,
     simulate_channels,
 )
@@ -157,19 +156,14 @@ def cmd_synth(args) -> int:
         "empty": QdState(cfg.omega_qd, coupled=False),
     }
     for name, qd in qd_states.items():
-        intensity = _maybe_noisy(measured_intensity(p, qd, grid, bg), cfg, rng)
+        amplitude = interferometer.apply_background(reflection_amplitude(p, qd, grid), bg)
+        intensity = _maybe_noisy(np.abs(amplitude) ** 2, cfg, rng)
         _write(out / f"{name}.csv", io.write_spectrum_csv, Spectrum(grid, intensity))
 
-        amplitude = interferometer.apply_background(reflection_amplitude(p, qd, grid), bg)
         rec = simulate_channels(amplitude, ref, omega=grid)
-        if cfg.noise > 0:
-            rec = interferometer.ChannelRecord(
-                omega=rec.omega,
-                h=_maybe_noisy(rec.h, cfg, rng),
-                v=_maybe_noisy(rec.v, cfg, rng),
-                d=_maybe_noisy(rec.d, cfg, rng),
-                a=_maybe_noisy(rec.a, cfg, rng),
-            )
+        rec = interferometer.ChannelRecord(
+            grid, *(_maybe_noisy(c, cfg, rng) for c in (rec.h, rec.v, rec.d, rec.a))
+        )
         _write(out / f"channels_{name}.csv", io.write_channels_csv, rec)
     return EXIT_OK
 

@@ -158,38 +158,33 @@ class RunConfig:
         cavity_ref = omega_c if raw["cavity_ref"].strip().lower() == "auto" else parse_energy(raw["cavity_ref"])
         qd_ref = cavity_ref + 14.0 if raw["qd_ref"].strip().lower() == "auto" else parse_energy(raw["qd_ref"])
         temperatures = parse_grid(raw["temperatures"], minimum_points=1)
-        try:
-            cfg = cls(
-                g=parse_energy(raw["g"]),
-                kappa_top=parse_energy(raw["kappa_top"]),
-                kappa_side=parse_energy(raw["kappa_side"]),
-                gamma=parse_energy(raw["gamma"]),
-                omega_c=omega_c,
-                omega_qd=omega_qd,
-                background=float(raw["background"]),
-                background_phase=float(raw["background_phase"]),
-                beta_mag=float(raw["beta_mag"]),
-                sb_offset=sb,
-                grid=parse_grid(raw["grid"]),
-                noise=float(raw["noise"]),
-                seed=int(raw["seed"]),
-                fit_free=tuple(n.strip() for n in raw["fit_free"].split(",") if n.strip()),
-                fit_max_iterations=int(raw["fit_max_iterations"]),
-                temperatures=temperatures,
-                qd_slope=float(raw["qd_slope"]),
-                cavity_slope=float(raw["cavity_slope"]),
-                qd_ref=qd_ref,
-                cavity_ref=cavity_ref,
-                t_ref=float(raw["t_ref"]),
-                t_min=float(raw["t_min"]),
-                t_max=float(raw["t_max"]),
-                kappa_values=parse_grid(raw["kappa_values"], minimum_points=1),
-                raw=raw,
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = cls(
+            g=parse_energy(raw["g"]),
+            kappa_top=parse_energy(raw["kappa_top"]),
+            kappa_side=parse_energy(raw["kappa_side"]),
+            gamma=parse_energy(raw["gamma"]),
+            omega_c=omega_c,
+            omega_qd=omega_qd,
+            background=float(raw["background"]),
+            background_phase=float(raw["background_phase"]),
+            beta_mag=float(raw["beta_mag"]),
+            sb_offset=sb,
+            grid=parse_grid(raw["grid"]),
+            noise=float(raw["noise"]),
+            seed=int(raw["seed"]),
+            fit_free=tuple(n.strip() for n in raw["fit_free"].split(",") if n.strip()),
+            fit_max_iterations=int(raw["fit_max_iterations"]),
+            temperatures=temperatures,
+            qd_slope=float(raw["qd_slope"]),
+            cavity_slope=float(raw["cavity_slope"]),
+            qd_ref=qd_ref,
+            cavity_ref=cavity_ref,
+            t_ref=float(raw["t_ref"]),
+            t_min=float(raw["t_min"]),
+            t_max=float(raw["t_max"]),
+            kappa_values=parse_grid(raw["kappa_values"], minimum_points=1),
+            raw=raw,
+        )
         if not (0.0 <= cfg.background < 1.0):
             raise ConfigError(f"background must be in [0, 1), got {cfg.background}")
         if cfg.noise < 0:

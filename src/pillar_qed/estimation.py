@@ -325,29 +325,27 @@ def uncertainty(result: FitResult, problem: FitProblem) -> dict:
 def local_minima(omega, values):
     """Interior local minima refined by a three-point parabola.
 
-    Returns a list of (position, interpolated value) sorted by position.
+    Returns a list of (position, interpolated value) sorted by position;
+    a strict minimum whose three points fix no parabola (zero
+    denominator) is reported at the grid point itself.
     """
     omega = np.asarray(omega, dtype=float)
     values = np.asarray(values, dtype=float)
-    out = []
-    for i in range(1, values.size - 1):
-        if values[i] < values[i - 1] and values[i] < values[i + 1]:
-            x0, x1, x2 = omega[i - 1 : i + 2]
-            y0, y1, y2 = values[i - 1 : i + 2]
-            num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-            den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-            if den == 0:
-                out.append((float(x1), float(y1)))
-                continue
-            xv = x1 - 0.5 * num / den
-            # parabola value at the vertex via Lagrange form
-            yv = (
-                y0 * (xv - x1) * (xv - x2) / ((x0 - x1) * (x0 - x2))
-                + y1 * (xv - x0) * (xv - x2) / ((x1 - x0) * (x1 - x2))
-                + y2 * (xv - x0) * (xv - x1) / ((x2 - x0) * (x2 - x1))
-            )
-            out.append((float(xv), float(yv)))
-    return out
+    i = np.flatnonzero((values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])) + 1
+    x0, x1, x2 = omega[i - 1], omega[i], omega[i + 1]
+    y0, y1, y2 = values[i - 1], values[i], values[i + 1]
+    num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
+    den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xv = x1 - 0.5 * num / den
+        # parabola value at the vertex via Lagrange form
+        yv = (
+            y0 * (xv - x1) * (xv - x2) / ((x0 - x1) * (x0 - x2))
+            + y1 * (xv - x0) * (xv - x2) / ((x1 - x0) * (x1 - x2))
+            + y2 * (xv - x0) * (xv - x1) / ((x2 - x0) * (x2 - x1))
+        )
+    xv, yv = np.where(den == 0, (x1, y1), (xv, yv))
+    return list(zip(xv.tolist(), yv.tolist()))
 
 
 def _lorentzian_dip(omega, center, fwhm, depth, baseline):
@@ -397,7 +395,7 @@ def _dip_separation(s: Spectrum) -> float:
 
     Raises :class:`UnresolvedSplittingError` when fewer than two exist.
     """
-    minima = local_minima(s.omega, np.asarray(s.values, dtype=float))
+    minima = local_minima(s.omega, s.values)
     if len(minima) < 2:
         raise UnresolvedSplittingError(f"found {len(minima)} local minima, need 2")
     deepest = sorted(minima, key=lambda m: m[1])[:2]

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _CLAMP_TOL = 1e-9
+_BISECTION_TOL = 1e-6
 
 
 class BackgroundInversionError(ValueError):
@@ -146,8 +147,11 @@ def simulate_channels(r, ref: ReferenceArm, omega=0.0) -> ChannelRecord:
     return ChannelRecord(omega=omega, h=h, v=v, d=d, a=a)
 
 
-def _normalized_fringe(rec: ChannelRecord, denom):
-    s = (rec.d - rec.a) / denom
+def _normalized_fringe(rec: ChannelRecord, scale: float):
+    """``(d - a) / (scale * sqrt(h*v))``, clamped to [-1, 1] with a warning."""
+    if np.any(np.asarray(rec.h) <= 0) or np.any(np.asarray(rec.v) <= 0):
+        raise ValueError("phase extraction requires h > 0 and v > 0")
+    s = (rec.d - rec.a) / (scale * np.sqrt(rec.h * rec.v))
     over = np.max(np.abs(s)) - 1.0
     if over > _CLAMP_TOL:
         warnings.warn(
@@ -164,10 +168,7 @@ def extract_phase(rec: ChannelRecord, ref: ReferenceArm):
     true phases in (-pi/2, pi/2); inconsistent records (normalized fringe
     beyond 1 + 1e-9) are clamped with a warning.
     """
-    if np.any(np.asarray(rec.h) <= 0) or np.any(np.asarray(rec.v) <= 0):
-        raise ValueError("phase extraction requires h > 0 and v > 0")
-    s = _normalized_fringe(rec, 2.0 * np.sqrt(rec.h * rec.v))
-    return np.arcsin(s) - ref.bias
+    return np.arcsin(_normalized_fringe(rec, 2.0)) - ref.bias
 
 
 def fringe_phase(rec: ChannelRecord):
@@ -180,10 +181,7 @@ def fringe_phase(rec: ChannelRecord):
     about twice the true reflection phase for small angles. Conditional
     phase shifts quoted from fringe readouts use this convention.
     """
-    if np.any(np.asarray(rec.h) <= 0) or np.any(np.asarray(rec.v) <= 0):
-        raise ValueError("phase extraction requires h > 0 and v > 0")
-    s = _normalized_fringe(rec, np.sqrt(rec.h * rec.v))
-    return np.arcsin(s)
+    return np.arcsin(_normalized_fringe(rec, 1.0))
 
 
 def conditional_fringe_phase(r_coupled, r_empty, ref: ReferenceArm):
@@ -208,8 +206,7 @@ def calibrate_bias(rec: ChannelRecord) -> float:
     h = np.asarray(rec.h, dtype=float)
     if h.ndim != 1 or h.size < 5:
         raise ValueError("edge calibration needs a gridded record with >= 5 points")
-    s = _normalized_fringe(rec, 2.0 * np.sqrt(rec.h * rec.v))
-    return _edge_baseline(np.arcsin(s))
+    return _edge_baseline(np.arcsin(_normalized_fringe(rec, 2.0)))
 
 
 def apply_background(r, bg: BackgroundModel):
@@ -264,8 +261,6 @@ def infer_background_fraction(
     p: SystemParams,
     qd: QdState,
     grid=None,
-    background_phase: float = 0.0,
-    tol: float = 1e-6,
 ) -> float:
     """Background fraction whose synthesized dip matches a visibility.
 
@@ -281,7 +276,7 @@ def infer_background_fraction(
     grid = np.asarray(grid, dtype=float)
 
     def vis(b: float) -> float:
-        bg = BackgroundModel(b, background_phase)
+        bg = BackgroundModel(b)
         return dip_visibility(Spectrum(grid, measured_intensity(p, qd, grid, bg)))
 
     lo, hi = 0.0, 1.0 - 1e-9
@@ -289,7 +284,7 @@ def infer_background_fraction(
         raise NoSolutionError(
             f"intrinsic visibility {vis(lo):.4f} below observed {observed_visibility:.4f}"
         )
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if vis(mid) > observed_visibility:
             lo = mid

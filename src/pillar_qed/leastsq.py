@@ -74,7 +74,8 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
         (numerically at an optimum).
 
     Non-convergence within ``max_iterations`` returns ``converged=False``
-    with diagnostics rather than raising.
+    with diagnostics rather than raising. The returned ``jacobian`` and
+    ``grad_norm`` are those of the returned ``x``.
     """
     x = np.asarray(x0, dtype=float)
     if bounds is None:
@@ -90,17 +91,20 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
     cost = float(r @ r)
     lam = _LAMBDA_INIT
     quiet = 0
-    jac = None
-    grad_norm = np.inf
     iterations = 0
-    converged = False
-    reason = "max_iterations"
-
-    for iterations in range(1, max_iterations + 1):
+    while True:
+        # every stop test runs here, so the result carries the Jacobian
+        # and gradient of the point it reports
         jac = central_difference_jacobian(fun, x)
         grad_norm = float(np.linalg.norm(2.0 * jac.T @ r))
+        if quiet >= QUIET_ITERATIONS:
+            reason = "cost_stall"
+            break
+        if iterations >= max_iterations:
+            reason = "max_iterations"
+            break
+        iterations += 1
         if grad_norm < GRAD_TOL:
-            converged = True
             reason = "gradient"
             break
 
@@ -127,25 +131,13 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
 
         if not accepted:
             # No damped step lowers the cost: numerically at an optimum.
-            converged = True
             reason = "no_improvement"
             break
 
         rel_decrease = (cost - cost_try) / max(cost, np.finfo(float).tiny)
         x, r, cost = x_try, r_try, cost_try
         lam = max(lam / 3.0, _LAMBDA_FLOOR)
-        if rel_decrease < COST_TOL:
-            quiet += 1
-            if quiet >= QUIET_ITERATIONS:
-                converged = True
-                reason = "cost_stall"
-                break
-        else:
-            quiet = 0
-
-    if jac is None:
-        jac = central_difference_jacobian(fun, x)
-        grad_norm = float(np.linalg.norm(2.0 * jac.T @ r))
+        quiet = quiet + 1 if rel_decrease < COST_TOL else 0
 
     return LeastSquaresResult(
         x=x,
@@ -154,6 +146,6 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
         jacobian=jac,
         grad_norm=grad_norm,
         iterations=iterations,
-        converged=converged,
+        converged=reason != "max_iterations",
         reason=reason,
     )

@@ -130,7 +130,7 @@ def scan_dip_positions(scan: TemperatureScan):
     """
     out = []
     for t, s in zip(scan.temperatures, scan.spectra):
-        minima = local_minima(s.omega, np.asarray(s.values, dtype=float))
+        minima = local_minima(s.omega, s.values)
         out.append((t, tuple(pos for pos, _ in minima)))
     return out
 

@@ -7,6 +7,7 @@ from pillar_qed import (
     QdState,
     Spectrum,
     SystemParams,
+    TuningModel,
     estimate_g_from_splitting,
     estimate_q_from_linewidth,
     fit,
@@ -14,6 +15,7 @@ from pillar_qed import (
     reflection_amplitude,
     reflectivity,
     residuals,
+    synthesize_scan,
     uncertainty,
 )
 from pillar_qed.estimation import (
@@ -269,7 +271,48 @@ class TestGFromSplitting:
             estimate_g_from_splitting(synthetic_intensity(p, qd))
 
 
+def _local_minima_loop(omega, values):
+    """Reference: the per-point loop that ``local_minima`` vectorizes."""
+    omega = np.asarray(omega, dtype=float)
+    values = np.asarray(values, dtype=float)
+    out = []
+    for i in range(1, values.size - 1):
+        if values[i] < values[i - 1] and values[i] < values[i + 1]:
+            x0, x1, x2 = omega[i - 1 : i + 2]
+            y0, y1, y2 = values[i - 1 : i + 2]
+            num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
+            den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+            if den == 0:
+                out.append((float(x1), float(y1)))
+                continue
+            xv = x1 - 0.5 * num / den
+            yv = (
+                y0 * (xv - x1) * (xv - x2) / ((x0 - x1) * (x0 - x2))
+                + y1 * (xv - x0) * (xv - x2) / ((x1 - x0) * (x1 - x2))
+                + y2 * (xv - x0) * (xv - x1) / ((x2 - x0) * (x2 - x1))
+            )
+            out.append((float(xv), float(yv)))
+    return out
+
+
 class TestLocalMinima:
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(5)
+        p, _ = device()
+        model = TuningModel(-10.0, -3.0, p.omega_c + 14.0, p.omega_c, 19.0)
+        scan = synthesize_scan(p, model, np.linspace(19.0, 23.0, 17), grid_around(p.omega_c, 100.0, 2001))
+        cases = [(s.omega, s.values) for s in scan.spectra]
+        cases += [(s.omega, s.values * (1.0 + 0.01 * rng.standard_normal(len(s)))) for s in scan.spectra]
+        cases += [(np.arange(n, dtype=float), rng.standard_normal(n)) for n in range(4)]
+        cases += [(np.arange(200.0), rng.integers(0, 4, 200).astype(float))]  # ties and plateaus
+        cases += [([0.0, 0.0, 0.0], [1.0, 0.0, 1.0])]  # zero denominator
+        with_nan = scan.spectra[8].values.copy()
+        with_nan[[0, 990, 1000, 1500]] = np.nan
+        cases += [(scan.spectra[8].omega, with_nan)]
+        for omega, values in cases:
+            assert local_minima(omega, values) == _local_minima_loop(omega, values)
+        assert local_minima([0.0, 0.0, 0.0], [1.0, 0.0, 1.0]) == [(0.0, 0.0)]
+
     def test_quadratic_vertex_recovered(self):
         grid = np.linspace(0.0, 10.0, 41)
         values = (grid - 4.3) ** 2
@@ -356,6 +399,16 @@ class TestUncertainty:
         expected = np.sqrt(np.diag(sigma2 * np.linalg.inv(jac.T @ jac)))
         for name, value in zip(RATES, expected):
             assert errs[name] == pytest.approx(value, rel=1e-6)
+
+    def test_cost_stall_errors_taken_at_reported_point(self):
+        p, qd = device()
+        rng = np.random.default_rng(4)
+        clean = synthetic_intensity(p, qd, n=501)
+        noisy = Spectrum(clean.omega, clean.values * (1 + 0.01 * rng.standard_normal(len(clean))))
+        problem = FitProblem(guess=make_guess(p, qd), intensity=noisy)
+        result = fit(problem)
+        assert result.reason == "cost_stall"
+        assert uncertainty(result, problem) == result.std_errors
 
     def test_requires_convergence(self):
         p, qd = device()

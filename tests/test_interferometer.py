@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -125,8 +127,11 @@ class TestExtractPhase:
 
     def test_requires_positive_monitors(self):
         ref = calibrated_ref(1.0)
+        rec = ChannelRecord(0.0, 0.0, 1.0, 0.5, 0.5)
         with pytest.raises(ValueError):
-            extract_phase(ChannelRecord(0.0, 0.0, 1.0, 0.5, 0.5), ref)
+            extract_phase(rec, ref)
+        with pytest.raises(ValueError):
+            fringe_phase(rec)
 
 
 class TestFringePhase:
@@ -293,6 +298,14 @@ class TestCalibration:
         # residual signal phase at the window edges bounds the estimate
         edge_phase = abs(np.angle(r[0]))
         assert calibrate_bias(rec) == pytest.approx(true_bias, abs=2 * edge_phase + 1e-6)
+
+    def test_edge_calibration_requires_positive_monitors(self, device_params, resonant_qd):
+        grid = grid_around(device_params.omega_c, 100.0, 21)
+        rec = simulate_channels(reflection_amplitude(device_params, resonant_qd, grid), calibrated_ref(), omega=grid)
+        h = rec.h.copy()
+        h[3] = 0.0
+        with pytest.raises(ValueError, match="h > 0"):
+            calibrate_bias(replace(rec, h=h))
 
 
 class TestReferenceArm:
