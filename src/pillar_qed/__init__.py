@@ -22,7 +22,6 @@ from .estimation import (
     fit,
     make_guess,
     residuals,
-    uncertainty,
 )
 from .interferometer import (
     BackgroundModel,

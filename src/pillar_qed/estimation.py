@@ -19,7 +19,7 @@ import numpy as np
 
 from . import leastsq
 from .interferometer import _edge_baseline
-from .scattering import Spectrum, _amplitude
+from .scattering import Spectrum, _amplitude, _amplitude_partials
 
 __all__ = [
     "PARAM_NAMES",
@@ -31,7 +31,6 @@ __all__ = [
     "residuals",
     "fit",
     "fit_best_of",
-    "uncertainty",
     "local_minima",
     "estimate_q_from_linewidth",
     "estimate_g_from_splitting",
@@ -47,6 +46,8 @@ PARAM_NAMES = (
     "background",
     "beta_mag",
 )
+_BACKGROUND = PARAM_NAMES.index("background")
+_BETA = PARAM_NAMES.index("beta_mag")
 
 _RATE_BOUNDS = (0.0, 1e3)
 _DEFAULT_BOUNDS = {
@@ -95,13 +96,22 @@ def _as_vector(params) -> np.ndarray:
 
 def _model_amplitude(vec: np.ndarray, omega):
     g, kap, ks, gam, wc, wqd, b, _ = vec
-    # finite-difference probes may step just outside [0, 1); clamp so the
-    # admixture stays real (one-sided derivative at the boundary)
-    b = min(max(b, 0.0), 1.0 - 1e-12)
+    if not 0.0 <= b < 1.0:
+        raise ValueError(f"background must lie in [0, 1), got {b}")
     r = _amplitude(g, kap, ks, gam, wc, wqd, omega)
     if b != 0.0:
         r = np.sqrt(b) + np.sqrt(1.0 - b) * r
     return r
+
+
+def _model_partials(vec: np.ndarray, omega):
+    """Model amplitude m and a tuple of its partials in the first six
+    parameters and in s = sqrt(background)."""
+    g, kap, ks, gam, wc, wqd, b, _ = vec
+    r, dr = _amplitude_partials(g, kap, ks, gam, wc, wqd, omega)
+    s, c = np.sqrt(b), np.sqrt(1.0 - b)
+    m = s + c * r if b != 0.0 else r
+    return m, tuple(c * d for d in dr) + (1.0 - s / c * r,)
 
 
 def model_intensity(vec: np.ndarray, omega):
@@ -153,6 +163,9 @@ class FitProblem:
         merged["omega_qd"] = window
         merged.update(self.bounds)
         self.bounds = merged
+        lo, hi = self.bounds["background"]
+        if not 0.0 <= lo <= hi < 1.0:
+            raise ValueError(f"background bounds must lie in [0, 1), got [{lo}, {hi}]")
         for name in PARAM_NAMES:
             lo, hi = self.bounds[name]
             if not (lo <= self.guess[name] <= hi):
@@ -213,18 +226,63 @@ def residuals(params, problem: FitProblem) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _residual_jacobian(vec: np.ndarray, problem: FitProblem, columns) -> np.ndarray:
+    """Closed-form Jacobian of :func:`residuals` in the parameters at
+    indices ``columns`` of ``PARAM_NAMES``, with ``background``
+    differentiated in s = sqrt(background)."""
+    beta = vec[_BETA]
+    blocks = []
+    if problem.intensity is not None:
+        m, dm = _model_partials(vec, problem.intensity.omega)
+        m_conj, weights = m.conj(), problem.intensity_weights
+        scale = 2.0 * beta**2 * weights
+        blocks.append([
+            (m_conj * dm[k]).real * scale if k != _BETA else 2.0 * beta * np.abs(m) ** 2 * weights
+            for k in columns
+        ])
+    if problem.phase is not None:
+        # both blocks are usually measured on one grid
+        if problem.intensity is None or not np.array_equal(problem.phase.omega, problem.intensity.omega):
+            m, dm = _model_partials(vec, problem.phase.omega)
+            m_conj = m.conj()
+        abs2 = np.abs(m) ** 2
+        # np.angle(0) == 0, so the phase is flat where the amplitude vanishes
+        scale = problem.phase_weights * np.divide(1.0, abs2, out=np.zeros_like(abs2), where=abs2 > 0)
+        blocks.append([(m_conj * dm[k]).imag * scale if k != _BETA else np.zeros_like(abs2) for k in columns])
+    return np.array([np.concatenate(rows) for rows in zip(*blocks)]).T
+
+
 def _free_residuals(problem: FitProblem, params):
-    """Residuals as a function of the free parameters, the rest held at
-    ``params``; returns ``(fun, x0)`` with ``x0`` the free values."""
+    """The fit over the free parameters, the rest held at ``params``.
+
+    Returns ``(fun, jac, x0, bounds)`` in the free coordinates: the free
+    parameter values, except that a free ``background`` b enters as
+    s = sqrt(b) with bounds on s. The admixture s + sqrt(1 - s^2) r has a
+    finite slope at b = 0, the default and lower bound, where d/db is
+    infinite.
+    """
     x_full = _as_vector(params)
     idx = problem.free_indices()
+    root = idx == _BACKGROUND
 
-    def fun(x_free):
+    def free_coordinates(values):
+        values = np.array(values, dtype=float)
+        values[root] = np.sqrt(values[root])
+        return values
+
+    def full(x):
         vec = x_full.copy()
-        vec[idx] = x_free
-        return residuals(vec, problem)
+        vec[idx] = np.where(root, x * x, x)
+        return vec
 
-    return fun, x_full[idx]
+    def fun(x):
+        return residuals(full(x), problem)
+
+    def jac(x):
+        return _residual_jacobian(full(x), problem, idx)
+
+    bounds = np.array([problem.bounds[n] for n in problem.free]).T
+    return fun, jac, free_coordinates(x_full[idx]), tuple(map(free_coordinates, bounds))
 
 
 def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> FitResult:
@@ -233,13 +291,13 @@ def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> Fi
     Deterministic: identical problems give bit-identical results. Non-
     convergence is reported through the ``converged`` flag, never raised.
     """
-    fun, x0 = _free_residuals(problem, problem.guess)
-    bounds = np.array([problem.bounds[n] for n in problem.free]).T
-    res = leastsq.levenberg_marquardt(fun, x0, bounds=bounds, max_iterations=max_iterations)
+    fun, jac, x0, bounds = _free_residuals(problem, problem.guess)
+    res = leastsq.levenberg_marquardt(fun, jac, x0, bounds=bounds, max_iterations=max_iterations)
 
+    root = problem.free_indices() == _BACKGROUND
     params = {n: problem.guess[n] for n in PARAM_NAMES}
-    params.update(zip(problem.free, map(float, res.x)))
-    std_errors, condition = _std_errors(res.jacobian, res.residuals, problem, params)
+    params.update(zip(problem.free, map(float, np.where(root, res.x * res.x, res.x))))
+    std_errors, condition = _std_errors(res.jacobian, res.residuals, res.x, bounds, problem.free)
     return FitResult(
         params=params,
         residual_norm=res.cost,
@@ -252,33 +310,37 @@ def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> Fi
     )
 
 
-def _std_errors(jacobian, resid, problem: FitProblem, params: dict):
+def _std_errors(jacobian, resid, x, bounds, free):
     """Standard errors of the free parameters and the condition of J^T J.
 
-    The inverse (floor-damped) normal equations are scaled by the residual
-    variance over ``resid.size - len(problem.free)`` degrees of freedom;
-    parameters sitting on a bound are flagged infinite.
+    ``jacobian``, ``x`` and ``bounds`` are in the free coordinates of
+    :func:`_free_residuals`. The inverse (floor-damped) normal equations
+    are scaled by the residual variance over ``resid.size - len(free)``
+    degrees of freedom; a background error is mapped back from s to
+    b = s^2 as 2 s sigma_s. Parameters sitting on a bound are flagged
+    infinite.
     """
     jtj = jacobian.T @ jacobian
     diag = np.maximum(np.diag(jtj), max(np.max(np.diag(jtj)), 1.0) * 1e-14)
-    dof = max(resid.size - len(problem.free), 1)
+    dof = max(resid.size - len(free), 1)
     sigma2 = float(resid @ resid) / dof
     try:
         cov = sigma2 * np.linalg.inv(jtj + 1e-12 * np.diag(diag))
         errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
         condition = float(np.linalg.cond(jtj))
     except np.linalg.LinAlgError:
-        errors = np.full(len(problem.free), np.inf)
+        errors = np.full(len(free), np.inf)
         condition = np.inf
 
     std = {}
     at_bound = []
-    for k, name in enumerate(problem.free):
-        lo, hi = problem.bounds[name]
-        scale = max(abs(params[name]), 1.0)
-        if min(params[name] - lo, hi - params[name]) < 1e-12 * scale:
+    for k, name in enumerate(free):
+        scale = max(abs(x[k]), 1.0)
+        if min(x[k] - bounds[0][k], bounds[1][k] - x[k]) < 1e-12 * scale:
             std[name] = np.inf
             at_bound.append(name)
+        elif name == "background":
+            std[name] = float(2.0 * x[k] * errors[k])
         else:
             std[name] = float(errors[k])
     if at_bound:
@@ -305,23 +367,6 @@ def fit_best_of(problem: FitProblem, guesses, max_iterations: int = leastsq.MAX_
     return min(pool, key=lambda r: r.residual_norm)
 
 
-def uncertainty(result: FitResult, problem: FitProblem) -> dict:
-    """Standard errors of the free parameters at a converged solution.
-
-    Recomputes the Jacobian at the fitted point and scales the inverse
-    (floor-damped) normal equations by the residual variance. Read the
-    values together with ``covariance_condition``: an ill-conditioned
-    normal matrix makes them lower bounds at best. Parameters sitting on
-    a bound are flagged infinite.
-    """
-    if not result.converged:
-        raise ValueError("uncertainty requires a converged fit result")
-    fun, x = _free_residuals(problem, result.params)
-    jacobian = leastsq.central_difference_jacobian(fun, x)
-    std, _ = _std_errors(jacobian, fun(x), problem, result.params)
-    return std
-
-
 def local_minima(omega, values):
     """Interior local minima refined by a three-point parabola.
 
@@ -331,7 +376,18 @@ def local_minima(omega, values):
     """
     omega = np.asarray(omega, dtype=float)
     values = np.asarray(values, dtype=float)
-    i = np.flatnonzero((values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])) + 1
+    xv, yv = _vertices(omega, values, _strict_minima(values))
+    return list(zip(xv.tolist(), yv.tolist()))
+
+
+def _strict_minima(values: np.ndarray) -> np.ndarray:
+    """Indices of the interior points lower than both neighbours."""
+    return np.flatnonzero((values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])) + 1
+
+
+def _vertices(omega: np.ndarray, values: np.ndarray, i: np.ndarray):
+    """Vertex positions and values of the parabolas through the points
+    around indices ``i``; a zero denominator reports the grid point."""
     x0, x1, x2 = omega[i - 1], omega[i], omega[i + 1]
     y0, y1, y2 = values[i - 1], values[i], values[i + 1]
     num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
@@ -344,13 +400,58 @@ def local_minima(omega, values):
             + y1 * (xv - x0) * (xv - x2) / ((x1 - x0) * (x1 - x2))
             + y2 * (xv - x0) * (xv - x1) / ((x2 - x0) * (x2 - x1))
         )
-    xv, yv = np.where(den == 0, (x1, y1), (xv, yv))
-    return list(zip(xv.tolist(), yv.tolist()))
+    return np.where(den == 0, (x1, y1), (xv, yv))
+
+
+def _prominences(values: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Topographic prominence of the dips of ``values`` at indices ``i``.
+
+    From each dip the walk on either side continues over points no lower
+    than the dip and stops before the first strictly lower point (or at
+    the edge); the prominence is the lower of the two highest points
+    walked over, less the dip (``scipy.signal.peak_prominences`` of
+    ``-values``). All walks advance together by binary lifting over
+    power-of-two range minima and maxima.
+    """
+    n = values.size
+    lows, highs = [values], [values]  # level k: min / max of values[j : j + 2**k]
+    while 2 ** len(lows) <= n:
+        h = 2 ** (len(lows) - 1)
+        lows.append(np.minimum(lows[-1][:-h], lows[-1][h:]))
+        highs.append(np.maximum(highs[-1][:-h], highs[-1][h:]))
+    dip = values[i]
+    tops = []
+    for side in (-1, 1):
+        edge = i.copy()  # last index walked over
+        top = dip.copy()
+        for k in reversed(range(len(lows))):
+            h = 2**k
+            first = edge - h if side < 0 else edge + 1
+            inside = (first >= 0) & (first + h <= n)
+            first = np.where(inside, first, 0)
+            step = inside & (lows[k][first] >= dip)
+            top = np.where(step, np.maximum(top, highs[k][first]), top)
+            edge = np.where(step, edge + side * h, edge)
+        tops.append(top)
+    return np.minimum(*tops) - dip
 
 
 def _lorentzian_dip(omega, center, fwhm, depth, baseline):
     half = 0.5 * fwhm
     return baseline - depth * half * half / ((omega - center) ** 2 + half * half)
+
+
+def _lorentzian_dip_partials(omega, center, fwhm, depth, baseline):
+    """Jacobian of :func:`_lorentzian_dip` in (center, fwhm, depth, baseline)."""
+    half = 0.5 * fwhm
+    offset = omega - center
+    u = 1.0 / (offset * offset + half * half)
+    return np.column_stack([
+        -2.0 * depth * half * half * offset * u * u,
+        -depth * half * offset * offset * u * u,
+        -half * half * u,
+        np.ones_like(omega),
+    ])
 
 
 def estimate_q_from_linewidth(s: Spectrum, omega_c_guess: float) -> float:
@@ -380,7 +481,10 @@ def estimate_q_from_linewidth(s: Spectrum, omega_c_guess: float) -> float:
     def fun(x):
         return _lorentzian_dip(omega, *x) - values
 
-    res = leastsq.levenberg_marquardt(fun, x0, bounds=(lower, upper))
+    def jac(x):
+        return _lorentzian_dip_partials(omega, *x)
+
+    res = leastsq.levenberg_marquardt(fun, jac, x0, bounds=(lower, upper))
     center, fwhm, depth, _ = res.x
     scatter = max(float(np.std(res.residuals)), 1e-9 * max(baseline0, 1.0))
     if depth < 3.0 * scatter:
@@ -391,20 +495,24 @@ def estimate_q_from_linewidth(s: Spectrum, omega_c_guess: float) -> float:
 
 
 def _dip_separation(s: Spectrum) -> float:
-    """Separation of the two deepest local minima of a spectrum.
+    """Separation of the two most prominent local minima of a spectrum.
 
-    Raises :class:`UnresolvedSplittingError` when fewer than two exist.
+    Each minimum is placed at its three-point parabola vertex; on a noisy
+    spectrum, prominence passes over the wiggles inside one dip. Raises
+    :class:`UnresolvedSplittingError` when fewer than two minima exist.
     """
-    minima = local_minima(s.omega, s.values)
-    if len(minima) < 2:
-        raise UnresolvedSplittingError(f"found {len(minima)} local minima, need 2")
-    deepest = sorted(minima, key=lambda m: m[1])[:2]
-    positions = sorted(m[0] for m in deepest)
-    return positions[1] - positions[0]
+    values = np.asarray(s.values, dtype=float)
+    i = _strict_minima(values)
+    if i.size < 2:
+        raise UnresolvedSplittingError(f"found {i.size} local minima, need 2")
+    if i.size > 2:
+        i = np.sort(i[np.argsort(-_prominences(values, i), kind="stable")[:2]])
+    xv, _ = _vertices(s.omega, values, i)
+    return float(xv[1] - xv[0])
 
 
 def estimate_g_from_splitting(s: Spectrum) -> float:
-    """Half the separation of the two deepest reflectivity minima.
+    """Half the separation of the two most prominent reflectivity minima.
 
     A deliberately naive estimator: dip positions sit outside the dressed
     state energies, so this overestimates the coupling compared with a

@@ -106,18 +106,41 @@ def _read_columns(path, header, parsers):
 def _read_grid_table(path, header, n):
     """The ``n`` float columns of a gridded CSV, omega first, as one array.
 
-    Every value must be finite and omega strictly increasing; the first
-    row that breaks either raises :class:`FileFormatError` naming ``path:line``.
+    Every value must be finite and omega strictly increasing. The body is
+    parsed in one pass; when that pass or either check fails, the row-wise
+    :func:`_read_columns` reads the file again so that the first bad row
+    raises :class:`FileFormatError` naming ``path:line``.
     """
-    lines, columns = _read_columns(path, header, (float,) * n)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    rows = [line for line in lines[1:] if line.strip()]
+    try:
+        if lines[0].strip() != header or any(line.count(",") != n - 1 for line in rows):
+            raise ValueError("not a well-formed table")
+        values = np.array(list(map(float, ",".join(rows).split(","))))
+        table = np.ascontiguousarray(values.reshape(-1, n).T)
+        if _grid_fault(table) is None:
+            return table
+    except ValueError:
+        pass
+    linenos, columns = _read_columns(path, header, (float,) * n)
     table = np.array(columns)
+    fault = _grid_fault(table)
+    if fault is not None:
+        k, what = fault
+        raise FileFormatError(f"{path}:{linenos[k]}: {what}")
+    return table
+
+
+def _grid_fault(table):
+    """``(row, reason)`` of the first row holding a non-finite value or not
+    increasing omega, or None."""
     finite = np.isfinite(table).all(axis=0)
     bad = np.flatnonzero(~finite | np.r_[False, table[0, 1:] <= table[0, :-1]])
-    if bad.size:
-        k = bad[0]
-        what = "values must be finite" if not finite[k] else "omega must be strictly increasing"
-        raise FileFormatError(f"{path}:{lines[k]}: {what}")
-    return table
+    if not bad.size:
+        return None
+    k = bad[0]
+    return k, "values must be finite" if not finite[k] else "omega must be strictly increasing"
 
 
 def _parse_flag(text: str) -> bool:

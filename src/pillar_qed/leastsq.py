@@ -1,9 +1,9 @@
 """Damped (Levenberg-Marquardt style) least squares on a residual vector.
 
-Deterministic by construction: the Jacobian is a central difference with a
-fixed relative step, damping updates follow a fixed schedule, the stopping
-tolerances are the module constants below, and no randomness enters
-anywhere. Accepted steps never increase the cost.
+Deterministic by construction: the caller supplies the Jacobian, damping
+updates follow a fixed schedule, the stopping tolerances are the module
+constants below, and no randomness enters anywhere. Accepted steps never
+increase the cost.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LeastSquaresResult", "central_difference_jacobian", "levenberg_marquardt"]
+__all__ = ["LeastSquaresResult", "levenberg_marquardt"]
 
-REL_STEP = 1e-6
 GRAD_TOL = 1e-10
 COST_TOL = 1e-12
 QUIET_ITERATIONS = 3
@@ -32,34 +31,22 @@ class LeastSquaresResult:
     jacobian: np.ndarray
     grad_norm: float
     iterations: int
-    converged: bool
     reason: str
 
-
-def central_difference_jacobian(fun, x) -> np.ndarray:
-    """Jacobian of ``fun`` at ``x`` by central differences.
-
-    Per-parameter step ``REL_STEP * max(|x_j|, 1)``; probes are evaluated
-    as given (no bound clipping) so the difference stays symmetric.
-    """
-    x = np.asarray(x, dtype=float)
-    columns = []
-    for j in range(x.size):
-        h = REL_STEP * max(abs(x[j]), 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        columns.append((np.asarray(fun(xp), dtype=float) - np.asarray(fun(xm), dtype=float)) / (2.0 * h))
-    return np.column_stack(columns)
+    @property
+    def converged(self) -> bool:
+        return self.reason != "max_iterations"
 
 
 def _clip(x, lower, upper):
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIONS) -> LeastSquaresResult:
+def levenberg_marquardt(fun, jac, x0, bounds=None, max_iterations: int = MAX_ITERATIONS) -> LeastSquaresResult:
     """Minimize ``sum(fun(x)**2)`` with damped normal equations.
+
+    ``jac(x)`` returns the Jacobian of ``fun`` at ``x``, one column per
+    parameter; it is evaluated at the start and at each accepted point.
 
     The damping multiplies the diagonal of J^T J (with a floor that also
     regularizes singular normal equations), so the step interpolates
@@ -95,8 +82,8 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
     while True:
         # every stop test runs here, so the result carries the Jacobian
         # and gradient of the point it reports
-        jac = central_difference_jacobian(fun, x)
-        grad_norm = float(np.linalg.norm(2.0 * jac.T @ r))
+        jacobian = np.asarray(jac(x), dtype=float)
+        grad_norm = float(np.linalg.norm(2.0 * jacobian.T @ r))
         if quiet >= QUIET_ITERATIONS:
             reason = "cost_stall"
             break
@@ -108,11 +95,11 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
             reason = "gradient"
             break
 
-        jtj = jac.T @ jac
+        jtj = jacobian.T @ jacobian
         diag = np.diag(jtj).copy()
         floor = max(np.max(diag), 1.0) * 1e-14
         diag = np.maximum(diag, floor)
-        jtr = jac.T @ r
+        jtr = jacobian.T @ r
 
         accepted = False
         while lam <= _LAMBDA_CEIL:
@@ -143,9 +130,8 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
         x=x,
         cost=cost,
         residuals=r,
-        jacobian=jac,
+        jacobian=jacobian,
         grad_norm=grad_norm,
         iterations=iterations,
-        converged=reason != "max_iterations",
         reason=reason,
     )

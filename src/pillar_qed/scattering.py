@@ -132,8 +132,7 @@ def _amplitude(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
     """Raw reflection amplitude without parameter validation.
 
     Accepts scalar or ndarray ``omega`` (and broadcastable parameters);
-    used directly by the fitting code where finite-difference probes may
-    step slightly outside the physical domain.
+    used directly by the fitting code, which checks its own bounds.
     """
     d_c = 1j * (omega_c - omega) + 0.5 * (kappa_top + kappa_side)
     if np.all(g == 0):
@@ -147,6 +146,39 @@ def _amplitude(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
     if np.any(np.abs(den) < _DENOMINATOR_FLOOR):
         raise DegenerateModelError("coupled response denominator underflow")
     return 1.0 - kappa_top * d_qd / den
+
+
+def _amplitude_partials(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
+    """:func:`_amplitude` and its closed-form partial derivatives.
+
+    Returns ``(r, dr)``: ``r`` equals ``_amplitude(...)`` exactly and ``dr``
+    is a tuple of dr/dg, dr/dkappa_top, dr/dkappa_side, dr/dgamma,
+    dr/domega_c and dr/domega_qd, each shaped like ``omega``. With
+    ``r = 1 - kappa_top * d_qd / D`` they are 2 g kappa_top d_qd / D^2,
+    -d_qd/D + kappa_top d_qd^2 / (2 D^2), kappa_top d_qd^2 / (2 D^2),
+    -kappa_top g^2 / (2 D^2), i kappa_top d_qd^2 / D^2 and
+    -i kappa_top g^2 / D^2. ``g == 0`` uses the cancelled empty-cavity
+    form (d_qd / D = 1 / d_c), where the g, gamma and omega_qd partials
+    vanish.
+    """
+    d_c = 1j * (omega_c - omega) + 0.5 * (kappa_top + kappa_side)
+    if g == 0:
+        if np.any(np.abs(d_c) < _DENOMINATOR_FLOOR):
+            raise DegenerateModelError("cavity response denominator underflow")
+        r = 1.0 - kappa_top / d_c
+        q = 1.0 / d_c
+        dg = coupling = np.zeros_like(q)
+    else:
+        d_qd = 1j * (omega_qd - omega) + 0.5 * gamma
+        den = d_qd * d_c + g * g
+        if np.any(np.abs(den) < _DENOMINATOR_FLOOR):
+            raise DegenerateModelError("coupled response denominator underflow")
+        r = 1.0 - kappa_top * d_qd / den
+        q = d_qd / den
+        dg = 2.0 * g * kappa_top * q / den
+        coupling = kappa_top * g * g / (den * den)
+    loss = kappa_top * q * q
+    return r, (dg, 0.5 * loss - q, 0.5 * loss, -0.5 * coupling, 1j * loss, -1j * coupling)
 
 
 def _amplitude_coefficients(g, kappa_top, kappa_side, gamma, omega_c, omega_qd):

@@ -138,9 +138,9 @@ def scan_dip_positions(scan: TemperatureScan):
 def anticrossing_gap(scan: TemperatureScan) -> float:
     """Minimum dip separation over the scan (ueV).
 
-    At each temperature with at least two resolved minima, the two deepest
-    are taken; the smallest separation across the scan is the measured
-    anticrossing gap. Raises :class:`UnresolvedSplittingError` when no
+    At each temperature with at least two resolved minima, the two most
+    prominent are taken; the smallest separation across the scan is the
+    measured anticrossing gap. Raises :class:`UnresolvedSplittingError` when no
     temperature resolves two dips. The gap is a spectral-line separation:
     near the strong-coupling threshold the dips sit outside the dressed
     state energies (as :func:`estimate_g_from_splitting` notes), so it is

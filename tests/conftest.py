@@ -50,3 +50,35 @@ def system_params(omega_min=1e3, omega_max=2e6):
 
 def grid_around(center: float, half_span: float, n: int) -> np.ndarray:
     return np.linspace(center - half_span, center + half_span, n)
+
+
+def central_difference(fun, x, steps):
+    """Oracle Jacobian of ``fun`` at ``x`` by central differences.
+
+    ``steps`` holds one absolute step per parameter. Each column divides
+    by the step actually taken, ``(x + h) - (x - h)`` as rounded, which
+    differs from ``2 h`` at energies of order 1e6 ueV.
+    """
+    x = np.asarray(x, dtype=float)
+    columns = []
+    for j, h in enumerate(steps):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        columns.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (xp[j] - xm[j]))
+    return np.column_stack(columns)
+
+
+def model_steps(vec):
+    """Oracle steps for a vector ordered as ``estimation.PARAM_NAMES``
+    (or its first six entries, the arguments of the amplitude).
+
+    Rates, background and beta_mag take a relative step; the two
+    energies an absolute one of 1e-5 of the narrowest linewidth, since
+    the response varies on that scale (a fixed 1e-2 ueV step is 10% of
+    a 0.1 ueV line).
+    """
+    vec = np.asarray(vec, dtype=float)
+    steps = 1e-6 * np.maximum(np.abs(vec), 1.0)
+    steps[4:6] = 1e-5 * min(vec[1] + vec[2], vec[3])
+    return steps

@@ -22,6 +22,8 @@ from pillar_qed.io import (
     CHANNELS_HEADER,
     SPECTRUM_HEADER,
     FileFormatError,
+    _read_columns,
+    _read_grid_table,
     read_channels_csv,
     read_design_csv,
     read_manifest_csv,
@@ -335,6 +337,49 @@ class TestGridTables:
         path.write_text(f"{SPECTRUM_HEADER}\n1.0,0.5\n\n2.0,nan\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match=re.escape(f"{path}:4: values must be finite")):
             read_spectrum_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, omega, values",
+        [
+            ("1.0,0.5\n\n  \n2.0,0.25\n\n", [1.0, 2.0], [0.5, 0.25]),
+            ("  1.0 , 0.5\t\n\t2.0,0.25  \r\n", [1.0, 2.0], [0.5, 0.25]),
+            ("1_0,0.5\n2_0,1e-1\n", [10.0, 20.0], [0.5, 0.1]),
+        ],
+        ids=["blank_lines", "padded_fields", "underscores"],
+    )
+    def test_accepted_rows_parse_as_float(self, tmp_path, body, omega, values):
+        path = tmp_path / "table.csv"
+        path.write_text(f"{SPECTRUM_HEADER}\n{body}", encoding="utf-8")
+        s = read_spectrum_csv(path)
+        assert s.omega.tolist() == omega and s.values.tolist() == values
+        _, columns = _read_columns(path, SPECTRUM_HEADER, (float, float))
+        assert columns == [omega, values]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1.0,0.5\n2.0,infinity\n", ":3: values must be finite"),
+            ("1.0,0.5\nnan,0.5\n", ":3: values must be finite"),
+            ("1.0,0.5\n2.0\n", ":3: expected 2 fields"),
+            ("1.0,0.5\n2.0,0.5,7\n", ":3: could not convert string to float: '0.5,7'"),
+            ("1.0\n0.5,2.0,0.25\n", ":2: expected 2 fields"),  # reads as a good 2-row table if rows are ignored
+            ("1.0,0.5\n2.0,1__0\n", ":3: could not convert string to float: '1__0'"),
+            ("", ": no data rows"),
+        ],
+        ids=["infinity", "nan", "short_row", "long_row", "short_then_long", "double_underscore", "empty"],
+    )
+    def test_rejected_rows_name_path_and_line(self, tmp_path, body, message):
+        path = tmp_path / "table.csv"
+        path.write_text(f"{SPECTRUM_HEADER}\n{body}", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}{message}")):
+            read_spectrum_csv(path)
+
+    def test_bulk_parse_matches_row_reader(self, tmp_path):
+        assert run("synth", "--out", str(tmp_path), "--set", "noise=0.01") == 0
+        for name, header, n in (("coupled.csv", SPECTRUM_HEADER, 2), ("channels_empty.csv", CHANNELS_HEADER, 5)):
+            path = tmp_path / name
+            _, columns = _read_columns(path, header, (float,) * n)
+            assert np.array_equal(_read_grid_table(path, header, n), np.array(columns))
 
 
 def _replace_field(path, line, field, text):

@@ -16,7 +16,7 @@ from pillar_qed import (
     unwrapped_phase,
 )
 
-from conftest import DEVICE, grid_around, rates, system_params
+from conftest import DEVICE, central_difference, grid_around, model_steps, rates, system_params
 
 # independently evaluated by direct substitution of the device constants
 R_COUPLED_ONRES = 0.9751521928189837
@@ -118,6 +118,26 @@ class TestReflectionAmplitude:
                 r = np.polyval(num, u) / np.polyval(den, u)
                 worst = max(worst, np.max(np.abs(r - expected)))
         assert worst <= 1e-12
+
+    def test_partials_match_central_difference(self):
+        from pillar_qed.scattering import _amplitude, _amplitude_partials
+
+        rng = np.random.default_rng(8)
+        worst = np.zeros(6)
+        for trial in range(100):
+            kap, ks, gam = rng.uniform(0.1, 30.0), rng.uniform(0.0, 30.0), rng.uniform(0.1, 25.0)
+            g = 0.0 if trial % 10 == 0 else rng.uniform(0.5, 30.0)
+            wc = 1333596.0 + rng.uniform(-20.0, 20.0)
+            wqd = wc + rng.uniform(-20.0, 20.0)
+            omega = grid_around(1333596.0, 100.0, 2001)
+            x = np.array([g, kap, ks, gam, wc, wqd])
+            r, dr = _amplitude_partials(*x, omega)
+            assert np.array_equal(r, _amplitude(*x, omega))
+            dr = np.array(dr)
+            numeric = central_difference(lambda y: _amplitude(*y, omega), x, model_steps(x))
+            scale = np.max(np.abs(numeric), axis=0)
+            worst = np.maximum(worst, np.max(np.abs(dr.T - numeric), axis=0) / np.where(scale > 0, scale, 1.0))
+        assert np.all(worst <= 1e-7)  # measured: at most 1.4e-8 (gamma)
 
     @given(p=system_params(), detuning=st.floats(min_value=-1e3, max_value=1e3))
     def test_coupled_g_zero_equals_empty(self, p, detuning):
