@@ -116,7 +116,7 @@ def _model_partials(vec: np.ndarray, omega):
 
 def model_intensity(vec: np.ndarray, omega):
     m = _model_amplitude(vec, omega)
-    return vec[7] ** 2 * np.abs(m) ** 2
+    return vec[_BETA] ** 2 * np.abs(m) ** 2
 
 
 def model_phase(vec: np.ndarray, omega):
@@ -213,16 +213,28 @@ class FitResult:
     free: tuple
 
 
+def _one_grid(problem: FitProblem) -> bool:
+    """Whether both blocks are measured on one grid (the usual case), so
+    the model amplitude is evaluated once for both."""
+    return (
+        problem.intensity is not None
+        and problem.phase is not None
+        and np.array_equal(problem.intensity.omega, problem.phase.omega)
+    )
+
+
 def residuals(params, problem: FitProblem) -> np.ndarray:
     """Weighted (model - observed) stacked over the provided spectra."""
     vec = _as_vector(params)
     blocks = []
     if problem.intensity is not None:
-        model = model_intensity(vec, problem.intensity.omega)
+        m = _model_amplitude(vec, problem.intensity.omega)
+        model = vec[_BETA] ** 2 * np.abs(m) ** 2
         blocks.append(problem.intensity_weights * (model - problem.intensity.values))
     if problem.phase is not None:
-        model = model_phase(vec, problem.phase.omega)
-        blocks.append(problem.phase_weights * (model - problem.phase.values))
+        if not _one_grid(problem):
+            m = _model_amplitude(vec, problem.phase.omega)
+        blocks.append(problem.phase_weights * (np.angle(m) - problem.phase.values))
     return np.concatenate(blocks)
 
 
@@ -241,8 +253,7 @@ def _residual_jacobian(vec: np.ndarray, problem: FitProblem, columns) -> np.ndar
             for k in columns
         ])
     if problem.phase is not None:
-        # both blocks are usually measured on one grid
-        if problem.intensity is None or not np.array_equal(problem.phase.omega, problem.intensity.omega):
+        if not _one_grid(problem):
             m, dm = _model_partials(vec, problem.phase.omega)
             m_conj = m.conj()
         abs2 = np.abs(m) ** 2
