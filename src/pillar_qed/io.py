@@ -4,13 +4,16 @@ Spectra: header ``omega_ueV,value``; channel tables:
 ``omega_ueV,h,v,d,a``; design tables:
 ``kappa,max_phase_rad,argmax_ueV,refl_on_res,feasible``. All files are
 UTF-8 with LF line endings, floats written as shortest round-trip
-decimals, and writes are atomic (temp file then rename).
+decimals, and writes are atomic (temp file then rename); a written file
+gets mode ``0o666`` less the umask, as ``open()`` would give it. The
+omega column of a gridded file is formatted once per distinct set of
+grid bits, so the spectra of a scan, which share one grid, reuse it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +53,9 @@ def _fmt(x) -> str:
 def atomic_write_text(path, text: str):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # os.open gives 0o666 less the umask; mkstemp would give 0600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -61,11 +66,23 @@ def atomic_write_text(path, text: str):
         raise
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_reprs(bits: bytes) -> tuple:
+    """``repr`` of each float64 in ``bits``; keyed on the bits, so ``-0.0``
+    and ``0.0`` never share an entry and a grid mutated in place misses."""
+    return tuple(map(repr, np.frombuffer(bits).tolist()))
+
+
+def _write_grid_table(path, header, omega, columns):
+    """One row per float64 grid point: omega, then each column, as shortest
+    round-trip decimals."""
+    rows = zip(_grid_reprs(omega.tobytes()), *(map(repr, c.tolist()) for c in columns))
+    atomic_write_text(path, "\n".join([header, *map(",".join, rows)]) + "\n")
+
+
 def write_spectrum_csv(path, spectrum: Spectrum):
-    lines = [SPECTRUM_HEADER]
     values = np.asarray(spectrum.values, dtype=float)
-    lines.extend(f"{_fmt(w)},{_fmt(v)}" for w, v in zip(spectrum.omega, values))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_grid_table(path, SPECTRUM_HEADER, spectrum.omega, [values])
 
 
 def _read_columns(path, header, parsers):
@@ -159,11 +176,7 @@ def write_channels_csv(path, rec: ChannelRecord):
     cols = [np.atleast_1d(np.asarray(getattr(rec, n), dtype=float)) for n in ("h", "v", "d", "a")]
     if any(c.size != omega.size for c in cols):
         raise ValueError("channel columns must match the omega grid length")
-    lines = [CHANNELS_HEADER]
-    lines.extend(
-        ",".join(_fmt(x) for x in row) for row in zip(omega, *cols)
-    )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_grid_table(path, CHANNELS_HEADER, omega, cols)
 
 
 def read_channels_csv(path) -> ChannelRecord:
