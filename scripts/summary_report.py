@@ -5,11 +5,12 @@ Everything is computed from the fitted constants g=9.4, kappa_top=1.2,
 kappa_side=24.7, gamma=5.0 ueV at the 1333.596 meV cavity resonance.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from pillar_qed import (
     BackgroundModel,
-    QdState,
     ReferenceArm,
     Spectrum,
     SystemParams,
@@ -31,26 +32,25 @@ from pillar_qed import (
 
 def main():
     p = SystemParams(g=9.4, kappa_top=1.2, kappa_side=24.7, gamma=5.0, omega_c=1333596.0)
-    qd = QdState(p.omega_c, coupled=True)
-    empty = QdState(p.omega_c, coupled=False)
+    empty = replace(p, g=0.0)
     grid = np.linspace(p.omega_c - 100.0, p.omega_c + 100.0, 20001)
 
     print("== coupled dot-cavity device ==")
     print(f"Q factor                     : {q_factor(p):.1f}")
     print(f"coupling regime              : {coupling_regime(p)}"
           f"  (g=9.4 vs (kappa+kappa_s+gamma)/4={(p.kappa_total + p.gamma) / 4:.3f})")
-    lo, hi = polariton_eigenvalues(p, qd)
+    lo, hi = polariton_eigenvalues(p)
     print(f"dressed energies (ueV)       : {lo.real:.3f}, {hi.real:.3f}")
     print(f"dressed splitting (ueV)      : {rabi_splitting(p):.4f}")
-    print(f"on-resonance reflectivity    : coupled {reflectivity(p, qd, p.omega_c):.4f}, "
-          f"empty {reflectivity(p, empty, p.omega_c):.4f}")
+    print(f"on-resonance reflectivity    : coupled {reflectivity(p, p.omega_c):.4f}, "
+          f"empty {reflectivity(empty, p.omega_c):.4f}")
 
     print("\n== conditional phase ==")
     mag, argmax = max_conditional_phase(p)
     print(f"arg-convention max           : {mag:.5f} rad at {argmax - p.omega_c:+.3f} ueV")
     ref = ReferenceArm(beta=1.0, sb_offset=quadrature_offset(1.0))
-    r_d = reflection_amplitude(p, qd, grid)
-    r_c = reflection_amplitude(p, empty, grid)
+    r_d = reflection_amplitude(p, grid)
+    r_c = reflection_amplitude(empty, grid)
     delta = conditional_fringe_phase(r_d, r_c, ref)
     print(f"fringe-readout max           : {np.max(np.abs(delta)):.5f} rad")
     bg = BackgroundModel(0.7)
@@ -58,11 +58,11 @@ def main():
     print(f"fringe-readout max, b=0.7    : {np.max(np.abs(delta)):.5f} rad")
 
     print("\n== mode-matching background ==")
-    intrinsic = Spectrum(grid, reflectivity(p, empty, grid))
+    intrinsic = Spectrum(grid, reflectivity(empty, grid))
     vis = dip_visibility(intrinsic)
     print(f"intrinsic empty-cavity dip visibility : {vis:.4f}")
     observed = 0.15
-    b = infer_background_fraction(observed, p, empty, grid=grid)
+    b = infer_background_fraction(observed, empty, grid=grid)
     print(f"background matching visibility {observed:.2f}  : b = {b:.4f}")
 
     print("\n== outcoupling sweep (zero detuning) ==")

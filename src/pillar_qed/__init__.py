@@ -8,7 +8,6 @@ sweeps of the outcoupling rate.
 
 from .design import (
     DesignPoint,
-    conditional_phase_spectrum,
     interface_feasible,
     max_conditional_phase,
     relative_phase,
@@ -39,7 +38,6 @@ from .interferometer import (
     simulate_channels,
 )
 from .scattering import (
-    QdState,
     Spectrum,
     SystemParams,
     coupling_regime,
@@ -49,7 +47,6 @@ from .scattering import (
     rabi_splitting,
     reflection_amplitude,
     reflectivity,
-    unwrapped_phase,
 )
 from .tuning import (
     TemperatureScan,

@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .interferometer import (
     quadrature_offset,
     simulate_channels,
 )
-from .scattering import DegenerateModelError, QdState, Spectrum, reflection_amplitude
+from .scattering import DegenerateModelError, Spectrum, reflection_amplitude
 
 __all__ = ["main", "build_parser"]
 
@@ -151,12 +152,8 @@ def cmd_synth(args) -> int:
     ref = cfg.reference_arm()
     grid = cfg.grid
 
-    qd_states = {
-        "coupled": QdState(cfg.omega_qd, coupled=True),
-        "empty": QdState(cfg.omega_qd, coupled=False),
-    }
-    for name, qd in qd_states.items():
-        amplitude = interferometer.apply_background(reflection_amplitude(p, qd, grid), bg)
+    for name, params in {"coupled": p, "empty": replace(p, g=0.0)}.items():
+        amplitude = interferometer.apply_background(reflection_amplitude(params, omega=grid), bg)
         intensity = _maybe_noisy(np.abs(amplitude) ** 2, cfg, rng)
         _write(out / f"{name}.csv", io.write_spectrum_csv, Spectrum(grid, intensity))
 

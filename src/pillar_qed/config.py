@@ -187,8 +187,10 @@ class RunConfig:
         )
         if not (0.0 <= cfg.background < 1.0):
             raise ConfigError(f"background must be in [0, 1), got {cfg.background}")
-        if cfg.noise < 0:
-            raise ConfigError("noise must be >= 0")
+        if not (np.isfinite(cfg.noise) and cfg.noise >= 0):
+            raise ConfigError(f"noise must be finite and >= 0, got {cfg.noise}")
+        if cfg.fit_max_iterations < 0:
+            raise ConfigError(f"fit_max_iterations must be >= 0, got {cfg.fit_max_iterations}")
         return cfg
 
     def system_params(self) -> SystemParams:
@@ -198,6 +200,7 @@ class RunConfig:
             kappa_side=self.kappa_side,
             gamma=self.gamma,
             omega_c=self.omega_c,
+            omega_qd=self.omega_qd,
         )
 
     def background_model(self) -> BackgroundModel:

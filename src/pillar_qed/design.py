@@ -1,10 +1,11 @@
-"""Conditional phase spectra and outcoupling-rate design sweeps.
+"""Conditional phase and outcoupling-rate design sweeps.
 
-The conditional phase compares the reflection with the dot resonantly
-coupled against the empty cavity. A spin-photon interface wants this
-difference to exceed pi/2; raising the top-mirror rate past the parasitic
-loss flips the sign of the empty-cavity on-resonance amplitude and buys a
-pi conditional phase at resonance, at the price of reflectivity.
+The conditional phase compares the reflection with the dot coupled
+against the empty cavity, the same parameters with g = 0. A spin-photon
+interface wants this difference to exceed pi/2; raising the top-mirror
+rate past the parasitic loss flips the sign of the empty-cavity
+on-resonance amplitude and buys a pi conditional phase at resonance, at
+the price of reflectivity.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 
 from .interferometer import BackgroundModel, apply_background
 from .scattering import (
-    QdState,
-    Spectrum,
     SystemParams,
     _amplitude_coefficients,
     principal_angle,
@@ -26,7 +25,6 @@ from .scattering import (
 
 __all__ = [
     "DesignPoint",
-    "conditional_phase_spectrum",
     "relative_phase",
     "max_conditional_phase",
     "sweep_kappa",
@@ -52,39 +50,23 @@ class DesignPoint:
             raise ValueError("reflectivity must lie in [0, 1]")
 
 
-def _amplitude_pair(p: SystemParams, omega_qd: float, omega, bg: BackgroundModel | None):
-    r_d = reflection_amplitude(p, QdState(omega_qd, coupled=True), omega)
-    r_c = reflection_amplitude(p, QdState(omega_qd, coupled=False), omega)
+def _relative_phase(p: SystemParams, empty: SystemParams, omega, bg: BackgroundModel | None):
+    """:func:`relative_phase` against a prebuilt ``empty = replace(p, g=0.0)``."""
+    r_d = reflection_amplitude(p, omega=omega)
+    r_c = reflection_amplitude(empty, omega=omega)
     if bg is not None:
         r_d = apply_background(r_d, bg)
         r_c = apply_background(r_c, bg)
-    return r_d, r_c
+    return principal_angle(r_d * np.conj(r_c))
 
 
-def conditional_phase_spectrum(
-    p: SystemParams, omega_qd: float, grid, bg: BackgroundModel | None = None
-) -> Spectrum:
-    """Unwrapped coupled phase minus unwrapped empty-cavity phase per point.
-
-    With an overcoupled top mirror the empty-cavity phase winds by 2*pi
-    across resonance while the coupled one does not, so the unwrapped
-    difference approaches 2*pi at the upper grid edge instead of closing
-    to zero; :func:`relative_phase` gives the principal-valued pointwise
-    difference instead.
-    """
-    grid = np.asarray(grid, dtype=float)
-    r_d, r_c = _amplitude_pair(p, omega_qd, grid, bg)
-    values = np.unwrap(np.angle(r_d)) - np.unwrap(np.angle(r_c))
-    return Spectrum(grid, values)
-
-
-def relative_phase(p: SystemParams, omega_qd: float, omega, bg: BackgroundModel | None = None):
+def relative_phase(p: SystemParams, omega, bg: BackgroundModel | None = None):
     """Principal-valued phase of the coupled amplitude relative to the empty one.
 
-    ``angle(r_coupled * conj(r_empty))`` in (-pi, pi], per point.
+    ``angle(r_coupled * conj(r_empty))`` in (-pi, pi], per point; the
+    empty cavity is ``p`` with g = 0.
     """
-    r_d, r_c = _amplitude_pair(p, omega_qd, omega, bg)
-    return principal_angle(r_d * np.conj(r_c))
+    return _relative_phase(p, replace(p, g=0.0), omega, bg)
 
 
 def _trim(c):
@@ -93,11 +75,7 @@ def _trim(c):
     return c[np.argmax(big):]
 
 
-def max_conditional_phase(
-    p: SystemParams,
-    omega_qd: float | None = None,
-    bg: BackgroundModel | None = None,
-):
+def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
     """Largest conditional phase magnitude and where it occurs.
 
     ``r_coupled * conj(r_empty)`` has the phase of the polynomial
@@ -107,12 +85,9 @@ def max_conditional_phase(
     reaches pi on a root of ``Im(A)`` where ``Re(A) < 0`` (the
     overcoupled cusp at resonance). Those roots and ``omega_c`` are
     evaluated with :func:`relative_phase` and the largest wins, the lowest
-    energy on ties. The returned magnitude lies in [0, pi]. ``omega_qd``
-    defaults to zero detuning.
+    energy on ties. The returned magnitude lies in [0, pi].
     """
-    if omega_qd is None:
-        omega_qd = p.omega_c
-    rates = (p.kappa_top, p.kappa_side, p.gamma, p.omega_c, omega_qd)
+    rates = (p.kappa_top, p.kappa_side, p.gamma, p.omega_c, p.omega_qd)
     n_d, d_d = _amplitude_coefficients(p.g, *rates)
     n_c, d_c = _amplitude_coefficients(0.0, *rates)
     if bg is not None:
@@ -126,7 +101,8 @@ def max_conditional_phase(
     # lost one when rounding lifts a real root off the axis
     roots = np.concatenate([np.roots(_trim(stationary)), np.roots(im), [0.0]])
     omega = p.omega_c + p.kappa_total * np.unique(roots.real)
-    magnitudes = [abs(relative_phase(p, omega_qd, w, bg)) for w in omega]
+    empty = replace(p, g=0.0)
+    magnitudes = [abs(_relative_phase(p, empty, w, bg)) for w in omega]
     i = int(np.argmax(magnitudes))
     return float(magnitudes[i]), float(omega[i])
 
@@ -134,17 +110,16 @@ def max_conditional_phase(
 def sweep_kappa(base: SystemParams, kappa_values) -> list:
     """One :class:`DesignPoint` per top-mirror rate, at zero detuning.
 
-    g, kappa_side, gamma and omega_c are held fixed; output is sorted by
-    kappa. Points where kappa is within 10% of 4*g are logged as matching
-    the kappa/4 ~ g guideline.
+    g, kappa_side, gamma and omega_c are held fixed and the dot sits at
+    omega_c, whatever ``base.omega_qd``; output is sorted by kappa. Points
+    where kappa is within 10% of 4*g are logged as matching the kappa/4 ~ g
+    guideline.
     """
     points = []
     for kappa in sorted(float(k) for k in np.asarray(kappa_values, dtype=float)):
-        p = replace(base, kappa_top=kappa)
+        p = replace(base, kappa_top=kappa, omega_qd=base.omega_c)
         magnitude, argmax = max_conditional_phase(p)
-        refl = float(
-            np.abs(reflection_amplitude(p, QdState(p.omega_c, coupled=True), p.omega_c)) ** 2
-        )
+        refl = float(np.abs(reflection_amplitude(p, omega=p.omega_c)) ** 2)
         point = DesignPoint(
             params=p,
             max_conditional_phase=magnitude,

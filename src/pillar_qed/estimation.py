@@ -13,7 +13,7 @@ separately. Eight parameters are addressable by name:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "make_guess",
     "residuals",
     "fit",
-    "fit_best_of",
     "local_minima",
     "estimate_q_from_linewidth",
     "estimate_g_from_splitting",
@@ -68,18 +67,9 @@ class UnresolvedSplittingError(RuntimeError):
     """Fewer than two local minima found in the spectrum."""
 
 
-def make_guess(p, qd, background: float = 0.0, beta_mag: float = 1.0) -> dict:
-    """Full parameter dictionary from model objects."""
-    return {
-        "g": p.g,
-        "kappa_top": p.kappa_top,
-        "kappa_side": p.kappa_side,
-        "gamma": p.gamma,
-        "omega_c": p.omega_c,
-        "omega_qd": qd.omega_qd,
-        "background": background,
-        "beta_mag": beta_mag,
-    }
+def make_guess(p, background: float = 0.0, beta_mag: float = 1.0) -> dict:
+    """Full parameter dictionary from a :class:`SystemParams`."""
+    return {**asdict(p), "background": background, "beta_mag": beta_mag}
 
 
 def _as_vector(params) -> np.ndarray:
@@ -357,25 +347,6 @@ def _std_errors(jacobian, resid, x, bounds, free):
     if at_bound:
         warnings.warn(f"parameters at bounds, errors flagged infinite: {at_bound}")
     return std, condition
-
-
-def fit_best_of(problem: FitProblem, guesses, max_iterations: int = leastsq.MAX_ITERATIONS) -> FitResult:
-    """Run the fit from several starting points and keep the best.
-
-    A deliberately simple multi-start helper: each guess is a full
-    parameter dictionary; the converged result with the lowest residual
-    norm wins (falling back to the best non-converged one if none
-    converge). No global optimization beyond this.
-    """
-    guesses = list(guesses)
-    if not guesses:
-        raise ValueError("need at least one starting point")
-    results = [
-        fit(replace(problem, guess=dict(g)), max_iterations=max_iterations) for g in guesses
-    ]
-    converged = [r for r in results if r.converged]
-    pool = converged if converged else results
-    return min(pool, key=lambda r: r.residual_norm)
 
 
 def local_minima(omega, values):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scattering import QdState, Spectrum, SystemParams, reflection_amplitude
+from .scattering import Spectrum, SystemParams, reflection_amplitude
 
 __all__ = [
     "BackgroundInversionError",
@@ -228,9 +228,9 @@ def invert_background(m, bg: BackgroundModel):
     return (np.asarray(m, dtype=complex) - bg.field) * scale
 
 
-def measured_intensity(p: SystemParams, qd: QdState, omega, bg: BackgroundModel | None = None):
+def measured_intensity(p: SystemParams, omega, bg: BackgroundModel | None = None):
     """Recorded intensity |sqrt(b)*e^{i*phase} + sqrt(1-b)*r(omega)|^2."""
-    r = reflection_amplitude(p, qd, omega)
+    r = reflection_amplitude(p, omega=omega)
     if bg is not None:
         r = apply_background(r, bg)
     return np.abs(r) ** 2
@@ -259,7 +259,6 @@ def dip_visibility(s: Spectrum) -> float:
 def infer_background_fraction(
     observed_visibility: float,
     p: SystemParams,
-    qd: QdState,
     grid=None,
 ) -> float:
     """Background fraction whose synthesized dip matches a visibility.
@@ -277,7 +276,7 @@ def infer_background_fraction(
 
     def vis(b: float) -> float:
         bg = BackgroundModel(b)
-        return dip_visibility(Spectrum(grid, measured_intensity(p, qd, grid, bg)))
+        return dip_visibility(Spectrum(grid, measured_intensity(p, grid, bg)))
 
     lo, hi = 0.0, 1.0 - 1e-9
     if vis(lo) < observed_visibility:

@@ -16,12 +16,10 @@ import numpy as np
 __all__ = [
     "DegenerateModelError",
     "SystemParams",
-    "QdState",
     "Spectrum",
     "reflection_amplitude",
     "reflectivity",
     "phase",
-    "unwrapped_phase",
     "polariton_eigenvalues",
     "rabi_splitting",
     "coupling_regime",
@@ -56,6 +54,9 @@ class SystemParams:
         Linewidth of the quantum dot transition.
     omega_c : float
         Cavity resonance energy.
+    omega_qd : float, optional
+        Quantum dot transition energy; defaults to ``omega_c`` (zero
+        detuning). The empty cavity is the same parameters with g = 0.
     """
 
     g: float
@@ -63,9 +64,12 @@ class SystemParams:
     kappa_side: float
     gamma: float
     omega_c: float
+    omega_qd: float | None = None
 
     def __post_init__(self):
-        for name in ("g", "kappa_top", "kappa_side", "gamma", "omega_c"):
+        if self.omega_qd is None:
+            object.__setattr__(self, "omega_qd", self.omega_c)
+        for name in ("g", "kappa_top", "kappa_side", "gamma", "omega_c", "omega_qd"):
             _check_finite(name, getattr(self, name))
         if self.g < 0:
             raise ValueError(f"g must be >= 0, got {self.g}")
@@ -77,26 +81,12 @@ class SystemParams:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.omega_c <= 0:
             raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
+        if self.omega_qd <= 0:
+            raise ValueError(f"omega_qd must be > 0, got {self.omega_qd}")
 
     @property
     def kappa_total(self) -> float:
         return self.kappa_top + self.kappa_side
-
-
-@dataclass(frozen=True)
-class QdState:
-    """Quantum dot transition energy and whether it is coupled to the mode.
-
-    ``coupled=False`` models the empty cavity (equivalent to g = 0).
-    """
-
-    omega_qd: float
-    coupled: bool = True
-
-    def __post_init__(self):
-        _check_finite("omega_qd", self.omega_qd)
-        if self.coupled and self.omega_qd <= 0:
-            raise ValueError(f"omega_qd must be > 0 when coupled, got {self.omega_qd}")
 
 
 @dataclass(frozen=True)
@@ -136,16 +126,32 @@ def _amplitude(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
     """
     d_c = 1j * (omega_c - omega) + 0.5 * (kappa_top + kappa_side)
     if np.all(g == 0):
-        # QD factor cancels algebraically; evaluating the cancelled form
-        # keeps the empty-cavity and g=0 paths bit-identical.
+        # QD factor cancels algebraically: the empty cavity, whatever
+        # omega_qd and gamma are.
         if np.any(np.abs(d_c) < _DENOMINATOR_FLOOR):
             raise DegenerateModelError("cavity response denominator underflow")
         return 1.0 - kappa_top / d_c
     d_qd = 1j * (omega_qd - omega) + 0.5 * gamma
     den = d_qd * d_c + g * g
     if np.any(np.abs(den) < _DENOMINATOR_FLOOR):
-        raise DegenerateModelError("coupled response denominator underflow")
+        return _amplitude_underflow(g, kappa_top, d_c, d_qd)
     return 1.0 - kappa_top * d_qd / den
+
+
+def _amplitude_underflow(g, kappa_top, d_c, d_qd):
+    """:func:`_amplitude` where g * g underflows beside a vanishing d_qd.
+
+    Dividing D by d_qd gives r = 1 - kappa_top / (d_c + g (g / d_qd)), and
+    r = 1 where d_qd = 0 and g > 0 (the dot alone reflects). Raises
+    :class:`DegenerateModelError` where that denominator underflows too.
+    """
+    resonant = d_qd == 0
+    with np.errstate(over="ignore"):
+        den = d_c + g * (g / np.where(resonant, 1.0, d_qd))
+    dark = resonant & (g != 0)
+    if np.any(~dark & (np.abs(den) < _DENOMINATOR_FLOOR)):
+        raise DegenerateModelError("coupled response denominator underflow")
+    return np.where(dark, 1.0 + 0j, 1.0 - kappa_top / np.where(dark, 1.0, den))[()]
 
 
 def _amplitude_partials(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
@@ -207,7 +213,7 @@ def principal_angle(z):
     return float(ang) if np.ndim(z) == 0 else ang
 
 
-def reflection_amplitude(p: SystemParams, qd: QdState, omega):
+def reflection_amplitude(p: SystemParams, omega):
     """Complex reflection amplitude r(omega) of the driven system.
 
     The single-sided input-output relation for a two-level emitter coupled
@@ -220,8 +226,7 @@ def reflection_amplitude(p: SystemParams, qd: QdState, omega):
     Parameters
     ----------
     p : SystemParams
-    qd : QdState
-        With ``coupled=False`` the amplitude reduces to the empty cavity.
+        With g = 0 the amplitude reduces to the empty cavity.
     omega : float or ndarray
         Probe energy (ueV).
 
@@ -229,50 +234,38 @@ def reflection_amplitude(p: SystemParams, qd: QdState, omega):
     -------
     complex or ndarray of complex
     """
-    g = p.g if qd.coupled else 0.0
     return _amplitude(
-        g, p.kappa_top, p.kappa_side, p.gamma, p.omega_c, qd.omega_qd, omega
+        p.g, p.kappa_top, p.kappa_side, p.gamma, p.omega_c, p.omega_qd, omega
     )
 
 
-def reflectivity(p: SystemParams, qd: QdState, omega):
+def reflectivity(p: SystemParams, omega):
     """|r(omega)|^2, a fraction in [0, 1] for any passive parameter set."""
-    r = reflection_amplitude(p, qd, omega)
+    r = reflection_amplitude(p, omega=omega)
     return np.abs(r) ** 2
 
 
-def phase(p: SystemParams, qd: QdState, omega):
+def phase(p: SystemParams, omega):
     """Principal-value reflection phase in (-pi, pi].
 
     The argument of an exactly zero amplitude is reported as 0 with a
     warning (the critically coupled dark point).
     """
-    r = reflection_amplitude(p, qd, omega)
+    r = reflection_amplitude(p, omega=omega)
     if np.any(r == 0):
         warnings.warn("zero reflection amplitude, phase reported as 0")
     return principal_angle(r)
 
 
-def unwrapped_phase(p: SystemParams, qd: QdState, omega):
-    """Reflection phase along a grid with 2*pi jumps removed.
-
-    ``omega`` must be an ordered grid; branch selection is by nearest-value
-    continuation from the first point.
-    """
-    r = reflection_amplitude(p, qd, np.asarray(omega, dtype=float))
-    return np.unwrap(np.angle(r))
-
-
-def polariton_eigenvalues(p: SystemParams, qd: QdState):
+def polariton_eigenvalues(p: SystemParams):
     """Complex energies of the two dressed states.
 
     Eigenvalues of ``[[omega_qd - i*gamma/2, g], [g, omega_c - i*K/2]]``
     with K the total cavity loss, ordered by ascending real part (ties by
-    ascending imaginary part).
+    ascending imaginary part). With g = 0 they are the bare dot and cavity
+    energies.
     """
-    if not qd.coupled:
-        raise ValueError("polariton eigenvalues require a coupled dot")
-    a = qd.omega_qd - 0.5j * p.gamma
+    a = p.omega_qd - 0.5j * p.gamma
     b = p.omega_c - 0.5j * p.kappa_total
     mean = 0.5 * (a + b)
     half = 0.5 * (a - b)

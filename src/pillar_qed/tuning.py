@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimation import UnresolvedSplittingError, _dip_separation, local_minima
 from .interferometer import BackgroundModel, measured_intensity
-from .scattering import QdState, Spectrum, SystemParams
+from .scattering import Spectrum, SystemParams
 
 __all__ = [
     "TuningModel",
@@ -109,9 +109,8 @@ def synthesize_scan(
     spectra = []
     for t in temperatures:
         omega_qd, omega_c = energies_at(m, t)
-        p_t = replace(p, omega_c=omega_c)
-        qd_t = QdState(omega_qd=omega_qd, coupled=True)
-        spectra.append(Spectrum(grid, measured_intensity(p_t, qd_t, grid, bg)))
+        p_t = replace(p, omega_c=omega_c, omega_qd=omega_qd)
+        spectra.append(Spectrum(grid, measured_intensity(p_t, grid, bg)))
     return TemperatureScan(
         temperatures=tuple(temperatures),
         spectra=tuple(spectra),

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pillar_qed import QdState, SystemParams
+from pillar_qed import SystemParams
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=100, derandomize=True
@@ -20,13 +22,9 @@ def device_params() -> SystemParams:
 
 
 @pytest.fixture
-def resonant_qd(device_params) -> QdState:
-    return QdState(omega_qd=device_params.omega_c, coupled=True)
-
-
-@pytest.fixture
-def empty_qd(device_params) -> QdState:
-    return QdState(omega_qd=device_params.omega_c, coupled=False)
+def empty_params(device_params) -> SystemParams:
+    """The device's empty cavity: the same parameters with g = 0."""
+    return replace(device_params, g=0.0)
 
 
 def rates():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import re
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from pillar_qed import (
     BackgroundModel,
-    QdState,
     SystemParams,
     apply_background,
     max_conditional_phase,
@@ -104,7 +104,7 @@ class TestSynth:
         coupled = read_spectrum_csv(out / "coupled.csv")
         assert len(coupled) == 2001
         p = SystemParams(**DEVICE)
-        expected = np.abs(reflection_amplitude(p, QdState(WC, True), GRID)) ** 2
+        expected = np.abs(reflection_amplitude(p, GRID)) ** 2
         np.testing.assert_array_equal(coupled.values, expected)
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -126,7 +126,7 @@ class TestSynth:
         assert run("synth", "--out", str(plain), "--background", "0") == 0
         assert run("synth", "--out", str(mixed), "--background", "0.7") == 0
         p = SystemParams(**DEVICE)
-        r = reflection_amplitude(p, QdState(WC, False), GRID)
+        r = reflection_amplitude(replace(p, g=0.0), GRID)
         intrinsic = read_spectrum_csv(plain / "empty.csv").values
         measured = read_spectrum_csv(mixed / "empty.csv").values
         np.testing.assert_array_equal(intrinsic, np.abs(r) ** 2)
@@ -188,7 +188,7 @@ class TestPhase:
         assert run("phase", str(out / "channels_coupled.csv"), "--out", str(out)) == 0
         extracted = read_spectrum_csv(out / "phase.csv")
         p = SystemParams(**DEVICE)
-        truth = np.angle(reflection_amplitude(p, QdState(WC, True), GRID))
+        truth = np.angle(reflection_amplitude(p, GRID))
         np.testing.assert_allclose(extracted.values, truth, atol=1e-9)
 
     def test_flat_channels_read_zero_phase(self, tmp_path):
@@ -208,7 +208,7 @@ class TestPhase:
         ) == 0
         extracted = read_spectrum_csv(out / "phase.csv")
         p = SystemParams(**DEVICE)
-        truth = np.angle(reflection_amplitude(p, QdState(WC, True), GRID))
+        truth = np.angle(reflection_amplitude(p, GRID))
         # the edge residual phase (~kappa_top/half-span) bounds the offset
         assert np.max(np.abs(extracted.values - truth)) < 2.5 * 1.2 / 100.0
 
@@ -285,6 +285,13 @@ class TestDesign:
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
             assert run("design", "--out", str(d), "--set", "kappa_values=2:30:8") == 0
+        assert read_bytes_map(a) == read_bytes_map(b)
+
+    def test_dot_energy_ignored(self, tmp_path):
+        # the sweep is at zero detuning whatever omega_qd says
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("design", "--out", str(a), "--set", "kappa_values=2:30:8") == 0
+        assert run("design", "--out", str(b), "--set", "kappa_values=2:30:8", "--set", "omega_qd=1333601") == 0
         assert read_bytes_map(a) == read_bytes_map(b)
 
     def test_design_table_self_round_trip(self, tmp_path):
@@ -401,8 +408,25 @@ class TestErrorBoundary:
             ("fit", "coupled.csv", "--set", "omega_c=1333800"),  # guess outside the data window
             ("phase", "channels_coupled.csv"),  # one row has h = 0
             ("fit", "empty.csv"),  # one row holds nan
+            ("synth", "--set", "noise=nan"),
+            ("synth", "--set", "noise=inf"),
+            ("synth", "--set", "noise=-0.1"),
+            ("fit", "coupled.csv", "--set", "fit_max_iterations=-1"),
+            ("design", "--set", "omega_qd=0"),
+            ("scan", "--set", "omega_qd=-1"),
         ],
-        ids=["design_kappa_zero", "fit_guess_outside", "phase_h_zero", "fit_nan"],
+        ids=[
+            "design_kappa_zero",
+            "fit_guess_outside",
+            "phase_h_zero",
+            "fit_nan",
+            "noise_nan",
+            "noise_inf",
+            "noise_negative",
+            "fit_max_iterations_negative",
+            "design_omega_qd_zero",
+            "scan_omega_qd_negative",
+        ],
     )
     def test_invalid_value_exits_1_with_one_line(self, tmp_path, capsys, argv):
         assert run("synth", "--out", str(tmp_path)) == 0
@@ -417,9 +441,9 @@ class TestErrorBoundary:
 
     def test_numerical_value_error_still_exits_2(self, tmp_path, capsys):
         # DegenerateModelError is a ValueError: the numerical clause must win
-        argv = ("synth", "--set", "g=1e-200", "--set", "gamma=0", "--out", str(tmp_path))
+        argv = ("synth", "--set", "g=0", "--set", "kappa_top=1e-320", "--set", "kappa_side=0", "--out", str(tmp_path))
         assert run(*argv) == 2
-        assert capsys.readouterr().err == "pillar-qed: numerical failure: coupled response denominator underflow\n"
+        assert capsys.readouterr().err == "pillar-qed: numerical failure: cavity response denominator underflow\n"
 
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)

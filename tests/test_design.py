@@ -1,13 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pillar_qed import (
     BackgroundModel,
     DesignPoint,
-    QdState,
     SystemParams,
     apply_background,
-    conditional_phase_spectrum,
     interface_feasible,
     max_conditional_phase,
     reflection_amplitude,
@@ -35,44 +35,31 @@ class TestConditionalPhaseSpectrum:
     def test_uncoupled_dot_gives_zero_spectrum(self):
         p = SystemParams(g=0.0, kappa_top=1.2, kappa_side=24.7, gamma=5.0, omega_c=WC)
         grid = grid_around(WC, 100.0, 2001)
-        s = conditional_phase_spectrum(p, WC, grid)
-        np.testing.assert_allclose(s.values, 0.0, atol=1e-14)
+        np.testing.assert_allclose(relative_phase(p, grid), 0.0, atol=1e-14)
 
     def test_device_intrinsic_maximum_against_grid_oracle(self):
         p = SystemParams(**DEVICE)
         grid = grid_around(WC, 100.0, 200001)
-        s = conditional_phase_spectrum(p, WC, grid)
-        i = int(np.argmax(np.abs(s.values)))
+        values = relative_phase(p, grid)
+        i = int(np.argmax(np.abs(values)))
 
         r_d = inline_amplitude(9.4, 1.2, 24.7, 5.0, WC, WC, grid)
         r_c = inline_amplitude(0.0, 1.2, 24.7, 5.0, WC, WC, grid)
         oracle = np.angle(r_d) - np.angle(r_c)  # no winding at these rates
         j = int(np.argmax(np.abs(oracle)))
 
-        assert abs(s.values[i]) == pytest.approx(abs(oracle[j]), abs=1e-12)
-        assert abs(s.values[i]) == pytest.approx(COND_MAX_INTRINSIC, abs=1e-6)
+        assert abs(values[i]) == pytest.approx(abs(oracle[j]), abs=1e-12)
+        assert abs(values[i]) == pytest.approx(COND_MAX_INTRINSIC, abs=1e-6)
         assert grid[i] - WC == pytest.approx(COND_MAX_OFFSET, abs=0.01)
 
     def test_device_maximum_with_background(self):
         p = SystemParams(**DEVICE)
         grid = grid_around(WC, 100.0, 200001)
-        s = conditional_phase_spectrum(p, WC, grid, bg=BackgroundModel(0.7))
-        assert np.max(np.abs(s.values)) == pytest.approx(COND_MAX_BG07, abs=1e-6)
-
-    def test_matches_relative_phase_without_winding(self):
-        p = SystemParams(**DEVICE)
-        grid = grid_around(WC, 100.0, 2001)
-        s = conditional_phase_spectrum(p, WC, grid)
-        np.testing.assert_allclose(s.values, relative_phase(p, WC, grid), atol=1e-12)
-
-    def test_unwrapped_difference_winds_at_overcoupled_point(self):
-        p = SystemParams(g=9.4, kappa_top=37.6, kappa_side=24.7, gamma=5.0, omega_c=WC)
-        grid = grid_around(WC, 2000.0, 40001)
-        s = conditional_phase_spectrum(p, WC, grid)
-        # empty cavity winds by 2*pi, coupled does not: the unwrapped
-        # difference steps from ~0 to ~(-)2*pi across resonance
-        assert abs(s.values[0]) < 0.2
-        assert abs(abs(s.values[-1]) - 2 * np.pi) < 0.2
+        bg = BackgroundModel(0.7)
+        values = relative_phase(p, grid, bg)
+        assert np.max(np.abs(values)) == pytest.approx(COND_MAX_BG07, abs=1e-6)
+        magnitude, _ = max_conditional_phase(p, bg)
+        assert magnitude == pytest.approx(COND_MAX_BG07, abs=1e-7)
 
 
 class TestMaxConditionalPhase:
@@ -80,7 +67,7 @@ class TestMaxConditionalPhase:
         p = SystemParams(**DEVICE)
         magnitude, argmax = max_conditional_phase(p)
         grid = grid_around(WC, 5 * 25.9, 2000001)
-        dense = np.max(np.abs(relative_phase(p, WC, grid)))
+        dense = np.max(np.abs(relative_phase(p, grid)))
         assert magnitude >= dense - 1e-12
         assert magnitude == pytest.approx(COND_MAX_INTRINSIC, abs=1e-7)
         assert argmax - WC == pytest.approx(COND_MAX_OFFSET, abs=1e-3)
@@ -91,7 +78,7 @@ class TestMaxConditionalPhase:
         # the maximum sits on the sign-flip cusp at resonance
         assert magnitude == pytest.approx(np.pi, abs=1e-6)
         assert argmax == pytest.approx(WC, abs=0.01)
-        assert relative_phase(p, WC, WC) == pytest.approx(np.pi, abs=0.0)
+        assert relative_phase(p, WC) == pytest.approx(np.pi, abs=0.0)
 
     def test_exact_extrema_beat_dense_grid(self):
         # rates within 20% of the device, kappa_top across the sign flip,
@@ -101,12 +88,12 @@ class TestMaxConditionalPhase:
         for _ in range(200):
             g, ks, gam = (v * rng.uniform(0.8, 1.2) for v in (9.4, 24.7, 5.0))
             kap = rng.uniform(0.05, 60.0)
-            p = SystemParams(g=g, kappa_top=kap, kappa_side=ks, gamma=gam, omega_c=WC)
             wqd = WC + (rng.uniform(-20.0, 20.0) if rng.uniform() < 1 / 3 else 0.0)
+            p = SystemParams(g=g, kappa_top=kap, kappa_side=ks, gamma=gam, omega_c=WC, omega_qd=wqd)
             bg = None
             if rng.uniform() < 0.2:
                 bg = BackgroundModel(rng.uniform(0.0, 0.9), rng.uniform(-np.pi, np.pi))
-            magnitude, argmax = max_conditional_phase(p, wqd, bg)
+            magnitude, argmax = max_conditional_phase(p, bg)
 
             grid = grid_around(WC, 5 * (kap + ks) + abs(wqd - WC), 400001)
             r_d = inline_amplitude(g, kap, ks, gam, WC, wqd, grid)
@@ -114,7 +101,7 @@ class TestMaxConditionalPhase:
             if bg is not None:
                 r_d, r_c = apply_background(r_d, bg), apply_background(r_c, bg)
             assert magnitude >= np.max(np.abs(np.angle(r_d * np.conj(r_c)))) - 1e-12
-            assert abs(relative_phase(p, wqd, argmax, bg)) == magnitude
+            assert abs(relative_phase(p, argmax, bg)) == magnitude
             # an overcoupled empty cavity (r_c < 0) against a positive coupled
             # amplitude (4 g^2 > gamma (kappa_top - kappa_side)) at resonance:
             # the two phases differ by exactly pi there
@@ -158,9 +145,8 @@ class TestSweep:
         for eps in (1e-6, 1e-3):
             below = SystemParams(g=9.4, kappa_top=24.7 - eps, kappa_side=24.7, gamma=5.0, omega_c=WC)
             above = SystemParams(g=9.4, kappa_top=24.7 + eps, kappa_side=24.7, gamma=5.0, omega_c=WC)
-            qd = QdState(WC, coupled=False)
-            assert reflection_amplitude(below, qd, WC).real > 0
-            assert reflection_amplitude(above, qd, WC).real < 0
+            assert reflection_amplitude(replace(below, g=0.0), WC).real > 0
+            assert reflection_amplitude(replace(above, g=0.0), WC).real < 0
 
     def test_feasibility_boundary_in_strongly_coupled_sweep(self):
         # with g >= (kappa + kappa_side + gamma)/4 across the sweep the
@@ -187,9 +173,14 @@ class TestSweep:
         mag1, arg1 = max_conditional_phase(scaled)
         assert mag1 == pytest.approx(mag0, abs=1e-8)
         assert (arg1 - WC) == pytest.approx(scale * (arg0 - WC), rel=1e-4)
-        refl0 = abs(reflection_amplitude(base, QdState(WC), WC)) ** 2
-        refl1 = abs(reflection_amplitude(scaled, QdState(WC), WC)) ** 2
+        refl0 = abs(reflection_amplitude(base, WC)) ** 2
+        refl1 = abs(reflection_amplitude(scaled, WC)) ** 2
         assert refl1 == pytest.approx(refl0, abs=1e-12)
+
+    def test_sweep_pins_zero_detuning(self):
+        base = SystemParams(**DEVICE)
+        kappas = [1.2, 24.7, 37.6]
+        assert sweep_kappa(replace(base, omega_qd=base.omega_c + 5.0), kappas) == sweep_kappa(base, kappas)
 
 
 class TestDesignPoint:

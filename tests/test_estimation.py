@@ -7,7 +7,6 @@ from scipy.signal import peak_prominences
 
 from pillar_qed import (
     FitProblem,
-    QdState,
     Spectrum,
     SystemParams,
     TuningModel,
@@ -32,7 +31,6 @@ from pillar_qed.estimation import (
     _residual_jacobian,
     _std_errors,
     _strict_minima,
-    fit_best_of,
     local_minima,
     model_intensity,
     model_phase,
@@ -44,41 +42,40 @@ RATES = ("g", "kappa_top", "kappa_side", "gamma")
 
 
 def device():
-    p = SystemParams(**DEVICE)
-    return p, QdState(p.omega_c, coupled=True)
+    return SystemParams(**DEVICE)
 
 
-def synthetic_intensity(p, qd, n=2001, half_span=100.0):
+def synthetic_intensity(p, n=2001, half_span=100.0):
     grid = grid_around(p.omega_c, half_span, n)
-    return Spectrum(grid, reflectivity(p, qd, grid))
+    return Spectrum(grid, reflectivity(p, grid))
 
 
 class TestResiduals:
     def test_zero_at_generating_parameters(self):
-        p, qd = device()
-        problem = FitProblem(guess=make_guess(p, qd), intensity=synthetic_intensity(p, qd))
-        np.testing.assert_allclose(residuals(make_guess(p, qd), problem), 0.0, atol=1e-14)
+        p = device()
+        problem = FitProblem(guess=make_guess(p), intensity=synthetic_intensity(p))
+        np.testing.assert_allclose(residuals(make_guess(p), problem), 0.0, atol=1e-14)
 
     def test_zero_weights_mask_misfit(self):
-        p, qd = device()
-        observed = synthetic_intensity(p, qd)
+        p = device()
+        observed = synthetic_intensity(p)
         weights = np.ones(len(observed))
         weights[: len(observed) // 2] = 0.0
         problem = FitProblem(
-            guess=make_guess(p, qd), intensity=observed, intensity_weights=weights
+            guess=make_guess(p), intensity=observed, intensity_weights=weights
         )
-        wrong = make_guess(p, qd)
+        wrong = make_guess(p)
         wrong["g"] = 3.0
         r = residuals(wrong, problem)
         np.testing.assert_array_equal(r[: len(observed) // 2], 0.0)
         assert np.max(np.abs(r[len(observed) // 2 :])) > 0
 
     def test_single_point_hand_value(self):
-        p, qd = device()
+        p = device()
         omega = np.array([p.omega_c, p.omega_c + 10.0])
         observed = Spectrum(omega, np.array([0.5, 0.6]))
-        problem = FitProblem(guess=make_guess(p, qd), intensity=observed)
-        r = residuals(make_guess(p, qd), problem)
+        problem = FitProblem(guess=make_guess(p), intensity=observed)
+        r = residuals(make_guess(p), problem)
         # on-resonance model value substituted by hand:
         # |1 - 1.2*2.5/(2.5*12.95 + 9.4**2)|^2 - 0.5
         assert r[0] == pytest.approx(0.9509217991596723 - 0.5, abs=1e-13)
@@ -88,46 +85,46 @@ class TestResiduals:
         assert r[1] == pytest.approx(inline - 0.6, abs=1e-13)
 
     def test_problem_validation(self):
-        p, qd = device()
+        p = device()
         with pytest.raises(ValueError):
-            FitProblem(guess=make_guess(p, qd))  # no spectra
+            FitProblem(guess=make_guess(p))  # no spectra
         with pytest.raises(ValueError):
-            FitProblem(guess=make_guess(p, qd), intensity=synthetic_intensity(p, qd), free=())
-        bad = make_guess(p, qd)
+            FitProblem(guess=make_guess(p), intensity=synthetic_intensity(p), free=())
+        bad = make_guess(p)
         bad["g"] = -5.0
         with pytest.raises(ValueError):
-            FitProblem(guess=bad, intensity=synthetic_intensity(p, qd))
+            FitProblem(guess=bad, intensity=synthetic_intensity(p))
         with pytest.raises(ValueError):
             FitProblem(
-                guess=make_guess(p, qd),
-                intensity=synthetic_intensity(p, qd),
+                guess=make_guess(p),
+                intensity=synthetic_intensity(p),
                 intensity_weights=np.zeros(2001),
             )
 
 
 class TestFit:
     def test_noiseless_round_trip_from_perturbed_guess(self):
-        p, qd = device()
-        observed = synthetic_intensity(p, qd)
-        guess = make_guess(p, qd)
+        p = device()
+        observed = synthetic_intensity(p)
+        guess = make_guess(p)
         for name, factor in zip(RATES, (1.2, 0.8, 1.2, 0.8)):
             guess[name] *= factor
         problem = FitProblem(guess=guess, intensity=observed)
         result = fit(problem)
         assert result.converged
-        truth = make_guess(p, qd)
+        truth = make_guess(p)
         for name in RATES:
             assert abs(result.params[name] - truth[name]) / truth[name] < 0.01
 
     def test_noisy_recovery_median_over_seeds(self):
-        p, qd = device()
-        clean = synthetic_intensity(p, qd)
-        truth = make_guess(p, qd)
+        p = device()
+        clean = synthetic_intensity(p)
+        truth = make_guess(p)
         errors = []
         for seed in range(10):
             rng = np.random.default_rng(seed)
             noisy = Spectrum(clean.omega, clean.values * (1 + 0.01 * rng.standard_normal(len(clean))))
-            guess = make_guess(p, qd)
+            guess = make_guess(p)
             for name, factor in zip(RATES, (1.2, 0.8, 1.2, 0.8)):
                 guess[name] *= factor
             result = fit(FitProblem(guess=guess, intensity=noisy))
@@ -137,9 +134,9 @@ class TestFit:
         assert np.all(medians < 0.10)
 
     def test_guess_at_optimum_is_fixed_point(self):
-        p, qd = device()
+        p = device()
         problem = FitProblem(
-            guess=make_guess(p, qd), intensity=synthetic_intensity(p, qd), free=("g",)
+            guess=make_guess(p), intensity=synthetic_intensity(p), free=("g",)
         )
         result = fit(problem)
         assert result.converged
@@ -147,15 +144,14 @@ class TestFit:
         assert abs(result.params["g"] - p.g) < 1e-10
 
     def test_shift_reparameterization(self):
-        p, qd = device()
+        p = device()
         shift = 3000.0
-        observed = synthetic_intensity(p, qd)
-        base_guess = make_guess(p, qd)
+        observed = synthetic_intensity(p)
+        base_guess = make_guess(p)
         for name, factor in zip(RATES, (1.15, 0.85, 1.1, 0.9)):
             base_guess[name] *= factor
 
         shifted_p = SystemParams(p.g, p.kappa_top, p.kappa_side, p.gamma, p.omega_c + shift)
-        shifted_qd = QdState(qd.omega_qd + shift, coupled=True)
         shifted_obs = Spectrum(observed.omega + shift, observed.values)
         shifted_guess = dict(base_guess)
         shifted_guess["omega_c"] += shift
@@ -170,35 +166,20 @@ class TestFit:
         assert res_shifted.params["omega_c"] == pytest.approx(res.params["omega_c"] + shift, abs=1e-6)
 
     def test_deterministic(self):
-        p, qd = device()
-        guess = make_guess(p, qd)
+        p = device()
+        guess = make_guess(p)
         guess["g"] *= 1.2
-        a = fit(FitProblem(guess=guess, intensity=synthetic_intensity(p, qd)))
-        b = fit(FitProblem(guess=guess, intensity=synthetic_intensity(p, qd)))
+        a = fit(FitProblem(guess=guess, intensity=synthetic_intensity(p)))
+        b = fit(FitProblem(guess=guess, intensity=synthetic_intensity(p)))
         assert a.params == b.params
         assert a.residual_norm == b.residual_norm
         assert a.iterations == b.iterations
 
-    def test_multi_start_keeps_best(self):
-        p, qd = device()
-        observed = synthetic_intensity(p, qd)
-        near = make_guess(p, qd)
-        near["g"] *= 1.1
-        far = make_guess(p, qd)
-        far.update(g=40.0, kappa_top=100.0, kappa_side=300.0, gamma=80.0)
-        problem = FitProblem(guess=near, intensity=observed)
-        best = fit_best_of(problem, [far, near])
-        assert best.converged
-        assert abs(best.params["g"] - p.g) / p.g < 0.01
-        with pytest.raises(ValueError):
-            fit_best_of(problem, [])
-
 
 class TestQFromLinewidth:
     def test_device_empty_cavity(self):
-        p, _ = device()
-        qd = QdState(p.omega_c, coupled=False)
-        s = synthetic_intensity(p, qd)
+        p = device()
+        s = synthetic_intensity(replace(p, g=0.0))
         q = estimate_q_from_linewidth(s, p.omega_c)
         assert abs(q - 51490.193050193055) / 51490.0 < 0.02
 
@@ -211,11 +192,10 @@ class TestQFromLinewidth:
         assert q == pytest.approx(1.0, rel=0.01)
 
     def test_halving_total_loss_doubles_q(self):
-        p, _ = device()
-        halved = SystemParams(p.g, p.kappa_top / 2, p.kappa_side / 2, p.gamma, p.omega_c)
-        qd_e = QdState(p.omega_c, coupled=False)
-        q1 = estimate_q_from_linewidth(synthetic_intensity(p, qd_e), p.omega_c)
-        q2 = estimate_q_from_linewidth(synthetic_intensity(halved, qd_e), p.omega_c)
+        p = device()
+        halved = SystemParams(0.0, p.kappa_top / 2, p.kappa_side / 2, p.gamma, p.omega_c)
+        q1 = estimate_q_from_linewidth(synthetic_intensity(replace(p, g=0.0)), p.omega_c)
+        q2 = estimate_q_from_linewidth(synthetic_intensity(halved), p.omega_c)
         assert q2 == pytest.approx(2 * q1, rel=0.01)
 
     def test_flat_spectrum_raises(self):
@@ -252,18 +232,18 @@ class TestGFromSplitting:
     def test_device_resonant_spectrum_dip_half_separation(self):
         # independent oracle: bounded scalar minimization of the continuous
         # model on each side of the resonance
-        p, qd = device()
-        s = synthetic_intensity(p, qd, n=8001, half_span=60.0)
+        p = device()
+        s = synthetic_intensity(p, n=8001, half_span=60.0)
         # minimize in offset coordinates: Brent's relative tolerance would
         # swamp the dip position at absolute energies of order 1e6
         upper = minimize_scalar(
-            lambda d: reflectivity(p, qd, p.omega_c + d),
+            lambda d: reflectivity(p, p.omega_c + d),
             bounds=(2.0, 30.0),
             method="bounded",
             options={"xatol": 1e-10},
         ).x
         lower = minimize_scalar(
-            lambda d: reflectivity(p, qd, p.omega_c + d),
+            lambda d: reflectivity(p, p.omega_c + d),
             bounds=(-30.0, -2.0),
             method="bounded",
             options={"xatol": 1e-10},
@@ -277,17 +257,16 @@ class TestGFromSplitting:
         assert estimate > p.g
 
     def test_single_dip_raises(self):
-        p, _ = device()
-        qd = QdState(p.omega_c, coupled=False)
+        p = device()
         with pytest.raises(UnresolvedSplittingError):
-            estimate_g_from_splitting(synthetic_intensity(p, qd))
+            estimate_g_from_splitting(synthetic_intensity(replace(p, g=0.0)))
 
     def test_noisy_scan_tracks_clean_estimates(self):
         # 1% multiplicative noise puts hundreds of strict minima in each
         # spectrum; the two most prominent stay the two dips. Over seeds
         # 0-39 the worst deviation of a scan from its clean estimates was
         # 8-18%, and the two deepest minima gave 0.1-1.3 ueV instead of 10-12.
-        p, _ = device()
+        p = device()
         model = TuningModel(-10.0, -3.0, p.omega_c + 14.0, p.omega_c, 19.0)
         scan = synthesize_scan(p, model, np.linspace(19.0, 23.0, 17), grid_around(p.omega_c, 100.0, 2001))
         rng = np.random.default_rng(0)
@@ -337,7 +316,7 @@ def _local_minima_loop(omega, values):
 class TestLocalMinima:
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(5)
-        p, _ = device()
+        p = device()
         model = TuningModel(-10.0, -3.0, p.omega_c + 14.0, p.omega_c, 19.0)
         scan = synthesize_scan(p, model, np.linspace(19.0, 23.0, 17), grid_around(p.omega_c, 100.0, 2001))
         cases = [(s.omega, s.values) for s in scan.spectra]
@@ -366,18 +345,18 @@ class TestLocalMinima:
 
 class TestUncertainty:
     def test_zero_noise_errors_vanish(self):
-        p, qd = device()
-        guess = make_guess(p, qd)
+        p = device()
+        guess = make_guess(p)
         guess["g"] *= 1.1
-        problem = FitProblem(guess=guess, intensity=synthetic_intensity(p, qd))
+        problem = FitProblem(guess=guess, intensity=synthetic_intensity(p))
         result = fit(problem)
         for name in RATES:
             assert result.std_errors[name] / result.params[name] < 1e-6
 
     def test_duplicating_data_shrinks_errors_by_sqrt2(self):
-        p, qd = device()
+        p = device()
         rng = np.random.default_rng(11)
-        clean = synthetic_intensity(p, qd, n=501)
+        clean = synthetic_intensity(p, n=501)
         noisy = clean.values * (1 + 0.01 * rng.standard_normal(len(clean)))
         single = Spectrum(clean.omega, noisy)
         # duplicate every point (tiny grid offset keeps it strictly monotone)
@@ -385,7 +364,7 @@ class TestUncertainty:
         omega2 = np.sort(np.concatenate([clean.omega, clean.omega + eps]))
         doubled = Spectrum(omega2, np.repeat(noisy, 2))
 
-        guess = make_guess(p, qd)
+        guess = make_guess(p)
         res1 = fit(FitProblem(guess=guess, intensity=single))
         res2 = fit(FitProblem(guess=guess, intensity=doubled))
         for name in RATES:
@@ -393,9 +372,9 @@ class TestUncertainty:
             assert ratio == pytest.approx(1 / np.sqrt(2), rel=0.05)
 
     def test_monte_carlo_spread_within_factor_two(self):
-        p, qd = device()
-        clean = synthetic_intensity(p, qd, n=501)
-        guess = make_guess(p, qd)
+        p = device()
+        clean = synthetic_intensity(p, n=501)
+        guess = make_guess(p)
         fitted, reported = [], []
         for seed in range(100):
             rng = np.random.default_rng(seed)
@@ -409,13 +388,13 @@ class TestUncertainty:
             assert claimed / 2 <= observed <= claimed * 2
 
     def test_joint_intensity_phase_matches_fit_errors(self):
-        p, qd = device()
+        p = device()
         rng = np.random.default_rng(5)
-        clean = synthetic_intensity(p, qd, n=501)
+        clean = synthetic_intensity(p, n=501)
         noise = 0.01 * rng.standard_normal((2, len(clean)))
         intensity = Spectrum(clean.omega, clean.values * (1 + noise[0]))
-        phase = Spectrum(clean.omega, np.angle(reflection_amplitude(p, qd, clean.omega)) + noise[1])
-        problem = FitProblem(guess=make_guess(p, qd), intensity=intensity, phase=phase)
+        phase = Spectrum(clean.omega, np.angle(reflection_amplitude(p, clean.omega)) + noise[1])
+        problem = FitProblem(guess=make_guess(p), intensity=intensity, phase=phase)
         result = fit(problem)
         assert result.converged
 
@@ -442,20 +421,20 @@ class TestUncertainty:
         return _std_errors(jac(x), fun(x), x, bounds, problem.free)[0]
 
     def test_cost_stall_errors_taken_at_reported_point(self):
-        p, qd = device()
+        p = device()
         rng = np.random.default_rng(14)
-        clean = synthetic_intensity(p, qd, n=501)
+        clean = synthetic_intensity(p, n=501)
         noisy = Spectrum(clean.omega, clean.values * (1 + 0.01 * rng.standard_normal(len(clean))))
-        problem = FitProblem(guess=make_guess(p, qd), intensity=noisy)
+        problem = FitProblem(guess=make_guess(p), intensity=noisy)
         result = fit(problem)
         assert result.reason == "cost_stall"
         assert self.errors_at(result.params, problem) == result.std_errors
 
     def test_capped_fit_errors_taken_at_reported_point(self):
-        p, qd = device()
-        guess = make_guess(p, qd)
+        p = device()
+        guess = make_guess(p)
         guess["g"] *= 1.5
-        problem = FitProblem(guess=guess, intensity=synthetic_intensity(p, qd))
+        problem = FitProblem(guess=guess, intensity=synthetic_intensity(p))
         result = fit(problem, max_iterations=1)
         assert not result.converged
         assert result.reason == "max_iterations"
@@ -465,9 +444,9 @@ class TestUncertainty:
     def test_background_error_maps_from_square_root(self):
         # a free background is fitted as s = sqrt(b); its reported error
         # must match an independent covariance taken in b itself
-        p, qd = device()
+        p = device()
         rng = np.random.default_rng(9)
-        truth = {**make_guess(p, qd), "background": 0.3}
+        truth = {**make_guess(p), "background": 0.3}
         grid = grid_around(p.omega_c, 100.0, 501)
         vec = np.array([truth[n] for n in PARAM_NAMES])
         intensity = Spectrum(grid, model_intensity(vec, grid) * (1 + 0.01 * rng.standard_normal(grid.size)))
@@ -491,9 +470,9 @@ class TestUncertainty:
             assert result.std_errors[name] == pytest.approx(value, rel=1e-5)
 
     def test_parameter_at_bound_flagged_infinite(self):
-        p, qd = device()
-        observed = synthetic_intensity(p, qd)
-        guess = make_guess(p, qd)
+        p = device()
+        observed = synthetic_intensity(p)
+        guess = make_guess(p)
         guess["background"] = 0.0
         problem = FitProblem(
             guess=guess, intensity=observed, free=("g", "background")
@@ -569,9 +548,9 @@ class TestResidualJacobian:
 
 class TestModelScale:
     def test_beta_mag_scales_intensity(self):
-        p, qd = device()
-        vec = np.array([p.g, p.kappa_top, p.kappa_side, p.gamma, p.omega_c, qd.omega_qd, 0.0, 2.0])
+        p = device()
+        vec = np.array([p.g, p.kappa_top, p.kappa_side, p.gamma, p.omega_c, p.omega_qd, 0.0, 2.0])
         omega = grid_around(p.omega_c, 50.0, 11)
         np.testing.assert_allclose(
-            model_intensity(vec, omega), 4.0 * reflectivity(p, qd, omega), rtol=1e-12
+            model_intensity(vec, omega), 4.0 * reflectivity(p, omega), rtol=1e-12
         )

@@ -7,7 +7,6 @@ from hypothesis import assume, given, strategies as st
 from pillar_qed import (
     BackgroundModel,
     ChannelRecord,
-    QdState,
     ReferenceArm,
     Spectrum,
     apply_background,
@@ -66,9 +65,9 @@ class TestChannels:
         # so the maximal fringe is twice the arm-amplitude product
         assert rec.d - rec.a == pytest.approx(2 * s * s, rel=1e-12)
 
-    def test_channel_table_against_inline_algebra(self, device_params, resonant_qd):
+    def test_channel_table_against_inline_algebra(self, device_params):
         grid = grid_around(device_params.omega_c, 100.0, 2001)
-        r = reflection_amplitude(device_params, resonant_qd, grid)
+        r = reflection_amplitude(device_params, grid)
         ref = calibrated_ref(beta=0.9)
         rec = simulate_channels(r, ref, omega=grid)
 
@@ -142,10 +141,10 @@ class TestFringePhase:
         expected = np.arcsin(2 * np.sin(np.angle(r)))
         assert fringe_phase(rec) == pytest.approx(expected, abs=1e-9)
 
-    def test_conditional_fringe_small_angle_doubling(self, device_params, resonant_qd, empty_qd):
+    def test_conditional_fringe_small_angle_doubling(self, device_params, empty_params):
         omega = device_params.omega_c - 6.2
-        r_d = reflection_amplitude(device_params, resonant_qd, omega)
-        r_c = reflection_amplitude(device_params, empty_qd, omega)
+        r_d = reflection_amplitude(device_params, omega)
+        r_c = reflection_amplitude(empty_params, omega)
         fringe = conditional_fringe_phase(r_d, r_c, calibrated_ref(0.9))
         arg_diff = np.angle(r_d * np.conj(r_c))
         assert fringe == pytest.approx(2.0 * arg_diff, rel=0.01)
@@ -189,15 +188,15 @@ class TestBackground:
             invert_background(0.5 + 0j, BackgroundModel(1.0 - 1e-13))
 
     def test_fringe_conditional_phase_recovered_by_inversion(
-        self, device_params, resonant_qd, empty_qd
+        self, device_params, empty_params
     ):
         # forward synthesis with b = 0.7, inversion, fringe readout: the
         # recovered conditional phase lands on the deduced 0.12 rad
         grid = grid_around(device_params.omega_c, 100.0, 4001)
         bg = BackgroundModel(0.7)
         ref = calibrated_ref(0.9)
-        m_d = apply_background(reflection_amplitude(device_params, resonant_qd, grid), bg)
-        m_c = apply_background(reflection_amplitude(device_params, empty_qd, grid), bg)
+        m_d = apply_background(reflection_amplitude(device_params, grid), bg)
+        m_c = apply_background(reflection_amplitude(empty_params, grid), bg)
         recovered = conditional_fringe_phase(
             invert_background(m_d, bg), invert_background(m_c, bg), ref
         )
@@ -209,9 +208,9 @@ class TestVisibility:
         s = Spectrum(np.linspace(0, 10, 11), np.full(11, 0.8))
         assert dip_visibility(s) == pytest.approx(0.0)
 
-    def test_device_intrinsic_visibility(self, device_params, empty_qd):
-        grid = grid_around(device_params.omega_c, 100.0, 2001)
-        s = Spectrum(grid, measured_intensity(device_params, empty_qd, grid))
+    def test_device_intrinsic_visibility(self, empty_params):
+        grid = grid_around(empty_params.omega_c, 100.0, 2001)
+        s = Spectrum(grid, measured_intensity(empty_params, grid))
         vis = dip_visibility(s)
         assert vis == pytest.approx(VIS_INTRINSIC_DEVICE, abs=1e-9)
         # edge baseline sits slightly below 1, so the visibility tracks
@@ -234,13 +233,12 @@ class TestVisibility:
         from pillar_qed import SystemParams
 
         assume(abs(b1 - b2) > 1e-6)
-        p = SystemParams(**DEVICE)
-        qd = QdState(p.omega_c, coupled=False)
+        p = SystemParams(**{**DEVICE, "g": 0.0})
         lo, hi = sorted((b1, b2))
         grid = grid_around(p.omega_c, 100.0, 201)
         vis = [
             dip_visibility(
-                Spectrum(grid, measured_intensity(p, qd, grid, BackgroundModel(b)))
+                Spectrum(grid, measured_intensity(p, grid, BackgroundModel(b)))
             )
             for b in (lo, hi)
         ]
@@ -248,37 +246,36 @@ class TestVisibility:
 
 
 class TestInferBackground:
-    def test_intrinsic_observation_gives_zero(self, device_params, empty_qd):
-        b = infer_background_fraction(VIS_INTRINSIC_DEVICE - 1e-9, device_params, empty_qd)
+    def test_intrinsic_observation_gives_zero(self, empty_params):
+        b = infer_background_fraction(VIS_INTRINSIC_DEVICE - 1e-9, empty_params)
         assert b < 1e-4
 
-    def test_forward_round_trip(self, device_params, empty_qd):
-        grid = grid_around(device_params.omega_c, 100.0, 2001)
+    def test_forward_round_trip(self, empty_params):
+        grid = grid_around(empty_params.omega_c, 100.0, 2001)
         b_true = 0.35
         observed = dip_visibility(
-            Spectrum(grid, measured_intensity(device_params, empty_qd, grid, BackgroundModel(b_true)))
+            Spectrum(grid, measured_intensity(empty_params, grid, BackgroundModel(b_true)))
         )
-        b_hat = infer_background_fraction(observed, device_params, empty_qd, grid=grid)
+        b_hat = infer_background_fraction(observed, empty_params, grid=grid)
         assert b_hat == pytest.approx(b_true, abs=1e-5)
 
-    def test_deeper_observation_means_less_background(self, empty_qd):
+    def test_deeper_observation_means_less_background(self):
         # loss split consistent with the mode-matched bound kappa_side <= 4*kappa
         from pillar_qed import SystemParams
 
-        p = SystemParams(g=9.4, kappa_top=25.9 / 5, kappa_side=4 * 25.9 / 5, gamma=5.0, omega_c=1333596.0)
-        qd = QdState(p.omega_c, coupled=False)
-        b_deep = infer_background_fraction(0.45, p, qd)
-        b_shallow = infer_background_fraction(0.15, p, qd)
+        p = SystemParams(g=0.0, kappa_top=25.9 / 5, kappa_side=4 * 25.9 / 5, gamma=5.0, omega_c=1333596.0)
+        b_deep = infer_background_fraction(0.45, p)
+        b_shallow = infer_background_fraction(0.15, p)
         assert b_deep < b_shallow
 
-    def test_no_solution_when_observation_exceeds_intrinsic(self, device_params, empty_qd):
+    def test_no_solution_when_observation_exceeds_intrinsic(self, empty_params):
         with pytest.raises(NoSolutionError):
-            infer_background_fraction(0.45, device_params, empty_qd)
+            infer_background_fraction(0.45, empty_params)
 
-    def test_rejects_degenerate_observations(self, device_params, empty_qd):
+    def test_rejects_degenerate_observations(self, empty_params):
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
-                infer_background_fraction(bad, device_params, empty_qd)
+                infer_background_fraction(bad, empty_params)
 
 
 class TestCalibration:
@@ -289,19 +286,19 @@ class TestCalibration:
             assert rec.d - rec.a == pytest.approx(0.0, abs=1e-12)
             assert ref.bias == pytest.approx(0.0, abs=1e-12)
 
-    def test_edge_calibration_recovers_bias(self, device_params, resonant_qd):
+    def test_edge_calibration_recovers_bias(self, device_params):
         grid = grid_around(device_params.omega_c, 5000.0, 2001)
         true_bias = 0.07
         ref = ReferenceArm(beta=0.9, sb_offset=quadrature_offset(0.9) + true_bias)
-        r = reflection_amplitude(device_params, resonant_qd, grid)
+        r = reflection_amplitude(device_params, grid)
         rec = simulate_channels(r, ref, omega=grid)
         # residual signal phase at the window edges bounds the estimate
         edge_phase = abs(np.angle(r[0]))
         assert calibrate_bias(rec) == pytest.approx(true_bias, abs=2 * edge_phase + 1e-6)
 
-    def test_edge_calibration_requires_positive_monitors(self, device_params, resonant_qd):
+    def test_edge_calibration_requires_positive_monitors(self, device_params):
         grid = grid_around(device_params.omega_c, 100.0, 21)
-        rec = simulate_channels(reflection_amplitude(device_params, resonant_qd, grid), calibrated_ref(), omega=grid)
+        rec = simulate_channels(reflection_amplitude(device_params, grid), calibrated_ref(), omega=grid)
         h = rec.h.copy()
         h[3] = 0.0
         with pytest.raises(ValueError, match="h > 0"):

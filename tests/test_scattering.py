@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pillar_qed import (
-    QdState,
     Spectrum,
     SystemParams,
     coupling_regime,
@@ -13,7 +14,6 @@ from pillar_qed import (
     rabi_splitting,
     reflection_amplitude,
     reflectivity,
-    unwrapped_phase,
 )
 
 from conftest import DEVICE, central_difference, grid_around, model_steps, rates, system_params
@@ -34,20 +34,20 @@ def single_expression_amplitude(g, kap, ks, gam, wc, wqd, w):
 
 
 class TestReflectionAmplitude:
-    def test_empty_cavity_on_resonance_closed_form(self, device_params, empty_qd):
-        r = reflection_amplitude(device_params, empty_qd, device_params.omega_c)
+    def test_empty_cavity_on_resonance_closed_form(self, empty_params):
+        r = reflection_amplitude(empty_params, empty_params.omega_c)
         expected = (24.7 - 1.2) / (24.7 + 1.2)
         assert r == pytest.approx(expected, abs=1e-15)
         assert abs(r.imag) < 1e-15
 
     def test_lossless_overcoupled_mirror_is_minus_one(self):
         p = SystemParams(g=0.0, kappa_top=7.3, kappa_side=0.0, gamma=1.0, omega_c=1000.0)
-        r = reflection_amplitude(p, QdState(1000.0, coupled=False), 1000.0)
+        r = reflection_amplitude(p, 1000.0)
         assert r == pytest.approx(-1.0, abs=1e-15)
         assert np.angle(r) == pytest.approx(np.pi)
 
-    def test_device_constants_on_resonance(self, device_params, resonant_qd):
-        r = reflection_amplitude(device_params, resonant_qd, device_params.omega_c)
+    def test_device_constants_on_resonance(self, device_params):
+        r = reflection_amplitude(device_params, device_params.omega_c)
         oracle = single_expression_amplitude(
             9.4, 1.2, 24.7, 5.0, 1333596.0, 1333596.0, 1333596.0
         )
@@ -55,25 +55,20 @@ class TestReflectionAmplitude:
         assert r.real == pytest.approx(R_COUPLED_ONRES, abs=1e-14)
         assert r.imag == 0.0
 
-    def test_far_detuned_limit(self, device_params, resonant_qd):
+    def test_far_detuned_limit(self, device_params):
         for sign in (-1.0, 1.0):
-            r = reflection_amplitude(
-                device_params, resonant_qd, device_params.omega_c + sign * 1e6
-            )
+            r = reflection_amplitude(device_params, device_params.omega_c + sign * 1e6)
             assert abs(r - 1.0) < 1e-4
 
-    def test_vectorized_matches_scalar(self, device_params, resonant_qd):
+    def test_vectorized_matches_scalar(self, device_params):
         grid = grid_around(device_params.omega_c, 50.0, 101)
-        vec = reflection_amplitude(device_params, resonant_qd, grid)
-        scalars = np.array(
-            [reflection_amplitude(device_params, resonant_qd, w) for w in grid]
-        )
+        vec = reflection_amplitude(device_params, grid)
+        scalars = np.array([reflection_amplitude(device_params, w) for w in grid])
         np.testing.assert_allclose(vec, scalars, rtol=1e-14, atol=0)
 
     @given(p=system_params(), detuning=st.floats(min_value=-1e3, max_value=1e3))
     def test_passivity(self, p, detuning):
-        qd = QdState(p.omega_c, coupled=True)
-        assert abs(reflection_amplitude(p, qd, p.omega_c + detuning)) <= 1.0 + 1e-12
+        assert abs(reflection_amplitude(p, p.omega_c + detuning)) <= 1.0 + 1e-12
 
     def test_passivity_bulk(self):
         rng = np.random.default_rng(11)
@@ -87,10 +82,20 @@ class TestReflectionAmplitude:
                 gamma=rng.uniform(0, 50),
                 omega_c=rng.uniform(1e3, 2e6),
             )
-            qd = QdState(p.omega_c + rng.uniform(-1e3, 1e3), coupled=True)
-            r = reflection_amplitude(p, qd, p.omega_c + rng.uniform(-1e3, 1e3))
+            p = replace(p, omega_qd=p.omega_c + rng.uniform(-1e3, 1e3))
+            r = reflection_amplitude(p, p.omega_c + rng.uniform(-1e3, 1e3))
             worst = max(worst, abs(r))
         assert worst <= 1.0 + 1e-12
+
+    def test_underflowing_coupling_at_resonance(self):
+        # g * g underflows to 0, yet any g > 0 makes a lossless dot on
+        # resonance reflect perfectly; off resonance g^2 is negligible
+        p = SystemParams(g=1e-200, kappa_top=1.0, kappa_side=0.0, gamma=0.0, omega_c=1000.0)
+        assert reflection_amplitude(p, 1000.0) == 1.0
+        np.testing.assert_array_equal(
+            reflection_amplitude(p, np.array([999.0, 1000.0])),
+            [reflection_amplitude(replace(p, g=0.0), 999.0), 1.0],
+        )
 
     def test_degenerate_denominator_guard(self):
         from pillar_qed.scattering import DegenerateModelError, _amplitude
@@ -141,98 +146,84 @@ class TestReflectionAmplitude:
 
     @given(p=system_params(), detuning=st.floats(min_value=-1e3, max_value=1e3))
     def test_coupled_g_zero_equals_empty(self, p, detuning):
+        # g = 0 is the empty cavity whatever the dot energy and linewidth
         p0 = SystemParams(0.0, p.kappa_top, p.kappa_side, p.gamma, p.omega_c)
         omega = p.omega_c + detuning
-        r_coupled = reflection_amplitude(p0, QdState(p0.omega_c, coupled=True), omega)
-        r_empty = reflection_amplitude(p0, QdState(p0.omega_c, coupled=False), omega)
-        assert abs(r_coupled - r_empty) < 1e-14
+        r_empty = 1 - p.kappa_top / (1j * (p.omega_c - omega) + 0.5 * p.kappa_total)
+        for q in (p0, replace(p0, omega_qd=p.omega_c + 37.0, gamma=2.0 * p.gamma + 1.0)):
+            assert abs(reflection_amplitude(q, omega) - r_empty) < 1e-14
 
     @given(p=system_params(), delta=st.floats(min_value=1e-3, max_value=1e3))
     def test_hermitian_symmetry_at_zero_detuning(self, p, delta):
-        qd = QdState(p.omega_c, coupled=True)
-        upper = reflection_amplitude(p, qd, p.omega_c + delta)
-        lower = reflection_amplitude(p, qd, p.omega_c - delta)
+        upper = reflection_amplitude(p, p.omega_c + delta)
+        lower = reflection_amplitude(p, p.omega_c - delta)
         assert abs(upper - np.conj(lower)) < 1e-12
 
     @given(p=system_params(omega_min=1e5))
     def test_far_detuned_decay_bound(self, p):
         # |r - 1| <= C / |omega - omega_c| with C fitted at one detuning
-        qd = QdState(p.omega_c, coupled=True)
         d1, d2 = 1e4, 1e5
-        c = abs(reflection_amplitude(p, qd, p.omega_c + d1) - 1.0) * d1
-        assert abs(reflection_amplitude(p, qd, p.omega_c + d2) - 1.0) <= 2.0 * c / d2
+        c = abs(reflection_amplitude(p, p.omega_c + d1) - 1.0) * d1
+        assert abs(reflection_amplitude(p, p.omega_c + d2) - 1.0) <= 2.0 * c / d2
 
 
 class TestReflectivity:
     def test_critically_coupled_dark_point(self):
         p = SystemParams(g=0.0, kappa_top=5.0, kappa_side=5.0, gamma=1.0, omega_c=1000.0)
-        assert reflectivity(p, QdState(1000.0, coupled=False), 1000.0) == pytest.approx(0.0, abs=1e-30)
+        assert reflectivity(p, 1000.0) == pytest.approx(0.0, abs=1e-30)
 
-    def test_empty_cavity_device_constants(self, device_params, empty_qd):
-        value = reflectivity(device_params, empty_qd, device_params.omega_c)
+    def test_empty_cavity_device_constants(self, empty_params):
+        value = reflectivity(empty_params, empty_params.omega_c)
         assert value == pytest.approx(REFL_EMPTY_ONRES, abs=1e-14)
 
     def test_design_point_twenty_percent(self):
         p = SystemParams(g=9.4, kappa_top=37.6, kappa_side=24.7, gamma=5.0, omega_c=1333596.0)
-        value = reflectivity(p, QdState(1333596.0, coupled=True), 1333596.0)
+        value = reflectivity(p, 1333596.0)
         assert value == pytest.approx(0.1888210545319597, abs=1e-13)
         assert value == pytest.approx(0.19, abs=0.03)
 
     @given(p=system_params(), detuning=st.floats(min_value=-500, max_value=500))
     def test_bounded_by_one(self, p, detuning):
-        value = reflectivity(p, QdState(p.omega_c, coupled=True), p.omega_c + detuning)
+        value = reflectivity(p, p.omega_c + detuning)
         assert 0.0 <= value <= 1.0 + 1e-12
 
 
 class TestPhase:
-    def test_far_detuned_phase_vanishes(self, device_params, resonant_qd):
-        assert abs(phase(device_params, resonant_qd, device_params.omega_c + 1e6)) < 1e-4
+    def test_far_detuned_phase_vanishes(self, device_params):
+        assert abs(phase(device_params, device_params.omega_c + 1e6)) < 1e-4
 
     def test_overcoupled_lossless_phase_pi(self):
         p = SystemParams(g=0.0, kappa_top=3.0, kappa_side=0.0, gamma=0.0, omega_c=500.0)
-        assert phase(p, QdState(500.0, coupled=False), 500.0) == pytest.approx(np.pi)
+        assert phase(p, 500.0) == pytest.approx(np.pi)
 
     def test_zero_amplitude_flagged(self):
         p = SystemParams(g=0.0, kappa_top=5.0, kappa_side=5.0, gamma=0.0, omega_c=1000.0)
         with pytest.warns(UserWarning, match="zero reflection"):
-            value = phase(p, QdState(1000.0, coupled=False), 1000.0)
+            value = phase(p, 1000.0)
         assert value == 0.0
 
-    def test_empty_cavity_max_phase_grid_oracle(self, device_params, empty_qd):
+    def test_empty_cavity_max_phase_grid_oracle(self, empty_params):
         # dense-grid oracle, evaluated from the one-line reference expression
-        grid = np.linspace(device_params.omega_c - 1000, device_params.omega_c + 1000, 10**6)
+        grid = np.linspace(empty_params.omega_c - 1000, empty_params.omega_c + 1000, 10**6)
         oracle = np.max(
             np.abs(np.angle(single_expression_amplitude(0.0, 1.2, 24.7, 5.0, 1333596.0, 1333596.0, grid)))
         )
-        measured = np.max(np.abs(phase(device_params, empty_qd, grid)))
+        measured = np.max(np.abs(phase(empty_params, grid)))
         assert measured == pytest.approx(oracle, abs=1e-12)
         # closed form: the amplitude traces a circle of radius k/K about 1 - k/K
         analytic = np.arcsin((1.2 / 25.9) / (1.0 - 1.2 / 25.9))
         assert measured == pytest.approx(analytic, abs=1e-8)
 
-    def test_unwrapped_phase_continuous_across_winding(self):
-        # overcoupled empty cavity winds by 2*pi across resonance; the
-        # residual at the window edges is ~ kappa_top / half-span each side
-        p = SystemParams(g=0.0, kappa_top=40.0, kappa_side=10.0, gamma=1.0, omega_c=5000.0)
-        grid = grid_around(5000.0, 4000.0, 80001)
-        unwrapped = unwrapped_phase(p, QdState(5000.0, coupled=False), grid)
-        assert np.max(np.abs(np.diff(unwrapped))) < 0.1
-        assert abs(abs(unwrapped[-1] - unwrapped[0]) - 2 * np.pi) < 2.5 * 40.0 / 4000.0
-
 
 class TestPolaritons:
-    def test_uncoupled_dot_rejected(self, device_params):
-        with pytest.raises(ValueError):
-            polariton_eigenvalues(device_params, QdState(1333596.0, coupled=False))
-
     def test_g_zero_gives_bare_values(self):
-        p = SystemParams(g=0.0, kappa_top=2.0, kappa_side=3.0, gamma=4.0, omega_c=1200.0)
-        lo, hi = polariton_eigenvalues(p, QdState(1100.0, coupled=True))
+        p = SystemParams(g=0.0, kappa_top=2.0, kappa_side=3.0, gamma=4.0, omega_c=1200.0, omega_qd=1100.0)
+        lo, hi = polariton_eigenvalues(p)
         assert lo == pytest.approx(1100.0 - 2.0j, abs=1e-12)
         assert hi == pytest.approx(1200.0 - 2.5j, abs=1e-12)
 
-    def test_device_splitting_closed_form_and_eigensolver(self, device_params, resonant_qd):
-        lo, hi = polariton_eigenvalues(device_params, resonant_qd)
+    def test_device_splitting_closed_form_and_eigensolver(self, device_params):
+        lo, hi = polariton_eigenvalues(device_params)
         gap = hi.real - lo.real
         assert gap == pytest.approx(RABI_SPLIT, abs=1e-9)
         matrix = np.array(
@@ -247,7 +238,7 @@ class TestPolaritons:
 
     def test_large_detuning_approaches_bare_energies(self, device_params):
         delta = 1e5
-        lo, hi = polariton_eigenvalues(device_params, QdState(1333596.0 + delta, coupled=True))
+        lo, hi = polariton_eigenvalues(replace(device_params, omega_qd=1333596.0 + delta))
         assert abs(lo.real - 1333596.0) < 1e-2
         assert abs(hi.real - (1333596.0 + delta)) < 1e-2
 
@@ -260,20 +251,20 @@ class TestPolaritons:
         delta=st.floats(min_value=-50, max_value=50),
     )
     def test_characteristic_polynomial_residual(self, g, kappa, ks, gamma, omega_c, delta):
-        p = SystemParams(g, kappa, ks, gamma, omega_c)
         omega_qd = omega_c + delta
         if omega_qd <= 0:
             return
+        p = SystemParams(g, kappa, ks, gamma, omega_c, omega_qd)
         a = omega_qd - 0.5j * gamma
         b = omega_c - 0.5j * (kappa + ks)
-        for lam in polariton_eigenvalues(p, QdState(omega_qd, coupled=True)):
+        for lam in polariton_eigenvalues(p):
             residual = (lam - a) * (lam - b) - g * g
             assert abs(residual) < 1e-10
 
 
 class TestScalars:
-    def test_rabi_splitting_matches_eigenvalues(self, device_params, resonant_qd):
-        lo, hi = polariton_eigenvalues(device_params, resonant_qd)
+    def test_rabi_splitting_matches_eigenvalues(self, device_params):
+        lo, hi = polariton_eigenvalues(device_params)
         assert rabi_splitting(device_params) == pytest.approx(hi.real - lo.real, abs=1e-9)
 
     def test_rabi_splitting_weak_coupling_zero(self):
@@ -321,16 +312,25 @@ class TestTypes:
             dict(g=0.0, kappa_top=1.0, kappa_side=0.0, gamma=0.0, omega_c=0.0),
             dict(g=np.nan, kappa_top=1.0, kappa_side=0.0, gamma=0.0, omega_c=1.0),
             dict(g=0.0, kappa_top=np.inf, kappa_side=0.0, gamma=0.0, omega_c=1.0),
+            pytest.param(
+                dict(g=1.0, kappa_top=1.0, kappa_side=0.0, gamma=0.0, omega_c=1.0, omega_qd=0.0),
+                id="omega_qd_zero",
+            ),
+            pytest.param(
+                dict(g=1.0, kappa_top=1.0, kappa_side=0.0, gamma=0.0, omega_c=1.0, omega_qd=np.nan),
+                id="omega_qd_nan",
+            ),
         ],
     )
     def test_invalid_system_params(self, kwargs):
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
 
-    def test_coupled_qd_needs_positive_energy(self):
-        with pytest.raises(ValueError):
-            QdState(omega_qd=0.0, coupled=True)
-        QdState(omega_qd=0.0, coupled=False)  # empty cavity may ignore it
+    def test_omega_qd_defaults_to_omega_c(self):
+        p = SystemParams(9.4, 1.2, 24.7, 5.0, 1333596.0)
+        assert p.omega_qd == p.omega_c
+        # a default, not a link: moving the cavity leaves the dot in place
+        assert replace(p, omega_c=1333600.0).omega_qd == 1333596.0
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ from scipy.optimize import minimize_scalar
 
 from pillar_qed import (
     BackgroundModel,
-    QdState,
     SystemParams,
     TemperatureScan,
     TuningModel,
@@ -83,9 +82,7 @@ class TestSynthesizeScan:
         bg = BackgroundModel(0.3)
         scan = synthesize_scan(p, m, [21.0], grid, bg)
         qd_e, cav_e = energies_at(m, 21.0)
-        direct = measured_intensity(
-            replace(p, omega_c=cav_e), QdState(qd_e, coupled=True), grid, bg
-        )
+        direct = measured_intensity(replace(p, omega_c=cav_e, omega_qd=qd_e), grid, bg)
         np.testing.assert_array_equal(scan.spectra[0].values, direct)
 
     def test_far_detuned_temperature_equals_empty_cavity(self):
@@ -95,7 +92,7 @@ class TestSynthesizeScan:
         )
         grid = self.grid(half_span=100.0, n=2001)
         scan = synthesize_scan(p, m, [19.0], grid)
-        empty = measured_intensity(p, QdState(WC, coupled=False), grid)
+        empty = measured_intensity(replace(p, g=0.0), grid)
         assert np.max(np.abs(scan.spectra[0].values - empty)) < 1e-6
 
     def test_double_dip_symmetric_at_crossing(self):
@@ -163,9 +160,8 @@ class TestAnticrossingGap:
         # oracle: bounded minimization of the continuous model at exact
         # zero detuning, one dip on each side
         p = SystemParams(**DEVICE)
-        qd = QdState(p.omega_c, coupled=True)
         dip = minimize_scalar(
-            lambda d: reflectivity(p, qd, p.omega_c + d),
+            lambda d: reflectivity(p, p.omega_c + d),
             bounds=(2.0, 30.0),
             method="bounded",
             options={"xatol": 1e-10},
