@@ -1,0 +1,42 @@
+#!/usr/bin/env python3
+"""Write the output of every command-line subcommand variant under OUTDIR.
+
+    PYTHONPATH=src python3 scripts/cli_outputs.py OUTDIR
+
+Each run goes through ``pillar_qed.cli.main`` in this process and writes
+into its own subdirectory. The data files are deterministic, so two
+checkouts can be compared with one ``diff -r`` of their trees.
+"""
+
+import sys
+
+from pillar_qed.cli import main as cli
+
+# (subdirectory, arguments before --out), run in order: the fits read the
+# outputs of earlier runs
+RUNS = (
+    ("synth", ["synth"]),
+    ("synth_noisy", ["synth", "--set", "noise=0.01", "--seed", "3"]),
+    ("synth_bg", ["synth", "--background", "0.7"]),
+    ("phase", ["phase", "{root}/synth/channels_coupled.csv"]),
+    ("phase_edges", ["phase", "{root}/synth/channels_coupled.csv", "--calibrate-edges"]),
+    ("fit", ["fit", "{root}/synth_noisy/coupled.csv"]),
+    ("fit_joint", ["fit", "{root}/synth_noisy/coupled.csv", "--phase-csv", "{root}/phase/phase.csv"]),
+    ("scan", ["scan"]),
+    ("design", ["design"]),
+)
+
+
+def main():
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: cli_outputs.py OUTDIR")
+    root = sys.argv[1]
+    for name, args in RUNS:
+        argv = [arg.format(root=root) for arg in args] + ["--out", f"{root}/{name}"]
+        code = cli(argv)
+        if code != 0:
+            raise SystemExit(f"command failed with exit code {code}: {argv}")
+
+
+if __name__ == "__main__":
+    main()

@@ -385,6 +385,22 @@ def _vertices(omega: np.ndarray, values: np.ndarray, i: np.ndarray):
     return np.where(den == 0, (x1, y1), (xv, yv))
 
 
+def _prominent_dips(omega, values) -> np.ndarray:
+    """Positions of the two most prominent strict minima, ascending.
+
+    Fewer than two when fewer exist. Each is placed at its three-point
+    parabola vertex. A spectrum with at most two strict minima keeps them
+    all without computing a prominence; on a noisy one, prominence passes
+    over the wiggles inside one dip.
+    """
+    values = np.asarray(values, dtype=float)
+    i = _strict_minima(values)
+    if i.size > 2:
+        i = np.sort(i[np.argsort(-_prominences(values, i), kind="stable")[:2]])
+    xv, _ = _vertices(np.asarray(omega, dtype=float), values, i)
+    return xv
+
+
 def _prominences(values: np.ndarray, i: np.ndarray) -> np.ndarray:
     """Topographic prominence of the dips of ``values`` at indices ``i``.
 
@@ -479,17 +495,13 @@ def estimate_q_from_linewidth(s: Spectrum, omega_c_guess: float) -> float:
 def _dip_separation(s: Spectrum) -> float:
     """Separation of the two most prominent local minima of a spectrum.
 
-    Each minimum is placed at its three-point parabola vertex; on a noisy
-    spectrum, prominence passes over the wiggles inside one dip. Raises
-    :class:`UnresolvedSplittingError` when fewer than two minima exist.
+    Each minimum is placed at its three-point parabola vertex (see
+    :func:`_prominent_dips`). Raises :class:`UnresolvedSplittingError`
+    when fewer than two minima exist.
     """
-    values = np.asarray(s.values, dtype=float)
-    i = _strict_minima(values)
-    if i.size < 2:
-        raise UnresolvedSplittingError(f"found {i.size} local minima, need 2")
-    if i.size > 2:
-        i = np.sort(i[np.argsort(-_prominences(values, i), kind="stable")[:2]])
-    xv, _ = _vertices(s.omega, values, i)
+    xv = _prominent_dips(s.omega, s.values)
+    if xv.size < 2:
+        raise UnresolvedSplittingError(f"found {xv.size} local minima, need 2")
     return float(xv[1] - xv[0])
 
 

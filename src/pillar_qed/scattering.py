@@ -8,6 +8,7 @@ the bottom mirror are lumped into a single extra loss rate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ class DegenerateModelError(ValueError):
 
 
 def _check_finite(name, value):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -118,22 +119,31 @@ class Spectrum:
         return self.omega.size
 
 
+def _underflows(x):
+    """Whether ``|x|`` falls below the denominator floor anywhere.
+
+    A plain comparison for a scalar, one ``.any()`` for an array.
+    """
+    small = abs(x) < _DENOMINATOR_FLOOR
+    return small.any() if isinstance(small, np.ndarray) else small
+
+
 def _amplitude(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
     """Raw reflection amplitude without parameter validation.
 
-    Accepts scalar or ndarray ``omega`` (and broadcastable parameters);
-    used directly by the fitting code, which checks its own bounds.
+    Takes scalar parameters and a scalar or ndarray ``omega``; used
+    directly by the fitting code, which checks its own bounds.
     """
     d_c = 1j * (omega_c - omega) + 0.5 * (kappa_top + kappa_side)
-    if np.all(g == 0):
+    if g == 0:
         # QD factor cancels algebraically: the empty cavity, whatever
         # omega_qd and gamma are.
-        if np.any(np.abs(d_c) < _DENOMINATOR_FLOOR):
+        if _underflows(d_c):
             raise DegenerateModelError("cavity response denominator underflow")
         return 1.0 - kappa_top / d_c
     d_qd = 1j * (omega_qd - omega) + 0.5 * gamma
     den = d_qd * d_c + g * g
-    if np.any(np.abs(den) < _DENOMINATOR_FLOOR):
+    if _underflows(den):
         return _amplitude_underflow(g, kappa_top, d_c, d_qd)
     return 1.0 - kappa_top * d_qd / den
 
@@ -166,10 +176,15 @@ def _amplitude_partials(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omeg
     -i kappa_top g^2 / D^2. ``g == 0`` uses the cancelled empty-cavity
     form (d_qd / D = 1 / d_c), where the g, gamma and omega_qd partials
     vanish.
+
+    Raises :class:`DegenerateModelError` wherever D underflows, including
+    the points where :func:`_amplitude` still has a value (an underflowing
+    g * g beside d_qd = 0): the derivatives are unbounded there, dr/dgamma
+    alone being about kappa_top / g^2.
     """
     d_c = 1j * (omega_c - omega) + 0.5 * (kappa_top + kappa_side)
     if g == 0:
-        if np.any(np.abs(d_c) < _DENOMINATOR_FLOOR):
+        if _underflows(d_c):
             raise DegenerateModelError("cavity response denominator underflow")
         r = 1.0 - kappa_top / d_c
         q = 1.0 / d_c
@@ -177,8 +192,11 @@ def _amplitude_partials(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omeg
     else:
         d_qd = 1j * (omega_qd - omega) + 0.5 * gamma
         den = d_qd * d_c + g * g
-        if np.any(np.abs(den) < _DENOMINATOR_FLOOR):
-            raise DegenerateModelError("coupled response denominator underflow")
+        if _underflows(den):
+            raise DegenerateModelError(
+                "coupled response denominator underflow: derivatives unbounded"
+                " (dr/dgamma ~ kappa_top / g^2)"
+            )
         r = 1.0 - kappa_top * d_qd / den
         q = d_qd / den
         dg = 2.0 * g * kappa_top * q / den
@@ -207,10 +225,16 @@ def _amplitude_coefficients(g, kappa_top, kappa_side, gamma, omega_c, omega_qd):
 
 
 def principal_angle(z):
-    """Argument in (-pi, pi]: the -pi branch edge maps to +pi."""
-    ang = np.angle(z)
-    ang = np.where(ang == -np.pi, np.pi, ang)
-    return float(ang) if np.ndim(z) == 0 else ang
+    """Argument in (-pi, pi]: the -pi branch edge maps to +pi.
+
+    A scalar or 0-d ``z`` gives a Python float, an array an array.
+    """
+    # np.angle's arithmetic, without its conversion of a scalar to an array
+    ang = np.arctan2(z.imag, z.real)
+    if isinstance(z, np.ndarray) and z.ndim:
+        return np.where(ang == -np.pi, np.pi, ang)
+    ang = float(ang)
+    return math.pi if ang == -math.pi else ang
 
 
 def reflection_amplitude(p: SystemParams, omega):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import UnresolvedSplittingError, _dip_separation, local_minima
+from .estimation import UnresolvedSplittingError, _dip_separation, _prominent_dips
 from .interferometer import BackgroundModel, measured_intensity
 from .scattering import Spectrum, SystemParams
 
@@ -123,14 +123,14 @@ def synthesize_scan(
 def scan_dip_positions(scan: TemperatureScan):
     """Per-temperature dip positions: list of (temperature, positions).
 
-    Positions are the quadratic-interpolated local minima sorted by
+    Positions are the three-point parabola vertices of the two most
+    prominent local minima (those of :func:`anticrossing_gap`), sorted by
     energy; temperatures where the dips are unresolved report whatever
-    minima exist (possibly one or none).
+    minima exist (one or none).
     """
     out = []
     for t, s in zip(scan.temperatures, scan.spectra):
-        minima = local_minima(s.omega, s.values)
-        out.append((t, tuple(pos for pos, _ in minima)))
+        out.append((t, tuple(_prominent_dips(s.omega, s.values).tolist())))
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,13 @@ from pillar_qed import (
     rabi_splitting,
     reflection_amplitude,
     reflectivity,
+    relative_phase,
+)
+from pillar_qed.scattering import (
+    DegenerateModelError,
+    _amplitude,
+    _amplitude_partials,
+    principal_angle,
 )
 
 from conftest import DEVICE, central_difference, grid_around, model_steps, rates, system_params
@@ -91,15 +99,15 @@ class TestReflectionAmplitude:
         # g * g underflows to 0, yet any g > 0 makes a lossless dot on
         # resonance reflect perfectly; off resonance g^2 is negligible
         p = SystemParams(g=1e-200, kappa_top=1.0, kappa_side=0.0, gamma=0.0, omega_c=1000.0)
-        assert reflection_amplitude(p, 1000.0) == 1.0
+        scalar = reflection_amplitude(p, 1000.0)
+        assert np.ndim(scalar) == 0 and scalar == 1.0
+        assert np.asarray(scalar).tobytes() == reflection_amplitude(p, np.array([1000.0])).tobytes()
         np.testing.assert_array_equal(
             reflection_amplitude(p, np.array([999.0, 1000.0])),
             [reflection_amplitude(replace(p, g=0.0), 999.0), 1.0],
         )
 
     def test_degenerate_denominator_guard(self):
-        from pillar_qed.scattering import DegenerateModelError, _amplitude
-
         with pytest.raises(DegenerateModelError):
             _amplitude(0.0, 0.0, 0.0, 0.0, 1000.0, 1000.0, 1000.0)
         with pytest.raises(DegenerateModelError):
@@ -125,8 +133,6 @@ class TestReflectionAmplitude:
         assert worst <= 1e-12
 
     def test_partials_match_central_difference(self):
-        from pillar_qed.scattering import _amplitude, _amplitude_partials
-
         rng = np.random.default_rng(8)
         worst = np.zeros(6)
         for trial in range(100):
@@ -143,6 +149,16 @@ class TestReflectionAmplitude:
             scale = np.max(np.abs(numeric), axis=0)
             worst = np.maximum(worst, np.max(np.abs(dr.T - numeric), axis=0) / np.where(scale > 0, scale, 1.0))
         assert np.all(worst <= 1e-7)  # measured: at most 1.4e-8 (gamma)
+
+    def test_partials_refuse_the_underflowing_coupling(self):
+        # _amplitude has a value here (r = 1 at the dark point), but
+        # dr/dgamma ~ kappa_top / g^2 is unbounded
+        x = (1e-200, 1.0, 0.0, 0.0, 1000.0, 1000.0)
+        with pytest.raises(DegenerateModelError, match="derivatives unbounded"):
+            _amplitude_partials(*x, np.array([999.0, 1000.0]))
+        for omega in (999.0, np.array([999.0, 1001.0])):
+            r, _ = _amplitude_partials(*x, omega)
+            assert np.array_equal(r, _amplitude(*x, omega))
 
     @given(p=system_params(), detuning=st.floats(min_value=-1e3, max_value=1e3))
     def test_coupled_g_zero_equals_empty(self, p, detuning):
@@ -165,6 +181,56 @@ class TestReflectionAmplitude:
         d1, d2 = 1e4, 1e5
         c = abs(reflection_amplitude(p, p.omega_c + d1) - 1.0) * d1
         assert abs(reflection_amplitude(p, p.omega_c + d2) - 1.0) <= 2.0 * c / d2
+
+
+def _bits(z):
+    return np.asarray(z, dtype=complex).tobytes()
+
+
+class TestScalarPath:
+    """Scalar omegas of every type, and one-element arrays at the floors, behave alike."""
+
+    def test_scalar_omega_types_give_identical_bits(self):
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            wc = 1333596.0 + rng.uniform(-5.0, 5.0)
+            p = SystemParams(
+                0.0 if trial % 10 == 0 else rng.uniform(0.0, 30.0),
+                rng.uniform(0.1, 50.0),
+                rng.uniform(0.0, 30.0),
+                rng.uniform(0.0, 20.0),
+                wc,
+                wc + rng.uniform(-20.0, 20.0),
+            )
+            w = wc + rng.uniform(-60.0, 60.0)
+            for fn in (reflection_amplitude, relative_phase):
+                expected = _bits(fn(p, w))
+                for omega in (np.float64(w), np.array(w)):
+                    value = fn(p, omega)
+                    assert np.ndim(value) == 0
+                    assert _bits(value) == expected
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            pytest.param((0.0, 0.0, 0.0, 0.0, 1000.0, 1000.0), "cavity", id="empty_cavity_floor"),
+            pytest.param((1e-200, 1e-320, 0.0, 1.0, 1000.0, 1000.0), "coupled", id="coupled_floor"),
+        ],
+    )
+    def test_underflow_raises_for_scalar_and_array(self, x, message):
+        for omega in (1000.0, np.float64(1000.0), np.array([1000.0])):
+            with pytest.raises(DegenerateModelError, match=f"^{message} response denominator underflow$"):
+                _amplitude(*x, omega)
+
+    def test_principal_angle_branch_edge(self):
+        edge = complex(-1.0, -0.0)
+        assert np.angle(edge) == -math.pi
+        for z in (edge, np.complex128(edge), np.array(edge)):
+            value = principal_angle(z)
+            assert type(value) is float and value == math.pi
+        values = principal_angle(np.array([edge, 1j]))
+        assert isinstance(values, np.ndarray)
+        assert values.tolist() == [math.pi, 0.5 * math.pi]
 
 
 class TestReflectivity:
@@ -301,6 +367,9 @@ class TestScalars:
         assert q_factor(doubled) == pytest.approx(0.5 * q_factor(p))
 
 
+VALID_PARAMS = dict(g=1.0, kappa_top=1.0, kappa_side=0.0, gamma=0.0, omega_c=1.0, omega_qd=1.0)
+
+
 class TestTypes:
     @pytest.mark.parametrize(
         "kwargs",
@@ -320,11 +389,19 @@ class TestTypes:
                 dict(g=1.0, kappa_top=1.0, kappa_side=0.0, gamma=0.0, omega_c=1.0, omega_qd=np.nan),
                 id="omega_qd_nan",
             ),
+            *(
+                pytest.param({**VALID_PARAMS, name: value}, id=f"{name}_{value}")
+                for name in VALID_PARAMS
+                for value in (math.inf, -math.inf)
+            ),
         ],
     )
     def test_invalid_system_params(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             SystemParams(**kwargs)
+        for name, value in kwargs.items():
+            if not math.isfinite(value):
+                assert str(info.value) == f"{name} must be finite, got {value!r}"
 
     def test_omega_qd_defaults_to_omega_c(self):
         p = SystemParams(9.4, 1.2, 24.7, 5.0, 1333596.0)

@@ -57,3 +57,18 @@ def test_generate_datasets_bundle(tmp_path):
     assert done.returncode == 0, done.stderr
     names = {p.name for p in (tmp_path / "bundle").iterdir()}
     assert names == {"synth", "synth_bg", "phase", "scan", "design"}
+
+
+def test_cli_outputs_tree(tmp_path):
+    done = run_script("cli_outputs.py", str(tmp_path / "tree"), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    files = sorted(str(p.relative_to(tmp_path / "tree")) for p in (tmp_path / "tree").rglob("*") if p.is_file())
+    synth = ["channels_coupled.csv", "channels_empty.csv", "coupled.csv", "empty.csv"]
+    temperatures = [f"{19.0 + 0.25 * k:.4f}" for k in range(17)]
+    assert files == sorted(
+        ["design/design.csv", "fit/fit_report.txt", "fit_joint/fit_report.txt"]
+        + ["phase/phase.csv", "phase_edges/phase.csv"]
+        + ["scan/manifest.csv", "scan/scan_config.txt"]
+        + [f"scan/scan_T{t}K.csv" for t in temperatures]
+        + [f"{run}/{name}" for run in ("synth", "synth_noisy", "synth_bg") for name in synth]
+    )

@@ -5,6 +5,7 @@ from scipy.optimize import minimize_scalar
 
 from pillar_qed import (
     BackgroundModel,
+    Spectrum,
     SystemParams,
     TemperatureScan,
     TuningModel,
@@ -127,6 +128,21 @@ class TestSynthesizeScan:
         assert all(u - l > 0.5 for l, u in zip(lowers, uppers))
         assert np.max(np.abs(np.diff(lowers))) < 3.0
         assert np.max(np.abs(np.diff(uppers))) < 3.0
+
+    def test_noisy_scan_reports_the_prominent_dips(self):
+        # 1% multiplicative noise leaves thousands of strict minima in each
+        # 24001-point spectrum; only the two most prominent are reported.
+        # Over seeds 0-19 the worst distance from a clean dip was 1.4-2.7 ueV.
+        p = SystemParams(**DEVICE)
+        scan = synthesize_scan(p, device_model(), np.arange(19.0, 23.01, 0.25), self.grid())
+        rng = np.random.default_rng(4)
+        noisy = replace(scan, spectra=tuple(
+            Spectrum(s.omega, s.values * (1 + 0.01 * rng.standard_normal(len(s)))) for s in scan.spectra
+        ))
+        for (_, clean), (_, positions) in zip(scan_dip_positions(scan), scan_dip_positions(noisy)):
+            assert len(clean) == 2
+            assert len(positions) <= 2
+            assert all(abs(pos - min(clean, key=lambda c: abs(c - pos))) < 4.0 for pos in positions)
 
     def test_branch_asymptotes_near_bare_energies(self):
         p = SystemParams(**DEVICE)
