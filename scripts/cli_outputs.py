@@ -20,6 +20,7 @@ RUNS = (
     ("synth_bg", ["synth", "--background", "0.7"]),
     ("phase", ["phase", "{root}/synth/channels_coupled.csv"]),
     ("phase_edges", ["phase", "{root}/synth/channels_coupled.csv", "--calibrate-edges"]),
+    ("phase_noisy", ["phase", "{root}/synth_noisy/channels_coupled.csv"]),
     ("fit", ["fit", "{root}/synth_noisy/coupled.csv"]),
     ("fit_joint", ["fit", "{root}/synth_noisy/coupled.csv", "--phase-csv", "{root}/phase/phase.csv"]),
     ("scan", ["scan"]),

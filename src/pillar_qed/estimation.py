@@ -250,6 +250,7 @@ def _residual_jacobian(vec: np.ndarray, problem: FitProblem, columns) -> np.ndar
         # np.angle(0) == 0, so the phase is flat where the amplitude vanishes
         scale = problem.phase_weights * np.divide(1.0, abs2, out=np.zeros_like(abs2), where=abs2 > 0)
         blocks.append([(m_conj * dm[k]).imag * scale if k != _BETA else np.zeros_like(abs2) for k in columns])
+    # F-ordered on purpose: the LM's jacobian.T @ r rounds by memory order, and fit_report.txt with it
     return np.array([np.concatenate(rows) for rows in zip(*blocks)]).T
 
 

@@ -439,6 +439,15 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("pillar-qed: error: ")
 
+    @pytest.mark.parametrize("body", ["", "  \n\t\n\n"], ids=["header_only", "whitespace_body"])
+    @pytest.mark.parametrize("command, header", [("fit", SPECTRUM_HEADER), ("phase", CHANNELS_HEADER)], ids=["fit", "phase"])
+    def test_empty_table_exits_1_without_warning(self, tmp_path, capsys, recwarn, command, header, body):
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{body}", encoding="utf-8")
+        assert run(command, str(path), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"pillar-qed: error: {path}: no data rows\n"
+        assert not recwarn.list
+
     def test_numerical_value_error_still_exits_2(self, tmp_path, capsys):
         # DegenerateModelError is a ValueError: the numerical clause must win
         argv = ("synth", "--set", "g=0", "--set", "kappa_top=1e-320", "--set", "kappa_side=0", "--out", str(tmp_path))

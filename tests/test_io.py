@@ -1,16 +1,25 @@
 import os
 import stat
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pillar_qed import Spectrum
 from pillar_qed.cli import main
 from pillar_qed.config import DEFAULTS, parse_grid
 from pillar_qed.interferometer import ChannelRecord
+import pillar_qed.io
 from pillar_qed.io import (
     CHANNELS_HEADER,
     SPECTRUM_HEADER,
+    FileFormatError,
+    _grid_fault,
+    _read_columns,
+    _read_grid_table,
     atomic_write_text,
     write_channels_csv,
     write_spectrum_csv,
@@ -128,3 +137,84 @@ class TestFileModes:
         with pytest.raises(UnicodeEncodeError):
             atomic_write_text(tmp_path / "bad.txt", "\ud800")
         assert list(tmp_path.iterdir()) == []
+
+
+def _row_reader(path, header, n):
+    """Reference: the gridded read done by the row reader alone."""
+    linenos, columns = _read_columns(path, header, (float,) * n)
+    table = np.array(columns)
+    fault = _grid_fault(table)
+    if fault is not None:
+        k, what = fault
+        raise FileFormatError(f"{path}:{linenos[k]}: {what}")
+    return table
+
+
+def _outcome(read, path, header, n):
+    try:
+        table = read(path, header, n)
+    except FileFormatError as exc:
+        return str(exc)
+    return table.dtype.str, table.shape, table.flags.c_contiguous, table.tobytes()
+
+
+# spellings on which numpy's parser and float() could part ways
+_ODD_FIELDS = st.sampled_from(
+    ["1e400", "-1e400", "nan", "-0", "+.5", "1_0", "1__0", "\u0661", "\uff11", "#1.0", "", " ", "\ufeff1.0",
+     " 2.5\t", "\xa00.5", "1.0\x1c", "\x1f1.0", "0.5\x85", "1.0\x00", "0x10", "1j", '"1.0"']
+)
+_BLANK_LINES = st.sampled_from(["", " ", "\t", "\x0c", "\xa0", "\u2028", "\x1c"])
+
+
+@st.composite
+def _grid_file(draw, header, n):
+    """A header, maybe behind a BOM, and up to 8 rows of an increasing grid,
+    each plain or made odd: a field respelled, a ``#`` in front, a blank or
+    whitespace-only line, a row cut short or lengthened, a trailing comma;
+    LF, CRLF or CR line ends."""
+    lines = [draw(st.sampled_from(["", "", "", "\ufeff"])) + header + "\n"]
+    for k in range(draw(st.integers(0, 8))):
+        fields = [repr(float(k))] + [repr(draw(st.floats(0.0, 2.0))) for _ in range(n - 1)]
+        kind = draw(st.sampled_from(["plain"] * 4 + ["field", "field", "comment", "blank", "ragged", "trailing"]))
+        if kind == "field":
+            fields[draw(st.integers(0, n - 1))] = draw(_ODD_FIELDS)
+        elif kind == "ragged":
+            fields = fields[: draw(st.integers(1, n - 1))] if draw(st.booleans()) else fields + ["1.0"]
+        line = ",".join(fields)
+        line = {"comment": "#" + line, "blank": draw(_BLANK_LINES), "trailing": line + ","}.get(kind, line)
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])))
+    return "".join(lines)
+
+
+_TABLES = st.sampled_from([(SPECTRUM_HEADER, 2), (CHANNELS_HEADER, 5)])
+
+
+class TestGridReaderMatchesRowReader:
+    """The numpy parse of a gridded table gives the row reader's bits or its error."""
+
+    @settings(max_examples=150)
+    @given(case=_TABLES.flatmap(lambda t: st.tuples(st.just(t), _grid_file(*t))))
+    @example(case=((SPECTRUM_HEADER, 2), f"{SPECTRUM_HEADER}\n1.0\n0.5,2.0,0.25\n"))  # 2 x 2 values if rows are ignored
+    @example(case=((SPECTRUM_HEADER, 2), f"{SPECTRUM_HEADER}\r\n1.0,0.5\r\n2.0,1e400\r\n"))
+    @example(case=((SPECTRUM_HEADER, 2), f"\ufeff{SPECTRUM_HEADER}\n1.0,0.5\n"))
+    @example(case=((SPECTRUM_HEADER, 2), f"{SPECTRUM_HEADER}\n\ufeff1.0,0.5\n"))
+    @example(case=((SPECTRUM_HEADER, 2), f"{SPECTRUM_HEADER}\n1.0\x1c,0.5\n"))  # whitespace to numpy only
+    @example(case=((SPECTRUM_HEADER, 2), f"{SPECTRUM_HEADER}\n1.0\n2.0\n"))
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n1.0,0.5,0.5,0.5,0.5,7\n"))
+    def test_same_bits_or_same_error(self, case):
+        (header, n), text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.csv")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on an empty body
+                assert _outcome(_read_grid_table, path, header, n) == _outcome(_row_reader, path, header, n)
+
+    def test_clean_table_never_reaches_row_reader(self, tmp_path, monkeypatch):
+        omega = GRIDS["extremes"]
+        write_channels_csv(tmp_path / "t.csv", ChannelRecord(omega, *(_values(omega.size, k) for k in range(4))))
+        expected = _row_reader(tmp_path / "t.csv", CHANNELS_HEADER, 5)
+        monkeypatch.setattr(pillar_qed.io, "_read_columns", None)
+        table = _read_grid_table(tmp_path / "t.csv", CHANNELS_HEADER, 5)
+        assert table.flags.c_contiguous and table.tobytes() == expected.tobytes()
