@@ -17,7 +17,6 @@ from .estimation import (
     FitProblem,
     FitResult,
     estimate_g_from_splitting,
-    estimate_q_from_linewidth,
     fit,
     make_guess,
     residuals,
@@ -32,7 +31,6 @@ from .interferometer import (
     extract_phase,
     fringe_phase,
     infer_background_fraction,
-    invert_background,
     measured_intensity,
     quadrature_offset,
     simulate_channels,
@@ -52,7 +50,6 @@ from .tuning import (
     TemperatureScan,
     TuningModel,
     anticrossing_gap,
-    crossing_temperature,
     energies_at,
     scan_dip_positions,
     synthesize_scan,

@@ -23,7 +23,6 @@ from . import design as design_mod
 from . import estimation, interferometer, io, tuning
 from .config import ConfigError, RunConfig, load_config_file
 from .interferometer import (
-    BackgroundInversionError,
     NoSolutionError,
     ReferenceArm,
     calibrate_bias,
@@ -49,10 +48,8 @@ class NonConvergenceError(RuntimeError):
 _NUMERICAL_ERRORS = (
     NonConvergenceError,
     DegenerateModelError,
-    estimation.NoDipError,
     estimation.UnresolvedSplittingError,
     NoSolutionError,
-    BackgroundInversionError,
     np.linalg.LinAlgError,
 )
 

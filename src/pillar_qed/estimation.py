@@ -13,25 +13,21 @@ separately. Eight parameters are addressable by name:
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import leastsq
-from .interferometer import _edge_baseline
 from .scattering import Spectrum, _amplitude, _amplitude_partials
 
 __all__ = [
     "PARAM_NAMES",
-    "NoDipError",
     "UnresolvedSplittingError",
     "FitProblem",
     "FitResult",
     "make_guess",
     "residuals",
     "fit",
-    "local_minima",
-    "estimate_q_from_linewidth",
     "estimate_g_from_splitting",
 ]
 
@@ -57,10 +53,6 @@ _DEFAULT_BOUNDS = {
     "background": (0.0, 0.999),
     "beta_mag": (1e-3, 10.0),
 }
-
-
-class NoDipError(RuntimeError):
-    """Spectrum carries no dip resolvable above the residual scatter."""
 
 
 class UnresolvedSplittingError(RuntimeError):
@@ -104,33 +96,20 @@ def _model_partials(vec: np.ndarray, omega):
     return m, tuple(c * d for d in dr) + (1.0 - s / c * r,)
 
 
-def model_intensity(vec: np.ndarray, omega):
-    m = _model_amplitude(vec, omega)
-    return vec[_BETA] ** 2 * np.abs(m) ** 2
-
-
-def model_phase(vec: np.ndarray, omega):
-    return np.angle(_model_amplitude(vec, omega))
-
-
 @dataclass
 class FitProblem:
-    """Observed spectra, free-parameter mask, bounds and starting point.
+    """Observed spectra, free-parameter mask and starting point.
 
     ``guess`` maps every parameter name to a value; parameters not listed
-    in ``free`` stay fixed at their guess. Energy bounds default to the
-    observed scan window, rates to [0, 1e3] ueV. Weights default to one
-    per point (intensities live in [0, 1] and phases in radians, so the
-    blocks are already on comparable scales).
+    in ``free`` stay fixed at their guess. ``bounds`` is computed, not
+    passed in: energies are bounded by the observed scan window, rates
+    by [0, 1e3] ueV.
     """
 
     guess: dict
     intensity: Spectrum | None = None
     phase: Spectrum | None = None
     free: tuple = ("g", "kappa_top", "kappa_side", "gamma")
-    bounds: dict = field(default_factory=dict)
-    intensity_weights: np.ndarray | None = None
-    phase_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.intensity is None and self.phase is None:
@@ -148,42 +127,13 @@ class FitProblem:
             [s.omega for s in (self.intensity, self.phase) if s is not None]
         )
         window = (float(omega_all.min()), float(omega_all.max()))
-        merged = dict(_DEFAULT_BOUNDS)
-        merged["omega_c"] = window
-        merged["omega_qd"] = window
-        merged.update(self.bounds)
-        self.bounds = merged
-        lo, hi = self.bounds["background"]
-        if not 0.0 <= lo <= hi < 1.0:
-            raise ValueError(f"background bounds must lie in [0, 1), got [{lo}, {hi}]")
+        self.bounds = {**_DEFAULT_BOUNDS, "omega_c": window, "omega_qd": window}
         for name in PARAM_NAMES:
             lo, hi = self.bounds[name]
             if not (lo <= self.guess[name] <= hi):
                 raise ValueError(
                     f"guess for {name} ({self.guess[name]}) outside bounds [{lo}, {hi}]"
                 )
-
-        self.intensity_weights = self._check_weights(self.intensity, self.intensity_weights)
-        self.phase_weights = self._check_weights(self.phase, self.phase_weights)
-        total = 0.0
-        for w in (self.intensity_weights, self.phase_weights):
-            if w is not None:
-                if np.any(w < 0):
-                    raise ValueError("weights must be non-negative")
-                total += float(np.sum(w))
-        if total == 0:
-            raise ValueError("weights must not all be zero")
-
-    @staticmethod
-    def _check_weights(spectrum, weights):
-        if spectrum is None:
-            return None
-        if weights is None:
-            return np.ones(len(spectrum))
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != spectrum.omega.shape:
-            raise ValueError("weights must match the spectrum length")
-        return weights
 
     def free_indices(self) -> np.ndarray:
         return np.array([PARAM_NAMES.index(n) for n in self.free])
@@ -214,17 +164,17 @@ def _one_grid(problem: FitProblem) -> bool:
 
 
 def residuals(params, problem: FitProblem) -> np.ndarray:
-    """Weighted (model - observed) stacked over the provided spectra."""
+    """(model - observed) stacked over the provided spectra."""
     vec = _as_vector(params)
     blocks = []
     if problem.intensity is not None:
         m = _model_amplitude(vec, problem.intensity.omega)
         model = vec[_BETA] ** 2 * np.abs(m) ** 2
-        blocks.append(problem.intensity_weights * (model - problem.intensity.values))
+        blocks.append(model - problem.intensity.values)
     if problem.phase is not None:
         if not _one_grid(problem):
             m = _model_amplitude(vec, problem.phase.omega)
-        blocks.append(problem.phase_weights * (np.angle(m) - problem.phase.values))
+        blocks.append(np.angle(m) - problem.phase.values)
     return np.concatenate(blocks)
 
 
@@ -236,10 +186,9 @@ def _residual_jacobian(vec: np.ndarray, problem: FitProblem, columns) -> np.ndar
     blocks = []
     if problem.intensity is not None:
         m, dm = _model_partials(vec, problem.intensity.omega)
-        m_conj, weights = m.conj(), problem.intensity_weights
-        scale = 2.0 * beta**2 * weights
+        m_conj, scale = m.conj(), 2.0 * beta**2
         blocks.append([
-            (m_conj * dm[k]).real * scale if k != _BETA else 2.0 * beta * np.abs(m) ** 2 * weights
+            (m_conj * dm[k]).real * scale if k != _BETA else 2.0 * beta * np.abs(m) ** 2
             for k in columns
         ])
     if problem.phase is not None:
@@ -248,7 +197,7 @@ def _residual_jacobian(vec: np.ndarray, problem: FitProblem, columns) -> np.ndar
             m_conj = m.conj()
         abs2 = np.abs(m) ** 2
         # np.angle(0) == 0, so the phase is flat where the amplitude vanishes
-        scale = problem.phase_weights * np.divide(1.0, abs2, out=np.zeros_like(abs2), where=abs2 > 0)
+        scale = np.divide(1.0, abs2, out=np.zeros_like(abs2), where=abs2 > 0)
         blocks.append([(m_conj * dm[k]).imag * scale if k != _BETA else np.zeros_like(abs2) for k in columns])
     # F-ordered on purpose: the LM's jacobian.T @ r rounds by memory order, and fit_report.txt with it
     return np.array([np.concatenate(rows) for rows in zip(*blocks)]).T
@@ -350,19 +299,6 @@ def _std_errors(jacobian, resid, x, bounds, free):
     return std, condition
 
 
-def local_minima(omega, values):
-    """Interior local minima refined by a three-point parabola.
-
-    Returns a list of (position, interpolated value) sorted by position;
-    a strict minimum whose three points fix no parabola (zero
-    denominator) is reported at the grid point itself.
-    """
-    omega = np.asarray(omega, dtype=float)
-    values = np.asarray(values, dtype=float)
-    xv, yv = _vertices(omega, values, _strict_minima(values))
-    return list(zip(xv.tolist(), yv.tolist()))
-
-
 def _strict_minima(values: np.ndarray) -> np.ndarray:
     """Indices of the interior points lower than both neighbours."""
     return np.flatnonzero((values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])) + 1
@@ -433,64 +369,6 @@ def _prominences(values: np.ndarray, i: np.ndarray) -> np.ndarray:
             edge = np.where(step, edge + side * h, edge)
         tops.append(top)
     return np.minimum(*tops) - dip
-
-
-def _lorentzian_dip(omega, center, fwhm, depth, baseline):
-    half = 0.5 * fwhm
-    return baseline - depth * half * half / ((omega - center) ** 2 + half * half)
-
-
-def _lorentzian_dip_partials(omega, center, fwhm, depth, baseline):
-    """Jacobian of :func:`_lorentzian_dip` in (center, fwhm, depth, baseline)."""
-    half = 0.5 * fwhm
-    offset = omega - center
-    u = 1.0 / (offset * offset + half * half)
-    return np.column_stack([
-        -2.0 * depth * half * half * offset * u * u,
-        -depth * half * offset * offset * u * u,
-        -half * half * u,
-        np.ones_like(omega),
-    ])
-
-
-def estimate_q_from_linewidth(s: Spectrum, omega_c_guess: float) -> float:
-    """Quality factor from a four-parameter Lorentzian dip fit.
-
-    Fits (center, fwhm, depth, baseline) to the spectrum and returns
-    center / fwhm. Raises :class:`NoDipError` when the fitted depth does
-    not stand at least three residual scatters above the noise.
-    """
-    omega = s.omega
-    values = np.asarray(s.values, dtype=float)
-    baseline0 = _edge_baseline(values)
-    depth0 = baseline0 - float(np.min(values))
-    span = float(omega[-1] - omega[0])
-    minima = local_minima(omega, values)
-    center0 = min(minima, key=lambda m: m[1])[0] if minima else float(omega_c_guess)
-
-    # half-depth crossing width as the linewidth starting point
-    below = omega[values < baseline0 - 0.5 * depth0]
-    fwhm0 = float(below[-1] - below[0]) if below.size >= 2 else span / 10.0
-    fwhm0 = min(max(fwhm0, float(np.min(np.diff(omega)))), span)
-
-    x0 = np.array([center0, fwhm0, max(depth0, 1e-12), baseline0 if baseline0 > 0 else 1.0])
-    lower = np.array([omega[0], float(np.min(np.diff(omega))) * 0.1, 0.0, 1e-12])
-    upper = np.array([omega[-1], 10.0 * span, 10.0 * max(baseline0, 1.0), 10.0 * max(baseline0, 1.0)])
-
-    def fun(x):
-        return _lorentzian_dip(omega, *x) - values
-
-    def jac(x):
-        return _lorentzian_dip_partials(omega, *x)
-
-    res = leastsq.levenberg_marquardt(fun, jac, x0, bounds=(lower, upper))
-    center, fwhm, depth, _ = res.x
-    scatter = max(float(np.std(res.residuals)), 1e-9 * max(baseline0, 1.0))
-    if depth < 3.0 * scatter:
-        raise NoDipError(
-            f"fitted depth {depth:.3e} below 3x residual scatter {scatter:.3e}"
-        )
-    return float(center / fwhm)
 
 
 def _dip_separation(s: Spectrum) -> float:

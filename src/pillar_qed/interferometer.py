@@ -19,7 +19,6 @@ import numpy as np
 from .scattering import Spectrum, SystemParams, reflection_amplitude
 
 __all__ = [
-    "BackgroundInversionError",
     "NoSolutionError",
     "ChannelRecord",
     "ReferenceArm",
@@ -31,7 +30,6 @@ __all__ = [
     "conditional_fringe_phase",
     "calibrate_bias",
     "apply_background",
-    "invert_background",
     "measured_intensity",
     "dip_visibility",
     "infer_background_fraction",
@@ -39,10 +37,6 @@ __all__ = [
 
 _CLAMP_TOL = 1e-9
 _BISECTION_TOL = 1e-6
-
-
-class BackgroundInversionError(ValueError):
-    """Background fraction too close to 1 to invert stably."""
 
 
 class NoSolutionError(ValueError):
@@ -216,16 +210,6 @@ def apply_background(r, bg: BackgroundModel):
     fraction of un-modematched light in the collected signal.
     """
     return bg.field + np.sqrt(1.0 - bg.fraction) * np.asarray(r, dtype=complex)
-
-
-def invert_background(m, bg: BackgroundModel):
-    """Exact algebraic inverse of :func:`apply_background`."""
-    scale = 1.0 / np.sqrt(1.0 - bg.fraction)
-    if scale > 1e6:
-        raise BackgroundInversionError(
-            f"background fraction {bg.fraction} amplifies noise by {scale:.2e}"
-        )
-    return (np.asarray(m, dtype=complex) - bg.field) * scale
 
 
 def measured_intensity(p: SystemParams, omega, bg: BackgroundModel | None = None):

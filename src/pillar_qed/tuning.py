@@ -22,7 +22,6 @@ __all__ = [
     "TuningModel",
     "TemperatureScan",
     "energies_at",
-    "crossing_temperature",
     "synthesize_scan",
     "scan_dip_positions",
     "anticrossing_gap",
@@ -56,13 +55,10 @@ class TuningModel:
 
 @dataclass(frozen=True)
 class TemperatureScan:
-    """Per-temperature intensity spectra plus the inputs that made them."""
+    """Per-temperature intensity spectra on a common grid."""
 
     temperatures: tuple
     spectra: tuple
-    params: SystemParams
-    model: TuningModel
-    background: BackgroundModel | None = None
 
     def __post_init__(self):
         temps = tuple(float(t) for t in self.temperatures)
@@ -85,13 +81,6 @@ def energies_at(m: TuningModel, t: float):
     return omega_qd, omega_c
 
 
-def crossing_temperature(m: TuningModel) -> float:
-    """Temperature at which the dot and cavity energies coincide."""
-    if m.qd_slope == m.cavity_slope:
-        raise ValueError("equal slopes never cross")
-    return m.t_ref + (m.cavity_ref - m.qd_ref) / (m.qd_slope - m.cavity_slope)
-
-
 def synthesize_scan(
     p: SystemParams,
     m: TuningModel,
@@ -111,13 +100,7 @@ def synthesize_scan(
         omega_qd, omega_c = energies_at(m, t)
         p_t = replace(p, omega_c=omega_c, omega_qd=omega_qd)
         spectra.append(Spectrum(grid, measured_intensity(p_t, grid, bg)))
-    return TemperatureScan(
-        temperatures=tuple(temperatures),
-        spectra=tuple(spectra),
-        params=p,
-        model=m,
-        background=bg,
-    )
+    return TemperatureScan(temperatures=tuple(temperatures), spectra=tuple(spectra))
 
 
 def scan_dip_positions(scan: TemperatureScan):

@@ -251,18 +251,18 @@ class TestScan:
         assert run("scan", "--out", str(tmp_path), "--set", "temperatures=") == 1
 
     def test_crossing_scan_gap_from_files(self, tmp_path):
-        from pillar_qed.estimation import local_minima
+        from pillar_qed.estimation import _strict_minima, _vertices
 
         out = tmp_path / "out"
         assert run("scan", "--out", str(out), "--set", "temperatures=20:22:9") == 0
         gaps = []
         for _, name in read_manifest_csv(out / "manifest.csv"):
             s = read_spectrum_csv(out / name)
-            minima = local_minima(s.omega, np.asarray(s.values, dtype=float))
-            if len(minima) >= 2:
-                deepest = sorted(minima, key=lambda m: m[1])[:2]
-                positions = sorted(m[0] for m in deepest)
-                gaps.append(positions[1] - positions[0])
+            values = np.asarray(s.values, dtype=float)
+            positions, depths = _vertices(s.omega, values, _strict_minima(values))
+            if positions.size >= 2:
+                deepest = sorted(positions[np.argsort(depths, kind="stable")[:2]])
+                gaps.append(deepest[1] - deepest[0])
         # default model crosses zero detuning at 21 K; minimum separation
         # there matches the dip-gap oracle
         assert min(gaps) == pytest.approx(19.9257, abs=0.05)

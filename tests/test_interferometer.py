@@ -15,17 +15,12 @@ from pillar_qed import (
     extract_phase,
     fringe_phase,
     infer_background_fraction,
-    invert_background,
     measured_intensity,
     quadrature_offset,
     reflection_amplitude,
     simulate_channels,
 )
-from pillar_qed.interferometer import (
-    BackgroundInversionError,
-    NoSolutionError,
-    calibrate_bias,
-)
+from pillar_qed.interferometer import NoSolutionError, calibrate_bias
 
 from conftest import grid_around
 
@@ -154,7 +149,6 @@ class TestBackground:
     def test_identity_at_zero(self):
         r = 0.3 + 0.2j
         assert apply_background(r, BackgroundModel(0.0)) == pytest.approx(r)
-        assert invert_background(r, BackgroundModel(0.0)) == pytest.approx(r)
 
     def test_full_background_limit(self):
         r = -0.8 + 0.1j
@@ -168,39 +162,11 @@ class TestBackground:
         m = apply_background(r, BackgroundModel(0.7))
         assert np.angle(m) == pytest.approx(0.05, abs=0.02)
 
-    @given(
-        r=amplitudes(),
-        b=st.floats(min_value=0.0, max_value=0.99),
-        bg_phase=st.floats(min_value=-np.pi, max_value=np.pi),
-    )
-    def test_round_trip(self, r, b, bg_phase):
-        bg = BackgroundModel(b, bg_phase)
-        assert invert_background(apply_background(r, bg), bg) == pytest.approx(r, abs=1e-12)
-
     @given(r=amplitudes(min_mod=0.1), b=st.floats(min_value=1e-6, max_value=0.999))
     def test_coherent_dilution_shrinks_phase(self, r, b):
         assume(abs(np.angle(r)) > 1e-12)
         m = apply_background(r, BackgroundModel(b, 0.0))
         assert abs(np.angle(m)) <= abs(np.angle(r))
-
-    def test_amplification_guard(self):
-        with pytest.raises(BackgroundInversionError):
-            invert_background(0.5 + 0j, BackgroundModel(1.0 - 1e-13))
-
-    def test_fringe_conditional_phase_recovered_by_inversion(
-        self, device_params, empty_params
-    ):
-        # forward synthesis with b = 0.7, inversion, fringe readout: the
-        # recovered conditional phase lands on the deduced 0.12 rad
-        grid = grid_around(device_params.omega_c, 100.0, 4001)
-        bg = BackgroundModel(0.7)
-        ref = calibrated_ref(0.9)
-        m_d = apply_background(reflection_amplitude(device_params, grid), bg)
-        m_c = apply_background(reflection_amplitude(empty_params, grid), bg)
-        recovered = conditional_fringe_phase(
-            invert_background(m_d, bg), invert_background(m_c, bg), ref
-        )
-        assert np.max(np.abs(recovered)) == pytest.approx(0.12, abs=0.02)
 
 
 class TestVisibility:

@@ -10,7 +10,6 @@ from pillar_qed import (
     TemperatureScan,
     TuningModel,
     anticrossing_gap,
-    crossing_temperature,
     energies_at,
     measured_intensity,
     reflectivity,
@@ -49,16 +48,13 @@ class TestEnergiesAt:
         m = TuningModel(
             qd_slope=-10.0, cavity_slope=-5.0, qd_ref=1050.0, cavity_ref=1000.0, t_ref=19.0
         )
-        assert crossing_temperature(m) == pytest.approx(29.0)
         qd, cav = energies_at(m, 29.0)
-        assert qd == pytest.approx(cav)
+        assert qd == cav
 
     def test_device_model_crossing_at_21(self):
         m = device_model()
-        t_cross = crossing_temperature(m)
-        assert t_cross == pytest.approx(21.0)
-        qd, cav = energies_at(m, t_cross)
-        assert qd == pytest.approx(cav, abs=1e-9)
+        qd, cav = energies_at(m, 21.0)
+        assert qd == cav
 
     def test_out_of_window_warns_not_fatal(self):
         m = device_model()
@@ -68,8 +64,8 @@ class TestEnergiesAt:
 
     def test_equal_slopes_never_cross(self):
         m = TuningModel(qd_slope=-3.0, cavity_slope=-3.0, qd_ref=1050.0, cavity_ref=1000.0, t_ref=19.0)
-        with pytest.raises(ValueError):
-            crossing_temperature(m)
+        detunings = {qd - cav for qd, cav in (energies_at(m, t) for t in (4.0, 19.0, 21.0, 300.0))}
+        assert detunings == {50.0}
 
 
 class TestSynthesizeScan:
@@ -214,9 +210,4 @@ class TestTemperatureScanType:
         grid = grid_around(WC, 10.0, 11)
         scan = synthesize_scan(p, m, [20.0, 21.0], grid)
         with pytest.raises(ValueError):
-            TemperatureScan(
-                temperatures=(20.0,),
-                spectra=scan.spectra,
-                params=p,
-                model=m,
-            )
+            TemperatureScan(temperatures=(20.0,), spectra=scan.spectra)
