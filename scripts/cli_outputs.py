@@ -25,6 +25,8 @@ RUNS = (
     ("fit_joint", ["fit", "{root}/synth_noisy/coupled.csv", "--phase-csv", "{root}/phase/phase.csv"]),
     ("scan", ["scan"]),
     ("design", ["design"]),
+    # 240 top-mirror rates, across the overcoupled cusp at kappa_side
+    ("design_wide", ["design", "--set", "kappa_values=0.5:120:240"]),
 )
 
 

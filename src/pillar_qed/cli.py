@@ -23,7 +23,6 @@ from . import design as design_mod
 from . import estimation, interferometer, io, tuning
 from .config import ConfigError, RunConfig, load_config_file
 from .interferometer import (
-    NoSolutionError,
     ReferenceArm,
     calibrate_bias,
     extract_phase,
@@ -49,7 +48,6 @@ _NUMERICAL_ERRORS = (
     NonConvergenceError,
     DegenerateModelError,
     estimation.UnresolvedSplittingError,
-    NoSolutionError,
     np.linalg.LinAlgError,
 )
 

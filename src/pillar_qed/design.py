@@ -75,18 +75,31 @@ def _trim(c):
     return c[np.argmax(big):]
 
 
-def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
-    """Largest conditional phase magnitude and where it occurs.
+def _real_roots(polys):
+    """``np.roots(c).real`` for each coefficient array ``c``, bit for bit.
 
-    ``r_coupled * conj(r_empty)`` has the phase of the polynomial
-    ``A = N_d conj(N_c) conj(D_d) D_c`` in the scaled offset u, since the
-    two differ by the positive factor ``|D_d D_c|^2``. The magnitude
-    therefore peaks at a root of ``Im(A)' Re(A) - Im(A) Re(A)'``, or
-    reaches pi on a root of ``Im(A)`` where ``Re(A) < 0`` (the
-    overcoupled cusp at resonance). Those roots and ``omega_c`` are
-    evaluated with :func:`relative_phase` and the largest wins, the lowest
-    energy on ties. The returned magnitude lies in [0, pi].
+    The zero stripping, float cast and companion matrices of
+    :func:`numpy.roots`, but one stacked ``eigvals`` call per size and dtype.
     """
+    roots, groups = [], {}
+    for c in map(np.asarray, polys):
+        nz = np.flatnonzero(c)
+        # trailing zeros are roots at zero, appended after the others
+        roots.append([np.zeros(0), np.zeros(c.size - 1 - nz[-1] if nz.size else 0)])
+        c = c[nz[0]:nz[-1] + 1] if nz.size else c[:0]
+        if c.size > 1:
+            groups.setdefault((c.size, c.dtype), []).append((c, roots[-1]))
+    for (n, dtype), members in groups.items():
+        coeffs = np.array([c for c, _ in members])
+        companion = np.tile(np.eye(n - 1, k=-1, dtype=np.result_type(dtype, 0.0)), (len(members), 1, 1))
+        companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
+        for (_, parts), found in zip(members, np.linalg.eigvals(companion).real):
+            parts[0] = found
+    return [np.concatenate(parts) for parts in roots]
+
+
+def _phase_polynomials(p: SystemParams, bg: BackgroundModel | None):
+    """Stationarity polynomial and ``Im(A)`` of :func:`max_conditional_phase`."""
     rates = (p.kappa_top, p.kappa_side, p.gamma, p.omega_c, p.omega_qd)
     n_d, d_d = _amplitude_coefficients(p.g, *rates)
     n_c, d_c = _amplitude_coefficients(0.0, *rates)
@@ -97,14 +110,37 @@ def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
     a = np.convolve(np.convolve(n_d, np.conj(n_c)), np.convolve(np.conj(d_d), d_c))
     re, im = _trim(a.real), _trim(a.imag)
     stationary = np.polysub(np.convolve(np.polyder(im), re), np.convolve(im, np.polyder(re)))
-    # complex roots add only their real parts: extra candidates, never a
-    # lost one when rounding lifts a real root off the axis
-    roots = np.concatenate([np.roots(_trim(stationary)), np.roots(im), [0.0]])
-    omega = p.omega_c + p.kappa_total * np.unique(roots.real)
-    empty = replace(p, g=0.0)
-    magnitudes = [abs(_relative_phase(p, empty, w, bg)) for w in omega]
-    i = int(np.argmax(magnitudes))
-    return float(magnitudes[i]), float(omega[i])
+    return _trim(stationary), im
+
+
+def _max_conditional_phases(params, bg: BackgroundModel | None = None):
+    """Yield :func:`max_conditional_phase` of each parameter set, roots found together."""
+    roots = _real_roots([c for p in params for c in _phase_polynomials(p, bg)])
+    for p, stationary, im in zip(params, roots[::2], roots[1::2]):
+        # complex roots add only their real parts: extra candidates, never
+        # a lost one when rounding lifts a real root off the axis
+        omega = p.omega_c + p.kappa_total * np.unique(np.concatenate([stationary, im, [0.0]]))
+        empty = replace(p, g=0.0)
+        magnitudes = [abs(_relative_phase(p, empty, w, bg)) for w in omega]
+        i = int(np.argmax(magnitudes))
+        yield float(magnitudes[i]), float(omega[i])
+
+
+def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
+    """Largest conditional phase magnitude and where it occurs.
+
+    ``r_coupled * conj(r_empty)`` has the phase of the polynomial
+    ``A = N_d conj(N_c) conj(D_d) D_c`` in the scaled offset u, since the
+    two differ by the positive factor ``|D_d D_c|^2``. The magnitude
+    therefore peaks at a root of ``Im(A)' Re(A) - Im(A) Re(A)'``, or
+    reaches pi on a root of ``Im(A)`` where ``Re(A) < 0`` (the
+    overcoupled cusp at resonance). Those roots and ``omega_c`` are
+    evaluated with :func:`relative_phase` and the largest wins, the lowest
+    energy on ties. The returned magnitude lies in [0, pi]. This is the
+    one-point case of :func:`sweep_kappa`: the roots come from one stacked
+    ``eigvals`` per polynomial length, identical to :func:`numpy.roots`.
+    """
+    return next(_max_conditional_phases([p], bg))
 
 
 def sweep_kappa(base: SystemParams, kappa_values) -> list:
@@ -113,22 +149,18 @@ def sweep_kappa(base: SystemParams, kappa_values) -> list:
     g, kappa_side, gamma and omega_c are held fixed and the dot sits at
     omega_c, whatever ``base.omega_qd``; output is sorted by kappa. Points
     where kappa is within 10% of 4*g are logged as matching the kappa/4 ~ g
-    guideline.
+    guideline. The phase polynomials of every kappa are built first and
+    their roots found with one stacked ``eigvals`` per polynomial length,
+    identical to :func:`numpy.roots` on each.
     """
+    kappas = sorted(float(k) for k in np.asarray(kappa_values, dtype=float))
+    params = [replace(base, kappa_top=kappa, omega_qd=base.omega_c) for kappa in kappas]
     points = []
-    for kappa in sorted(float(k) for k in np.asarray(kappa_values, dtype=float)):
-        p = replace(base, kappa_top=kappa, omega_qd=base.omega_c)
-        magnitude, argmax = max_conditional_phase(p)
+    for p, (magnitude, argmax) in zip(params, _max_conditional_phases(params)):
         refl = float(np.abs(reflection_amplitude(p, omega=p.omega_c)) ** 2)
-        point = DesignPoint(
-            params=p,
-            max_conditional_phase=magnitude,
-            argmax_omega=argmax,
-            on_resonance_reflectivity=refl,
-            feasible=magnitude > 0.5 * np.pi,
-        )
-        if abs(kappa - 4.0 * base.g) <= 0.1 * 4.0 * base.g:
-            logger.info("kappa=%.4g matches the kappa/4 ~ g guideline", kappa)
+        point = DesignPoint(p, magnitude, argmax, refl, feasible=magnitude > 0.5 * np.pi)
+        if abs(p.kappa_top - 4.0 * base.g) <= 0.1 * 4.0 * base.g:
+            logger.info("kappa=%.4g matches the kappa/4 ~ g guideline", p.kappa_top)
         points.append(point)
     return points
 

@@ -14,6 +14,7 @@ from pillar_qed import (
     relative_phase,
     sweep_kappa,
 )
+from pillar_qed.design import _real_roots
 
 from conftest import DEVICE, grid_around
 
@@ -177,6 +178,16 @@ class TestSweep:
         refl1 = abs(reflection_amplitude(scaled, WC)) ** 2
         assert refl1 == pytest.approx(refl0, abs=1e-12)
 
+    def test_batching_cannot_change_a_point(self):
+        base = SystemParams(**DEVICE)
+        kappas = np.linspace(0.5, 120.0, 47)
+        batched = sweep_kappa(base, kappas)
+        for k, point in zip(kappas, batched):
+            assert sweep_kappa(base, [k]) == [point]
+
+    def test_empty_sweep(self):
+        assert sweep_kappa(SystemParams(**DEVICE), []) == []
+
     def test_sweep_pins_zero_detuning(self):
         base = SystemParams(**DEVICE)
         kappas = [1.2, 24.7, 37.6]
@@ -192,3 +203,36 @@ class TestDesignPoint:
         with pytest.raises(ValueError):
             DesignPoint(p, max_conditional_phase=0.5, argmax_omega=WC,
                         on_resonance_reflectivity=1.5, feasible=False)
+
+
+class TestRealRoots:
+    def test_matches_np_roots_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        polys = [rng.normal(size=n) for n in range(10) for _ in range(5)]
+        polys += [rng.normal(size=n) + 1j * rng.normal(size=n) for n in (2, 5, 9)]
+        for n in range(1, 7):
+            padded = np.zeros(n + 4)
+            lead, trail = rng.integers(0, 3, size=2)
+            padded[lead:lead + n] = rng.normal(size=n)
+            polys.append(padded[: n + lead + trail])
+        polys += [
+            np.zeros(5),
+            np.zeros(1),
+            np.array([0.0, 3.0, 0.0, 0.0]),
+            np.array([1, -3, 2]),
+            np.poly([0.5, 0.5, 0.5, -1.0]),  # repeated roots
+            np.poly([1 + 2j, 1 - 2j, 0.3, -0.7 + 0.1j, -0.7 - 0.1j]),  # conjugate pairs
+            np.poly([2.0, 2.0, 1 + 1j, 1 - 1j, 0.0]),
+        ]
+        polys = [polys[i] for i in rng.permutation(len(polys))]
+        got = _real_roots(polys)
+        assert len(got) == len(polys)
+        for c, roots in zip(polys, got):
+            want = np.roots(c).real
+            assert np.array_equal(roots.view(np.uint64), want.view(np.uint64)), c
+
+    def test_degenerate_inputs(self):
+        assert _real_roots([]) == []
+        empty, zeros, constant, trailing = _real_roots([np.zeros(0), np.zeros(3), [4.0], [0.0, 3.0, 0.0, 0.0]])
+        assert empty.size == zeros.size == constant.size == 0
+        assert np.array_equal(trailing, [0.0, 0.0])

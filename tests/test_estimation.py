@@ -338,6 +338,30 @@ class TestUncertainty:
         for observed, claimed in zip(spread, typical_reported):
             assert claimed / 2 <= observed <= claimed * 2
 
+    @pytest.mark.parametrize(
+        "extra, truth_extra",
+        [((), {}), (("background",), {"background": 0.3}), (("beta_mag",), {"beta_mag": 0.9})],
+        ids=["intensity", "background", "beta_mag"],
+    )
+    def test_z_scores_have_unit_spread(self, extra, truth_extra):
+        # 40 fits at 1% multiplicative noise, each from a start 15-20% off
+        # truth: (estimate - truth) / std_error should scatter with unit
+        # standard deviation for every free parameter
+        rng = np.random.default_rng(0)
+        truth = make_guess(device(), **truth_extra)
+        grid = grid_around(DEVICE["omega_c"], 100.0, 2001)
+        clean, _ = model_spectra(np.array([truth[n] for n in PARAM_NAMES]), grid)
+        free = RATES + extra
+        z = []
+        for _ in range(40):
+            noisy = Spectrum(grid, clean * (1 + 0.01 * rng.standard_normal(grid.size)))
+            guess = {**truth, **{n: truth[n] * (1 + rng.choice([-1, 1]) * rng.uniform(0.15, 0.2)) for n in free}}
+            result = fit(FitProblem(guess=guess, intensity=noisy, free=free))
+            assert result.converged
+            z.append([(result.params[n] - truth[n]) / result.std_errors[n] for n in free])
+        spread = dict(zip(free, np.std(z, axis=0)))
+        assert all(0.7 <= s <= 1.4 for s in spread.values()), spread
+
     def test_joint_intensity_phase_matches_fit_errors(self):
         p = device()
         rng = np.random.default_rng(5)
