@@ -16,7 +16,6 @@ from .design import (
 from .estimation import (
     FitProblem,
     FitResult,
-    estimate_g_from_splitting,
     fit,
     make_guess,
     residuals,
@@ -51,6 +50,7 @@ from .tuning import (
     TuningModel,
     anticrossing_gap,
     energies_at,
+    estimate_g_from_splitting,
     scan_dip_positions,
     synthesize_scan,
 )

@@ -47,8 +47,8 @@ class NonConvergenceError(RuntimeError):
 _NUMERICAL_ERRORS = (
     NonConvergenceError,
     DegenerateModelError,
-    estimation.UnresolvedSplittingError,
     np.linalg.LinAlgError,
+    OverflowError,
 )
 
 

@@ -1,4 +1,4 @@
-"""Fit the measured-intensity/phase model to spectra; derived estimators.
+"""Fit the measured-intensity/phase model to spectra.
 
 The forward model composes the reflection amplitude with the coherent
 background admixture; intensity and phase blocks can be fit jointly or
@@ -22,13 +22,11 @@ from .scattering import Spectrum, _amplitude, _amplitude_partials
 
 __all__ = [
     "PARAM_NAMES",
-    "UnresolvedSplittingError",
     "FitProblem",
     "FitResult",
     "make_guess",
     "residuals",
     "fit",
-    "estimate_g_from_splitting",
 ]
 
 PARAM_NAMES = (
@@ -53,10 +51,6 @@ _DEFAULT_BOUNDS = {
     "background": (0.0, 0.999),
     "beta_mag": (1e-3, 10.0),
 }
-
-
-class UnresolvedSplittingError(RuntimeError):
-    """Fewer than two local minima found in the spectrum."""
 
 
 def make_guess(p, background: float = 0.0, beta_mag: float = 1.0) -> dict:
@@ -120,6 +114,8 @@ class FitProblem:
         unknown = [n for n in self.free if n not in PARAM_NAMES]
         if unknown:
             raise ValueError(f"unknown free parameters: {unknown}")
+        if len(set(self.free)) != len(self.free):
+            raise ValueError(f"free parameters repeat: {list(self.free)}")
         self.guess = {n: float(v) for n, v in self.guess.items()}
         _as_vector(self.guess)  # completeness check
 
@@ -297,99 +293,3 @@ def _std_errors(jacobian, resid, x, bounds, free):
     if at_bound:
         warnings.warn(f"parameters at bounds, errors flagged infinite: {at_bound}")
     return std, condition
-
-
-def _strict_minima(values: np.ndarray) -> np.ndarray:
-    """Indices of the interior points lower than both neighbours."""
-    return np.flatnonzero((values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])) + 1
-
-
-def _vertices(omega: np.ndarray, values: np.ndarray, i: np.ndarray):
-    """Vertex positions and values of the parabolas through the points
-    around indices ``i``; a zero denominator reports the grid point."""
-    x0, x1, x2 = omega[i - 1], omega[i], omega[i + 1]
-    y0, y1, y2 = values[i - 1], values[i], values[i + 1]
-    num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-    den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xv = x1 - 0.5 * num / den
-        # parabola value at the vertex via Lagrange form
-        yv = (
-            y0 * (xv - x1) * (xv - x2) / ((x0 - x1) * (x0 - x2))
-            + y1 * (xv - x0) * (xv - x2) / ((x1 - x0) * (x1 - x2))
-            + y2 * (xv - x0) * (xv - x1) / ((x2 - x0) * (x2 - x1))
-        )
-    return np.where(den == 0, (x1, y1), (xv, yv))
-
-
-def _prominent_dips(omega, values) -> np.ndarray:
-    """Positions of the two most prominent strict minima, ascending.
-
-    Fewer than two when fewer exist. Each is placed at its three-point
-    parabola vertex. A spectrum with at most two strict minima keeps them
-    all without computing a prominence; on a noisy one, prominence passes
-    over the wiggles inside one dip.
-    """
-    values = np.asarray(values, dtype=float)
-    i = _strict_minima(values)
-    if i.size > 2:
-        i = np.sort(i[np.argsort(-_prominences(values, i), kind="stable")[:2]])
-    xv, _ = _vertices(np.asarray(omega, dtype=float), values, i)
-    return xv
-
-
-def _prominences(values: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """Topographic prominence of the dips of ``values`` at indices ``i``.
-
-    From each dip the walk on either side continues over points no lower
-    than the dip and stops before the first strictly lower point (or at
-    the edge); the prominence is the lower of the two highest points
-    walked over, less the dip (``scipy.signal.peak_prominences`` of
-    ``-values``). All walks advance together by binary lifting over
-    power-of-two range minima and maxima.
-    """
-    n = values.size
-    lows, highs = [values], [values]  # level k: min / max of values[j : j + 2**k]
-    while 2 ** len(lows) <= n:
-        h = 2 ** (len(lows) - 1)
-        lows.append(np.minimum(lows[-1][:-h], lows[-1][h:]))
-        highs.append(np.maximum(highs[-1][:-h], highs[-1][h:]))
-    dip = values[i]
-    tops = []
-    for side in (-1, 1):
-        edge = i.copy()  # last index walked over
-        top = dip.copy()
-        for k in reversed(range(len(lows))):
-            h = 2**k
-            first = edge - h if side < 0 else edge + 1
-            inside = (first >= 0) & (first + h <= n)
-            first = np.where(inside, first, 0)
-            step = inside & (lows[k][first] >= dip)
-            top = np.where(step, np.maximum(top, highs[k][first]), top)
-            edge = np.where(step, edge + side * h, edge)
-        tops.append(top)
-    return np.minimum(*tops) - dip
-
-
-def _dip_separation(s: Spectrum) -> float:
-    """Separation of the two most prominent local minima of a spectrum.
-
-    Each minimum is placed at its three-point parabola vertex (see
-    :func:`_prominent_dips`). Raises :class:`UnresolvedSplittingError`
-    when fewer than two minima exist.
-    """
-    xv = _prominent_dips(s.omega, s.values)
-    if xv.size < 2:
-        raise UnresolvedSplittingError(f"found {xv.size} local minima, need 2")
-    return float(xv[1] - xv[0])
-
-
-def estimate_g_from_splitting(s: Spectrum) -> float:
-    """Half the separation of the two most prominent reflectivity minima.
-
-    A deliberately naive estimator: dip positions sit outside the dressed
-    state energies, so this overestimates the coupling compared with a
-    full fit. Raises :class:`UnresolvedSplittingError` when two minima
-    cannot be found.
-    """
-    return 0.5 * _dip_separation(s)

@@ -5,6 +5,10 @@ dot faster than the cavity, so raising the temperature walks the dot
 through the cavity resonance. Slopes are user-supplied; the defaults in
 the command-line config are illustrative placeholders, not measured
 coefficients.
+
+Each spectrum is read through its two most prominent reflectivity dips:
+their tracks over the scan, the anticrossing gap and a naive coupling
+estimate.
 """
 
 from __future__ import annotations
@@ -14,18 +18,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import UnresolvedSplittingError, _dip_separation, _prominent_dips
 from .interferometer import BackgroundModel, measured_intensity
 from .scattering import Spectrum, SystemParams
 
 __all__ = [
+    "UnresolvedSplittingError",
     "TuningModel",
     "TemperatureScan",
     "energies_at",
     "synthesize_scan",
     "scan_dip_positions",
     "anticrossing_gap",
+    "estimate_g_from_splitting",
 ]
+
+
+class UnresolvedSplittingError(RuntimeError):
+    """Fewer than two local minima found in the spectrum."""
 
 
 @dataclass(frozen=True)
@@ -103,13 +112,77 @@ def synthesize_scan(
     return TemperatureScan(temperatures=tuple(temperatures), spectra=tuple(spectra))
 
 
+def _strict_minima(values: np.ndarray) -> np.ndarray:
+    """Indices of the interior points lower than both neighbours."""
+    return np.flatnonzero((values[1:-1] < values[:-2]) & (values[1:-1] < values[2:])) + 1
+
+
+def _vertices(omega: np.ndarray, values: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Vertex positions of the parabolas through the points around
+    indices ``i``; a zero denominator reports the grid point."""
+    x0, x1, x2 = omega[i - 1], omega[i], omega[i + 1]
+    y0, y1, y2 = values[i - 1], values[i], values[i + 1]
+    num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
+    den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xv = x1 - 0.5 * num / den
+    return np.where(den == 0, x1, xv)
+
+
+def _prominent_dips(omega, values) -> np.ndarray:
+    """Positions of the two most prominent strict minima, ascending.
+
+    Fewer than two when fewer exist. Each is placed at its three-point
+    parabola vertex. A spectrum with at most two strict minima keeps them
+    all without computing a prominence; on a noisy one, prominence passes
+    over the wiggles inside one dip.
+    """
+    values = np.asarray(values, dtype=float)
+    i = _strict_minima(values)
+    if i.size > 2:
+        i = np.sort(i[np.argsort(-_prominences(values, i), kind="stable")[:2]])
+    return _vertices(np.asarray(omega, dtype=float), values, i)
+
+
+def _prominences(values: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Topographic prominence of the dips of ``values`` at indices ``i``.
+
+    From each dip the walk on either side continues over points no lower
+    than the dip and stops before the first strictly lower point (or at
+    the edge); the prominence is the lower of the two highest points
+    walked over, less the dip (``scipy.signal.peak_prominences`` of
+    ``-values``). All walks advance together by binary lifting over
+    power-of-two range minima and maxima.
+    """
+    n = values.size
+    lows, highs = [values], [values]  # level k: min / max of values[j : j + 2**k]
+    while 2 ** len(lows) <= n:
+        h = 2 ** (len(lows) - 1)
+        lows.append(np.minimum(lows[-1][:-h], lows[-1][h:]))
+        highs.append(np.maximum(highs[-1][:-h], highs[-1][h:]))
+    dip = values[i]
+    tops = []
+    for side in (-1, 1):
+        edge = i.copy()  # last index walked over
+        top = dip.copy()
+        for k in reversed(range(len(lows))):
+            h = 2**k
+            first = edge - h if side < 0 else edge + 1
+            inside = (first >= 0) & (first + h <= n)
+            first = np.where(inside, first, 0)
+            step = inside & (lows[k][first] >= dip)
+            top = np.where(step, np.maximum(top, highs[k][first]), top)
+            edge = np.where(step, edge + side * h, edge)
+        tops.append(top)
+    return np.minimum(*tops) - dip
+
+
 def scan_dip_positions(scan: TemperatureScan):
     """Per-temperature dip positions: list of (temperature, positions).
 
     Positions are the three-point parabola vertices of the two most
-    prominent local minima (those of :func:`anticrossing_gap`), sorted by
-    energy; temperatures where the dips are unresolved report whatever
-    minima exist (one or none).
+    prominent local minima, sorted by energy; temperatures where the dips
+    are unresolved report whatever minima exist (one or none).
     """
     out = []
     for t, s in zip(scan.temperatures, scan.spectra):
@@ -120,20 +193,29 @@ def scan_dip_positions(scan: TemperatureScan):
 def anticrossing_gap(scan: TemperatureScan) -> float:
     """Minimum dip separation over the scan (ueV).
 
-    At each temperature with at least two resolved minima, the two most
-    prominent are taken; the smallest separation across the scan is the
-    measured anticrossing gap. Raises :class:`UnresolvedSplittingError` when no
-    temperature resolves two dips. The gap is a spectral-line separation:
-    near the strong-coupling threshold the dips sit outside the dressed
-    state energies (as :func:`estimate_g_from_splitting` notes), so it is
-    larger than :func:`~pillar_qed.scattering.rabi_splitting`.
+    The smallest separation of the two dips of :func:`scan_dip_positions`
+    over the temperatures that resolve both. Raises
+    :class:`UnresolvedSplittingError` when no temperature resolves two
+    dips. The gap is a spectral-line separation: near the strong-coupling
+    threshold the dips sit outside the dressed state energies (as
+    :func:`estimate_g_from_splitting` notes), so it is larger than
+    :func:`~pillar_qed.scattering.rabi_splitting`.
     """
-    gaps = []
-    for s in scan.spectra:
-        try:
-            gaps.append(_dip_separation(s))
-        except UnresolvedSplittingError:
-            continue
+    gaps = [dips[1] - dips[0] for _, dips in scan_dip_positions(scan) if len(dips) == 2]
     if not gaps:
         raise UnresolvedSplittingError("no temperature resolves two dips")
     return float(min(gaps))
+
+
+def estimate_g_from_splitting(s: Spectrum) -> float:
+    """Half the separation of the two most prominent reflectivity minima.
+
+    A deliberately naive estimator: dip positions sit outside the dressed
+    state energies, so this overestimates the coupling compared with a
+    full fit. Raises :class:`UnresolvedSplittingError` when two minima
+    cannot be found.
+    """
+    xv = _prominent_dips(s.omega, s.values)
+    if xv.size < 2:
+        raise UnresolvedSplittingError(f"found {xv.size} local minima, need 2")
+    return 0.5 * float(xv[1] - xv[0])

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from pillar_qed import (
     BackgroundModel,
     SystemParams,
+    TemperatureScan,
+    anticrossing_gap,
     apply_background,
     max_conditional_phase,
     reflection_amplitude,
@@ -251,21 +253,16 @@ class TestScan:
         assert run("scan", "--out", str(tmp_path), "--set", "temperatures=") == 1
 
     def test_crossing_scan_gap_from_files(self, tmp_path):
-        from pillar_qed.estimation import _strict_minima, _vertices
-
         out = tmp_path / "out"
         assert run("scan", "--out", str(out), "--set", "temperatures=20:22:9") == 0
-        gaps = []
-        for _, name in read_manifest_csv(out / "manifest.csv"):
-            s = read_spectrum_csv(out / name)
-            values = np.asarray(s.values, dtype=float)
-            positions, depths = _vertices(s.omega, values, _strict_minima(values))
-            if positions.size >= 2:
-                deepest = sorted(positions[np.argsort(depths, kind="stable")[:2]])
-                gaps.append(deepest[1] - deepest[0])
+        entries = read_manifest_csv(out / "manifest.csv")
+        scan = TemperatureScan(
+            temperatures=[t for t, _ in entries],
+            spectra=[read_spectrum_csv(out / name) for _, name in entries],
+        )
         # default model crosses zero detuning at 21 K; minimum separation
         # there matches the dip-gap oracle
-        assert min(gaps) == pytest.approx(19.9257, abs=0.05)
+        assert anticrossing_gap(scan) == pytest.approx(19.9257, abs=0.05)
 
 
 class TestDesign:
@@ -414,6 +411,7 @@ class TestErrorBoundary:
             ("fit", "coupled.csv", "--set", "fit_max_iterations=-1"),
             ("design", "--set", "omega_qd=0"),
             ("scan", "--set", "omega_qd=-1"),
+            ("fit", "coupled.csv", "--set", "fit_free=g,g"),
         ],
         ids=[
             "design_kappa_zero",
@@ -426,6 +424,7 @@ class TestErrorBoundary:
             "fit_max_iterations_negative",
             "design_omega_qd_zero",
             "scan_omega_qd_negative",
+            "fit_free_repeated",
         ],
     )
     def test_invalid_value_exits_1_with_one_line(self, tmp_path, capsys, argv):
@@ -448,11 +447,26 @@ class TestErrorBoundary:
         assert capsys.readouterr().err == f"pillar-qed: error: {path}: no data rows\n"
         assert not recwarn.list
 
-    def test_numerical_value_error_still_exits_2(self, tmp_path, capsys):
-        # DegenerateModelError is a ValueError: the numerical clause must win
-        argv = ("synth", "--set", "g=0", "--set", "kappa_top=1e-320", "--set", "kappa_side=0", "--out", str(tmp_path))
-        assert run(*argv) == 2
-        assert capsys.readouterr().err == "pillar-qed: numerical failure: cavity response denominator underflow\n"
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # DegenerateModelError is a ValueError: the numerical clause must win
+            (
+                ("synth", "--set", "g=0", "--set", "kappa_top=1e-320", "--set", "kappa_side=0"),
+                "cavity response denominator underflow",
+            ),
+            # (g / kappa) ** 2 on Python floats raises OverflowError
+            (("design", "--set", "g=1e160"), None),
+        ],
+        ids=["denominator_underflow", "rate_overflow"],
+    )
+    def test_numerical_value_error_still_exits_2(self, tmp_path, capsys, argv, message):
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("pillar-qed: numerical failure: ")
+        if message is not None:
+            assert err == f"pillar-qed: numerical failure: {message}\n"
 
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)

@@ -21,16 +21,8 @@ from pillar_qed import (
     residuals,
     synthesize_scan,
 )
-from pillar_qed.estimation import (
-    PARAM_NAMES,
-    UnresolvedSplittingError,
-    _free_residuals,
-    _prominences,
-    _residual_jacobian,
-    _std_errors,
-    _strict_minima,
-    _vertices,
-)
+from pillar_qed.estimation import PARAM_NAMES, _free_residuals, _residual_jacobian, _std_errors
+from pillar_qed.tuning import UnresolvedSplittingError, _prominences, _strict_minima, _vertices
 
 from conftest import DEVICE, central_difference, grid_around, model_steps
 
@@ -250,15 +242,9 @@ def _local_minima_loop(omega, values):
             num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
             den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
             if den == 0:
-                out.append((float(x1), float(y1)))
+                out.append(float(x1))
                 continue
-            xv = x1 - 0.5 * num / den
-            yv = (
-                y0 * (xv - x1) * (xv - x2) / ((x0 - x1) * (x0 - x2))
-                + y1 * (xv - x0) * (xv - x2) / ((x1 - x0) * (x1 - x2))
-                + y2 * (xv - x0) * (xv - x1) / ((x2 - x0) * (x2 - x1))
-            )
-            out.append((float(xv), float(yv)))
+            out.append(float(x1 - 0.5 * num / den))
     return out
 
 
@@ -278,17 +264,15 @@ class TestLocalMinima:
         cases += [(scan.spectra[8].omega, with_nan)]
         for omega, values in cases:
             omega, values = np.asarray(omega, dtype=float), np.asarray(values, dtype=float)
-            xv, yv = _vertices(omega, values, _strict_minima(values))
-            assert list(zip(xv.tolist(), yv.tolist())) == _local_minima_loop(omega, values)
-        xv, yv = _vertices(np.zeros(3), np.array([1.0, 0.0, 1.0]), np.array([1]))
-        assert (xv.tolist(), yv.tolist()) == ([0.0], [0.0])
+            assert _vertices(omega, values, _strict_minima(values)).tolist() == _local_minima_loop(omega, values)
+        assert _vertices(np.zeros(3), np.array([1.0, 0.0, 1.0]), np.array([1])).tolist() == [0.0]
 
     def test_quadratic_vertex_recovered(self):
         grid = np.linspace(0.0, 10.0, 41)
         values = (grid - 4.3) ** 2
         i = _strict_minima(values)
         assert i.size == 1
-        assert _vertices(grid, values, i)[0][0] == pytest.approx(4.3, abs=1e-9)
+        assert _vertices(grid, values, i)[0] == pytest.approx(4.3, abs=1e-9)
 
     def test_no_interior_minimum(self):
         assert _strict_minima(np.linspace(0.0, 1.0, 11)).size == 0

@@ -16,7 +16,7 @@ from pillar_qed import (
     scan_dip_positions,
     synthesize_scan,
 )
-from pillar_qed.estimation import UnresolvedSplittingError
+from pillar_qed.tuning import UnresolvedSplittingError
 
 from conftest import DEVICE, grid_around
 
