@@ -4,7 +4,9 @@ Subcommands: ``synth``, ``fit``, ``phase``, ``scan``, ``design``. All
 outputs are deterministic for a fixed config and seed. Exit codes:
 0 success, 1 usage error (arguments, config, input file or model value),
 2 numerical failure; either error prints one line on stderr. The
-``PILLAR_QED_LOG`` environment variable sets the log level.
+``PILLAR_QED_LOG`` environment variable sets the log level. Each
+``cmd_*`` imports the modules that only it runs (``design``, ``estimation``,
+``tuning``), so a subcommand loads none of the others.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import design as design_mod
-from . import estimation, interferometer, io, tuning
+from . import interferometer, io
 from .config import ConfigError, RunConfig, load_config_file
 from .interferometer import (
     ReferenceArm,
@@ -161,6 +162,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import estimation
+
     cfg = _config_from_args(args)
     out = Path(args.out)
     intensity = io.read_spectrum_csv(args.intensity_csv)
@@ -210,6 +213,8 @@ def cmd_phase(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import tuning
+
     cfg = _config_from_args(args)
     out = Path(args.out)
     p = cfg.system_params()
@@ -227,9 +232,11 @@ def cmd_scan(args) -> int:
 
 
 def cmd_design(args) -> int:
+    from . import design
+
     cfg = _config_from_args(args)
     out = Path(args.out)
-    points = design_mod.sweep_kappa(cfg.system_params(), cfg.kappa_values)
+    points = design.sweep_kappa(cfg.system_params(), cfg.kappa_values)
     _write(out / "design.csv", io.write_design_csv, points)
     return EXIT_OK
 

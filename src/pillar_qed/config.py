@@ -8,12 +8,15 @@ Command-line flags override file values which override the defaults below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .interferometer import BackgroundModel, ReferenceArm, quadrature_offset
 from .scattering import SystemParams
-from .tuning import TuningModel
+
+if TYPE_CHECKING:
+    from .tuning import TuningModel
 
 __all__ = ["ConfigError", "RunConfig", "load_config_file", "parse_energy", "parse_grid"]
 
@@ -211,6 +214,9 @@ class RunConfig:
         return ReferenceArm(beta=self.beta_mag, sb_offset=offset)
 
     def tuning_model(self) -> TuningModel:
+        # imported here so that only the subcommands that tune load tuning
+        from .tuning import TuningModel
+
         return TuningModel(
             qd_slope=self.qd_slope,
             cavity_slope=self.cavity_slope,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .interferometer import BackgroundModel, apply_background
 from .scattering import (
+    DegenerateModelError,
     SystemParams,
     _amplitude_coefficients,
     principal_angle,
@@ -75,6 +76,19 @@ def _trim(c):
     return c[np.argmax(big):]
 
 
+def _sorted_unique(x):
+    """:func:`numpy.unique` of a finite 1-d array, bit for bit.
+
+    The same sort and first-of-each-run mask, without the
+    ``np.ma.is_masked`` check whose first call imports ``numpy.ma``.
+    """
+    x = np.sort(x)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _real_roots(polys):
     """``np.roots(c).real`` for each coefficient array ``c``, bit for bit.
 
@@ -115,11 +129,17 @@ def _phase_polynomials(p: SystemParams, bg: BackgroundModel | None):
 
 def _max_conditional_phases(params, bg: BackgroundModel | None = None):
     """Yield :func:`max_conditional_phase` of each parameter set, roots found together."""
-    roots = _real_roots([c for p in params for c in _phase_polynomials(p, bg)])
+    # rates whose products overflow leave inf or nan coefficients: one
+    # plain error instead of numpy's warnings and eigvals' complaint
+    with np.errstate(all="ignore"):
+        polys = [c for p in params for c in _phase_polynomials(p, bg)]
+    if polys and not np.isfinite(np.concatenate(polys)).all():
+        raise DegenerateModelError("conditional-phase polynomial coefficients are not finite")
+    roots = _real_roots(polys)
     for p, stationary, im in zip(params, roots[::2], roots[1::2]):
         # complex roots add only their real parts: extra candidates, never
         # a lost one when rounding lifts a real root off the axis
-        omega = p.omega_c + p.kappa_total * np.unique(np.concatenate([stationary, im, [0.0]]))
+        omega = p.omega_c + p.kappa_total * _sorted_unique(np.concatenate([stationary, im, [0.0]]))
         empty = replace(p, g=0.0)
         magnitudes = [abs(_relative_phase(p, empty, w, bg)) for w in omega]
         i = int(np.argmax(magnitudes))

@@ -1,14 +1,20 @@
 import contextlib
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pillar_qed
 from pillar_qed import (
     BackgroundModel,
     SystemParams,
@@ -468,6 +474,14 @@ class TestErrorBoundary:
         if message is not None:
             assert err == f"pillar-qed: numerical failure: {message}\n"
 
+    def test_overflowing_coefficients_exit_2_with_one_line(self, tmp_path, capsys, recwarn):
+        # gamma ** 2 overflows in the conditional-phase polynomials; numpy's
+        # invalid-value warning must not reach stderr before the message
+        assert run("design", "--set", "gamma=1e300", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err == "pillar-qed: numerical failure: conditional-phase polynomial coefficients are not finite\n"
+        assert not recwarn.list
+
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 _RATE = st.one_of(st.floats(0.01, 100.0), _ANY_FLOAT)
@@ -556,3 +570,43 @@ class TestUsageErrors:
 
     def test_bad_background(self, tmp_path):
         assert run("synth", "--out", str(tmp_path), "--background", "1.5") == 1
+
+
+_SRC = Path(pillar_qed.__file__).resolve().parents[1]
+
+
+def _modules_loaded_by(argv):
+    """``pillar_qed`` submodules and ``numpy.ma`` loaded by one CLI run in a
+    fresh interpreter."""
+    script = (
+        "import json, sys\n"
+        "from pillar_qed.cli import main\n"
+        f"assert main({list(argv)!r}) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.startswith('pillar_qed.') or m == 'numpy.ma')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestSubcommandImports:
+    """Each subcommand loads only the modules it runs."""
+
+    def test_design(self, tmp_path):
+        loaded = _modules_loaded_by(["design", "--out", str(tmp_path)])
+        assert "pillar_qed.design" in loaded
+        assert not loaded & {"pillar_qed.estimation", "pillar_qed.leastsq", "pillar_qed.tuning", "numpy.ma"}
+
+    def test_fit(self, tmp_path):
+        assert run("synth", "--out", str(tmp_path)) == 0
+        loaded = _modules_loaded_by(["fit", str(tmp_path / "coupled.csv"), "--out", str(tmp_path / "fit")])
+        assert "pillar_qed.estimation" in loaded
+        assert not loaded & {"pillar_qed.design", "pillar_qed.tuning"}
+
+    def test_scan(self, tmp_path):
+        loaded = _modules_loaded_by(["scan", "--out", str(tmp_path), "--set", "temperatures=19:23:3"])
+        assert "pillar_qed.tuning" in loaded
+        assert not loaded & {"pillar_qed.design", "pillar_qed.estimation", "pillar_qed.leastsq"}

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import pillar_qed
 
@@ -53,3 +59,45 @@ def test_public_surface():
         if not name.startswith("_") and not isinstance(getattr(pillar_qed, name), types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from pillar_qed import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+    assert set(pillar_qed.__all__) == PUBLIC_NAMES
+
+
+def test_bare_import_loads_no_submodule():
+    script = "import sys, pillar_qed; print(sorted(m for m in sys.modules if m.startswith('pillar_qed.')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(pillar_qed.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_names_follow_the_submodule_attribute(monkeypatch):
+    """Nothing is cached in the package, so a patched submodule attribute
+    shows through and the original is back once the patch is undone."""
+    import pillar_qed.estimation
+
+    original = pillar_qed.estimation.fit
+    assert pillar_qed.fit is original
+    sentinel = object()
+    monkeypatch.setattr(pillar_qed.estimation, "fit", sentinel)
+    assert pillar_qed.fit is sentinel
+    monkeypatch.undo()
+    assert pillar_qed.fit is original
+    assert "fit" not in vars(pillar_qed)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pillar_qed.no_such_name
+    assert not hasattr(pillar_qed, "_SystemParams")
+    from pillar_qed import design
+
+    assert isinstance(design, types.ModuleType) and design.sweep_kappa is pillar_qed.sweep_kappa
+
+
+def test_version():
+    assert pillar_qed.__version__ == "0.1.0"
