@@ -27,6 +27,7 @@ RUNS = (
     ("design", ["design"]),
     # 240 top-mirror rates, across the overcoupled cusp at kappa_side
     ("design_wide", ["design", "--set", "kappa_values=0.5:120:240"]),
+    ("design_uncoupled", ["design", "--set", "g=0"]),
 )
 
 

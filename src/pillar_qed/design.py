@@ -19,7 +19,10 @@ from .interferometer import BackgroundModel, apply_background
 from .scattering import (
     DegenerateModelError,
     SystemParams,
-    _amplitude_coefficients,
+    _coefficient_rows,
+    _polymul,
+    _real_roots,
+    _trim,
     principal_angle,
     reflection_amplitude,
 )
@@ -70,12 +73,6 @@ def relative_phase(p: SystemParams, omega, bg: BackgroundModel | None = None):
     return _relative_phase(p, replace(p, g=0.0), omega, bg)
 
 
-def _trim(c):
-    """Drop leading coefficients that cancelled to rounding noise."""
-    big = np.abs(c) >= 1e-12 * np.max(np.abs(c))
-    return c[np.argmax(big):]
-
-
 def _sorted_unique(x):
     """:func:`numpy.unique` of a finite 1-d array, bit for bit.
 
@@ -89,52 +86,40 @@ def _sorted_unique(x):
     return x[keep]
 
 
-def _real_roots(polys):
-    """``np.roots(c).real`` for each coefficient array ``c``, bit for bit.
-
-    The zero stripping, float cast and companion matrices of
-    :func:`numpy.roots`, but one stacked ``eigvals`` call per size and dtype.
-    """
-    roots, groups = [], {}
-    for c in map(np.asarray, polys):
-        nz = np.flatnonzero(c)
-        # trailing zeros are roots at zero, appended after the others
-        roots.append([np.zeros(0), np.zeros(c.size - 1 - nz[-1] if nz.size else 0)])
-        c = c[nz[0]:nz[-1] + 1] if nz.size else c[:0]
-        if c.size > 1:
-            groups.setdefault((c.size, c.dtype), []).append((c, roots[-1]))
-    for (n, dtype), members in groups.items():
-        coeffs = np.array([c for c, _ in members])
-        companion = np.tile(np.eye(n - 1, k=-1, dtype=np.result_type(dtype, 0.0)), (len(members), 1, 1))
-        companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
-        for (_, parts), found in zip(members, np.linalg.eigvals(companion).real):
-            parts[0] = found
-    return [np.concatenate(parts) for parts in roots]
-
-
-def _phase_polynomials(p: SystemParams, bg: BackgroundModel | None):
-    """Stationarity polynomial and ``Im(A)`` of :func:`max_conditional_phase`."""
-    rates = (p.kappa_top, p.kappa_side, p.gamma, p.omega_c, p.omega_qd)
-    n_d, d_d = _amplitude_coefficients(p.g, *rates)
-    n_c, d_c = _amplitude_coefficients(0.0, *rates)
-    if bg is not None:
-        scale = np.sqrt(1.0 - bg.fraction)
-        n_d = np.polyadd(bg.field * d_d, scale * n_d)
-        n_c = np.polyadd(bg.field * d_c, scale * n_c)
-    a = np.convolve(np.convolve(n_d, np.conj(n_c)), np.convolve(np.conj(d_d), d_c))
-    re, im = _trim(a.real), _trim(a.imag)
-    stationary = np.polysub(np.convolve(np.polyder(im), re), np.convolve(im, np.polyder(re)))
-    return _trim(stationary), im
-
-
 def _max_conditional_phases(params, bg: BackgroundModel | None = None):
-    """Yield :func:`max_conditional_phase` of each parameter set, roots found together."""
+    """Yield :func:`max_conditional_phase` of each parameter set.
+
+    The polynomials of all sets are built together, one stacked shifted add
+    per coefficient, and grouped by the trimmed lengths of ``Re(A)`` and
+    ``Im(A)`` for the stationarity step; the roots are found together.
+    """
+    fields = ("g", "kappa_top", "kappa_side", "gamma", "omega_c", "omega_qd")
+    rates = np.array([[getattr(p, name) for p in params] for name in fields], dtype=float)
     # rates whose products overflow leave inf or nan coefficients: one
     # plain error instead of numpy's warnings and eigvals' complaint
     with np.errstate(all="ignore"):
-        polys = [c for p in params for c in _phase_polynomials(p, bg)]
-    if polys and not np.isfinite(np.concatenate(polys)).all():
-        raise DegenerateModelError("conditional-phase polynomial coefficients are not finite")
+        n_d, d_d = _coefficient_rows(*rates)
+        n_c, d_c = (c[:, 1:] for c in _coefficient_rows(np.zeros_like(rates[0]), *rates[1:]))
+        if bg is not None:
+            scale = np.sqrt(1.0 - bg.fraction)
+            n_d = bg.field * d_d + scale * n_d
+            n_c = bg.field * d_c + scale * n_c
+        a = _polymul(_polymul(n_d, n_c.conj()), _polymul(d_d.conj(), d_c))
+        groups = {}
+        for row, key in enumerate(zip(_trim(a.real).tolist(), _trim(a.imag).tolist())):
+            groups.setdefault(key, []).append(row)
+        polys, finite = [None] * (2 * len(params)), np.isfinite(a).all(axis=1)
+        for (i_re, i_im), rows in groups.items():
+            re, im = a.real[rows, i_re:], a.imag[rows, i_im:]
+            d_re, d_im = (c[:, :-1] * np.arange(c.shape[1] - 1, 0, -1) for c in (re, im))  # polyder
+            stationary = _polymul(d_im, re) - _polymul(im, d_re)
+            finite[rows] &= np.isfinite(stationary).all(axis=1)
+            for row, s, lead, c in zip(rows, stationary, _trim(stationary), im):
+                polys[2 * row:2 * row + 2] = s[lead:], c
+    if not finite.all():
+        p = params[int(np.argmin(finite))]
+        named = ", ".join(f"{name}={getattr(p, name)!r}" for name in fields[:4])
+        raise DegenerateModelError(f"conditional-phase polynomial coefficients are not finite at {named}")
     roots = _real_roots(polys)
     for p, stationary, im in zip(params, roots[::2], roots[1::2]):
         # complex roots add only their real parts: extra candidates, never
@@ -157,8 +142,8 @@ def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
     overcoupled cusp at resonance). Those roots and ``omega_c`` are
     evaluated with :func:`relative_phase` and the largest wins, the lowest
     energy on ties. The returned magnitude lies in [0, pi]. This is the
-    one-point case of :func:`sweep_kappa`: the roots come from one stacked
-    ``eigvals`` per polynomial length, identical to :func:`numpy.roots`.
+    one-row case of :func:`sweep_kappa`'s batched polynomial builder; the
+    roots are those of :func:`numpy.roots`, bit for bit.
     """
     return next(_max_conditional_phases([p], bg))
 
@@ -169,9 +154,9 @@ def sweep_kappa(base: SystemParams, kappa_values) -> list:
     g, kappa_side, gamma and omega_c are held fixed and the dot sits at
     omega_c, whatever ``base.omega_qd``; output is sorted by kappa. Points
     where kappa is within 10% of 4*g are logged as matching the kappa/4 ~ g
-    guideline. The phase polynomials of every kappa are built first and
-    their roots found with one stacked ``eigvals`` per polynomial length,
-    identical to :func:`numpy.roots` on each.
+    guideline. The phase polynomials of every kappa are built in one pass
+    over rate arrays, and their roots found with one stacked ``eigvals``
+    per polynomial length.
     """
     kappas = sorted(float(k) for k in np.asarray(kappa_values, dtype=float))
     params = [replace(base, kappa_top=kappa, omega_qd=base.omega_c) for kappa in kappas]

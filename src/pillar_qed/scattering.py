@@ -205,23 +205,62 @@ def _amplitude_partials(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omeg
     return r, (dg, 0.5 * loss - q, 0.5 * loss, -0.5 * coupling, 1j * loss, -1j * coupling)
 
 
-def _amplitude_coefficients(g, kappa_top, kappa_side, gamma, omega_c, omega_qd):
-    """Numerator and denominator of :func:`_amplitude` as polynomials.
+def _coefficient_rows(g, kappa_top, kappa_side, gamma, omega_c, omega_qd):
+    """Numerators and denominators of :func:`_amplitude`, one row per rate set.
 
-    Returns complex coefficient arrays ``(num, den)``, highest power
-    first, in the scaled offset ``u = (omega - omega_c) / (kappa_top +
-    kappa_side)``, so that ``r = polyval(num, u) / polyval(den, u)``.
-    Scaling by the total cavity loss keeps the coefficients of order one
-    at any absolute energy. ``g == 0`` gives the cancelled empty-cavity
-    form, as in :func:`_amplitude`.
+    Takes one array per rate and returns complex ``(K, 3)`` arrays ``(num,
+    den)``, highest power first, in the scaled offset ``u = (omega -
+    omega_c) / (kappa_top + kappa_side)``: ``r = polyval(num[i], u) /
+    polyval(den[i], u)``. The scaling keeps the coefficients of order one at
+    any absolute energy. ``g == 0`` rows hold the cancelled empty-cavity form
+    of :func:`_amplitude`, degree 1 behind a leading zero.
     """
     k = kappa_top + kappa_side
-    d_c = np.array([-1j, 0.5])
-    if g == 0:
-        return np.polysub(d_c, [kappa_top / k]), d_c
-    d_qd = np.array([-1j, (1j * (omega_qd - omega_c) + 0.5 * gamma) / k])
-    den = np.polyadd(np.convolve(d_qd, d_c), [(g / k) ** 2])
-    return np.polysub(den, kappa_top / k * d_qd), den
+    t = kappa_top / k
+    q = 0.5 * gamma / k + 1j * ((omega_qd - omega_c) / k)  # d_qd = -i u + q
+    den = np.stack([np.full_like(q, -1.0), -1j * q - 0.5j, 0.5 * q + (g / k) ** 2], axis=1)
+    num = den + np.stack([np.zeros_like(q), 1j * t, -t * q], axis=1)
+    empty = g == 0
+    num[empty] = den[empty] = [0.0, -1j, 0.5]
+    num[empty, 2] -= t[empty]
+    return num, den
+
+
+def _polymul(a, b):
+    """Row-wise products of stacked polynomials ``a`` (K, m) and ``b`` (K, n)."""
+    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1), dtype=np.result_type(a, b))
+    for i in range(a.shape[1]):
+        out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
+    return out
+
+
+def _trim(rows):
+    """Per row, the index of the first coefficient that did not cancel to rounding noise."""
+    size = np.abs(rows)
+    return np.argmax(size >= 1e-12 * size.max(axis=1, keepdims=True), axis=1)
+
+
+def _real_roots(polys):
+    """``np.roots(c).real`` for each coefficient array ``c``, bit for bit.
+
+    The zero stripping, float cast and companion matrices of
+    :func:`numpy.roots`, but one stacked ``eigvals`` call per size and dtype.
+    """
+    roots, groups = [], {}
+    for c in map(np.asarray, polys):
+        nz = np.flatnonzero(c)
+        # trailing zeros are roots at zero, appended after the others
+        roots.append([np.zeros(0), np.zeros(c.size - 1 - nz[-1] if nz.size else 0)])
+        c = c[nz[0]:nz[-1] + 1] if nz.size else c[:0]
+        if c.size > 1:
+            groups.setdefault((c.size, c.dtype), []).append((c, roots[-1]))
+    for (n, dtype), members in groups.items():
+        coeffs = np.array([c for c, _ in members])
+        companion = np.tile(np.eye(n - 1, k=-1, dtype=np.result_type(dtype, 0.0)), (len(members), 1, 1))
+        companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
+        for (_, parts), found in zip(members, np.linalg.eigvals(companion).real):
+            parts[0] = found
+    return [np.concatenate(parts) for parts in roots]
 
 
 def principal_angle(z):

@@ -43,6 +43,7 @@ from conftest import DEVICE
 
 WC = DEVICE["omega_c"]
 GRID = np.linspace(WC - 100.0, WC + 100.0, 2001)
+NOT_FINITE = "conditional-phase polynomial coefficients are not finite"
 
 
 def run(*argv):
@@ -461,15 +462,19 @@ class TestErrorBoundary:
                 ("synth", "--set", "g=0", "--set", "kappa_top=1e-320", "--set", "kappa_side=0"),
                 "cavity response denominator underflow",
             ),
-            # (g / kappa) ** 2 on Python floats raises OverflowError
-            (("design", "--set", "g=1e160"), None),
+            # (g / kappa) ** 2 overflows in the conditional-phase polynomials:
+            # the first sweep row that overflows is named, never the errno
+            # tuple of a Python-float OverflowError
+            (("design", "--set", "g=1e160"), f"{NOT_FINITE} at g=1e+160, kappa_top=2.0, kappa_side=24.7, gamma=5.0"),
+            (("design", "--set", "g=1e200"), f"{NOT_FINITE} at g=1e+200, kappa_top=2.0, kappa_side=24.7, gamma=5.0"),
+            (("design", "--set", "gamma=1e300"), f"{NOT_FINITE} at g=9.4, kappa_top=2.0, kappa_side=24.7, gamma=1e+300"),
         ],
-        ids=["denominator_underflow", "rate_overflow"],
+        ids=["denominator_underflow", "rate_overflow", "g_overflow_named", "gamma_overflow_named"],
     )
     def test_numerical_value_error_still_exits_2(self, tmp_path, capsys, argv, message):
         assert run(*argv, "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "(34," not in err
         assert len(err.splitlines()) == 1 and err.startswith("pillar-qed: numerical failure: ")
         if message is not None:
             assert err == f"pillar-qed: numerical failure: {message}\n"
@@ -479,7 +484,7 @@ class TestErrorBoundary:
         # invalid-value warning must not reach stderr before the message
         assert run("design", "--set", "gamma=1e300", "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
-        assert err == "pillar-qed: numerical failure: conditional-phase polynomial coefficients are not finite\n"
+        assert err == f"pillar-qed: numerical failure: {NOT_FINITE} at g=9.4, kappa_top=2.0, kappa_side=24.7, gamma=1e+300\n"
         assert not recwarn.list
 
 

@@ -15,7 +15,8 @@ from pillar_qed import (
     sweep_kappa,
 )
 from pillar_qed import design
-from pillar_qed.design import _real_roots, _sorted_unique
+from pillar_qed.design import _sorted_unique
+from pillar_qed.scattering import _real_roots
 
 from conftest import DEVICE, grid_around
 
@@ -25,6 +26,65 @@ WC = DEVICE["omega_c"]
 COND_MAX_INTRINSIC = 0.0606878937
 COND_MAX_OFFSET = -6.2105
 COND_MAX_BG07 = 0.0229739
+
+
+def _amplitude_coefficients(g, kappa_top, kappa_side, gamma, omega_c, omega_qd):
+    """Numerator and denominator of the amplitude as polynomials in the scaled
+    offset, one parameter set at a time (the oracle of the batched builder)."""
+    k = kappa_top + kappa_side
+    d_c = np.array([-1j, 0.5])
+    if g == 0:
+        return np.polysub(d_c, [kappa_top / k]), d_c
+    d_qd = np.array([-1j, (1j * (omega_qd - omega_c) + 0.5 * gamma) / k])
+    den = np.polyadd(np.convolve(d_qd, d_c), [(g / k) ** 2])
+    return np.polysub(den, kappa_top / k * d_qd), den
+
+
+def _trim(c):
+    """Drop leading coefficients that cancelled to rounding noise."""
+    big = np.abs(c) >= 1e-12 * np.max(np.abs(c))
+    return c[np.argmax(big):]
+
+
+def _phase_polynomials(p, bg):
+    """Stationarity polynomial and ``Im(A)`` of one parameter set."""
+    rates = (p.kappa_top, p.kappa_side, p.gamma, p.omega_c, p.omega_qd)
+    n_d, d_d = _amplitude_coefficients(p.g, *rates)
+    n_c, d_c = _amplitude_coefficients(0.0, *rates)
+    if bg is not None:
+        scale = np.sqrt(1.0 - bg.fraction)
+        n_d = np.polyadd(bg.field * d_d, scale * n_d)
+        n_c = np.polyadd(bg.field * d_c, scale * n_c)
+    a = np.convolve(np.convolve(n_d, np.conj(n_c)), np.convolve(np.conj(d_d), d_c))
+    re, im = _trim(a.real), _trim(a.imag)
+    stationary = np.polysub(np.convolve(np.polyder(im), re), np.convolve(im, np.polyder(re)))
+    return _trim(stationary), im
+
+
+def oracle_max_conditional_phase(p, bg=None):
+    """max_conditional_phase through the per-point coefficient chain."""
+    stationary, im = _real_roots(_phase_polynomials(p, bg))
+    omega = p.omega_c + p.kappa_total * np.unique(np.concatenate([stationary, im, [0.0]]))
+    magnitudes = [abs(relative_phase(p, w, bg)) for w in omega]
+    i = int(np.argmax(magnitudes))
+    return float(magnitudes[i]), float(omega[i])
+
+
+def oracle_sweep(base, kappas):
+    points = []
+    for kappa in sorted(float(k) for k in kappas):
+        p = replace(base, kappa_top=kappa, omega_qd=base.omega_c)
+        magnitude, argmax = oracle_max_conditional_phase(p)
+        refl = float(np.abs(reflection_amplitude(p, p.omega_c)) ** 2)
+        points.append(DesignPoint(p, magnitude, argmax, refl, magnitude > 0.5 * np.pi))
+    return points
+
+
+def bits(points):
+    """Every float field of a list of design points, as raw bits."""
+    return np.array([
+        (pt.max_conditional_phase, pt.argmax_omega, pt.on_resonance_reflectivity) for pt in points
+    ]).view(np.uint64)
 
 
 def inline_amplitude(g, kap, ks, gam, wc, wqd, w):
@@ -193,6 +253,75 @@ class TestSweep:
         base = SystemParams(**DEVICE)
         kappas = [1.2, 24.7, 37.6]
         assert sweep_kappa(replace(base, omega_qd=base.omega_c + 5.0), kappas) == sweep_kappa(base, kappas)
+
+
+class TestBatchedPolynomials:
+    """The batched coefficient builder against the per-point chain: the
+    coefficients may differ in their last bits, the sweep outputs may not."""
+
+    def test_sweeps_match_per_point_chain(self):
+        rng = np.random.default_rng(15)
+        kappas = np.linspace(2.0, 60.0, 30)
+        bases = [
+            SystemParams(**{k: v * rng.uniform(0.8, 1.2) for k, v in DEVICE.items()})
+            for _ in range(100)
+        ]
+        bases += [
+            SystemParams(
+                g=rng.uniform(0.01, 60.0), kappa_top=1.0, kappa_side=rng.uniform(0.0, 80.0),
+                gamma=rng.uniform(0.0, 30.0), omega_c=WC * rng.uniform(0.5, 1.5),
+            )
+            for _ in range(100)
+        ]
+        for base in bases:
+            got, want = sweep_kappa(base, kappas), oracle_sweep(base, kappas)
+            assert got == want and np.array_equal(bits(got), bits(want)), base
+
+    def test_wide_sweeps_match_per_point_chain(self):
+        rng = np.random.default_rng(16)
+        kappas = np.linspace(0.05, 200.0, 240)
+        bases = [SystemParams(**DEVICE)] + [
+            SystemParams(
+                g=rng.uniform(0.01, 60.0), kappa_top=1.0, kappa_side=rng.uniform(0.0, 80.0),
+                gamma=rng.uniform(0.0, 30.0), omega_c=WC,
+            )
+            for _ in range(3)
+        ]
+        for base in bases:
+            got, want = sweep_kappa(base, kappas), oracle_sweep(base, kappas)
+            assert got == want and np.array_equal(bits(got), bits(want)), base
+
+    def test_detuned_points_with_background_match_per_point_chain(self):
+        """Detuned or under a background, Im(A) can be so small beside Re(A)
+        that its trim keeps rounding noise, and a root then follows the last
+        bits of the coefficients: about 1 point in 250 moves its argmax by up
+        to 3e-8 kappa_total. Every other point is equal bit for bit."""
+        rng = np.random.default_rng(17)
+        exact = 0
+        for _ in range(200):
+            p = SystemParams(
+                g=rng.uniform(0.01, 60.0), kappa_top=rng.uniform(0.05, 100.0),
+                kappa_side=rng.uniform(0.0, 80.0), gamma=rng.uniform(0.0, 30.0),
+                omega_c=WC, omega_qd=WC + rng.uniform(-40.0, 40.0),
+            )
+            bg = BackgroundModel(rng.uniform(0.0, 0.95), rng.uniform(-np.pi, np.pi)) if rng.random() < 0.7 else None
+            got, want = max_conditional_phase(p, bg), oracle_max_conditional_phase(p, bg)
+            exact += np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+            assert got[0] == pytest.approx(want[0], rel=1e-9, abs=0.0), (p, bg)
+            assert abs(got[1] - want[1]) <= 1e-6 * p.kappa_total, (p, bg)
+            assert abs(relative_phase(p, got[1], bg)) == got[0]
+        assert exact >= 196
+
+    def test_uncoupled_sweep_peaks_at_resonance(self):
+        rng = np.random.default_rng(18)
+        kappas = np.linspace(0.05, 200.0, 240)
+        for base in [SystemParams(**DEVICE)] + [
+            SystemParams(**{k: v * rng.uniform(0.8, 1.2) for k, v in DEVICE.items()}) for _ in range(5)
+        ]:
+            base = replace(base, g=0.0)
+            points = sweep_kappa(base, kappas)
+            assert [(pt.max_conditional_phase, pt.argmax_omega) for pt in points] == [(0.0, base.omega_c)] * 240
+            assert points == oracle_sweep(base, kappas)
 
 
 class TestDesignPoint:

@@ -114,22 +114,25 @@ class TestReflectionAmplitude:
             _amplitude(0.0, 1e-320, 0.0, 0.0, 1000.0, 1000.0, 1000.0)
 
     def test_polynomial_coefficients_reproduce_amplitude(self):
-        from pillar_qed.scattering import _amplitude, _amplitude_coefficients
+        from pillar_qed.scattering import _amplitude, _coefficient_rows
 
         rng = np.random.default_rng(3)
+        rates = np.array([
+            (g, rng.uniform(0.05, 60.0), rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0), wc, wc + rng.uniform(-30.0, 30.0))
+            for g, wc in zip(rng.uniform(0.0, 50.0, size=300), rng.uniform(1e3, 2e6, size=300))
+        ])
+        rates[::3, 0] = 0.0  # the cancelled empty-cavity rows
+        num, den = _coefficient_rows(*rates.T)
+        assert num.shape == den.shape == (300, 3)
+        assert np.all(num[::3, 0] == 0) and np.all(den[::3, 0] == 0)
         worst = 0.0
-        for _ in range(300):
-            g, kap = rng.uniform(0.0, 50.0), rng.uniform(0.05, 60.0)
-            ks, gam = rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)
-            wc = rng.uniform(1e3, 2e6)
-            wqd = wc + rng.uniform(-30.0, 30.0)
+        for row, n, d in zip(rates, num, den):
+            g, kap, ks, gam, wc, wqd = row
             omega = wc + rng.uniform(-200.0, 200.0, size=64)
             u = (omega - wc) / (kap + ks)
-            for coupling in (g, 0.0):
-                num, den = _amplitude_coefficients(coupling, kap, ks, gam, wc, wqd)
-                expected = _amplitude(coupling, kap, ks, gam, wc, wqd, omega)
-                r = np.polyval(num, u) / np.polyval(den, u)
-                worst = max(worst, np.max(np.abs(r - expected)))
+            expected = _amplitude(g, kap, ks, gam, wc, wqd, omega)
+            r = np.polyval(n, u) / np.polyval(d, u)
+            worst = max(worst, np.max(np.abs(r - expected)))
         assert worst <= 1e-12
 
     def test_partials_match_central_difference(self):

@@ -66,7 +66,8 @@ def test_cli_outputs_tree(tmp_path):
     synth = ["channels_coupled.csv", "channels_empty.csv", "coupled.csv", "empty.csv"]
     temperatures = [f"{19.0 + 0.25 * k:.4f}" for k in range(17)]
     assert files == sorted(
-        ["design/design.csv", "design_wide/design.csv", "fit/fit_report.txt", "fit_joint/fit_report.txt"]
+        ["design/design.csv", "design_wide/design.csv", "design_uncoupled/design.csv"]
+        + ["fit/fit_report.txt", "fit_joint/fit_report.txt"]
         + ["phase/phase.csv", "phase_edges/phase.csv", "phase_noisy/phase.csv"]
         + ["scan/manifest.csv", "scan/scan_config.txt"]
         + [f"scan/scan_T{t}K.csv" for t in temperatures]
