@@ -47,7 +47,6 @@ _EXPORTS = {
         "Spectrum",
         "SystemParams",
         "coupling_regime",
-        "phase",
         "polariton_eigenvalues",
         "q_factor",
         "rabi_splitting",
@@ -58,8 +57,6 @@ _EXPORTS = {
         "TemperatureScan",
         "TuningModel",
         "anticrossing_gap",
-        "energies_at",
-        "estimate_g_from_splitting",
         "scan_dip_positions",
         "synthesize_scan",
     ),

@@ -200,13 +200,13 @@ def cmd_phase(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if args.calibrate_edges:
-            zero_bias = ReferenceArm(beta=1.0, sb_offset=quadrature_offset(1.0))
-            phases = extract_phase(rec, zero_bias) - calibrate_bias(rec)
+            # the zero-bias arm's bias is exactly 0.0: raw is the bare fringe angle
+            raw = extract_phase(rec, ReferenceArm(beta=1.0, sb_offset=quadrature_offset(1.0)))
+            phases = raw - calibrate_bias(raw)
         else:
             phases = extract_phase(rec, cfg.reference_arm())
-    clamped = sum(1 for w in caught if "clamping" in str(w.message))
-    if clamped:
-        logger.warning("%d channel rows clamped during phase extraction", clamped)
+    for w in caught:
+        logger.warning("%s", w.message)
 
     _write(out / "phase.csv", io.write_spectrum_csv, Spectrum(rec.omega, phases))
     return EXIT_OK
@@ -217,15 +217,20 @@ def cmd_scan(args) -> int:
 
     cfg = _config_from_args(args)
     out = Path(args.out)
+    # file names round to 0.1 mK: refuse temperatures that would share one
+    files = {}
+    for t in cfg.temperatures.tolist():
+        name = f"scan_T{t:.4f}K.csv"
+        if name in files:
+            raise ConfigError(f"temperatures {files[name]!r} K and {t!r} K both write {name}")
+        files[name] = t
     p = cfg.system_params()
     bg = cfg.background_model()
     scan = tuning.synthesize_scan(p, cfg.tuning_model(), cfg.temperatures, cfg.grid, bg)
 
-    entries = []
-    for t, spectrum in zip(scan.temperatures, scan.spectra):
-        name = f"scan_T{t:.4f}K.csv"
+    entries = list(zip(scan.temperatures, files))
+    for (_, name), spectrum in zip(entries, scan.spectra):
         _write(out / name, io.write_spectrum_csv, spectrum)
-        entries.append((t, name))
     _write(out / "manifest.csv", io.write_manifest_csv, entries)
     _write(out / "scan_config.txt", io.write_report, dict(cfg.raw))
     return EXIT_OK

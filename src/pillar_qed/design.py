@@ -45,13 +45,17 @@ class DesignPoint:
     max_conditional_phase: float
     argmax_omega: float
     on_resonance_reflectivity: float
-    feasible: bool
 
     def __post_init__(self):
         if not (0.0 <= self.max_conditional_phase <= np.pi + 1e-12):
             raise ValueError("max conditional phase must lie in [0, pi]")
         if not (0.0 <= self.on_resonance_reflectivity <= 1.0 + 1e-12):
             raise ValueError("reflectivity must lie in [0, 1]")
+
+    @property
+    def feasible(self) -> bool:
+        """True iff the maximal conditional phase exceeds pi/2."""
+        return self.max_conditional_phase > 0.5 * np.pi
 
 
 def _relative_phase(p: SystemParams, empty: SystemParams, omega, bg: BackgroundModel | None):
@@ -105,8 +109,9 @@ def _max_conditional_phases(params, bg: BackgroundModel | None = None):
             n_d = bg.field * d_d + scale * n_d
             n_c = bg.field * d_c + scale * n_c
         a = _polymul(_polymul(n_d, n_c.conj()), _polymul(d_d.conj(), d_c))
-        groups = {}
-        for row, key in enumerate(zip(_trim(a.real).tolist(), _trim(a.imag).tolist())):
+        # both parts trim against |A|: a tiny Im(A) keeps no noise as its lead
+        groups, size = {}, np.abs(a).max(axis=1)
+        for row, key in enumerate(zip(_trim(a.real, size).tolist(), _trim(a.imag, size).tolist())):
             groups.setdefault(key, []).append(row)
         polys, finite = [None] * (2 * len(params)), np.isfinite(a).all(axis=1)
         for (i_re, i_im), rows in groups.items():
@@ -114,7 +119,8 @@ def _max_conditional_phases(params, bg: BackgroundModel | None = None):
             d_re, d_im = (c[:, :-1] * np.arange(c.shape[1] - 1, 0, -1) for c in (re, im))  # polyder
             stationary = _polymul(d_im, re) - _polymul(im, d_re)
             finite[rows] &= np.isfinite(stationary).all(axis=1)
-            for row, s, lead, c in zip(rows, stationary, _trim(stationary), im):
+            leads = _trim(stationary, np.abs(stationary).max(axis=1))
+            for row, s, lead, c in zip(rows, stationary, leads, im):
                 polys[2 * row:2 * row + 2] = s[lead:], c
     if not finite.all():
         p = params[int(np.argmin(finite))]
@@ -163,13 +169,12 @@ def sweep_kappa(base: SystemParams, kappa_values) -> list:
     points = []
     for p, (magnitude, argmax) in zip(params, _max_conditional_phases(params)):
         refl = float(np.abs(reflection_amplitude(p, omega=p.omega_c)) ** 2)
-        point = DesignPoint(p, magnitude, argmax, refl, feasible=magnitude > 0.5 * np.pi)
+        points.append(DesignPoint(p, magnitude, argmax, refl))
         if abs(p.kappa_top - 4.0 * base.g) <= 0.1 * 4.0 * base.g:
             logger.info("kappa=%.4g matches the kappa/4 ~ g guideline", p.kappa_top)
-        points.append(point)
     return points
 
 
 def interface_feasible(point: DesignPoint) -> bool:
-    """True iff the maximal conditional phase exceeds pi/2."""
-    return point.max_conditional_phase > 0.5 * np.pi
+    """:attr:`DesignPoint.feasible`: the maximal conditional phase exceeds pi/2."""
+    return point.feasible

@@ -142,14 +142,17 @@ def simulate_channels(r, ref: ReferenceArm, omega=0.0) -> ChannelRecord:
 
 
 def _normalized_fringe(rec: ChannelRecord, scale: float):
-    """``(d - a) / (scale * sqrt(h*v))``, clamped to [-1, 1] with a warning."""
+    """``(d - a) / (scale * sqrt(h*v))``, clamped to [-1, 1] with one warning
+    that counts the rows beyond 1 + 1e-9."""
     if np.any(np.asarray(rec.h) <= 0) or np.any(np.asarray(rec.v) <= 0):
         raise ValueError("phase extraction requires h > 0 and v > 0")
     s = (rec.d - rec.a) / (scale * np.sqrt(rec.h * rec.v))
-    over = np.max(np.abs(s)) - 1.0
-    if over > _CLAMP_TOL:
+    over = np.abs(s) - 1.0
+    clamped = np.count_nonzero(over > _CLAMP_TOL)
+    if clamped:
         warnings.warn(
-            f"inconsistent channel record: normalized fringe exceeds 1 by {over:.3e}, clamping"
+            f"inconsistent channel record: {clamped} channel rows have a normalized"
+            f" fringe beyond 1 (by up to {np.max(over):.3e}), clamping"
         )
     return np.clip(s, -1.0, 1.0)
 
@@ -190,17 +193,18 @@ def conditional_fringe_phase(r_coupled, r_empty, ref: ReferenceArm):
     return fringe_phase(rec_c) - fringe_phase(rec_e)
 
 
-def calibrate_bias(rec: ChannelRecord) -> float:
+def calibrate_bias(raw_phase) -> float:
     """Estimate the residual bias from the far-detuned edges of a scan.
 
-    Takes the median of the extracted raw phase over the outer decile of
+    ``raw_phase`` is :func:`extract_phase` of a gridded record through a
+    zero-bias reference arm. Returns its median over the outer decile of
     grid points on each side, where the signal phase is near zero. The
     estimate carries the residual reflection phase at the window edges.
     """
-    h = np.asarray(rec.h, dtype=float)
-    if h.ndim != 1 or h.size < 5:
+    raw_phase = np.asarray(raw_phase, dtype=float)
+    if raw_phase.ndim != 1 or raw_phase.size < 5:
         raise ValueError("edge calibration needs a gridded record with >= 5 points")
-    return _edge_baseline(np.arcsin(_normalized_fringe(rec, 2.0)))
+    return _edge_baseline(raw_phase)
 
 
 def apply_background(r, bg: BackgroundModel):

@@ -9,7 +9,6 @@ the bottom mirror are lumped into a single extra loss rate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "Spectrum",
     "reflection_amplitude",
     "reflectivity",
-    "phase",
     "polariton_eigenvalues",
     "rabi_splitting",
     "coupling_regime",
@@ -234,10 +232,10 @@ def _polymul(a, b):
     return out
 
 
-def _trim(rows):
-    """Per row, the index of the first coefficient that did not cancel to rounding noise."""
-    size = np.abs(rows)
-    return np.argmax(size >= 1e-12 * size.max(axis=1, keepdims=True), axis=1)
+def _trim(rows, scale):
+    """Per row, the index of the first coefficient that did not cancel to
+    rounding noise: the first at least 1e-12 of the row's ``scale``."""
+    return np.argmax(np.abs(rows) >= 1e-12 * scale[:, None], axis=1)
 
 
 def _real_roots(polys):
@@ -306,18 +304,6 @@ def reflectivity(p: SystemParams, omega):
     """|r(omega)|^2, a fraction in [0, 1] for any passive parameter set."""
     r = reflection_amplitude(p, omega=omega)
     return np.abs(r) ** 2
-
-
-def phase(p: SystemParams, omega):
-    """Principal-value reflection phase in (-pi, pi].
-
-    The argument of an exactly zero amplitude is reported as 0 with a
-    warning (the critically coupled dark point).
-    """
-    r = reflection_amplitude(p, omega=omega)
-    if np.any(r == 0):
-        warnings.warn("zero reflection amplitude, phase reported as 0")
-    return principal_angle(r)
 
 
 def polariton_eigenvalues(p: SystemParams):

@@ -7,8 +7,7 @@ the command-line config are illustrative placeholders, not measured
 coefficients.
 
 Each spectrum is read through its two most prominent reflectivity dips:
-their tracks over the scan, the anticrossing gap and a naive coupling
-estimate.
+their tracks over the scan and the anticrossing gap.
 """
 
 from __future__ import annotations
@@ -29,12 +28,11 @@ __all__ = [
     "synthesize_scan",
     "scan_dip_positions",
     "anticrossing_gap",
-    "estimate_g_from_splitting",
 ]
 
 
 class UnresolvedSplittingError(RuntimeError):
-    """Fewer than two local minima found in the spectrum."""
+    """No spectrum of a scan resolves two dips."""
 
 
 @dataclass(frozen=True)
@@ -197,25 +195,10 @@ def anticrossing_gap(scan: TemperatureScan) -> float:
     over the temperatures that resolve both. Raises
     :class:`UnresolvedSplittingError` when no temperature resolves two
     dips. The gap is a spectral-line separation: near the strong-coupling
-    threshold the dips sit outside the dressed state energies (as
-    :func:`estimate_g_from_splitting` notes), so it is larger than
-    :func:`~pillar_qed.scattering.rabi_splitting`.
+    threshold the dips sit outside the dressed state energies, so it is
+    larger than :func:`~pillar_qed.scattering.rabi_splitting`.
     """
     gaps = [dips[1] - dips[0] for _, dips in scan_dip_positions(scan) if len(dips) == 2]
     if not gaps:
         raise UnresolvedSplittingError("no temperature resolves two dips")
     return float(min(gaps))
-
-
-def estimate_g_from_splitting(s: Spectrum) -> float:
-    """Half the separation of the two most prominent reflectivity minima.
-
-    A deliberately naive estimator: dip positions sit outside the dressed
-    state energies, so this overestimates the coupling compared with a
-    full fit. Raises :class:`UnresolvedSplittingError` when two minima
-    cannot be found.
-    """
-    xv = _prominent_dips(s.omega, s.values)
-    if xv.size < 2:
-        raise UnresolvedSplittingError(f"found {xv.size} local minima, need 2")
-    return 0.5 * float(xv[1] - xv[0])

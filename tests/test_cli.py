@@ -232,6 +232,22 @@ class TestPhase:
         magnitude, _ = max_conditional_phase(SystemParams(**DEVICE))
         assert file_max == pytest.approx(magnitude, abs=1e-4)
 
+    @pytest.mark.parametrize("extra", [(), ("--calibrate-edges",)], ids=["reference", "calibrate_edges"])
+    def test_clamped_rows_logged_once_with_their_count(self, tmp_path, extra):
+        # 10 of 50 rows read a fringe of 2.5 / 2 > 1
+        rows = [f"{1000.0 + i},1.0,1.0,{2.5 if i % 5 == 0 else 1.0},{0.0 if i % 5 == 0 else 1.0}" for i in range(50)]
+        (tmp_path / "bad.csv").write_text(CHANNELS_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from pillar_qed.cli import main; sys.exit(main())",
+             "phase", str(tmp_path / "bad.csv"), "--out", str(tmp_path), *extra],
+            env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "WARNING pillar_qed.cli: inconsistent channel record: 10 channel rows have a"
+            " normalized fringe beyond 1 (by up to 2.500e-01), clamping\n"
+        )
+
 
 class TestScan:
     def test_manifest_and_files(self, tmp_path):
@@ -258,6 +274,14 @@ class TestScan:
 
     def test_empty_temperature_list_is_usage_error(self, tmp_path):
         assert run("scan", "--out", str(tmp_path), "--set", "temperatures=") == 1
+
+    def test_temperatures_sharing_a_file_name_are_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("scan", "--out", str(out), "--set", "temperatures=19,19.00001,19.00002") == 1
+        assert capsys.readouterr().err == (
+            "pillar-qed: error: temperatures 19.0 K and 19.00001 K both write scan_T19.0000K.csv\n"
+        )
+        assert not out.exists()
 
     def test_crossing_scan_gap_from_files(self, tmp_path):
         out = tmp_path / "out"

@@ -1,28 +1,19 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
-from scipy.signal import peak_prominences
 
 from pillar_qed import (
     BackgroundModel,
     FitProblem,
     Spectrum,
     SystemParams,
-    TuningModel,
-    anticrossing_gap,
     apply_background,
-    estimate_g_from_splitting,
     fit,
     make_guess,
     reflection_amplitude,
     reflectivity,
     residuals,
-    synthesize_scan,
 )
 from pillar_qed.estimation import PARAM_NAMES, _free_residuals, _residual_jacobian, _std_errors
-from pillar_qed.tuning import UnresolvedSplittingError, _prominences, _strict_minima, _vertices
 
 from conftest import DEVICE, central_difference, grid_around, model_steps
 
@@ -149,133 +140,6 @@ class TestFit:
         assert a.params == b.params
         assert a.residual_norm == b.residual_norm
         assert a.iterations == b.iterations
-
-
-class TestGFromSplitting:
-    @staticmethod
-    def double_dip(separation=22.0, width=2.0, depth=0.3, half_span=60.0, n=4001):
-        grid = np.linspace(-half_span, half_span, n) + 1000.0
-        half = width / 2
-        lor = lambda x0: depth * half**2 / ((grid - 1000.0 - x0) ** 2 + half**2)
-        return Spectrum(grid, 1.0 - lor(-separation / 2) - lor(separation / 2))
-
-    def test_two_dips_separated_by_22(self):
-        assert estimate_g_from_splitting(self.double_dip()) == pytest.approx(11.0, abs=1e-3)
-
-    def test_mirror_symmetry(self):
-        s = self.double_dip(separation=17.0)
-        mirrored = Spectrum(np.sort(2000.0 - s.omega), s.values[::-1])
-        assert estimate_g_from_splitting(mirrored) == pytest.approx(
-            estimate_g_from_splitting(s), abs=1e-9
-        )
-
-    def test_device_resonant_spectrum_dip_half_separation(self):
-        # independent oracle: bounded scalar minimization of the continuous
-        # model on each side of the resonance
-        p = device()
-        s = synthetic_intensity(p, n=8001, half_span=60.0)
-        # minimize in offset coordinates: Brent's relative tolerance would
-        # swamp the dip position at absolute energies of order 1e6
-        upper = minimize_scalar(
-            lambda d: reflectivity(p, p.omega_c + d),
-            bounds=(2.0, 30.0),
-            method="bounded",
-            options={"xatol": 1e-10},
-        ).x
-        lower = minimize_scalar(
-            lambda d: reflectivity(p, p.omega_c + d),
-            bounds=(-30.0, -2.0),
-            method="bounded",
-            options={"xatol": 1e-10},
-        ).x
-        oracle = 0.5 * (upper - lower)
-        estimate = estimate_g_from_splitting(s)
-        assert estimate == pytest.approx(oracle, abs=1e-3)
-        assert estimate == pytest.approx(9.9628, abs=1e-3)
-        # the naive dip reading overestimates the fitted coupling, in the
-        # direction of the quoted larger splitting estimate
-        assert estimate > p.g
-
-    def test_single_dip_raises(self):
-        p = device()
-        with pytest.raises(UnresolvedSplittingError):
-            estimate_g_from_splitting(synthetic_intensity(replace(p, g=0.0)))
-
-    def test_noisy_scan_tracks_clean_estimates(self):
-        # 1% multiplicative noise puts hundreds of strict minima in each
-        # spectrum; the two most prominent stay the two dips. Over seeds
-        # 0-39 the worst deviation of a scan from its clean estimates was
-        # 8-18%, and the two deepest minima gave 0.1-1.3 ueV instead of 10-12.
-        p = device()
-        model = TuningModel(-10.0, -3.0, p.omega_c + 14.0, p.omega_c, 19.0)
-        scan = synthesize_scan(p, model, np.linspace(19.0, 23.0, 17), grid_around(p.omega_c, 100.0, 2001))
-        rng = np.random.default_rng(0)
-        noisy = [Spectrum(s.omega, s.values * (1 + 0.01 * rng.standard_normal(len(s)))) for s in scan.spectra]
-        for clean, spectrum in zip(scan.spectra, noisy):
-            assert _strict_minima(spectrum.values).size > 100
-            assert estimate_g_from_splitting(spectrum) == pytest.approx(estimate_g_from_splitting(clean), rel=0.2)
-        noisy_scan = replace(scan, spectra=tuple(noisy))
-        assert anticrossing_gap(noisy_scan) == pytest.approx(anticrossing_gap(scan), rel=0.2)
-
-
-class TestProminence:
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(10)
-        for trial in range(200):
-            n = int(rng.integers(3, 400))
-            # integer samples exercise ties, which the walk passes over
-            values = rng.integers(0, 5, n).astype(float) if trial % 2 else rng.standard_normal(n)
-            i = _strict_minima(values)
-            assert np.array_equal(_prominences(values, i), peak_prominences(-values, i)[0])
-
-
-def _local_minima_loop(omega, values):
-    """Reference: the per-point loop that ``_strict_minima`` and
-    ``_vertices`` vectorize."""
-    omega = np.asarray(omega, dtype=float)
-    values = np.asarray(values, dtype=float)
-    out = []
-    for i in range(1, values.size - 1):
-        if values[i] < values[i - 1] and values[i] < values[i + 1]:
-            x0, x1, x2 = omega[i - 1 : i + 2]
-            y0, y1, y2 = values[i - 1 : i + 2]
-            num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-            den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-            if den == 0:
-                out.append(float(x1))
-                continue
-            out.append(float(x1 - 0.5 * num / den))
-    return out
-
-
-class TestLocalMinima:
-    def test_matches_reference_loop(self):
-        rng = np.random.default_rng(5)
-        p = device()
-        model = TuningModel(-10.0, -3.0, p.omega_c + 14.0, p.omega_c, 19.0)
-        scan = synthesize_scan(p, model, np.linspace(19.0, 23.0, 17), grid_around(p.omega_c, 100.0, 2001))
-        cases = [(s.omega, s.values) for s in scan.spectra]
-        cases += [(s.omega, s.values * (1.0 + 0.01 * rng.standard_normal(len(s)))) for s in scan.spectra]
-        cases += [(np.arange(n, dtype=float), rng.standard_normal(n)) for n in range(4)]
-        cases += [(np.arange(200.0), rng.integers(0, 4, 200).astype(float))]  # ties and plateaus
-        cases += [([0.0, 0.0, 0.0], [1.0, 0.0, 1.0])]  # zero denominator
-        with_nan = scan.spectra[8].values.copy()
-        with_nan[[0, 990, 1000, 1500]] = np.nan
-        cases += [(scan.spectra[8].omega, with_nan)]
-        for omega, values in cases:
-            omega, values = np.asarray(omega, dtype=float), np.asarray(values, dtype=float)
-            assert _vertices(omega, values, _strict_minima(values)).tolist() == _local_minima_loop(omega, values)
-        assert _vertices(np.zeros(3), np.array([1.0, 0.0, 1.0]), np.array([1])).tolist() == [0.0]
-
-    def test_quadratic_vertex_recovered(self):
-        grid = np.linspace(0.0, 10.0, 41)
-        values = (grid - 4.3) ** 2
-        i = _strict_minima(values)
-        assert i.size == 1
-        assert _vertices(grid, values, i)[0] == pytest.approx(4.3, abs=1e-9)
-
-    def test_no_interior_minimum(self):
-        assert _strict_minima(np.linspace(0.0, 1.0, 11)).size == 0
 
 
 class TestUncertainty:

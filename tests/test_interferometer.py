@@ -28,6 +28,10 @@ from conftest import grid_around
 VIS_INTRINSIC_DEVICE = 0.17378275294557077
 
 
+# the reference arm whose extracted phase is the bare fringe angle
+ZERO_BIAS = ReferenceArm(beta=1.0, sb_offset=quadrature_offset(1.0))
+
+
 def calibrated_ref(beta=0.9):
     return ReferenceArm(beta=beta, sb_offset=quadrature_offset(beta))
 
@@ -260,7 +264,7 @@ class TestCalibration:
         rec = simulate_channels(r, ref, omega=grid)
         # residual signal phase at the window edges bounds the estimate
         edge_phase = abs(np.angle(r[0]))
-        assert calibrate_bias(rec) == pytest.approx(true_bias, abs=2 * edge_phase + 1e-6)
+        assert calibrate_bias(extract_phase(rec, ZERO_BIAS)) == pytest.approx(true_bias, abs=2 * edge_phase + 1e-6)
 
     def test_edge_calibration_requires_positive_monitors(self, device_params):
         grid = grid_around(device_params.omega_c, 100.0, 21)
@@ -268,7 +272,14 @@ class TestCalibration:
         h = rec.h.copy()
         h[3] = 0.0
         with pytest.raises(ValueError, match="h > 0"):
-            calibrate_bias(replace(rec, h=h))
+            calibrate_bias(extract_phase(replace(rec, h=h), ZERO_BIAS))
+
+    def test_edge_calibration_needs_five_grid_points(self):
+        assert ZERO_BIAS.bias == 0.0
+        assert calibrate_bias(np.arange(5.0)) == 2.0
+        for raw in (np.arange(4.0), 0.1, np.zeros((5, 2))):
+            with pytest.raises(ValueError, match=">= 5 points"):
+                calibrate_bias(raw)
 
 
 class TestReferenceArm:

@@ -24,8 +24,6 @@ PUBLIC_NAMES = {
     "conditional_fringe_phase",
     "coupling_regime",
     "dip_visibility",
-    "energies_at",
-    "estimate_g_from_splitting",
     "extract_phase",
     "fit",
     "fringe_phase",
@@ -34,7 +32,6 @@ PUBLIC_NAMES = {
     "make_guess",
     "max_conditional_phase",
     "measured_intensity",
-    "phase",
     "polariton_eigenvalues",
     "q_factor",
     "quadrature_offset",
@@ -94,6 +91,9 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         pillar_qed.no_such_name
     assert not hasattr(pillar_qed, "_SystemParams")
+    for deleted in ("phase", "estimate_g_from_splitting", "energies_at"):
+        with pytest.raises(AttributeError, match=deleted):
+            getattr(pillar_qed, deleted)
     from pillar_qed import design
 
     assert isinstance(design, types.ModuleType) and design.sweep_kappa is pillar_qed.sweep_kappa

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under ``scripts/``, run as separate processes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -59,17 +60,59 @@ def test_generate_datasets_bundle(tmp_path):
     assert names == {"synth", "synth_bg", "phase", "scan", "design"}
 
 
+# SHA-256 of every file that scripts/cli_outputs.py writes. The data files
+# are byte-identical from run to run and across BLAS thread counts; a
+# reviewed change to an output's bytes updates its digest here.
+CLI_OUTPUT_DIGESTS = {
+    "design/design.csv": "54141465c8f52f06ab4184771f019c262b2af95afae827e5e06bb0045c094df4",
+    "design_uncoupled/design.csv": "3ce1298bf529100c51ee207f46a71ecc7ff522d83ff58c21cf5fd6e18727f241",
+    "design_wide/design.csv": "4edb409c245cc2de09a5f8de1f2d7bf455b6130fe15a317287ef7e902e9ab1e5",
+    "fit/fit_report.txt": "9637162bc36c381336feaa2ec36482ee2319aefbbfff382029b5dd0f53b69b41",
+    "fit_joint/fit_report.txt": "3fe186fd9d4bc7f99d41aaf58252d8ba757647da4db0031babc1fd09208b6e69",
+    "phase/phase.csv": "cfb8ff656e2a7680bb521c0bf35d9d558bfc11130d560e112d73643916a6c231",
+    "phase_edges/phase.csv": "4efc47e97498850424c170438a4aa50607248d1b33d39b12d57ac09cdd296a78",
+    "phase_noisy/phase.csv": "9ab96f1f76239e00202857d67a58c120cd8f12602cadf70b340ae321863faece",
+    "scan/manifest.csv": "9f407f99492c0a42830372fb74870f2f48fa8c14a9a2f1193f8803966ec6645f",
+    "scan/scan_T19.0000K.csv": "b54c2903d5637c2b73eb39b3c3712fda061d50811f1b35a529a1351c890ca102",
+    "scan/scan_T19.2500K.csv": "48b35e8988c151be26bd3364263d9c60507535319a300b7165f6e9380aa2529e",
+    "scan/scan_T19.5000K.csv": "6df790f00e3cd4b58c4d22fe413b5c2ba78113e77774c5e4eaa9d52a05322488",
+    "scan/scan_T19.7500K.csv": "fef1d5001b01bbe9f929d3250d739dca406ddfcb1458949d8af7ed44ca16c20a",
+    "scan/scan_T20.0000K.csv": "9aa34ee65e0e6e46da427e4c927a9c9545c6dbc554abe4fa2d4f88f30adc8a38",
+    "scan/scan_T20.2500K.csv": "bee533a0dd9f7b8159bb8944329135075e2717d75b3943243be260b1c35fa204",
+    "scan/scan_T20.5000K.csv": "b7aa4e1cdfbf5f5f98fcf346ce49fe8de2b43269d44cf83af30801ee2bbfdcc9",
+    "scan/scan_T20.7500K.csv": "4b771d53486d98c2b424a22fe540e030d9547b1b52e7c0a816c32b5b96e5bb6e",
+    "scan/scan_T21.0000K.csv": "6d878870fb04a8376b1d7d66cec3a8eea30b9fec33d18fdc48d96e82cf2967f4",
+    "scan/scan_T21.2500K.csv": "242296a26a0bf279c7ed1b845c5252c137c76666f19c8cbffd59a87b537f7c91",
+    "scan/scan_T21.5000K.csv": "e4464f314fd2b93985c6af6e31f0c26b5641fd5cd59a333d72e5fef37d4cba75",
+    "scan/scan_T21.7500K.csv": "2bba35de53049b41b80c67cdf091e718fcfa8aac65a30fddbcd6e608d3f49dcf",
+    "scan/scan_T22.0000K.csv": "ded8deca5d9de9513f5a893e4a217f8f715b81d860af1e7eadba9c4edb12af1c",
+    "scan/scan_T22.2500K.csv": "67062920e970ca9368181b768d603d3f07705f1ca1fd01f7974b4380093fa6a2",
+    "scan/scan_T22.5000K.csv": "3c56c267a5217540ef9971fe2ac922ae9bd033909bfa2929d731384944dceef5",
+    "scan/scan_T22.7500K.csv": "c0896812c1259bbbece53795a42a7268a5d0b38136b2d244118f3e280bf2372b",
+    "scan/scan_T23.0000K.csv": "1d6dedb4be6a1b925f807517e895e0c1024d0b43fd8d1945c6f8f131a2a2425b",
+    "scan/scan_config.txt": "297e3c42f102dbbee4f834ed1108bc0343b55757aba5d31fed5043ea16592635",
+    "synth/channels_coupled.csv": "6bf7ca9e5cd07439ce8f26dc0107e7062aa804540e0edd6508a35f45395f5e99",
+    "synth/channels_empty.csv": "3aeee3ddfcd6b75fc3d6e0afc8bf60052b1a62a3ea52e5a3b141454f3936f78c",
+    "synth/coupled.csv": "f89e29df79669b4acad7fb86c781f749f2d9e3426bb508f0c3fc577ad55ba5a5",
+    "synth/empty.csv": "d42477c47a833f6be6901c694b56d71200dd1792e2ecac89200d0f03c3e56375",
+    "synth_bg/channels_coupled.csv": "405318cb783c00899439664660eac7c0dd31284affe90529e55dc2f3f3924ddc",
+    "synth_bg/channels_empty.csv": "4eb29079d0351d0fc339eeea7eb5e6d03280609c54b58fcad8b4ee69779d3118",
+    "synth_bg/coupled.csv": "c30914d3675e25b7a2b049260399e0b8126ce8a72a0f98e6a132836dc5a6387b",
+    "synth_bg/empty.csv": "fd634436a4a3a1fec5583f7ca1c24739ed622b57d0d8cf56309c64c173c653e4",
+    "synth_noisy/channels_coupled.csv": "4fa94cb3be7e3e0d008cd12278f1067352b4629d8b1f145635d4fcb91c4ba1c7",
+    "synth_noisy/channels_empty.csv": "6d0544023896494e1929f83fd8f66c6c8c950ed1123d62653852ba678b130adb",
+    "synth_noisy/coupled.csv": "ace4df073f0a84a0b4ed67dbcfcf282f0d6ac9ebb20609949026d60699ee16ba",
+    "synth_noisy/empty.csv": "009a1bdb57bf7690ba649da97db8b3103c402e1c05e0a633adeae936c5cae6a7",
+}
+
+
 def test_cli_outputs_tree(tmp_path):
     done = run_script("cli_outputs.py", str(tmp_path / "tree"), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    files = sorted(str(p.relative_to(tmp_path / "tree")) for p in (tmp_path / "tree").rglob("*") if p.is_file())
-    synth = ["channels_coupled.csv", "channels_empty.csv", "coupled.csv", "empty.csv"]
-    temperatures = [f"{19.0 + 0.25 * k:.4f}" for k in range(17)]
-    assert files == sorted(
-        ["design/design.csv", "design_wide/design.csv", "design_uncoupled/design.csv"]
-        + ["fit/fit_report.txt", "fit_joint/fit_report.txt"]
-        + ["phase/phase.csv", "phase_edges/phase.csv", "phase_noisy/phase.csv"]
-        + ["scan/manifest.csv", "scan/scan_config.txt"]
-        + [f"scan/scan_T{t}K.csv" for t in temperatures]
-        + [f"{run}/{name}" for run in ("synth", "synth_noisy", "synth_bg") for name in synth]
-    )
+    tree = tmp_path / "tree"
+    digests = {
+        p.relative_to(tree).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tree.rglob("*")
+        if p.is_file()
+    }
+    assert digests == CLI_OUTPUT_DIGESTS
