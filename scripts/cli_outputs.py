@@ -9,8 +9,19 @@ checkouts can be compared with one ``diff -r`` of their trees.
 """
 
 import sys
+from pathlib import Path
 
 from pillar_qed.cli import main as cli
+
+# a config file with a comment, unit suffixes and an auto reference, read by
+# the scan_config run
+RUN_CFG = """\
+# device at the cavity energy, written with unit suffixes
+omega_c = 1333.596 meV
+kappa_side = 24.7 ueV
+qd_ref = auto
+temperatures = 20:22:5
+"""
 
 # (subdirectory, arguments before --out), run in order: the fits read the
 # outputs of earlier runs
@@ -24,6 +35,7 @@ RUNS = (
     ("fit", ["fit", "{root}/synth_noisy/coupled.csv"]),
     ("fit_joint", ["fit", "{root}/synth_noisy/coupled.csv", "--phase-csv", "{root}/phase/phase.csv"]),
     ("scan", ["scan"]),
+    ("scan_config", ["scan", "--config", "{root}/run.cfg"]),
     ("design", ["design"]),
     # 240 top-mirror rates, across the overcoupled cusp at kappa_side
     ("design_wide", ["design", "--set", "kappa_values=0.5:120:240"]),
@@ -35,6 +47,8 @@ def main():
     if len(sys.argv) != 2:
         raise SystemExit("usage: cli_outputs.py OUTDIR")
     root = sys.argv[1]
+    Path(root).mkdir(parents=True, exist_ok=True)
+    Path(root, "run.cfg").write_text(RUN_CFG, encoding="utf-8")
     for name, args in RUNS:
         argv = [arg.format(root=root) for arg in args] + ["--out", f"{root}/{name}"]
         code = cli(argv)

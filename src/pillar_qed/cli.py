@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import interferometer, io
-from .config import ConfigError, RunConfig, load_config_file
+from .config import DEFAULTS, ConfigError, RunConfig, load_config_file
 from .interferometer import (
     ReferenceArm,
     calibrate_bias,
@@ -119,13 +119,9 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         overrides[key] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.background is not None:
-        overrides["background"] = args.background
-    if args.grid is not None:
-        overrides["grid"] = args.grid
-    return RunConfig.build(file_values, overrides)
+    # --seed, --background and --grid set the key of the same name
+    flags = {key: value for key, value in vars(args).items() if key in DEFAULTS and value is not None}
+    return RunConfig.build(file_values, {**overrides, **flags})
 
 
 def _maybe_noisy(values, cfg, rng):
@@ -275,9 +271,10 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"pillar-qed: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # every other ValueError (config, file format, model validation) is
-        # a usage error; the numerical ValueError subclasses are caught above
+        # a usage error, as is a point count too large to allocate; the
+        # numerical ValueError subclasses are caught above
         print(f"pillar-qed: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,54 +1,28 @@
 """Flat key = value run configuration with unit-aware parsing.
 
-Energies accept an optional ``meV``/``ueV`` suffix and are stored in ueV.
-Grids and lists use ``START:STOP:N`` (inclusive linspace) or comma values.
-Command-line flags override file values which override the defaults below.
+Energies accept an optional ``ueV``/``μeV``/``meV``/``eV`` suffix, spelled
+exactly so, and are stored in ueV. Grids and lists use ``START:STOP:N``
+(inclusive linspace) or comma values, all finite. Command-line flags
+override file values which override the defaults below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import fields
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .interferometer import BackgroundModel, ReferenceArm, quadrature_offset
-from .scattering import SystemParams
+from .scattering import PARAM_FIELDS, SystemParams
 
 if TYPE_CHECKING:
     from .tuning import TuningModel
 
 __all__ = ["ConfigError", "RunConfig", "load_config_file", "parse_energy", "parse_grid"]
 
-_UNIT_FACTORS = {"uev": 1.0, "μev": 1.0, "mev": 1e3, "ev": 1e6}
-
-# every key with its documented default (energies in ueV)
-DEFAULTS = {
-    "g": "9.4",
-    "kappa_top": "1.2",
-    "kappa_side": "24.7",
-    "gamma": "5.0",
-    "omega_c": "1333596",
-    "omega_qd": "1333596",
-    "background": "0.0",
-    "background_phase": "0.0",
-    "beta_mag": "1.0",
-    "sb_offset": "auto",
-    "grid": "1333496:1333696:2001",
-    "noise": "0.0",
-    "seed": "42",
-    "fit_free": "g,kappa_top,kappa_side,gamma",
-    "fit_max_iterations": "500",
-    "temperatures": "19:23:17",
-    "qd_slope": "-10.0",
-    "cavity_slope": "-3.0",
-    "qd_ref": "auto",
-    "cavity_ref": "auto",
-    "t_ref": "19.0",
-    "t_min": "4.0",
-    "t_max": "300.0",
-    "kappa_values": "2:60:30",
-}
+_UNIT_FACTORS = {"ueV": 1.0, "μeV": 1.0, "meV": 1e3, "eV": 1e6}
 
 
 class ConfigError(ValueError):
@@ -56,18 +30,14 @@ class ConfigError(ValueError):
 
 
 def parse_energy(text: str) -> float:
-    """Float with optional meV/ueV/eV suffix, returned in ueV."""
-    token = str(text).strip()
-    lowered = token.lower()
-    for unit, factor in _UNIT_FACTORS.items():
-        if lowered.endswith(unit):
-            number = token[: len(token) - len(unit)].strip()
-            try:
-                return float(number) * factor
-            except ValueError as exc:
-                raise ConfigError(f"bad energy value {text!r}") from exc
+    """Float with optional ueV/μeV/meV/eV suffix, returned in ueV."""
+    number, factor = str(text).strip(), 1.0
+    for unit, scale in _UNIT_FACTORS.items():
+        if number.endswith(unit):
+            number, factor = number[: -len(unit)].strip(), scale
+            break
     try:
-        return float(token)
+        return float(number) * factor
     except ValueError as exc:
         raise ConfigError(f"bad energy value {text!r}") from exc
 
@@ -80,6 +50,8 @@ def parse_grid(text: str, minimum_points: int = 2) -> np.ndarray:
         if len(parts) != 3:
             raise ConfigError(f"grid must be START:STOP:N, got {text!r}")
         start, stop = parse_energy(parts[0]), parse_energy(parts[1])
+        if not np.isfinite([start, stop]).all():
+            raise ConfigError(f"grid values must be finite, got {text!r}")
         try:
             n = int(parts[2])
         except ValueError as exc:
@@ -93,9 +65,50 @@ def parse_grid(text: str, minimum_points: int = 2) -> np.ndarray:
     if len(values) < minimum_points:
         raise ConfigError(f"need at least {minimum_points} values, got {len(values)}")
     arr = np.array(values)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"list values must be finite, got {text!r}")
     if np.any(np.diff(arr) <= 0):
         raise ConfigError("list values must be strictly increasing")
     return arr
+
+
+def _auto(parse):
+    """``parse``, except that the text ``auto`` reads as None."""
+    return lambda text: None if text.strip().lower() == "auto" else parse(text)
+
+
+def _names(text: str) -> tuple:
+    return tuple(n.strip() for n in text.split(",") if n.strip())
+
+
+# every key with its documented default (energies in ueV) and its parser
+_KEYS = {
+    "g": ("9.4", parse_energy),
+    "kappa_top": ("1.2", parse_energy),
+    "kappa_side": ("24.7", parse_energy),
+    "gamma": ("5.0", parse_energy),
+    "omega_c": ("1333596", parse_energy),
+    "omega_qd": ("1333596", parse_energy),
+    "background": ("0.0", float),
+    "background_phase": ("0.0", float),
+    "beta_mag": ("1.0", float),
+    "sb_offset": ("auto", _auto(float)),  # None means the quadrature point
+    "grid": ("1333496:1333696:2001", parse_grid),
+    "noise": ("0.0", float),
+    "seed": ("42", int),
+    "fit_free": ("g,kappa_top,kappa_side,gamma", _names),
+    "fit_max_iterations": ("500", int),
+    "temperatures": ("19:23:17", partial(parse_grid, minimum_points=1)),
+    "qd_slope": ("-10.0", float),
+    "cavity_slope": ("-3.0", float),
+    "qd_ref": ("auto", _auto(parse_energy)),
+    "cavity_ref": ("auto", _auto(parse_energy)),
+    "t_ref": ("19.0", float),
+    "t_min": ("4.0", float),
+    "t_max": ("300.0", float),
+    "kappa_values": ("2:60:30", partial(parse_grid, minimum_points=1)),
+}
+DEFAULTS = {key: default for key, (default, _) in _KEYS.items()}
 
 
 def load_config_file(path) -> dict:
@@ -115,35 +128,19 @@ def load_config_file(path) -> dict:
     return out
 
 
-@dataclass
 class RunConfig:
-    """Typed, validated run configuration."""
+    """Typed, validated run configuration: one attribute per key of ``DEFAULTS``.
 
-    g: float
-    kappa_top: float
-    kappa_side: float
-    gamma: float
-    omega_c: float
-    omega_qd: float
-    background: float
-    background_phase: float
-    beta_mag: float
-    sb_offset: float | None  # None means the quadrature point
-    grid: np.ndarray
-    noise: float
-    seed: int
-    fit_free: tuple
-    fit_max_iterations: int
-    temperatures: np.ndarray
-    qd_slope: float
-    cavity_slope: float
-    qd_ref: float
-    cavity_ref: float
-    t_ref: float
-    t_min: float
-    t_max: float
-    kappa_values: np.ndarray
-    raw: dict = field(default_factory=dict, repr=False)
+    An ``auto`` ``cavity_ref`` is ``omega_c``; an ``auto`` ``qd_ref`` is
+    ``cavity_ref + 14`` ueV. ``raw`` keeps the merged key texts.
+    """
+
+    def __init__(self, raw: dict):
+        self.raw = raw
+        for key, (_, parse) in _KEYS.items():
+            setattr(self, key, parse(raw[key]))
+        self.cavity_ref = self.omega_c if self.cavity_ref is None else self.cavity_ref
+        self.qd_ref = self.cavity_ref + 14.0 if self.qd_ref is None else self.qd_ref
 
     @classmethod
     def build(cls, file_values: dict | None = None, overrides: dict | None = None):
@@ -154,40 +151,7 @@ class RunConfig:
                 if key not in DEFAULTS:
                     raise ConfigError(f"unknown config key {key!r}")
                 raw[key] = str(value)
-
-        omega_c = parse_energy(raw["omega_c"])
-        omega_qd = parse_energy(raw["omega_qd"])
-        sb = None if raw["sb_offset"].strip().lower() == "auto" else float(raw["sb_offset"])
-        cavity_ref = omega_c if raw["cavity_ref"].strip().lower() == "auto" else parse_energy(raw["cavity_ref"])
-        qd_ref = cavity_ref + 14.0 if raw["qd_ref"].strip().lower() == "auto" else parse_energy(raw["qd_ref"])
-        temperatures = parse_grid(raw["temperatures"], minimum_points=1)
-        cfg = cls(
-            g=parse_energy(raw["g"]),
-            kappa_top=parse_energy(raw["kappa_top"]),
-            kappa_side=parse_energy(raw["kappa_side"]),
-            gamma=parse_energy(raw["gamma"]),
-            omega_c=omega_c,
-            omega_qd=omega_qd,
-            background=float(raw["background"]),
-            background_phase=float(raw["background_phase"]),
-            beta_mag=float(raw["beta_mag"]),
-            sb_offset=sb,
-            grid=parse_grid(raw["grid"]),
-            noise=float(raw["noise"]),
-            seed=int(raw["seed"]),
-            fit_free=tuple(n.strip() for n in raw["fit_free"].split(",") if n.strip()),
-            fit_max_iterations=int(raw["fit_max_iterations"]),
-            temperatures=temperatures,
-            qd_slope=float(raw["qd_slope"]),
-            cavity_slope=float(raw["cavity_slope"]),
-            qd_ref=qd_ref,
-            cavity_ref=cavity_ref,
-            t_ref=float(raw["t_ref"]),
-            t_min=float(raw["t_min"]),
-            t_max=float(raw["t_max"]),
-            kappa_values=parse_grid(raw["kappa_values"], minimum_points=1),
-            raw=raw,
-        )
+        cfg = cls(raw)
         if not (0.0 <= cfg.background < 1.0):
             raise ConfigError(f"background must be in [0, 1), got {cfg.background}")
         if not (np.isfinite(cfg.noise) and cfg.noise >= 0):
@@ -197,14 +161,7 @@ class RunConfig:
         return cfg
 
     def system_params(self) -> SystemParams:
-        return SystemParams(
-            g=self.g,
-            kappa_top=self.kappa_top,
-            kappa_side=self.kappa_side,
-            gamma=self.gamma,
-            omega_c=self.omega_c,
-            omega_qd=self.omega_qd,
-        )
+        return SystemParams(**{n: getattr(self, n) for n in PARAM_FIELDS})
 
     def background_model(self) -> BackgroundModel:
         return BackgroundModel(fraction=self.background, phase=self.background_phase)
@@ -217,12 +174,4 @@ class RunConfig:
         # imported here so that only the subcommands that tune load tuning
         from .tuning import TuningModel
 
-        return TuningModel(
-            qd_slope=self.qd_slope,
-            cavity_slope=self.cavity_slope,
-            qd_ref=self.qd_ref,
-            cavity_ref=self.cavity_ref,
-            t_ref=self.t_ref,
-            t_min=self.t_min,
-            t_max=self.t_max,
-        )
+        return TuningModel(**{f.name: getattr(self, f.name) for f in fields(TuningModel)})

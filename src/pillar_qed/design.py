@@ -17,6 +17,7 @@ import numpy as np
 
 from .interferometer import BackgroundModel, apply_background
 from .scattering import (
+    PARAM_FIELDS,
     DegenerateModelError,
     SystemParams,
     _coefficient_rows,
@@ -97,8 +98,7 @@ def _max_conditional_phases(params, bg: BackgroundModel | None = None):
     per coefficient, and grouped by the trimmed lengths of ``Re(A)`` and
     ``Im(A)`` for the stationarity step; the roots are found together.
     """
-    fields = ("g", "kappa_top", "kappa_side", "gamma", "omega_c", "omega_qd")
-    rates = np.array([[getattr(p, name) for p in params] for name in fields], dtype=float)
+    rates = np.array([[getattr(p, name) for p in params] for name in PARAM_FIELDS], dtype=float)
     # rates whose products overflow leave inf or nan coefficients: one
     # plain error instead of numpy's warnings and eigvals' complaint
     with np.errstate(all="ignore"):
@@ -124,7 +124,7 @@ def _max_conditional_phases(params, bg: BackgroundModel | None = None):
                 polys[2 * row:2 * row + 2] = s[lead:], c
     if not finite.all():
         p = params[int(np.argmin(finite))]
-        named = ", ".join(f"{name}={getattr(p, name)!r}" for name in fields[:4])
+        named = ", ".join(f"{name}={getattr(p, name)!r}" for name in PARAM_FIELDS[:4])
         raise DegenerateModelError(f"conditional-phase polynomial coefficients are not finite at {named}")
     roots = _real_roots(polys)
     for p, stationary, im in zip(params, roots[::2], roots[1::2]):

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import leastsq
-from .scattering import Spectrum, _amplitude, _amplitude_partials
+from .scattering import PARAM_FIELDS, Spectrum, _amplitude, _amplitude_partials
 
 __all__ = [
     "PARAM_NAMES",
@@ -29,16 +29,7 @@ __all__ = [
     "fit",
 ]
 
-PARAM_NAMES = (
-    "g",
-    "kappa_top",
-    "kappa_side",
-    "gamma",
-    "omega_c",
-    "omega_qd",
-    "background",
-    "beta_mag",
-)
+PARAM_NAMES = (*PARAM_FIELDS, "background", "beta_mag")
 _BACKGROUND = PARAM_NAMES.index("background")
 _BETA = PARAM_NAMES.index("beta_mag")
 

@@ -9,7 +9,7 @@ the bottom mirror are lumped into a single extra loss rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class SystemParams:
     def __post_init__(self):
         if self.omega_qd is None:
             object.__setattr__(self, "omega_qd", self.omega_c)
-        for name in ("g", "kappa_top", "kappa_side", "gamma", "omega_c", "omega_qd"):
+        for name in PARAM_FIELDS:
             _check_finite(name, getattr(self, name))
         if self.g < 0:
             raise ValueError(f"g must be >= 0, got {self.g}")
@@ -86,6 +86,10 @@ class SystemParams:
     @property
     def kappa_total(self) -> float:
         return self.kappa_top + self.kappa_side
+
+
+# the six model field names, in declaration order
+PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from pillar_qed import (
     reflection_amplitude,
 )
 from pillar_qed.cli import main
-from pillar_qed.config import ConfigError, RunConfig, parse_energy, parse_grid
+from pillar_qed.config import DEFAULTS, ConfigError, RunConfig, parse_energy, parse_grid
 from pillar_qed.io import (
     CHANNELS_HEADER,
     SPECTRUM_HEADER,
@@ -61,8 +62,12 @@ class TestConfigParsing:
         assert parse_energy("24.7ueV") == pytest.approx(24.7)
         assert parse_energy("1.333596eV") == pytest.approx(1333596.0)
         assert parse_energy("42") == 42.0
-        with pytest.raises(ConfigError):
-            parse_energy("fast")
+        for text in ("2 ueV", "2 μeV", "2e-3 meV", "2e-6 eV"):
+            assert parse_energy(text) == pytest.approx(2.0)
+        # suffixes are case-sensitive: MeV is not a typo for meV
+        for text in ("fast", "1 MeV", "1 MEV", "1 mev", "1 UEV", "1 ev"):
+            with pytest.raises(ConfigError, match="bad energy value"):
+                parse_energy(text)
 
     def test_grid_forms(self):
         g = parse_grid("0:10:11")
@@ -94,6 +99,13 @@ class TestConfigParsing:
         cfg = RunConfig.build(values, {"g": "7.5"})
         assert cfg.g == 7.5  # flag wins over file
         assert cfg.omega_c == pytest.approx(1333596.0)
+
+    def test_readme_key_table_matches_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Keys and defaults:", 1)[1].strip().splitlines()
+        rows = list(takewhile(lambda line: line.startswith("|"), table))[2:]
+        names = [n for row in rows for n in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        assert names == list(DEFAULTS)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -443,6 +455,16 @@ class TestErrorBoundary:
             ("design", "--set", "omega_qd=0"),
             ("scan", "--set", "omega_qd=-1"),
             ("fit", "coupled.csv", "--set", "fit_free=g,g"),
+            ("synth", "--grid", "0:inf:5"),
+            ("synth", "--grid", "nan:1:5"),
+            ("synth", "--grid", "1,2,nan"),
+            ("design", "--set", "kappa_values=1:inf:3"),
+            ("scan", "--set", "temperatures=19:inf:3"),
+            ("scan", "--set", "temperatures=19,inf"),
+            ("design", "--set", "g=1 MeV"),
+            # 8 PB: larger than the address space, so nothing is allocated
+            ("design", "--set", "kappa_values=2:60:1000000000000000"),
+            ("synth", "--grid", "0:1:1000000000000000"),
         ],
         ids=[
             "design_kappa_zero",
@@ -456,9 +478,18 @@ class TestErrorBoundary:
             "design_omega_qd_zero",
             "scan_omega_qd_negative",
             "fit_free_repeated",
+            "grid_inf",
+            "grid_nan",
+            "grid_list_nan",
+            "kappa_values_inf",
+            "temperatures_inf",
+            "temperatures_list_inf",
+            "energy_suffix_case",
+            "kappa_values_unallocatable",
+            "grid_unallocatable",
         ],
     )
-    def test_invalid_value_exits_1_with_one_line(self, tmp_path, capsys, argv):
+    def test_invalid_value_exits_1_with_one_line(self, tmp_path, capsys, recwarn, argv):
         assert run("synth", "--out", str(tmp_path)) == 0
         _replace_field(tmp_path / "channels_coupled.csv", 8, 1, "0.0")
         _replace_field(tmp_path / "empty.csv", 6, 1, "nan")
@@ -468,6 +499,7 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("pillar-qed: error: ")
+        assert not recwarn.list  # a warning would print its own stderr lines
 
     @pytest.mark.parametrize("body", ["", "  \n\t\n\n"], ids=["header_only", "whitespace_body"])
     @pytest.mark.parametrize("command, header", [("fit", SPECTRUM_HEADER), ("phase", CHANNELS_HEADER)], ids=["fit", "phase"])

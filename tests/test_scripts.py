@@ -72,6 +72,7 @@ CLI_OUTPUT_DIGESTS = {
     "phase/phase.csv": "cfb8ff656e2a7680bb521c0bf35d9d558bfc11130d560e112d73643916a6c231",
     "phase_edges/phase.csv": "4efc47e97498850424c170438a4aa50607248d1b33d39b12d57ac09cdd296a78",
     "phase_noisy/phase.csv": "9ab96f1f76239e00202857d67a58c120cd8f12602cadf70b340ae321863faece",
+    "run.cfg": "7fe663930d4888e010a2623ba0701135a20f2a6fb105d7e9a4ebe44c0899dfc2",
     "scan/manifest.csv": "9f407f99492c0a42830372fb74870f2f48fa8c14a9a2f1193f8803966ec6645f",
     "scan/scan_T19.0000K.csv": "b54c2903d5637c2b73eb39b3c3712fda061d50811f1b35a529a1351c890ca102",
     "scan/scan_T19.2500K.csv": "48b35e8988c151be26bd3364263d9c60507535319a300b7165f6e9380aa2529e",
@@ -91,6 +92,13 @@ CLI_OUTPUT_DIGESTS = {
     "scan/scan_T22.7500K.csv": "c0896812c1259bbbece53795a42a7268a5d0b38136b2d244118f3e280bf2372b",
     "scan/scan_T23.0000K.csv": "1d6dedb4be6a1b925f807517e895e0c1024d0b43fd8d1945c6f8f131a2a2425b",
     "scan/scan_config.txt": "297e3c42f102dbbee4f834ed1108bc0343b55757aba5d31fed5043ea16592635",
+    "scan_config/manifest.csv": "47d6ef04cbf7baf7db964405c8f455888a7c711fc3610112033e3543ad203034",
+    "scan_config/scan_T20.0000K.csv": "9aa34ee65e0e6e46da427e4c927a9c9545c6dbc554abe4fa2d4f88f30adc8a38",
+    "scan_config/scan_T20.5000K.csv": "b7aa4e1cdfbf5f5f98fcf346ce49fe8de2b43269d44cf83af30801ee2bbfdcc9",
+    "scan_config/scan_T21.0000K.csv": "6d878870fb04a8376b1d7d66cec3a8eea30b9fec33d18fdc48d96e82cf2967f4",
+    "scan_config/scan_T21.5000K.csv": "e4464f314fd2b93985c6af6e31f0c26b5641fd5cd59a333d72e5fef37d4cba75",
+    "scan_config/scan_T22.0000K.csv": "ded8deca5d9de9513f5a893e4a217f8f715b81d860af1e7eadba9c4edb12af1c",
+    "scan_config/scan_config.txt": "18446608e8210d4bb7012d89a16df1e6061891e5e6b82c6282119146006467c3",
     "synth/channels_coupled.csv": "6bf7ca9e5cd07439ce8f26dc0107e7062aa804540e0edd6508a35f45395f5e99",
     "synth/channels_empty.csv": "3aeee3ddfcd6b75fc3d6e0afc8bf60052b1a62a3ea52e5a3b141454f3936f78c",
     "synth/coupled.csv": "f89e29df79669b4acad7fb86c781f749f2d9e3426bb508f0c3fc577ad55ba5a5",
