@@ -36,6 +36,8 @@ RUNS = (
     ("fit_joint", ["fit", "{root}/synth_noisy/coupled.csv", "--phase-csv", "{root}/phase/phase.csv"]),
     ("scan", ["scan"]),
     ("scan_config", ["scan", "--config", "{root}/run.cfg"]),
+    # the scan's own resolved config, read back: must rewrite scan/ byte for byte
+    ("scan_roundtrip", ["scan", "--config", "{root}/scan/scan_config.txt"]),
     ("design", ["design"]),
     # 240 top-mirror rates, across the overcoupled cusp at kappa_side
     ("design_wide", ["design", "--set", "kappa_values=0.5:120:240"]),

@@ -267,7 +267,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # a non-finite result is refused where it is written or checked
+            return _COMMANDS[args.command](args)
     except _NUMERICAL_ERRORS as exc:
         print(f"pillar-qed: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

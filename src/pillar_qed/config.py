@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .interferometer import BackgroundModel, ReferenceArm, quadrature_offset
+from .io import _key_values
 from .scattering import PARAM_FIELDS, SystemParams
 
 if TYPE_CHECKING:
@@ -114,17 +115,10 @@ DEFAULTS = {key: default for key, (default, _) in _KEYS.items()}
 def load_config_file(path) -> dict:
     """Read a flat ``key = value`` file; '#' starts a comment."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
+    for lineno, key, value in _key_values(path):
+        if key not in DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value
     return out
 
 
@@ -138,7 +132,10 @@ class RunConfig:
     def __init__(self, raw: dict):
         self.raw = raw
         for key, (_, parse) in _KEYS.items():
-            setattr(self, key, parse(raw[key]))
+            try:
+                setattr(self, key, parse(raw[key]))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
         self.cavity_ref = self.omega_c if self.cavity_ref is None else self.cavity_ref
         self.qd_ref = self.cavity_ref + 14.0 if self.qd_ref is None else self.qd_ref
 
@@ -156,8 +153,9 @@ class RunConfig:
             raise ConfigError(f"background must be in [0, 1), got {cfg.background}")
         if not (np.isfinite(cfg.noise) and cfg.noise >= 0):
             raise ConfigError(f"noise must be finite and >= 0, got {cfg.noise}")
-        if cfg.fit_max_iterations < 0:
-            raise ConfigError(f"fit_max_iterations must be >= 0, got {cfg.fit_max_iterations}")
+        for key in ("seed", "fit_max_iterations"):
+            if getattr(cfg, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
         return cfg
 
     def system_params(self) -> SystemParams:

@@ -11,6 +11,7 @@ the price of reflectivity.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,9 +124,7 @@ def _max_conditional_phases(params, bg: BackgroundModel | None = None):
             for row, s, lead, c in zip(rows, stationary, leads, im):
                 polys[2 * row:2 * row + 2] = s[lead:], c
     if not finite.all():
-        p = params[int(np.argmin(finite))]
-        named = ", ".join(f"{name}={getattr(p, name)!r}" for name in PARAM_FIELDS[:4])
-        raise DegenerateModelError(f"conditional-phase polynomial coefficients are not finite at {named}")
+        raise _not_finite("conditional-phase polynomial coefficients", params[int(np.argmin(finite))])
     roots = _real_roots(polys)
     for p, stationary, im in zip(params, roots[::2], roots[1::2]):
         # complex roots add only their real parts: extra candidates, never
@@ -133,8 +132,15 @@ def _max_conditional_phases(params, bg: BackgroundModel | None = None):
         omega = p.omega_c + p.kappa_total * _sorted_unique(np.concatenate([stationary, im, [0.0]]))
         empty = replace(p, g=0.0)
         magnitudes = [abs(_relative_phase(p, empty, w, bg)) for w in omega]
-        i = int(np.argmax(magnitudes))
+        i = int(np.argmax(magnitudes))  # the first nan, if any
+        if not (math.isfinite(magnitudes[i]) and math.isfinite(omega[i])):
+            raise _not_finite("conditional-phase magnitudes", p)
         yield float(magnitudes[i]), float(omega[i])
+
+
+def _not_finite(what, p: SystemParams) -> DegenerateModelError:
+    named = ", ".join(f"{name}={getattr(p, name)!r}" for name in PARAM_FIELDS[:4])
+    return DegenerateModelError(f"{what} are not finite at {named}")
 
 
 def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):

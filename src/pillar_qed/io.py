@@ -10,18 +10,21 @@ omega column of a gridded file is formatted once per distinct set of
 grid bits, so the spectra of a scan, which share one grid, reuse it.
 Gridded files are parsed by numpy's C reader, each field as ``float()`` reads
 it, with no ``#`` comments; the row reader only names the first bad line.
+Reports and run configs are flat ``key = value`` files in which ``#`` starts
+a comment.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .interferometer import ChannelRecord
-from .scattering import Spectrum
+from .scattering import DegenerateModelError, Spectrum
 
 __all__ = [
     "FileFormatError",
@@ -48,8 +51,13 @@ class FileFormatError(ValueError):
     """Malformed input file."""
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _text(x) -> str:
+    """A scalar as written: ``true``/``false``, a float's shortest round-trip decimal, else ``str``."""
+    if isinstance(x, float):
+        return repr(float(x))
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(x)
 
 
 def atomic_write_text(path, text: str):
@@ -75,16 +83,21 @@ def _grid_reprs(bits: bytes) -> tuple:
     return tuple(map(repr, np.frombuffer(bits).tolist()))
 
 
-def _write_grid_table(path, header, omega, columns):
-    """One row per float64 grid point: omega, then each column, as shortest
-    round-trip decimals."""
-    rows = zip(_grid_reprs(omega.tobytes()), *(map(repr, c.tolist()) for c in columns))
+def _write_rows(path, header, rows):
+    """``header``, then each row's field texts joined by commas, one line each."""
     atomic_write_text(path, "\n".join([header, *map(",".join, rows)]) + "\n")
 
 
+def _write_grid_table(path, header, omega, columns):
+    """One row per float64 grid point: omega, then each column, as shortest
+    round-trip decimals. Non-finite values raise and write nothing."""
+    if not all(np.isfinite(c).all() for c in columns):
+        raise DegenerateModelError(f"{path}: values are not finite, file not written")
+    _write_rows(path, header, zip(_grid_reprs(omega.tobytes()), *(map(repr, c.tolist()) for c in columns)))
+
+
 def write_spectrum_csv(path, spectrum: Spectrum):
-    values = np.asarray(spectrum.values, dtype=float)
-    _write_grid_table(path, SPECTRUM_HEADER, spectrum.omega, [values])
+    _write_grid_table(path, SPECTRUM_HEADER, spectrum.omega, [np.asarray(spectrum.values, dtype=float)])
 
 
 def _read_columns(path, header, parsers):
@@ -93,33 +106,25 @@ def _read_columns(path, header, parsers):
     The last field takes the rest of the line, commas included. Malformed
     input raises :class:`FileFormatError` naming ``path:line``.
     """
-    n = len(parsers)
+    n, linenos, rows = len(parsers), [], []
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if first != header:
             raise FileFormatError(f"{path}: expected header {header!r}, got {first!r}")
-        rows = [
-            (lineno, line.split(",", n - 1))
-            for lineno, raw in enumerate(fh, start=2)
-            if (line := raw.strip())
-        ]
+        for lineno, raw in enumerate(fh, start=2):
+            if not (line := raw.strip()):
+                continue
+            parts = line.split(",", n - 1)
+            if len(parts) != n:
+                raise FileFormatError(f"{path}:{lineno}: expected {n} fields")
+            try:
+                rows.append([parse(part) for parse, part in zip(parsers, parts)])
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+            linenos.append(lineno)
     if not rows:
         raise FileFormatError(f"{path}: no data rows")
-    for lineno, parts in rows:
-        if len(parts) != n:
-            raise FileFormatError(f"{path}:{lineno}: expected {n} fields")
-    columns = []
-    for k, parse in enumerate(parsers):
-        try:
-            # one pass per column keeps the common all-float read fast
-            columns.append([parse(parts[k]) for _, parts in rows])
-        except ValueError:
-            for lineno, parts in rows:
-                try:
-                    parse(parts[k])
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-    return [lineno for lineno, _ in rows], columns
+    return linenos, [list(column) for column in zip(*rows)]
 
 
 def _read_grid_table(path, header, n):
@@ -184,20 +189,8 @@ def read_channels_csv(path) -> ChannelRecord:
 
 
 def write_design_csv(path, points):
-    lines = [DESIGN_HEADER]
-    for pt in points:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(pt.params.kappa_top),
-                    _fmt(pt.max_conditional_phase),
-                    _fmt(pt.argmax_omega),
-                    _fmt(pt.on_resonance_reflectivity),
-                    "true" if pt.feasible else "false",
-                ]
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    fields = attrgetter("params.kappa_top", "max_conditional_phase", "argmax_omega", "on_resonance_reflectivity", "feasible")
+    _write_rows(path, DESIGN_HEADER, (map(_text, fields(pt)) for pt in points))
 
 
 def read_design_csv(path):
@@ -209,9 +202,7 @@ def read_design_csv(path):
 
 def write_manifest_csv(path, entries):
     """``entries``: iterable of (temperature, filename)."""
-    lines = [MANIFEST_HEADER]
-    lines.extend(f"{_fmt(t)},{name}" for t, name in entries)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, MANIFEST_HEADER, ((_text(t), name) for t, name in entries))
 
 
 def read_manifest_csv(path):
@@ -222,25 +213,23 @@ def read_manifest_csv(path):
 
 def write_report(path, values: dict):
     """Flat ``key = value`` report, floats as shortest round-trip decimals."""
-    lines = []
-    for key, value in values.items():
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = _fmt(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(f"{key} = {_text(value)}" for key, value in values.items()) + "\n")
+
+
+def _key_values(path):
+    """``(line, key, value)`` of each non-blank line of a ``key = value``
+    file; ``#`` starts a comment, and a line without ``=`` raises
+    :class:`FileFormatError` naming ``path:line``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = list(enumerate(fh, start=1))
+    for lineno, raw in lines:
+        if not (line := raw.split("#", 1)[0].strip()):
+            continue
+        if "=" not in line:
+            raise FileFormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
 
 
 def read_report(path) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or "=" not in line:
-                continue
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = value
-    return out
+    return {key: value for _, key, value in _key_values(path)}

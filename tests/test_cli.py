@@ -26,9 +26,10 @@ from pillar_qed import (
     reflection_amplitude,
 )
 from pillar_qed.cli import main
-from pillar_qed.config import DEFAULTS, ConfigError, RunConfig, parse_energy, parse_grid
+from pillar_qed.config import DEFAULTS, ConfigError, RunConfig, load_config_file, parse_energy, parse_grid
 from pillar_qed.io import (
     CHANNELS_HEADER,
+    DESIGN_HEADER,
     SPECTRUM_HEADER,
     FileFormatError,
     _read_columns,
@@ -354,6 +355,27 @@ class TestFileFormats:
         with pytest.raises(FileFormatError, match=re.escape(f"{path}:3: ")):
             read_manifest_csv(path)
 
+    @pytest.mark.parametrize(
+        "read, text, line",
+        [
+            # a bad flag, then a bad kappa: the first bad line is named, whatever its column
+            (read_design_csv, f"{DESIGN_HEADER}\n2.0,0.1,1.0,0.5,yes\nx,0.1,1.0,0.5,true\n", 2),
+            (read_report, "converged = true\nreason stalled\n", 2),
+            (load_config_file, "g = 5.0  # ueV\n\nkappa_top\n", 3),
+        ],
+        ids=["design_flag_then_kappa", "report_without_equals", "config_without_equals"],
+    )
+    def test_first_bad_line_named(self, tmp_path, read, text, line):
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}:{line}: ")):
+            read(path)
+
+    def test_report_comment_stripped(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("# fit of run 3\ng = 9.4  # ueV\nreason = converged\n", encoding="utf-8")
+        assert read_report(path) == {"g": "9.4", "reason": "converged"}
+
 
 class TestGridTables:
     """Spectrum and channel tables reject non-finite values and unsorted omega."""
@@ -411,9 +433,11 @@ class TestGridTables:
             ("1.0,0.5\n2.0,0.5,7\n", ":3: could not convert string to float: '0.5,7'"),
             ("1.0\n0.5,2.0,0.25\n", ":2: expected 2 fields"),  # reads as a good 2-row table if rows are ignored
             ("1.0,0.5\n2.0,1__0\n", ":3: could not convert string to float: '1__0'"),
+            # a bad value, then a bad omega two lines further: the first is named
+            ("1.0,0.5\n2.0,x\n3.0,0.5\ny,0.5\n", ":3: could not convert string to float: 'x'"),
             ("", ": no data rows"),
         ],
-        ids=["infinity", "nan", "short_row", "long_row", "short_then_long", "double_underscore", "empty"],
+        ids=["infinity", "nan", "short_row", "long_row", "short_then_long", "double_underscore", "first_of_two", "empty"],
     )
     def test_rejected_rows_name_path_and_line(self, tmp_path, body, message):
         path = tmp_path / "table.csv"
@@ -465,6 +489,9 @@ class TestErrorBoundary:
             # 8 PB: larger than the address space, so nothing is allocated
             ("design", "--set", "kappa_values=2:60:1000000000000000"),
             ("synth", "--grid", "0:1:1000000000000000"),
+            ("synth", "--set", "seed=1e3"),
+            ("synth", "--seed", "-1"),
+            ("fit", "coupled.csv", "--set", "fit_max_iterations=x"),
         ],
         ids=[
             "design_kappa_zero",
@@ -487,6 +514,9 @@ class TestErrorBoundary:
             "energy_suffix_case",
             "kappa_values_unallocatable",
             "grid_unallocatable",
+            "seed_exponent",
+            "seed_negative",
+            "fit_max_iterations_text",
         ],
     )
     def test_invalid_value_exits_1_with_one_line(self, tmp_path, capsys, recwarn, argv):
@@ -500,6 +530,9 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("pillar-qed: error: ")
         assert not recwarn.list  # a warning would print its own stderr lines
+        for key in ("seed", "fit_max_iterations"):  # an integer key's error names it
+            if f"--{key}" in argv or any(a.startswith(f"{key}=") for a in argv):
+                assert key in err
 
     @pytest.mark.parametrize("body", ["", "  \n\t\n\n"], ids=["header_only", "whitespace_body"])
     @pytest.mark.parametrize("command, header", [("fit", SPECTRUM_HEADER), ("phase", CHANNELS_HEADER)], ids=["fit", "phase"])
@@ -524,16 +557,30 @@ class TestErrorBoundary:
             (("design", "--set", "g=1e160"), f"{NOT_FINITE} at g=1e+160, kappa_top=2.0, kappa_side=24.7, gamma=5.0"),
             (("design", "--set", "g=1e200"), f"{NOT_FINITE} at g=1e+200, kappa_top=2.0, kappa_side=24.7, gamma=5.0"),
             (("design", "--set", "gamma=1e300"), f"{NOT_FINITE} at g=9.4, kappa_top=2.0, kappa_side=24.7, gamma=1e+300"),
+            # overflowing rates or noise leave non-finite values that no file may hold
+            (("synth", "--set", "kappa_top=1e308"), "{out}/coupled.csv: values are not finite, file not written"),
+            (("synth", "--set", "noise=1e308"), "{out}/coupled.csv: values are not finite, file not written"),
+            (
+                ("design", "--set", "kappa_values=2:1e308:3"),
+                "conditional-phase magnitudes are not finite at g=9.4, kappa_top=1e+308, kappa_side=24.7, gamma=5.0",
+            ),
         ],
-        ids=["denominator_underflow", "rate_overflow", "g_overflow_named", "gamma_overflow_named"],
+        ids=[
+            "denominator_underflow",
+            "rate_overflow",
+            "g_overflow_named",
+            "gamma_overflow_named",
+            "kappa_top_overflow",
+            "noise_overflow",
+            "kappa_values_overflow",
+        ],
     )
-    def test_numerical_value_error_still_exits_2(self, tmp_path, capsys, argv, message):
+    def test_numerical_value_error_still_exits_2(self, tmp_path, capsys, recwarn, argv, message):
         assert run(*argv, "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "(34," not in err
-        assert len(err.splitlines()) == 1 and err.startswith("pillar-qed: numerical failure: ")
-        if message is not None:
-            assert err == f"pillar-qed: numerical failure: {message}\n"
+        assert err == f"pillar-qed: numerical failure: {message.format(out=tmp_path)}\n"
+        assert not recwarn.list
 
     def test_overflowing_coefficients_exit_2_with_one_line(self, tmp_path, capsys, recwarn):
         # gamma ** 2 overflows in the conditional-phase polynomials; numpy's
@@ -573,6 +620,13 @@ def _run_quietly(*argv):
     return code, err.getvalue()
 
 
+def _read_back(out):
+    """Read every CSV a run wrote through its ``io`` reader."""
+    readers = {"design.csv": read_design_csv, "manifest.csv": read_manifest_csv}
+    for path in Path(out).glob("*.csv"):
+        readers.get(path.name, read_spectrum_csv)(path)
+
+
 class TestBoundaryProperty:
     """Arbitrary files and rate values never escape the exit-code contract."""
 
@@ -589,6 +643,8 @@ class TestBoundaryProperty:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             code, err = _run_quietly(command, path, "--out", f"{tmp}/out")
+            if code == 0:  # what a run writes, it can read back
+                _read_back(f"{tmp}/out")
         assert code in (0, 1, 2)
         assert "Traceback" not in err
 
@@ -609,6 +665,8 @@ class TestBoundaryProperty:
             argv += ["--set", item]
         with tempfile.TemporaryDirectory() as tmp:
             code, err = _run_quietly(*argv, "--out", f"{tmp}/out")
+            if code == 0:
+                _read_back(f"{tmp}/out")
         assert code in (0, 1, 2)
         assert "Traceback" not in err
 

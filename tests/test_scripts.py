@@ -53,13 +53,6 @@ def test_summary_report_output(tmp_path):
     assert done.stdout == SUMMARY
 
 
-def test_generate_datasets_bundle(tmp_path):
-    done = run_script("generate_datasets.py", str(tmp_path / "bundle"), cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    names = {p.name for p in (tmp_path / "bundle").iterdir()}
-    assert names == {"synth", "synth_bg", "phase", "scan", "design"}
-
-
 # SHA-256 of every file that scripts/cli_outputs.py writes. The data files
 # are byte-identical from run to run and across BLAS thread counts; a
 # reviewed change to an output's bytes updates its digest here.
@@ -112,6 +105,10 @@ CLI_OUTPUT_DIGESTS = {
     "synth_noisy/coupled.csv": "ace4df073f0a84a0b4ed67dbcfcf282f0d6ac9ebb20609949026d60699ee16ba",
     "synth_noisy/empty.csv": "009a1bdb57bf7690ba649da97db8b3103c402e1c05e0a633adeae936c5cae6a7",
 }
+# scan_roundtrip reruns scan from its own scan_config.txt: the same bytes
+CLI_OUTPUT_DIGESTS.update(
+    {f"scan_roundtrip/{k[5:]}": v for k, v in CLI_OUTPUT_DIGESTS.items() if k.startswith("scan/")}
+)
 
 
 def test_cli_outputs_tree(tmp_path):
