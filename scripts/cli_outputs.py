@@ -34,6 +34,15 @@ RUNS = (
     ("phase_noisy", ["phase", "{root}/synth_noisy/channels_coupled.csv"]),
     ("fit", ["fit", "{root}/synth_noisy/coupled.csv"]),
     ("fit_joint", ["fit", "{root}/synth_noisy/coupled.csv", "--phase-csv", "{root}/phase/phase.csv"]),
+    # a phase block on a coarser grid than the intensity block
+    ("synth_coarse", ["synth", "--grid", "1333496:1333696:1001"]),
+    ("phase_coarse", ["phase", "{root}/synth_coarse/channels_coupled.csv"]),
+    ("fit_two_grids", ["fit", "{root}/synth_noisy/coupled.csv", "--phase-csv", "{root}/phase_coarse/phase.csv"]),
+    # a free background, fit in s = sqrt(b)
+    ("fit_background", [
+        "fit", "{root}/synth_bg/coupled.csv",
+        "--set", "fit_free=g,kappa_top,kappa_side,gamma,background", "--background", "0.5",
+    ]),
     ("scan", ["scan"]),
     ("scan_config", ["scan", "--config", "{root}/run.cfg"]),
     # the scan's own resolved config, read back: must rewrite scan/ byte for byte

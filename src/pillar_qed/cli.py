@@ -193,16 +193,12 @@ def cmd_phase(args) -> int:
     out = Path(args.out)
     rec = io.read_channels_csv(args.channels_csv)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if args.calibrate_edges:
-            # the zero-bias arm's bias is exactly 0.0: raw is the bare fringe angle
-            raw = extract_phase(rec, ReferenceArm(beta=1.0, sb_offset=quadrature_offset(1.0)))
-            phases = raw - calibrate_bias(raw)
-        else:
-            phases = extract_phase(rec, cfg.reference_arm())
-    for w in caught:
-        logger.warning("%s", w.message)
+    if args.calibrate_edges:
+        # the zero-bias arm's bias is exactly 0.0: raw is the bare fringe angle
+        raw = extract_phase(rec, ReferenceArm(beta=1.0, sb_offset=quadrature_offset(1.0)))
+        phases = raw - calibrate_bias(raw)
+    else:
+        phases = extract_phase(rec, cfg.reference_arm())
 
     _write(out / "phase.csv", io.write_spectrum_csv, Spectrum(rec.omega, phases))
     return EXIT_OK
@@ -267,7 +263,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with np.errstate(all="ignore"):  # a non-finite result is refused where it is written or checked
+        # a non-finite result is refused where it is written or checked
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.showwarning = lambda message, *_: logger.warning("%s", message)  # one line each
             return _COMMANDS[args.command](args)
     except _NUMERICAL_ERRORS as exc:
         print(f"pillar-qed: numerical failure: {exc}", file=sys.stderr)

@@ -79,29 +79,18 @@ def relative_phase(p: SystemParams, omega, bg: BackgroundModel | None = None):
     return _relative_phase(p, replace(p, g=0.0), omega, bg)
 
 
-def _sorted_unique(x):
-    """:func:`numpy.unique` of a finite 1-d array, bit for bit.
-
-    The same sort and first-of-each-run mask, without the
-    ``np.ma.is_masked`` check whose first call imports ``numpy.ma``.
-    """
-    x = np.sort(x)
-    keep = np.empty(x.size, dtype=bool)
-    keep[:1] = True
-    keep[1:] = x[1:] != x[:-1]
-    return x[keep]
-
-
 def _max_conditional_phases(params, bg: BackgroundModel | None = None):
-    """Yield :func:`max_conditional_phase` of each parameter set.
+    """:func:`max_conditional_phase` of each parameter set, as a list.
 
     The polynomials of all sets are built together, one stacked shifted add
     per coefficient, and grouped by the trimmed lengths of ``Re(A)`` and
     ``Im(A)`` for the stationarity step; the roots are found together.
     """
     rates = np.array([[getattr(p, name) for p in params] for name in PARAM_FIELDS], dtype=float)
-    # rates whose products overflow leave inf or nan coefficients: one
-    # plain error instead of numpy's warnings and eigvals' complaint
+    # rates whose products overflow leave inf or nan coefficients or
+    # magnitudes: one plain error instead of numpy's warnings and eigvals'
+    # complaint. No yield in here: a suspended generator would leak the
+    # error state to its caller
     with np.errstate(all="ignore"):
         n_d, d_d = _coefficient_rows(*rates)
         n_c, d_c = (c[:, 1:] for c in _coefficient_rows(np.zeros_like(rates[0]), *rates[1:]))
@@ -123,19 +112,20 @@ def _max_conditional_phases(params, bg: BackgroundModel | None = None):
             leads = _trim(stationary, np.abs(stationary).max(axis=1))
             for row, s, lead, c in zip(rows, stationary, leads, im):
                 polys[2 * row:2 * row + 2] = s[lead:], c
-    if not finite.all():
-        raise _not_finite("conditional-phase polynomial coefficients", params[int(np.argmin(finite))])
-    roots = _real_roots(polys)
-    for p, stationary, im in zip(params, roots[::2], roots[1::2]):
-        # complex roots add only their real parts: extra candidates, never
-        # a lost one when rounding lifts a real root off the axis
-        omega = p.omega_c + p.kappa_total * _sorted_unique(np.concatenate([stationary, im, [0.0]]))
-        empty = replace(p, g=0.0)
-        magnitudes = [abs(_relative_phase(p, empty, w, bg)) for w in omega]
-        i = int(np.argmax(magnitudes))  # the first nan, if any
-        if not (math.isfinite(magnitudes[i]) and math.isfinite(omega[i])):
-            raise _not_finite("conditional-phase magnitudes", p)
-        yield float(magnitudes[i]), float(omega[i])
+        if not finite.all():
+            raise _not_finite("conditional-phase polynomial coefficients", params[int(np.argmin(finite))])
+        roots, best = _real_roots(polys), []
+        for p, stationary, im in zip(params, roots[::2], roots[1::2]):
+            # complex roots add only their real parts: extra candidates, never
+            # a lost one when rounding lifts a real root off the axis
+            omega = p.omega_c + p.kappa_total * np.array(sorted({*stationary.tolist(), *im.tolist(), 0.0}))
+            empty = replace(p, g=0.0)
+            magnitudes = [abs(_relative_phase(p, empty, w, bg)) for w in omega]
+            i = int(np.argmax(magnitudes))  # the first nan, if any
+            if not (math.isfinite(magnitudes[i]) and math.isfinite(omega[i])):
+                raise _not_finite("conditional-phase magnitudes", p)
+            best.append((float(magnitudes[i]), float(omega[i])))
+    return best
 
 
 def _not_finite(what, p: SystemParams) -> DegenerateModelError:
@@ -157,7 +147,7 @@ def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
     one-row case of :func:`sweep_kappa`'s batched polynomial builder; the
     roots are those of :func:`numpy.roots`, bit for bit.
     """
-    return next(_max_conditional_phases([p], bg))
+    return _max_conditional_phases([p], bg)[0]
 
 
 def sweep_kappa(base: SystemParams, kappa_values) -> list:

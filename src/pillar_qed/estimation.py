@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 PARAM_NAMES = (*PARAM_FIELDS, "background", "beta_mag")
-_BACKGROUND = PARAM_NAMES.index("background")
 _BETA = PARAM_NAMES.index("beta_mag")
 
 _RATE_BOUNDS = (0.0, 1e3)
@@ -97,7 +96,8 @@ class FitProblem:
     free: tuple = ("g", "kappa_top", "kappa_side", "gamma")
 
     def __post_init__(self):
-        if self.intensity is None and self.phase is None:
+        observed = [(s, is_phase) for s, is_phase in ((self.intensity, False), (self.phase, True)) if s is not None]
+        if not observed:
             raise ValueError("need at least one observed spectrum")
         self.free = tuple(self.free)
         if not self.free:
@@ -110,9 +110,13 @@ class FitProblem:
         self.guess = {n: float(v) for n, v in self.guess.items()}
         _as_vector(self.guess)  # completeness check
 
-        omega_all = np.concatenate(
-            [s.omega for s in (self.intensity, self.phase) if s is not None]
+        # (spectrum, is_phase, new_grid): a block on its predecessor's grid
+        # (the usual joint fit) reuses that block's model amplitude
+        self.blocks = tuple(
+            (s, is_phase, k == 0 or not np.array_equal(s.omega, observed[k - 1][0].omega))
+            for k, (s, is_phase) in enumerate(observed)
         )
+        omega_all = np.concatenate([s.omega for s, _ in observed])
         window = (float(omega_all.min()), float(omega_all.max()))
         self.bounds = {**_DEFAULT_BOUNDS, "omega_c": window, "omega_qd": window}
         for name in PARAM_NAMES:
@@ -140,28 +144,15 @@ class FitResult:
     free: tuple
 
 
-def _one_grid(problem: FitProblem) -> bool:
-    """Whether both blocks are measured on one grid (the usual case), so
-    the model amplitude is evaluated once for both."""
-    return (
-        problem.intensity is not None
-        and problem.phase is not None
-        and np.array_equal(problem.intensity.omega, problem.phase.omega)
-    )
-
-
 def residuals(params, problem: FitProblem) -> np.ndarray:
     """(model - observed) stacked over the provided spectra."""
     vec = _as_vector(params)
     blocks = []
-    if problem.intensity is not None:
-        m = _model_amplitude(vec, problem.intensity.omega)
-        model = vec[_BETA] ** 2 * np.abs(m) ** 2
-        blocks.append(model - problem.intensity.values)
-    if problem.phase is not None:
-        if not _one_grid(problem):
-            m = _model_amplitude(vec, problem.phase.omega)
-        blocks.append(np.angle(m) - problem.phase.values)
+    for spectrum, is_phase, new_grid in problem.blocks:
+        if new_grid:
+            m = _model_amplitude(vec, spectrum.omega)
+        model = np.angle(m) if is_phase else vec[_BETA] ** 2 * np.abs(m) ** 2
+        blocks.append(model - spectrum.values)
     return np.concatenate(blocks)
 
 
@@ -171,21 +162,16 @@ def _residual_jacobian(vec: np.ndarray, problem: FitProblem, columns) -> np.ndar
     differentiated in s = sqrt(background)."""
     beta = vec[_BETA]
     blocks = []
-    if problem.intensity is not None:
-        m, dm = _model_partials(vec, problem.intensity.omega)
-        m_conj, scale = m.conj(), 2.0 * beta**2
-        blocks.append([
-            (m_conj * dm[k]).real * scale if k != _BETA else 2.0 * beta * np.abs(m) ** 2
-            for k in columns
-        ])
-    if problem.phase is not None:
-        if not _one_grid(problem):
-            m, dm = _model_partials(vec, problem.phase.omega)
-            m_conj = m.conj()
-        abs2 = np.abs(m) ** 2
-        # np.angle(0) == 0, so the phase is flat where the amplitude vanishes
-        scale = np.divide(1.0, abs2, out=np.zeros_like(abs2), where=abs2 > 0)
-        blocks.append([(m_conj * dm[k]).imag * scale if k != _BETA else np.zeros_like(abs2) for k in columns])
+    for spectrum, is_phase, new_grid in problem.blocks:
+        if new_grid:
+            m, dm = _model_partials(vec, spectrum.omega)
+            m_conj, abs2 = m.conj(), np.abs(m) ** 2
+        if is_phase:
+            # np.angle(0) == 0, so the phase is flat where the amplitude vanishes
+            scale = np.divide(1.0, abs2, out=np.zeros_like(abs2), where=abs2 > 0)
+            blocks.append([(m_conj * dm[k]).imag * scale if k != _BETA else np.zeros_like(abs2) for k in columns])
+        else:
+            blocks.append([(m_conj * dm[k]).real * (2.0 * beta**2) if k != _BETA else 2.0 * beta * abs2 for k in columns])
     # F-ordered on purpose: the LM's jacobian.T @ r rounds by memory order, and fit_report.txt with it
     return np.array([np.concatenate(rows) for rows in zip(*blocks)]).T
 
@@ -193,15 +179,15 @@ def _residual_jacobian(vec: np.ndarray, problem: FitProblem, columns) -> np.ndar
 def _free_residuals(problem: FitProblem, params):
     """The fit over the free parameters, the rest held at ``params``.
 
-    Returns ``(fun, jac, x0, bounds)`` in the free coordinates: the free
-    parameter values, except that a free ``background`` b enters as
-    s = sqrt(b) with bounds on s. The admixture s + sqrt(1 - s^2) r has a
-    finite slope at b = 0, the default and lower bound, where d/db is
-    infinite.
+    Returns ``(fun, jac, x0, bounds, full)`` in the free coordinates: the
+    free parameter values, except that a free ``background`` b enters as
+    s = sqrt(b) with bounds on s; ``full(x)`` is the parameter vector at
+    ``x``. The admixture s + sqrt(1 - s^2) r has a finite slope at b = 0,
+    the default and lower bound, where d/db is infinite.
     """
     x_full = _as_vector(params)
     idx = problem.free_indices()
-    root = idx == _BACKGROUND
+    root = idx == PARAM_NAMES.index("background")
 
     def free_coordinates(values):
         values = np.array(values, dtype=float)
@@ -220,7 +206,7 @@ def _free_residuals(problem: FitProblem, params):
         return _residual_jacobian(full(x), problem, idx)
 
     bounds = np.array([problem.bounds[n] for n in problem.free]).T
-    return fun, jac, free_coordinates(x_full[idx]), tuple(map(free_coordinates, bounds))
+    return fun, jac, free_coordinates(x_full[idx]), tuple(map(free_coordinates, bounds)), full
 
 
 def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> FitResult:
@@ -229,12 +215,9 @@ def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> Fi
     Deterministic: identical problems give bit-identical results. Non-
     convergence is reported through the ``converged`` flag, never raised.
     """
-    fun, jac, x0, bounds = _free_residuals(problem, problem.guess)
+    fun, jac, x0, bounds, full = _free_residuals(problem, problem.guess)
     res = leastsq.levenberg_marquardt(fun, jac, x0, bounds=bounds, max_iterations=max_iterations)
-
-    root = problem.free_indices() == _BACKGROUND
-    params = {n: problem.guess[n] for n in PARAM_NAMES}
-    params.update(zip(problem.free, map(float, np.where(root, res.x * res.x, res.x))))
+    params = dict(zip(PARAM_NAMES, full(res.x).tolist()))
     std_errors, condition = _std_errors(res.jacobian, res.residuals, res.x, bounds, problem.free)
     return FitResult(
         params=params,
@@ -258,10 +241,8 @@ def _std_errors(jacobian, resid, x, bounds, free):
     b = s^2 as 2 s sigma_s. Parameters sitting on a bound are flagged
     infinite.
     """
-    jtj = jacobian.T @ jacobian
-    diag = np.maximum(np.diag(jtj), max(np.max(np.diag(jtj)), 1.0) * 1e-14)
-    dof = max(resid.size - len(free), 1)
-    sigma2 = float(resid @ resid) / dof
+    jtj, diag = leastsq._normal_equations(jacobian)
+    sigma2 = float(resid @ resid) / max(resid.size - len(free), 1)
     try:
         cov = sigma2 * np.linalg.inv(jtj + 1e-12 * np.diag(diag))
         errors = np.sqrt(np.maximum(np.diag(cov), 0.0))

@@ -164,6 +164,13 @@ def _grid_fault(table):
     return k, "values must be finite" if not finite[k] else "omega must be strictly increasing"
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("values must be finite")
+    return value
+
+
 def _parse_flag(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
@@ -196,7 +203,7 @@ def write_design_csv(path, points):
 def read_design_csv(path):
     """Design-table rows as dicts (kappa, max_phase_rad, argmax_ueV,
     refl_on_res, feasible)."""
-    _, columns = _read_columns(path, DESIGN_HEADER, (float,) * 4 + (_parse_flag,))
+    _, columns = _read_columns(path, DESIGN_HEADER, (_finite,) * 4 + (_parse_flag,))
     return [dict(zip(DESIGN_HEADER.split(","), row)) for row in zip(*columns)]
 
 
@@ -207,7 +214,7 @@ def write_manifest_csv(path, entries):
 
 def read_manifest_csv(path):
     """Scan-manifest rows as (temperature, filename) tuples."""
-    _, columns = _read_columns(path, MANIFEST_HEADER, (float, str))
+    _, columns = _read_columns(path, MANIFEST_HEADER, (_finite, str))
     return list(zip(*columns))
 
 

@@ -42,6 +42,13 @@ def _clip(x, lower, upper):
     return np.minimum(np.maximum(x, lower), upper)
 
 
+def _normal_equations(jacobian):
+    """``J^T J`` and its diagonal, floored relative to the largest entry or 1."""
+    jtj = jacobian.T @ jacobian
+    diag = np.diag(jtj)
+    return jtj, np.maximum(diag, max(np.max(diag), 1.0) * 1e-14)
+
+
 def levenberg_marquardt(fun, jac, x0, bounds=None, max_iterations: int = MAX_ITERATIONS) -> LeastSquaresResult:
     """Minimize ``sum(fun(x)**2)`` with damped normal equations.
 
@@ -95,10 +102,7 @@ def levenberg_marquardt(fun, jac, x0, bounds=None, max_iterations: int = MAX_ITE
             reason = "gradient"
             break
 
-        jtj = jacobian.T @ jacobian
-        diag = np.diag(jtj).copy()
-        floor = max(np.max(diag), 1.0) * 1e-14
-        diag = np.maximum(diag, floor)
+        jtj, diag = _normal_equations(jacobian)
         jtr = jacobian.T @ r
 
         accepted = False

@@ -250,13 +250,7 @@ class TestPhase:
         # 10 of 50 rows read a fringe of 2.5 / 2 > 1
         rows = [f"{1000.0 + i},1.0,1.0,{2.5 if i % 5 == 0 else 1.0},{0.0 if i % 5 == 0 else 1.0}" for i in range(50)]
         (tmp_path / "bad.csv").write_text(CHANNELS_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from pillar_qed.cli import main; sys.exit(main())",
-             "phase", str(tmp_path / "bad.csv"), "--out", str(tmp_path), *extra],
-            env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == (
+        assert _fresh_stderr("phase", str(tmp_path / "bad.csv"), "--out", str(tmp_path), *extra) == (
             "WARNING pillar_qed.cli: inconsistent channel record: 10 channel rows have a"
             " normalized fringe beyond 1 (by up to 2.500e-01), clamping\n"
         )
@@ -284,6 +278,12 @@ class TestScan:
         scan_bytes = (scan_dir / "scan_T19.0000K.csv").read_bytes()
         synth_bytes = (synth_dir / "coupled.csv").read_bytes()
         assert scan_bytes == synth_bytes
+
+    def test_out_of_window_temperatures_logged_one_line_each(self, tmp_path):
+        assert _fresh_stderr("scan", "--set", "temperatures=1:3:2", "--out", str(tmp_path)) == (
+            "WARNING pillar_qed.cli: temperature 1.0 K outside validity window [4.0, 300.0] K\n"
+            "WARNING pillar_qed.cli: temperature 3.0 K outside validity window [4.0, 300.0] K\n"
+        )
 
     def test_empty_temperature_list_is_usage_error(self, tmp_path):
         assert run("scan", "--out", str(tmp_path), "--set", "temperatures=") == 1
@@ -360,10 +360,15 @@ class TestFileFormats:
         [
             # a bad flag, then a bad kappa: the first bad line is named, whatever its column
             (read_design_csv, f"{DESIGN_HEADER}\n2.0,0.1,1.0,0.5,yes\nx,0.1,1.0,0.5,true\n", 2),
+            (read_design_csv, f"{DESIGN_HEADER}\n2.0,0.1,1.0,0.5,true\nnan,inf,1.0,0.5,true\n", 3),
+            (read_manifest_csv, "temperature_K,filename\n19.0,scan_T19.0000K.csv\ninf,scan_inf.csv\n", 3),
             (read_report, "converged = true\nreason stalled\n", 2),
             (load_config_file, "g = 5.0  # ueV\n\nkappa_top\n", 3),
         ],
-        ids=["design_flag_then_kappa", "report_without_equals", "config_without_equals"],
+        ids=[
+            "design_flag_then_kappa", "design_non_finite", "manifest_inf_temperature",
+            "report_without_equals", "config_without_equals",
+        ],
     )
     def test_first_bad_line_named(self, tmp_path, read, text, line):
         path = tmp_path / "input"
@@ -610,6 +615,17 @@ def _csv_text(draw, header, n_values):
         i = draw(st.integers(0, n - 2))
         rows[i], rows[i + 1] = rows[i + 1], rows[i]
     return header + "\n" + "".join(",".join(map(repr, map(float, row))) + "\n" for row in rows)
+
+
+def _fresh_stderr(*argv):
+    """stderr of ``main(argv)`` in a fresh interpreter, whose logging writes
+    to stderr; the command must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from pillar_qed.cli import main; sys.exit(main())", *argv],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
 
 
 def _run_quietly(*argv):

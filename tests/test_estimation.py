@@ -240,7 +240,7 @@ class TestUncertainty:
     @staticmethod
     def errors_at(params, problem):
         """Standard errors from the Jacobian taken at ``params``."""
-        fun, jac, x, bounds = _free_residuals(problem, params)
+        fun, jac, x, bounds, _ = _free_residuals(problem, params)
         return _std_errors(jac(x), fun(x), x, bounds, problem.free)[0]
 
     def test_cost_stall_errors_taken_at_reported_point(self):
@@ -320,7 +320,7 @@ class TestResidualJacobian:
             phase=Spectrum(grid, phase + 0.01 * rng.standard_normal(n)),
             free=PARAM_NAMES,
         )
-        fun, jac, x, _ = _free_residuals(problem, problem.guess)
+        fun, jac, x, _, _ = _free_residuals(problem, problem.guess)
         numeric = central_difference(fun, x, model_steps(x))
         return np.max(np.abs(jac(x) - numeric), axis=0) / np.max(np.abs(numeric), axis=0)
 

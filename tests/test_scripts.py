@@ -61,8 +61,11 @@ CLI_OUTPUT_DIGESTS = {
     "design_uncoupled/design.csv": "3ce1298bf529100c51ee207f46a71ecc7ff522d83ff58c21cf5fd6e18727f241",
     "design_wide/design.csv": "4edb409c245cc2de09a5f8de1f2d7bf455b6130fe15a317287ef7e902e9ab1e5",
     "fit/fit_report.txt": "9637162bc36c381336feaa2ec36482ee2319aefbbfff382029b5dd0f53b69b41",
+    "fit_background/fit_report.txt": "f517c31e067cb78215a76dca4493a34d67a6ec4d03dacbfa769a8c791c13ba6f",
     "fit_joint/fit_report.txt": "3fe186fd9d4bc7f99d41aaf58252d8ba757647da4db0031babc1fd09208b6e69",
+    "fit_two_grids/fit_report.txt": "26319f6b6367b3adae2202a8513336720f8deaa7f650c567ee145b27a16befcf",
     "phase/phase.csv": "cfb8ff656e2a7680bb521c0bf35d9d558bfc11130d560e112d73643916a6c231",
+    "phase_coarse/phase.csv": "e12169b5de7a0bfe369e6b2e47c22c0b33bac99c6b45179d2d574b44d2e1a052",
     "phase_edges/phase.csv": "4efc47e97498850424c170438a4aa50607248d1b33d39b12d57ac09cdd296a78",
     "phase_noisy/phase.csv": "9ab96f1f76239e00202857d67a58c120cd8f12602cadf70b340ae321863faece",
     "run.cfg": "7fe663930d4888e010a2623ba0701135a20f2a6fb105d7e9a4ebe44c0899dfc2",
@@ -100,6 +103,10 @@ CLI_OUTPUT_DIGESTS = {
     "synth_bg/channels_empty.csv": "4eb29079d0351d0fc339eeea7eb5e6d03280609c54b58fcad8b4ee69779d3118",
     "synth_bg/coupled.csv": "c30914d3675e25b7a2b049260399e0b8126ce8a72a0f98e6a132836dc5a6387b",
     "synth_bg/empty.csv": "fd634436a4a3a1fec5583f7ca1c24739ed622b57d0d8cf56309c64c173c653e4",
+    "synth_coarse/channels_coupled.csv": "ddef118b1c3a839bb822bc6f25d3613d407f180eb1f7ccf6d14ae65ecf6114c4",
+    "synth_coarse/channels_empty.csv": "6261f18b8111f0b44c60e71da99cf89221c9813bb4a94e24425ac4bd011ce5c4",
+    "synth_coarse/coupled.csv": "0836ccb8371783decab07a0caa6c7d4197f66b28a5f9b622cf1c2773cbf88296",
+    "synth_coarse/empty.csv": "57f4672d2f07390ca96280fb588ff009bba718db66d7fd9b8456df522a0a284b",
     "synth_noisy/channels_coupled.csv": "4fa94cb3be7e3e0d008cd12278f1067352b4629d8b1f145635d4fcb91c4ba1c7",
     "synth_noisy/channels_empty.csv": "6d0544023896494e1929f83fd8f66c6c8c950ed1123d62653852ba678b130adb",
     "synth_noisy/coupled.csv": "ace4df073f0a84a0b4ed67dbcfcf282f0d6ac9ebb20609949026d60699ee16ba",
