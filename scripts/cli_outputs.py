@@ -34,6 +34,10 @@ RUNS = (
     ("phase_noisy", ["phase", "{root}/synth_noisy/channels_coupled.csv"]),
     ("fit", ["fit", "{root}/synth_noisy/coupled.csv"]),
     ("fit_joint", ["fit", "{root}/synth_noisy/coupled.csv", "--phase-csv", "{root}/phase/phase.csv"]),
+    # stopped after two iterations: the report is written and the run exits 0
+    ("fit_nonconverged", [
+        "fit", "{root}/synth_noisy/coupled.csv", "--set", "fit_max_iterations=2", "--allow-nonconverged",
+    ]),
     # a phase block on a coarser grid than the intensity block
     ("synth_coarse", ["synth", "--grid", "1333496:1333696:1001"]),
     ("phase_coarse", ["phase", "{root}/synth_coarse/channels_coupled.csv"]),

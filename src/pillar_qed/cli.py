@@ -34,7 +34,7 @@ from .scattering import DegenerateModelError, Spectrum, reflection_amplitude
 
 __all__ = ["main", "build_parser"]
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("pillar_qed.cli")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,57 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _add_common(parser):
-    parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    parser.add_argument("--seed", metavar="N", help="override the config seed")
-    parser.add_argument("--background", metavar="B", help="override the background fraction")
-    parser.add_argument("--grid", metavar="START:STOP:N", help="override the probe grid (ueV)")
-    parser.add_argument(
-        "--set",
-        metavar="KEY=VALUE",
-        action="append",
-        default=[],
-        dest="overrides",
-        help="override any config key (repeatable)",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pillar-qed", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_synth = sub.add_parser("synth", help="synthesize intensity and channel spectra")
-    _add_common(p_synth)
-
-    p_fit = sub.add_parser("fit", help="fit the model to observed spectra")
-    p_fit.add_argument("intensity_csv", help="observed intensity spectrum CSV")
-    p_fit.add_argument("--phase-csv", metavar="PATH", help="optional observed phase CSV")
-    p_fit.add_argument(
-        "--allow-nonconverged",
-        action="store_true",
-        help="exit 0 even when the fit does not converge",
-    )
-    _add_common(p_fit)
-
-    p_phase = sub.add_parser("phase", help="extract phase from a channel table")
-    p_phase.add_argument("channels_csv", help="channel table CSV")
-    p_phase.add_argument(
-        "--calibrate-edges",
-        action="store_true",
-        help="estimate the bias from the far-detuned grid edges instead of the configured reference",
-    )
-    _add_common(p_phase)
-
-    p_scan = sub.add_parser("scan", help="synthesize a temperature scan")
-    _add_common(p_scan)
-
-    p_design = sub.add_parser("design", help="sweep the outcoupling rate")
-    _add_common(p_design)
-
-    return parser
 
 
 def _config_from_args(args) -> RunConfig:
@@ -135,9 +84,7 @@ def _write(path, writer, *payload):
     print(f"wrote {path}")
 
 
-def cmd_synth(args) -> int:
-    cfg = _config_from_args(args)
-    out = Path(args.out)
+def cmd_synth(args, cfg, out):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.system_params()
     bg = cfg.background_model()
@@ -154,14 +101,14 @@ def cmd_synth(args) -> int:
             grid, *(_maybe_noisy(c, cfg, rng) for c in (rec.h, rec.v, rec.d, rec.a))
         )
         _write(out / f"channels_{name}.csv", io.write_channels_csv, rec)
-    return EXIT_OK
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args, cfg, out):
     from . import estimation
 
-    cfg = _config_from_args(args)
-    out = Path(args.out)
+    # the fitted model mixes in a zero-phase background
+    if cfg.background_phase != 0:
+        raise ConfigError(f"fit models a zero background_phase, got {cfg.background_phase!r}")
     intensity = io.read_spectrum_csv(args.intensity_csv)
     phase_obs = io.read_spectrum_csv(args.phase_csv) if args.phase_csv else None
 
@@ -177,20 +124,16 @@ def cmd_fit(args) -> int:
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
         "covariance_condition": result.covariance_condition,
+        **result.params,
+        **{f"std_error_{name}": result.std_errors[name] for name in result.free},
     }
-    report.update({name: result.params[name] for name in estimation.PARAM_NAMES})
-    for name in result.free:
-        report[f"std_error_{name}"] = result.std_errors[name]
     _write(out / "fit_report.txt", io.write_report, report)
 
     if not result.converged and not args.allow_nonconverged:
         raise NonConvergenceError(f"fit did not converge ({result.reason})")
-    return EXIT_OK
 
 
-def cmd_phase(args) -> int:
-    cfg = _config_from_args(args)
-    out = Path(args.out)
+def cmd_phase(args, cfg, out):
     rec = io.read_channels_csv(args.channels_csv)
 
     if args.calibrate_edges:
@@ -201,14 +144,11 @@ def cmd_phase(args) -> int:
         phases = extract_phase(rec, cfg.reference_arm())
 
     _write(out / "phase.csv", io.write_spectrum_csv, Spectrum(rec.omega, phases))
-    return EXIT_OK
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args, cfg, out):
     from . import tuning
 
-    cfg = _config_from_args(args)
-    out = Path(args.out)
     # file names round to 0.1 mK: refuse temperatures that would share one
     files = {}
     for t in cfg.temperatures.tolist():
@@ -225,26 +165,57 @@ def cmd_scan(args) -> int:
         _write(out / name, io.write_spectrum_csv, spectrum)
     _write(out / "manifest.csv", io.write_manifest_csv, entries)
     _write(out / "scan_config.txt", io.write_report, dict(cfg.raw))
-    return EXIT_OK
 
 
-def cmd_design(args) -> int:
+def cmd_design(args, cfg, out):
     from . import design
 
-    cfg = _config_from_args(args)
-    out = Path(args.out)
     points = design.sweep_kappa(cfg.system_params(), cfg.kappa_values)
     _write(out / "design.csv", io.write_design_csv, points)
-    return EXIT_OK
 
 
+# name: (handler, help line, own arguments), each argument a flag or
+# positional name and its add_argument keywords
 _COMMANDS = {
-    "synth": cmd_synth,
-    "fit": cmd_fit,
-    "phase": cmd_phase,
-    "scan": cmd_scan,
-    "design": cmd_design,
+    "synth": (cmd_synth, "synthesize intensity and channel spectra", ()),
+    "fit": (cmd_fit, "fit the model to observed spectra", (
+        ("intensity_csv", {"help": "observed intensity spectrum CSV"}),
+        ("--phase-csv", {"metavar": "PATH", "help": "optional observed phase CSV"}),
+        ("--allow-nonconverged", {"action": "store_true", "help": "exit 0 even when the fit does not converge"}),
+    )),
+    "phase": (cmd_phase, "extract phase from a channel table", (
+        ("channels_csv", {"help": "channel table CSV"}),
+        ("--calibrate-edges", {
+            "action": "store_true",
+            "help": "estimate the bias from the far-detuned grid edges instead of the configured reference",
+        }),
+    )),
+    "scan": (cmd_scan, "synthesize a temperature scan", ()),
+    "design": (cmd_design, "sweep the outcoupling rate", ()),
 }
+
+# every subcommand's arguments after its own
+_COMMON = (
+    ("--config", {"metavar": "PATH", "help": "flat key = value config file"}),
+    ("--out", {"metavar": "DIR", "default": "out", "help": "output directory"}),
+    ("--seed", {"metavar": "N", "help": "override the config seed"}),
+    ("--background", {"metavar": "B", "help": "override the background fraction"}),
+    ("--grid", {"metavar": "START:STOP:N", "help": "override the probe grid (ueV)"}),
+    ("--set", {
+        "metavar": "KEY=VALUE", "action": "append", "default": [], "dest": "overrides",
+        "help": "override any config key (repeatable)",
+    }),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="pillar-qed", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (_, help_line, own) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, options in (*own, *_COMMON):
+            command.add_argument(flag, **options)
+    return parser
 
 
 def _setup_logging():
@@ -266,7 +237,8 @@ def main(argv=None) -> int:
         # a non-finite result is refused where it is written or checked
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.showwarning = lambda message, *_: logger.warning("%s", message)  # one line each
-            return _COMMANDS[args.command](args)
+            handler = _COMMANDS[args.command][0]
+            handler(args, _config_from_args(args), Path(args.out))
     except _NUMERICAL_ERRORS as exc:
         print(f"pillar-qed: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -276,6 +248,7 @@ def main(argv=None) -> int:
         # numerical ValueError subclasses are caught above
         print(f"pillar-qed: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

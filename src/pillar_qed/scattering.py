@@ -228,43 +228,6 @@ def _coefficient_rows(g, kappa_top, kappa_side, gamma, omega_c, omega_qd):
     return num, den
 
 
-def _polymul(a, b):
-    """Row-wise products of stacked polynomials ``a`` (K, m) and ``b`` (K, n)."""
-    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1), dtype=np.result_type(a, b))
-    for i in range(a.shape[1]):
-        out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
-    return out
-
-
-def _trim(rows, scale):
-    """Per row, the index of the first coefficient that did not cancel to
-    rounding noise: the first at least 1e-12 of the row's ``scale``."""
-    return np.argmax(np.abs(rows) >= 1e-12 * scale[:, None], axis=1)
-
-
-def _real_roots(polys):
-    """``np.roots(c).real`` for each coefficient array ``c``, bit for bit.
-
-    The zero stripping, float cast and companion matrices of
-    :func:`numpy.roots`, but one stacked ``eigvals`` call per size and dtype.
-    """
-    roots, groups = [], {}
-    for c in map(np.asarray, polys):
-        nz = np.flatnonzero(c)
-        # trailing zeros are roots at zero, appended after the others
-        roots.append([np.zeros(0), np.zeros(c.size - 1 - nz[-1] if nz.size else 0)])
-        c = c[nz[0]:nz[-1] + 1] if nz.size else c[:0]
-        if c.size > 1:
-            groups.setdefault((c.size, c.dtype), []).append((c, roots[-1]))
-    for (n, dtype), members in groups.items():
-        coeffs = np.array([c for c, _ in members])
-        companion = np.tile(np.eye(n - 1, k=-1, dtype=np.result_type(dtype, 0.0)), (len(members), 1, 1))
-        companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
-        for (_, parts), found in zip(members, np.linalg.eigvals(companion).real):
-            parts[0] = found
-    return [np.concatenate(parts) for parts in roots]
-
-
 def principal_angle(z):
     """Argument in (-pi, pi]: the -pi branch edge maps to +pi.
 

@@ -25,7 +25,7 @@ from pillar_qed import (
     max_conditional_phase,
     reflection_amplitude,
 )
-from pillar_qed.cli import main
+from pillar_qed.cli import build_parser, main
 from pillar_qed.config import DEFAULTS, ConfigError, RunConfig, load_config_file, parse_energy, parse_grid
 from pillar_qed.io import (
     CHANNELS_HEADER,
@@ -201,6 +201,17 @@ class TestFit:
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run("fit", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 1
+
+    def test_background_phase_refused(self, tmp_path, capsys):
+        # the fit mixes a zero-phase background; a phased one would fit a wrong basin
+        flags = ("--background", "0.5", "--set", "background_phase=1.0")
+        assert run("synth", "--out", str(tmp_path), *flags) == 0
+        capsys.readouterr()
+        assert run("fit", str(tmp_path / "coupled.csv"), "--out", str(tmp_path / "fit"), *flags) == 1
+        assert capsys.readouterr().err == (
+            "pillar-qed: error: fit models a zero background_phase, got 1.0\n"
+        )
+        assert not (tmp_path / "fit").exists()
 
 
 class TestPhase:
@@ -618,10 +629,10 @@ def _csv_text(draw, header, n_values):
 
 
 def _fresh_stderr(*argv):
-    """stderr of ``main(argv)`` in a fresh interpreter, whose logging writes
-    to stderr; the command must exit 0."""
+    """stderr of ``python -m pillar_qed.cli *argv``, whose logging writes to
+    stderr; the command must exit 0."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from pillar_qed.cli import main; sys.exit(main())", *argv],
+        [sys.executable, "-m", "pillar_qed.cli", *argv],
         env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -705,6 +716,54 @@ class TestUsageErrors:
 
     def test_bad_background(self, tmp_path):
         assert run("synth", "--out", str(tmp_path), "--background", "1.5") == 1
+
+
+_COMMON_ARGV = (
+    "--config", "run.cfg", "--out", "o", "--seed", "3", "--background", "0.5",
+    "--grid", "0:10:11", "--set", "g=1", "--set", "gamma=2",
+)
+_COMMON_VARS = {
+    "config": "run.cfg", "out": "o", "seed": "3", "background": "0.5",
+    "grid": "0:10:11", "overrides": ["g=1", "gamma=2"],
+}
+# each subcommand's own arguments, given in full, and what they parse to
+_OWN_ARGS = {
+    "synth": ((), {}),
+    "fit": (
+        ("in.csv", "--phase-csv", "p.csv", "--allow-nonconverged"),
+        {"intensity_csv": "in.csv", "phase_csv": "p.csv", "allow_nonconverged": True},
+    ),
+    "phase": (("ch.csv", "--calibrate-edges"), {"channels_csv": "ch.csv", "calibrate_edges": True}),
+    "scan": ((), {}),
+    "design": ((), {}),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(_OWN_ARGS))
+    def test_every_flag_parsed(self, command):
+        own_argv, own_vars = _OWN_ARGS[command]
+        args = build_parser().parse_args([command, *own_argv, *_COMMON_ARGV])
+        assert vars(args) == {"command": command, **own_vars, **_COMMON_VARS}
+
+    @pytest.mark.parametrize("command", list(_OWN_ARGS))
+    def test_help_lists_own_arguments_first(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        own_argv, own_vars = _OWN_ARGS[command]
+        flags = [arg for arg in own_argv if arg.startswith("--")]
+        positionals = [dest for dest in own_vars if "--" + dest.replace("_", "-") not in flags]
+        names = [*positionals, *flags, "--config", "--out", "--seed", "--background", "--grid", "--set"]
+        positions = [text.index(f"\n  {name} ") for name in names]
+        assert positions == sorted(positions)
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--help"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(_OWN_ARGS) + "}" in capsys.readouterr().out
 
 
 _SRC = Path(pillar_qed.__file__).resolve().parents[1]

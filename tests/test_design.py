@@ -15,7 +15,8 @@ from pillar_qed import (
     sweep_kappa,
 )
 from pillar_qed import design
-from pillar_qed.scattering import DegenerateModelError, _real_roots
+from pillar_qed.design import _real_roots
+from pillar_qed.scattering import DegenerateModelError
 
 from conftest import DEVICE, grid_around
 

@@ -63,6 +63,7 @@ CLI_OUTPUT_DIGESTS = {
     "fit/fit_report.txt": "9637162bc36c381336feaa2ec36482ee2319aefbbfff382029b5dd0f53b69b41",
     "fit_background/fit_report.txt": "f517c31e067cb78215a76dca4493a34d67a6ec4d03dacbfa769a8c791c13ba6f",
     "fit_joint/fit_report.txt": "3fe186fd9d4bc7f99d41aaf58252d8ba757647da4db0031babc1fd09208b6e69",
+    "fit_nonconverged/fit_report.txt": "f3f95e1e430752f1d9ddd1e4f5de10563eb498d84d281d214f8047b6b7135d7e",
     "fit_two_grids/fit_report.txt": "26319f6b6367b3adae2202a8513336720f8deaa7f650c567ee145b27a16befcf",
     "phase/phase.csv": "cfb8ff656e2a7680bb521c0bf35d9d558bfc11130d560e112d73643916a6c231",
     "phase_coarse/phase.csv": "e12169b5de7a0bfe369e6b2e47c22c0b33bac99c6b45179d2d574b44d2e1a052",
