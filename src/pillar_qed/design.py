@@ -11,17 +11,19 @@ the price of reflectivity.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .interferometer import BackgroundModel, apply_background
 from .scattering import (
+    _DENOMINATOR_FLOOR,
     PARAM_FIELDS,
     DegenerateModelError,
     SystemParams,
+    _amplitude_underflow,
     _coefficient_rows,
+    _underflows,
     principal_angle,
     reflection_amplitude,
 )
@@ -57,23 +59,60 @@ class DesignPoint:
         return self.max_conditional_phase > 0.5 * np.pi
 
 
-def _relative_phase(p: SystemParams, empty: SystemParams, omega, bg: BackgroundModel | None):
-    """:func:`relative_phase` against a prebuilt ``empty = replace(p, g=0.0)``."""
-    r_d = reflection_amplitude(p, omega=omega)
-    r_c = reflection_amplitude(empty, omega=omega)
+def _product(a, b):
+    """CPython's complex ``a * b``, elementwise over arrays: four plain
+    products, where numpy's complex loops may round otherwise."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _quotient(a, b):
+    """CPython's complex ``a / b``, elementwise over arrays: Smith's division,
+    which divides by ``denom`` where numpy multiplies by its reciprocal."""
+    swap = np.abs(b.real) < np.abs(b.imag)  # Smith's second branch
+    p, q = np.where(swap, b.imag, b.real), np.where(swap, b.real, b.imag)
+    s, t = np.where(swap, a.imag, a.real), np.where(swap, a.real, a.imag)
+    ratio = q / p
+    denom = p + q * ratio
+    out = np.empty(ratio.shape, dtype=complex)
+    out.real = (s + t * ratio) / denom
+    out.imag = np.where(swap, s * ratio - t, t - s * ratio) / denom
+    return out
+
+
+def _conditional_phases(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega, bg):
+    """:func:`relative_phase` at each ``omega``, the rates scalars or flat arrays
+    as long: the amplitude chain with every complex product and quotient rounded
+    as CPython rounds scalars, so an array gives the bits of per-point calls."""
+    shape = np.shape(omega)
+    omega = np.asarray(omega, dtype=float).ravel()
+    d_c = 1j * (omega_c - omega) + 0.5 * (kappa_top + kappa_side)
+    if _underflows(d_c):
+        raise DegenerateModelError("cavity response denominator underflow")
+    r_c = 1.0 - _quotient(kappa_top, d_c)
+    d_qd = 1j * (omega_qd - omega) + 0.5 * gamma
+    den = _product(d_qd, d_c) + g * g
+    empty, low = g == 0, (g != 0) & (np.abs(den) < _DENOMINATOR_FLOOR)
+    with np.errstate(divide="ignore", invalid="ignore"):  # those rows are replaced
+        r_d = np.where(empty, r_c, 1.0 - _quotient(_product(kappa_top, d_qd), den))
+    if low.any():
+        r_d[low] = _amplitude_underflow(*(np.broadcast_to(x, low.shape)[low] for x in (g, kappa_top, d_c, d_qd)))
     if bg is not None:
-        r_d = apply_background(r_d, bg)
-        r_c = apply_background(r_c, bg)
-    return principal_angle(r_d * np.conj(r_c))
+        r_d, r_c = apply_background(r_d, bg), apply_background(r_c, bg)
+    return principal_angle(_product(r_d, r_c.conj()).reshape(shape))
 
 
 def relative_phase(p: SystemParams, omega, bg: BackgroundModel | None = None):
     """Principal-valued phase of the coupled amplitude relative to the empty one.
 
     ``angle(r_coupled * conj(r_empty))`` in (-pi, pi], per point; the
-    empty cavity is ``p`` with g = 0.
+    empty cavity is ``p`` with g = 0. A scalar ``omega`` gives a float. An
+    array is evaluated in one pass that rounds as CPython's scalar complex
+    arithmetic does, so it equals per-point calls bit for bit.
     """
-    return _relative_phase(p, replace(p, g=0.0), omega, bg)
+    return _conditional_phases(*(getattr(p, name) for name in PARAM_FIELDS), omega, bg)
 
 
 def _polymul(a, b):
@@ -118,8 +157,11 @@ def _max_conditional_phases(params, bg: BackgroundModel | None = None):
 
     The polynomials of all sets are built together, one stacked shifted add
     per coefficient, and grouped by the trimmed lengths of ``Re(A)`` and
-    ``Im(A)`` for the stationarity step; the roots are found together.
+    ``Im(A)`` for the stationarity step; the roots are found together, and
+    the candidates of all sets evaluated in one :func:`_conditional_phases`.
     """
+    if not params:
+        return []
     rates = np.array([[getattr(p, name) for p in params] for name in PARAM_FIELDS], dtype=float)
     # rates whose products overflow leave inf or nan coefficients or
     # magnitudes: one plain error instead of numpy's warnings and eigvals'
@@ -148,18 +190,23 @@ def _max_conditional_phases(params, bg: BackgroundModel | None = None):
                 polys[2 * row:2 * row + 2] = s[lead:], c
         if not finite.all():
             raise _not_finite("conditional-phase polynomial coefficients", params[int(np.argmin(finite))])
-        roots, best = _real_roots(polys), []
-        for p, stationary, im in zip(params, roots[::2], roots[1::2]):
-            # complex roots add only their real parts: extra candidates, never
-            # a lost one when rounding lifts a real root off the axis
-            omega = p.omega_c + p.kappa_total * np.array(sorted({*stationary.tolist(), *im.tolist(), 0.0}))
-            empty = replace(p, g=0.0)
-            magnitudes = [abs(_relative_phase(p, empty, w, bg)) for w in omega]
-            i = int(np.argmax(magnitudes))  # the first nan, if any
-            if not (math.isfinite(magnitudes[i]) and math.isfinite(omega[i])):
-                raise _not_finite("conditional-phase magnitudes", p)
-            best.append((float(magnitudes[i]), float(omega[i])))
-    return best
+        # complex roots add only their real parts: extra candidates, never a
+        # lost one when rounding lifts a real root off the axis
+        roots = _real_roots(polys)
+        offsets = [sorted({*s.tolist(), *im.tolist(), 0.0}) for s, im in zip(roots[::2], roots[1::2])]
+        counts = [len(o) for o in offsets]
+        columns = np.repeat(rates, counts, axis=1)
+        omega = columns[4] + (columns[1] + columns[2]) * np.concatenate(offsets)
+        magnitudes = np.abs(_conditional_phases(*columns, omega, bg))
+        # per point, the largest candidate (the first nan, if any; the lowest
+        # energy on ties) of a table padded with -1
+        table = np.full((len(params), max(counts)), -1.0)
+        table[np.arange(table.shape[1]) < np.array(counts)[:, None]] = magnitudes
+        best = np.cumsum([0] + counts[:-1]) + np.argmax(table, axis=1)
+        finite = np.isfinite(magnitudes[best]) & np.isfinite(omega[best])
+        if not finite.all():
+            raise _not_finite("conditional-phase magnitudes", params[int(np.argmin(finite))])
+    return list(zip(magnitudes[best].tolist(), omega[best].tolist()))
 
 
 def _not_finite(what, p: SystemParams) -> DegenerateModelError:
@@ -176,10 +223,11 @@ def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
     therefore peaks at a root of ``Im(A)' Re(A) - Im(A) Re(A)'``, or
     reaches pi on a root of ``Im(A)`` where ``Re(A) < 0`` (the
     overcoupled cusp at resonance). Those roots and ``omega_c`` are
-    evaluated with :func:`relative_phase` and the largest wins, the lowest
-    energy on ties. The returned magnitude lies in [0, pi]. This is the
-    one-row case of :func:`sweep_kappa`'s batched polynomial builder; the
-    roots are those of :func:`numpy.roots`, bit for bit.
+    evaluated in one array pass of :func:`relative_phase` and the largest
+    wins, the lowest energy on ties. The returned magnitude lies in [0, pi]
+    and equals ``abs(relative_phase(p, argmax, bg))``. This is the one-row
+    case of :func:`sweep_kappa`'s batched evaluation; the roots are those of
+    :func:`numpy.roots`, bit for bit.
     """
     return _max_conditional_phases([p], bg)[0]
 
@@ -191,8 +239,10 @@ def sweep_kappa(base: SystemParams, kappa_values) -> list:
     omega_c, whatever ``base.omega_qd``; output is sorted by kappa. Points
     where kappa is within 10% of 4*g are logged as matching the kappa/4 ~ g
     guideline. The phase polynomials of every kappa are built in one pass
-    over rate arrays, and their roots found with one stacked ``eigvals``
-    per polynomial length.
+    over rate arrays, their roots found with one stacked ``eigvals`` per
+    polynomial length, and the conditional phases at all the candidates of
+    all kappas evaluated in one array pass of :func:`relative_phase`, which
+    rounds as per-point calls do.
     """
     kappas = sorted(float(k) for k in np.asarray(kappa_values, dtype=float))
     params = [replace(base, kappa_top=kappa, omega_qd=base.omega_c) for kappa in kappas]

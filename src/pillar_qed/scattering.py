@@ -69,7 +69,11 @@ class SystemParams:
         if self.omega_qd is None:
             object.__setattr__(self, "omega_qd", self.omega_c)
         for name in PARAM_FIELDS:
-            _check_finite(name, getattr(self, name))
+            value = getattr(self, name)
+            _check_finite(name, value)
+            # a numpy scalar field would route the amplitude through numpy's
+            # complex scalar arithmetic, which rounds otherwise than CPython's
+            object.__setattr__(self, name, float(value))
         if self.g < 0:
             raise ValueError(f"g must be >= 0, got {self.g}")
         if self.kappa_top <= 0:

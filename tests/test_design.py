@@ -15,8 +15,8 @@ from pillar_qed import (
     sweep_kappa,
 )
 from pillar_qed import design
-from pillar_qed.design import _real_roots
-from pillar_qed.scattering import DegenerateModelError
+from pillar_qed.design import _product, _quotient, _real_roots
+from pillar_qed.scattering import DegenerateModelError, _amplitude_underflow as _underflow, principal_angle
 
 from conftest import DEVICE, grid_around
 
@@ -60,11 +60,21 @@ def _phase_polynomials(p, bg):
     return _trim(stationary, np.max(np.abs(stationary))), im
 
 
+def oracle_relative_phase(p, omega, bg=None):
+    """relative_phase at one scalar omega, through the scalar amplitudes of the
+    coupled and the empty cavity and CPython's complex arithmetic."""
+    r_d = reflection_amplitude(p, omega)
+    r_c = reflection_amplitude(replace(p, g=0.0), omega)
+    if bg is not None:
+        r_d, r_c = apply_background(r_d, bg), apply_background(r_c, bg)
+    return principal_angle(r_d * np.conj(r_c))
+
+
 def oracle_max_conditional_phase(p, bg=None):
     """max_conditional_phase through the per-point coefficient chain."""
     stationary, im = _real_roots(_phase_polynomials(p, bg))
     omega = p.omega_c + p.kappa_total * np.unique(np.concatenate([stationary, im, [0.0]]))
-    magnitudes = [abs(relative_phase(p, w, bg)) for w in omega]
+    magnitudes = [abs(oracle_relative_phase(p, w, bg)) for w in omega]
     i = int(np.argmax(magnitudes))
     return float(magnitudes[i]), float(omega[i])
 
@@ -121,6 +131,82 @@ class TestConditionalPhaseSpectrum:
         assert np.max(np.abs(values)) == pytest.approx(COND_MAX_BG07, abs=1e-6)
         magnitude, _ = max_conditional_phase(p, bg)
         assert magnitude == pytest.approx(COND_MAX_BG07, abs=1e-7)
+
+
+def complex_pairs(n, seed):
+    """Complex arrays ``a``, ``b`` whose parts span magnitudes 1e-150 to 1e150
+    (ratios 1e-300 to 1e300) with both signs, about a tenth of them signed
+    zeros, and a tenth of the ``b`` with ``|b.real| == |b.imag|``."""
+    rng = np.random.default_rng(seed)
+    parts = rng.choice([-1.0, 1.0], size=(4, n)) * 10.0 ** rng.uniform(-150.0, 150.0, size=(4, n))
+    parts[rng.random((4, n)) < 0.1] *= 0.0
+    tied = rng.random(n) < 0.1
+    parts[3, tied] = rng.choice([-1.0, 1.0], size=tied.sum()) * parts[2, tied]
+    a, b = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    a.real, a.imag, b.real, b.imag = parts
+    return a, b
+
+
+class TestCPythonComplexArithmetic:
+    """design's array product and quotient round as CPython's scalar complex
+    ``*`` and ``/`` (Smith's division) do, bit for bit. A Python whose complex
+    arithmetic rounds otherwise fails here."""
+
+    def test_product_matches_complex_mul(self):
+        a, b = complex_pairs(20000, 30)
+        want = np.array([x * y for x, y in zip(a.tolist(), b.tolist())])
+        assert np.array_equal(_product(a, b).view(np.uint64), want.view(np.uint64))
+
+    def test_quotient_matches_complex_truediv(self):
+        a, b = complex_pairs(20000, 31)
+        b = b[b != 0]
+        a = a[:b.size]
+        swapped = np.abs(b.real) < np.abs(b.imag)
+        assert 0.4 < swapped.mean() < 0.6  # both of Smith's branches
+        assert (np.abs(b.real) == np.abs(b.imag)).sum() > 1000
+        parts = np.concatenate([a.real, a.imag, b.real, b.imag])
+        assert set(np.signbit(parts[parts == 0]).tolist()) == {False, True}  # zeros of both signs
+        want = np.array([x / y for x, y in zip(a.tolist(), b.tolist())])
+        assert np.array_equal(_quotient(a, b).view(np.uint64), want.view(np.uint64))
+
+
+class TestRelativePhaseArray:
+    """An array omega gives the bits of per-point scalar calls."""
+
+    @pytest.mark.parametrize(
+        "overrides, bg",
+        [
+            pytest.param({}, None, id="device"),
+            pytest.param({"g": 0.0}, None, id="uncoupled"),
+            pytest.param({"omega_qd": WC + 12.5}, None, id="detuned"),
+            pytest.param({"kappa_top": 37.6, "omega_qd": WC - 7.0}, BackgroundModel(0.6, 1.1), id="detuned_background"),
+            pytest.param({"g": 0.0}, BackgroundModel(0.3, -2.0), id="uncoupled_background"),
+        ],
+    )
+    def test_matches_per_point_chain(self, overrides, bg):
+        p = SystemParams(**{**DEVICE, **overrides})
+        grid = grid_around(WC, 80.0, 1601)
+        want = np.array([oracle_relative_phase(p, w, bg) for w in grid])
+        assert np.array_equal(relative_phase(p, grid, bg).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-302])
+    def test_underflowing_denominator_matches_per_point_chain(self, gamma, monkeypatch):
+        # g * g underflows; at omega_qd, d_qd is 0 (the dot alone reflects)
+        # or subnormal, and the coupled denominator falls below the floor
+        calls = []
+        monkeypatch.setattr(design, "_amplitude_underflow", lambda *a: calls.append(a) or _underflow(*a))
+        p = SystemParams(g=1e-200, kappa_top=1.2, kappa_side=24.7, gamma=gamma, omega_c=WC, omega_qd=WC + 3.0)
+        grid = WC + np.array([-5.0, 3.0, 7.0])
+        want = np.array([oracle_relative_phase(p, w) for w in grid])
+        assert np.array_equal(relative_phase(p, grid).view(np.uint64), want.view(np.uint64))
+        assert relative_phase(p, WC + 3.0) == want[1]
+        assert [a[0].size for a in calls] == [1, 1]
+
+    def test_empty_cavity_floor_raises(self):
+        p = SystemParams(g=1.0, kappa_top=1e-320, kappa_side=0.0, gamma=1.0, omega_c=1000.0)
+        for omega in (1000.0, np.array([999.0, 1000.0])):
+            with pytest.raises(DegenerateModelError, match="^cavity response denominator underflow$"):
+                relative_phase(p, omega)
 
 
 class TestMaxConditionalPhase:

@@ -9,6 +9,7 @@ from pillar_qed import (
     Spectrum,
     SystemParams,
     coupling_regime,
+    max_conditional_phase,
     polariton_eigenvalues,
     q_factor,
     rabi_splitting,
@@ -410,6 +411,24 @@ class TestTypes:
         for name, value in kwargs.items():
             if not math.isfinite(value):
                 assert str(info.value) == f"{name} must be finite, got {value!r}"
+
+    def test_field_types_give_identical_bits(self):
+        """Fields are stored as Python floats: a numpy scalar field would take
+        numpy's complex scalar division, which rounds otherwise than CPython's."""
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            wc = 1333596.0 + rng.uniform(-5.0, 5.0)
+            values = (
+                rng.uniform(0.01, 30.0), rng.uniform(0.1, 50.0), rng.uniform(0.0, 30.0),
+                rng.uniform(0.0, 20.0), wc, wc + rng.uniform(-20.0, 20.0),
+            )
+            w = wc + rng.uniform(-60.0, 60.0)
+            plain = SystemParams(*map(float, values))
+            for convert in (np.float64, np.array):
+                p = SystemParams(*map(convert, values))
+                assert all(type(getattr(p, name)) is float for name in VALID_PARAMS)
+                assert _bits(reflection_amplitude(p, w)) == _bits(reflection_amplitude(plain, w))
+                assert np.array(max_conditional_phase(p)).tobytes() == np.array(max_conditional_phase(plain)).tobytes()
 
     def test_omega_qd_defaults_to_omega_c(self):
         p = SystemParams(9.4, 1.2, 24.7, 5.0, 1333596.0)

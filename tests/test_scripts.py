@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from numpy._core import _multiarray_umath as numpy_umath
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SUMMARY = """\
@@ -128,4 +130,21 @@ def test_cli_outputs_tree(tmp_path):
         for p in tree.rglob("*")
         if p.is_file()
     }
-    assert digests == CLI_OUTPUT_DIGESTS
+    assert digests == CLI_OUTPUT_DIGESTS, _digest_diagnosis(digests)
+
+
+# numpy's CPU dispatch targets enabled where the digests above were recorded.
+# Some of numpy's SIMD loops (arcsin, arctan2) and OpenBLAS's kernels round
+# otherwise on other CPUs, so a machine without them may write other bytes.
+DIGESTS_CPU_DISPATCH = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
+
+
+def _digest_diagnosis(digests):
+    """Which files differ, and the CPU features that steer numpy and OpenBLAS."""
+    differ = sorted(k for k in digests.keys() | CLI_OUTPUT_DIGESTS.keys() if digests.get(k) != CLI_OUTPUT_DIGESTS.get(k))
+    enabled = [f for f in numpy_umath.__cpu_dispatch__ if numpy_umath.__cpu_features__.get(f)]
+    env = ", ".join(f"{name}={os.environ.get(name)!r}" for name in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE"))
+    return (
+        f"{len(differ)} files differ: {', '.join(differ)}; numpy dispatch enabled here {enabled}"
+        f" (digests recorded under {DIGESTS_CPU_DISPATCH}); {env}"
+    )
