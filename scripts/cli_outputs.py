@@ -33,6 +33,8 @@ RUNS = (
     ("phase_edges", ["phase", "{root}/synth/channels_coupled.csv", "--calibrate-edges"]),
     ("phase_noisy", ["phase", "{root}/synth_noisy/channels_coupled.csv"]),
     ("fit", ["fit", "{root}/synth_noisy/coupled.csv"]),
+    # beta_mag is the reference-arm magnitude only: the same report as fit/
+    ("fit_beta", ["fit", "{root}/synth_noisy/coupled.csv", "--set", "beta_mag=0.9"]),
     ("fit_joint", ["fit", "{root}/synth_noisy/coupled.csv", "--phase-csv", "{root}/phase/phase.csv"]),
     # stopped after two iterations: the report is written and the run exits 0
     ("fit_nonconverged", [

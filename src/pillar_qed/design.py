@@ -23,6 +23,8 @@ from .scattering import (
     SystemParams,
     _amplitude_underflow,
     _coefficient_rows,
+    _product,
+    _quotient,
     _underflows,
     principal_angle,
     reflection_amplitude,
@@ -57,29 +59,6 @@ class DesignPoint:
     def feasible(self) -> bool:
         """True iff the maximal conditional phase exceeds pi/2."""
         return self.max_conditional_phase > 0.5 * np.pi
-
-
-def _product(a, b):
-    """CPython's complex ``a * b``, elementwise over arrays: four plain
-    products, where numpy's complex loops may round otherwise."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _quotient(a, b):
-    """CPython's complex ``a / b``, elementwise over arrays: Smith's division,
-    which divides by ``denom`` where numpy multiplies by its reciprocal."""
-    swap = np.abs(b.real) < np.abs(b.imag)  # Smith's second branch
-    p, q = np.where(swap, b.imag, b.real), np.where(swap, b.real, b.imag)
-    s, t = np.where(swap, a.imag, a.real), np.where(swap, a.real, a.imag)
-    ratio = q / p
-    denom = p + q * ratio
-    out = np.empty(ratio.shape, dtype=complex)
-    out.real = (s + t * ratio) / denom
-    out.imag = np.where(swap, s * ratio - t, t - s * ratio) / denom
-    return out
 
 
 def _conditional_phases(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega, bg):

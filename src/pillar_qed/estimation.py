@@ -2,12 +2,9 @@
 
 The forward model composes the reflection amplitude with the coherent
 background admixture; intensity and phase blocks can be fit jointly or
-separately. Eight parameters are addressable by name:
-
-    g, kappa_top, kappa_side, gamma, omega_c, omega_qd,
-    background (intensity fraction), beta_mag (amplitude calibration
-    of the recorded intensity, the reference-arm magnitude it is
-    normalized against).
+separately. Seven parameters are addressable by name: the model's rates
+and energies (g, kappa_top, kappa_side, gamma, omega_c, omega_qd) and
+background, the intensity fraction of the coherent admixture.
 """
 
 from __future__ import annotations
@@ -29,8 +26,7 @@ __all__ = [
     "fit",
 ]
 
-PARAM_NAMES = (*PARAM_FIELDS, "background", "beta_mag")
-_BETA = PARAM_NAMES.index("beta_mag")
+PARAM_NAMES = (*PARAM_FIELDS, "background")
 
 _RATE_BOUNDS = (0.0, 1e3)
 _DEFAULT_BOUNDS = {
@@ -39,13 +35,12 @@ _DEFAULT_BOUNDS = {
     "kappa_side": _RATE_BOUNDS,
     "gamma": _RATE_BOUNDS,
     "background": (0.0, 0.999),
-    "beta_mag": (1e-3, 10.0),
 }
 
 
-def make_guess(p, background: float = 0.0, beta_mag: float = 1.0) -> dict:
+def make_guess(p, background: float = 0.0) -> dict:
     """Full parameter dictionary from a :class:`SystemParams`."""
-    return {**asdict(p), "background": background, "beta_mag": beta_mag}
+    return {**asdict(p), "background": background}
 
 
 def _as_vector(params) -> np.ndarray:
@@ -61,7 +56,7 @@ def _as_vector(params) -> np.ndarray:
 
 
 def _model_amplitude(vec: np.ndarray, omega):
-    g, kap, ks, gam, wc, wqd, b, _ = vec
+    g, kap, ks, gam, wc, wqd, b = vec
     if not 0.0 <= b < 1.0:
         raise ValueError(f"background must lie in [0, 1), got {b}")
     r = _amplitude(g, kap, ks, gam, wc, wqd, omega)
@@ -73,7 +68,7 @@ def _model_amplitude(vec: np.ndarray, omega):
 def _model_partials(vec: np.ndarray, omega):
     """Model amplitude m and a tuple of its partials in the first six
     parameters and in s = sqrt(background)."""
-    g, kap, ks, gam, wc, wqd, b, _ = vec
+    g, kap, ks, gam, wc, wqd, b = vec
     r, dr = _amplitude_partials(g, kap, ks, gam, wc, wqd, omega)
     s, c = np.sqrt(b), np.sqrt(1.0 - b)
     m = s + c * r if b != 0.0 else r
@@ -151,7 +146,7 @@ def residuals(params, problem: FitProblem) -> np.ndarray:
     for spectrum, is_phase, new_grid in problem.blocks:
         if new_grid:
             m = _model_amplitude(vec, spectrum.omega)
-        model = np.angle(m) if is_phase else vec[_BETA] ** 2 * np.abs(m) ** 2
+        model = np.angle(m) if is_phase else np.abs(m) ** 2
         blocks.append(model - spectrum.values)
     return np.concatenate(blocks)
 
@@ -160,18 +155,18 @@ def _residual_jacobian(vec: np.ndarray, problem: FitProblem, columns) -> np.ndar
     """Closed-form Jacobian of :func:`residuals` in the parameters at
     indices ``columns`` of ``PARAM_NAMES``, with ``background``
     differentiated in s = sqrt(background)."""
-    beta = vec[_BETA]
     blocks = []
     for spectrum, is_phase, new_grid in problem.blocks:
         if new_grid:
             m, dm = _model_partials(vec, spectrum.omega)
-            m_conj, abs2 = m.conj(), np.abs(m) ** 2
+            m_conj = m.conj()
         if is_phase:
             # np.angle(0) == 0, so the phase is flat where the amplitude vanishes
+            abs2 = np.abs(m) ** 2
             scale = np.divide(1.0, abs2, out=np.zeros_like(abs2), where=abs2 > 0)
-            blocks.append([(m_conj * dm[k]).imag * scale if k != _BETA else np.zeros_like(abs2) for k in columns])
+            blocks.append([(m_conj * dm[k]).imag * scale for k in columns])
         else:
-            blocks.append([(m_conj * dm[k]).real * (2.0 * beta**2) if k != _BETA else 2.0 * beta * abs2 for k in columns])
+            blocks.append([(m_conj * dm[k]).real * 2.0 for k in columns])
     # F-ordered on purpose: the LM's jacobian.T @ r rounds by memory order, and fit_report.txt with it
     return np.array([np.concatenate(rows) for rows in zip(*blocks)]).T
 

@@ -134,6 +134,29 @@ def _underflows(x):
     return small.any() if isinstance(small, np.ndarray) else small
 
 
+def _product(a, b):
+    """CPython's complex ``a * b``, elementwise over arrays: four plain
+    products, where numpy's complex loops may round otherwise."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _quotient(a, b):
+    """CPython's complex ``a / b``, elementwise over arrays: Smith's division,
+    which divides by ``denom`` where numpy multiplies by its reciprocal."""
+    swap = np.abs(b.real) < np.abs(b.imag)  # Smith's second branch
+    p, q = np.where(swap, b.imag, b.real), np.where(swap, b.real, b.imag)
+    s, t = np.where(swap, a.imag, a.real), np.where(swap, a.real, a.imag)
+    ratio = q / p
+    denom = p + q * ratio
+    out = np.empty(ratio.shape, dtype=complex)
+    out.real = (s + t * ratio) / denom
+    out.imag = np.where(swap, s * ratio - t, t - s * ratio) / denom
+    return out
+
+
 def _amplitude(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
     """Raw reflection amplitude without parameter validation.
 
@@ -157,13 +180,14 @@ def _amplitude(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
 def _amplitude_underflow(g, kappa_top, d_c, d_qd):
     """:func:`_amplitude` where g * g underflows beside a vanishing d_qd.
 
-    Dividing D by d_qd gives r = 1 - kappa_top / (d_c + g (g / d_qd)), and
-    r = 1 where d_qd = 0 and g > 0 (the dot alone reflects). Raises
+    Dividing D by d_qd gives r = 1 - kappa_top / (d_c + g (g / d_qd)), with
+    g / d_qd by Smith's division (1 / d_qd overflows for a subnormal d_qd),
+    and r = 1 where d_qd = 0 and g > 0 (the dot alone reflects). Raises
     :class:`DegenerateModelError` where that denominator underflows too.
     """
     resonant = d_qd == 0
     with np.errstate(over="ignore"):
-        den = d_c + g * (g / np.where(resonant, 1.0, d_qd))
+        den = d_c + g * _quotient(g, np.where(resonant, 1.0, d_qd))
     dark = resonant & (g != 0)
     if np.any(~dark & (np.abs(den) < _DENOMINATOR_FLOOR)):
         raise DegenerateModelError("coupled response denominator underflow")

@@ -71,7 +71,7 @@ def model_steps(vec):
     """Oracle steps for a vector ordered as ``estimation.PARAM_NAMES``
     (or its first six entries, the arguments of the amplitude).
 
-    Rates, background and beta_mag take a relative step; the two
+    Rates and background take a relative step; the two
     energies an absolute one of 1e-5 of the narrowest linewidth, since
     the response varies on that scale (a fixed 1e-2 ueV step is 10% of
     a 0.1 ueV line).

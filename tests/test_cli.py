@@ -495,6 +495,7 @@ class TestErrorBoundary:
             ("design", "--set", "omega_qd=0"),
             ("scan", "--set", "omega_qd=-1"),
             ("fit", "coupled.csv", "--set", "fit_free=g,g"),
+            ("fit", "coupled.csv", "--set", "fit_free=g,beta_mag"),  # the reference arm, not a fit parameter
             ("synth", "--grid", "0:inf:5"),
             ("synth", "--grid", "nan:1:5"),
             ("synth", "--grid", "1,2,nan"),
@@ -521,6 +522,7 @@ class TestErrorBoundary:
             "design_omega_qd_zero",
             "scan_omega_qd_negative",
             "fit_free_repeated",
+            "fit_free_beta_mag",
             "grid_inf",
             "grid_nan",
             "grid_list_nan",

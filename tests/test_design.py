@@ -15,8 +15,8 @@ from pillar_qed import (
     sweep_kappa,
 )
 from pillar_qed import design
-from pillar_qed.design import _product, _quotient, _real_roots
-from pillar_qed.scattering import DegenerateModelError, _amplitude_underflow as _underflow, principal_angle
+from pillar_qed.design import _real_roots
+from pillar_qed.scattering import DegenerateModelError, _amplitude_underflow as _underflow, _product, _quotient, principal_angle
 
 from conftest import DEVICE, grid_around
 
@@ -148,7 +148,7 @@ def complex_pairs(n, seed):
 
 
 class TestCPythonComplexArithmetic:
-    """design's array product and quotient round as CPython's scalar complex
+    """The array product and quotient round as CPython's scalar complex
     ``*`` and ``/`` (Smith's division) do, bit for bit. A Python whose complex
     arithmetic rounds otherwise fails here."""
 
@@ -189,10 +189,11 @@ class TestRelativePhaseArray:
         want = np.array([oracle_relative_phase(p, w, bg) for w in grid])
         assert np.array_equal(relative_phase(p, grid, bg).view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("gamma", [0.0, 1e-302])
+    @pytest.mark.parametrize("gamma", [0.0, 1e-302, 1e-310])
     def test_underflowing_denominator_matches_per_point_chain(self, gamma, monkeypatch):
-        # g * g underflows; at omega_qd, d_qd is 0 (the dot alone reflects)
-        # or subnormal, and the coupled denominator falls below the floor
+        # g * g underflows; at omega_qd, d_qd is 0 (the dot alone reflects),
+        # tiny or subnormal (its reciprocal overflows), and the coupled
+        # denominator falls below the floor
         calls = []
         monkeypatch.setattr(design, "_amplitude_underflow", lambda *a: calls.append(a) or _underflow(*a))
         p = SystemParams(g=1e-200, kappa_top=1.2, kappa_side=24.7, gamma=gamma, omega_c=WC, omega_qd=WC + 3.0)

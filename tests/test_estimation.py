@@ -33,7 +33,7 @@ def model_spectra(vec, grid):
     """Intensity and phase of the fit model at the parameter vector ``vec``
     (ordered as ``PARAM_NAMES``), built through the public synthesis path."""
     m = apply_background(reflection_amplitude(SystemParams(*vec[:6]), grid), BackgroundModel(vec[6]))
-    return vec[7] ** 2 * np.abs(m) ** 2, np.angle(m)
+    return np.abs(m) ** 2, np.angle(m)
 
 
 class TestResiduals:
@@ -188,8 +188,8 @@ class TestUncertainty:
 
     @pytest.mark.parametrize(
         "extra, truth_extra",
-        [((), {}), (("background",), {"background": 0.3}), (("beta_mag",), {"beta_mag": 0.9})],
-        ids=["intensity", "background", "beta_mag"],
+        [((), {}), (("background",), {"background": 0.3})],
+        ids=["intensity", "background"],
     )
     def test_z_scores_have_unit_spread(self, extra, truth_extra):
         # 40 fits at 1% multiplicative noise, each from a start 15-20% off
@@ -310,7 +310,7 @@ class TestResidualJacobian:
 
     @staticmethod
     def column_errors(vec, rng, n=2001):
-        """Worst deviation of each of the eight columns, relative to the
+        """Worst deviation of each of the seven columns, relative to the
         column's largest entry, on a joint intensity + phase problem."""
         grid = grid_around(1333596.0, 100.0, n)
         intensity, phase = model_spectra(vec, grid)
@@ -326,9 +326,9 @@ class TestResidualJacobian:
 
     def test_device_constants(self):
         rng = np.random.default_rng(2)
-        vec = np.array([9.4, 1.2, 24.7, 5.0, 1333596.0, 1333599.0, 0.3, 1.3])
+        vec = np.array([9.4, 1.2, 24.7, 5.0, 1333596.0, 1333599.0, 0.3])
         errors = self.column_errors(vec, rng)
-        assert np.all(errors[[0, 1, 2, 3, 6, 7]] <= 1e-7)
+        assert np.all(errors[[0, 1, 2, 3, 6]] <= 1e-7)
         assert np.all(errors[4:6] <= 1e-6)
 
     def test_random_parameter_sets(self):
@@ -339,7 +339,7 @@ class TestResidualJacobian:
             vec = np.array([
                 rng.uniform(0.5, 30.0), rng.uniform(0.1, 30.0), rng.uniform(0.0, 30.0),
                 rng.uniform(0.1, 25.0), wc, wc + rng.uniform(-20.0, 20.0),
-                rng.uniform(0.05, 0.8), rng.uniform(0.5, 2.0),
+                rng.uniform(0.05, 0.8),
             ])
             worst = np.maximum(worst, self.column_errors(vec, rng))
         assert np.all(worst <= 2e-6)
@@ -348,7 +348,7 @@ class TestResidualJacobian:
         # g^2 = gamma (kappa_top - kappa_side) / 4 makes r(omega_c) exactly 0
         grid = np.linspace(990.0, 1010.0, 201)
         for g, kappa_top, kappa_side, gamma in ((1.0, 2.0, 1.0, 4.0), (0.0, 1.5, 1.5, 4.0)):
-            vec = np.array([g, kappa_top, kappa_side, gamma, 1000.0, 1000.0, 0.0, 1.0])
+            vec = np.array([g, kappa_top, kappa_side, gamma, 1000.0, 1000.0, 0.0])
             intensity, phase = model_spectra(vec, grid)
             assert intensity[100] == 0.0
             problem = FitProblem(
@@ -375,13 +375,3 @@ class TestResidualJacobian:
             jacobian = _residual_jacobian(vec, problem, problem.free_indices())
             assert jacobian.shape == (len(blocks) * len(spectrum), len(problem.free))
             assert jacobian.flags.f_contiguous and not jacobian.flags.c_contiguous
-
-
-class TestModelScale:
-    def test_beta_mag_scales_intensity(self):
-        p = device()
-        omega = grid_around(p.omega_c, 50.0, 11)
-        problem = FitProblem(guess=make_guess(p), intensity=Spectrum(omega, np.zeros(omega.size)))
-        np.testing.assert_allclose(
-            residuals(make_guess(p, beta_mag=2.0), problem), 4.0 * reflectivity(p, omega), rtol=1e-12
-        )

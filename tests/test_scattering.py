@@ -106,6 +106,12 @@ class TestReflectionAmplitude:
             reflection_amplitude(p, np.array([999.0, 1000.0])),
             [reflection_amplitude(replace(p, g=0.0), 999.0), 1.0],
         )
+        # a subnormal d_qd: its reciprocal overflows, so g / d_qd must divide
+        # by it, and g (g / d_qd) is negligible beside d_c
+        p = SystemParams(g=1e-200, kappa_top=1.2, kappa_side=24.7, gamma=1e-310, omega_c=1333596.0, omega_qd=1333599.0)
+        empty = 1.0 - 1.2 / complex(0.5 * (1.2 + 24.7), 1333596.0 - 1333599.0)
+        assert reflection_amplitude(p, 1333599.0) == empty
+        assert reflection_amplitude(p, np.array([1333599.0]))[0] == empty
 
     def test_degenerate_denominator_guard(self):
         with pytest.raises(DegenerateModelError):

@@ -62,11 +62,12 @@ CLI_OUTPUT_DIGESTS = {
     "design/design.csv": "54141465c8f52f06ab4184771f019c262b2af95afae827e5e06bb0045c094df4",
     "design_uncoupled/design.csv": "3ce1298bf529100c51ee207f46a71ecc7ff522d83ff58c21cf5fd6e18727f241",
     "design_wide/design.csv": "4edb409c245cc2de09a5f8de1f2d7bf455b6130fe15a317287ef7e902e9ab1e5",
-    "fit/fit_report.txt": "9637162bc36c381336feaa2ec36482ee2319aefbbfff382029b5dd0f53b69b41",
-    "fit_background/fit_report.txt": "f517c31e067cb78215a76dca4493a34d67a6ec4d03dacbfa769a8c791c13ba6f",
-    "fit_joint/fit_report.txt": "3fe186fd9d4bc7f99d41aaf58252d8ba757647da4db0031babc1fd09208b6e69",
-    "fit_nonconverged/fit_report.txt": "f3f95e1e430752f1d9ddd1e4f5de10563eb498d84d281d214f8047b6b7135d7e",
-    "fit_two_grids/fit_report.txt": "26319f6b6367b3adae2202a8513336720f8deaa7f650c567ee145b27a16befcf",
+    "fit/fit_report.txt": "13233cb45ab141585cce1452c3acb4f1f880dbc946887ffd45bfb312acfcd5b7",
+    "fit_background/fit_report.txt": "16a3a3af6588c9a0f4eefeb06bb1ca42668fbb571933bd94132c17849c7b8db9",
+    "fit_beta/fit_report.txt": "13233cb45ab141585cce1452c3acb4f1f880dbc946887ffd45bfb312acfcd5b7",
+    "fit_joint/fit_report.txt": "fddeeec69519076bd09fadd323cad32ef27b06635193f6defc7cc356703faaa5",
+    "fit_nonconverged/fit_report.txt": "a6c2129c0eeb3a8a13e7fa6309254e1c2c9edda18665491a8dd71ac5d40fd511",
+    "fit_two_grids/fit_report.txt": "71d9c69b1506d78560c2685d50158905d2e918cb6e7c8d1cd485a93aeaccd3d8",
     "phase/phase.csv": "cfb8ff656e2a7680bb521c0bf35d9d558bfc11130d560e112d73643916a6c231",
     "phase_coarse/phase.csv": "e12169b5de7a0bfe369e6b2e47c22c0b33bac99c6b45179d2d574b44d2e1a052",
     "phase_edges/phase.csv": "4efc47e97498850424c170438a4aa50607248d1b33d39b12d57ac09cdd296a78",
