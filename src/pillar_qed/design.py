@@ -11,7 +11,7 @@ the price of reflectivity.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .scattering import (
     _quotient,
     _underflows,
     principal_angle,
-    reflection_amplitude,
 )
 
 __all__ = [
@@ -61,12 +60,12 @@ class DesignPoint:
         return self.max_conditional_phase > 0.5 * np.pi
 
 
-def _conditional_phases(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega, bg):
-    """:func:`relative_phase` at each ``omega``, the rates scalars or flat arrays
-    as long: the amplitude chain with every complex product and quotient rounded
-    as CPython rounds scalars, so an array gives the bits of per-point calls."""
-    shape = np.shape(omega)
-    omega = np.asarray(omega, dtype=float).ravel()
+def _amplitudes(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
+    """Coupled and empty-cavity amplitudes ``(r_d, r_c)`` at each point of a
+    flat ``omega``, the rates scalars or flat arrays as long: the chain of
+    :func:`reflection_amplitude` with every complex product and quotient
+    rounded as CPython rounds scalars, so an array gives the bits of
+    per-point calls."""
     d_c = 1j * (omega_c - omega) + 0.5 * (kappa_top + kappa_side)
     if _underflows(d_c):
         raise DegenerateModelError("cavity response denominator underflow")
@@ -78,6 +77,14 @@ def _conditional_phases(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omeg
         r_d = np.where(empty, r_c, 1.0 - _quotient(_product(kappa_top, d_qd), den))
     if low.any():
         r_d[low] = _amplitude_underflow(*(np.broadcast_to(x, low.shape)[low] for x in (g, kappa_top, d_c, d_qd)))
+    return r_d, r_c
+
+
+def _conditional_phases(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega, bg):
+    """:func:`relative_phase` at each ``omega``, the rates scalars or flat
+    arrays as long, from one pass of :func:`_amplitudes`."""
+    shape = np.shape(omega)
+    r_d, r_c = _amplitudes(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, np.asarray(omega, dtype=float).ravel())
     if bg is not None:
         r_d, r_c = apply_background(r_d, bg), apply_background(r_c, bg)
     return principal_angle(_product(r_d, r_c.conj()).reshape(shape))
@@ -102,94 +109,95 @@ def _polymul(a, b):
     return out
 
 
-def _trim(rows, scale):
-    """Per row, the index of the first coefficient that did not cancel to
-    rounding noise: the first at least 1e-12 of the row's ``scale``."""
-    return np.argmax(np.abs(rows) >= 1e-12 * scale[:, None], axis=1)
+def _zero_noise(rows, scale):
+    """``rows`` with each row's leading rounding noise set to zero: every
+    coefficient before the first at least 1e-12 of the row's ``scale``."""
+    lead = np.argmax(np.abs(rows) >= 1e-12 * scale[:, None], axis=1)
+    return np.where(np.arange(rows.shape[1]) < lead[:, None], 0.0, rows)
 
 
-def _real_roots(polys):
-    """``np.roots(c).real`` for each coefficient array ``c``, bit for bit.
+def _real_roots(stack):
+    """``np.roots(row).real`` of each row of the 2-D ``stack``, bit for bit.
 
-    The zero stripping, float cast and companion matrices of
-    :func:`numpy.roots`, but one stacked ``eigvals`` call per size and dtype.
+    Row k's roots fill the start of row k of the result, which is one
+    column narrower than ``stack``; the rest is nan. Leading zeros are
+    stripped, so rows may be zero-padded in front, and trailing zeros are
+    roots at zero after the others, as in :func:`numpy.roots`; the
+    companion matrices of one size share one ``eigvals`` call.
     """
-    roots, groups = [], {}
-    for c in map(np.asarray, polys):
-        nz = np.flatnonzero(c)
-        # trailing zeros are roots at zero, appended after the others
-        roots.append([np.zeros(0), np.zeros(c.size - 1 - nz[-1] if nz.size else 0)])
-        c = c[nz[0]:nz[-1] + 1] if nz.size else c[:0]
-        if c.size > 1:
-            groups.setdefault((c.size, c.dtype), []).append((c, roots[-1]))
-    for (n, dtype), members in groups.items():
-        coeffs = np.array([c for c, _ in members])
-        companion = np.tile(np.eye(n - 1, k=-1, dtype=np.result_type(dtype, 0.0)), (len(members), 1, 1))
+    stack = np.asarray(stack, dtype=np.result_type(stack, 0.0))
+    n = stack.shape[1]
+    nonzero = stack != 0
+    found = nonzero.any(axis=1)
+    first = np.argmax(nonzero, axis=1)
+    degree = np.where(found, n - 1 - np.argmax(nonzero[:, ::-1], axis=1) - first, 0)
+    roots = np.zeros((stack.shape[0], n - 1))
+    roots[np.arange(n - 1) >= np.where(found, n - 1 - first, 0)[:, None]] = np.nan
+    for d in set(degree.tolist()) - {0}:
+        rows = np.flatnonzero(degree == d)
+        coeffs = stack[rows[:, None], first[rows, None] + np.arange(d + 1)]
+        companion = np.tile(np.eye(d, k=-1, dtype=stack.dtype), (rows.size, 1, 1))
         companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
-        for (_, parts), found in zip(members, np.linalg.eigvals(companion).real):
-            parts[0] = found
-    return [np.concatenate(parts) for parts in roots]
+        roots[rows, :d] = np.linalg.eigvals(companion).real
+    return roots
 
 
-def _max_conditional_phases(params, bg: BackgroundModel | None = None):
-    """:func:`max_conditional_phase` of each parameter set, as a list.
+def _max_conditional_phases(rates, bg: BackgroundModel | None = None):
+    """:func:`max_conditional_phase` of each column of ``rates``, the six
+    :data:`PARAM_FIELDS` by K parameter sets, as a list of K pairs.
 
     The polynomials of all sets are built together, one stacked shifted add
-    per coefficient, and grouped by the trimmed lengths of ``Re(A)`` and
-    ``Im(A)`` for the stationarity step; the roots are found together, and
-    the candidates of all sets evaluated in one :func:`_conditional_phases`.
+    per coefficient. Leading noise is zeroed rather than cut, so rows of
+    every trimmed length share one stack: the products, derivatives and
+    roots of a zero-padded row equal those of the cut one bit for bit. The
+    candidates of all sets are evaluated in one :func:`_conditional_phases`.
     """
-    if not params:
-        return []
-    rates = np.array([[getattr(p, name) for p in params] for name in PARAM_FIELDS], dtype=float)
     # rates whose products overflow leave inf or nan coefficients or
     # magnitudes: one plain error instead of numpy's warnings and eigvals'
     # complaint. No yield in here: a suspended generator would leak the
     # error state to its caller
     with np.errstate(all="ignore"):
         n_d, d_d = _coefficient_rows(*rates)
-        n_c, d_c = (c[:, 1:] for c in _coefficient_rows(np.zeros_like(rates[0]), *rates[1:]))
+        # the empty cavity, _coefficient_rows' g == 0 rows without their leading zero
+        d_c = np.broadcast_to(np.array([-1j, 0.5]), n_d[:, 1:].shape)
+        n_c = d_c - np.stack([np.zeros_like(rates[1]), rates[1] / (rates[1] + rates[2])], axis=1)
         if bg is not None:
             scale = np.sqrt(1.0 - bg.fraction)
             n_d = bg.field * d_d + scale * n_d
             n_c = bg.field * d_c + scale * n_c
         a = _polymul(_polymul(n_d, n_c.conj()), _polymul(d_d.conj(), d_c))
         # both parts trim against |A|: a tiny Im(A) keeps no noise as its lead
-        groups, size = {}, np.abs(a).max(axis=1)
-        for row, key in enumerate(zip(_trim(a.real, size).tolist(), _trim(a.imag, size).tolist())):
-            groups.setdefault(key, []).append(row)
-        polys, finite = [None] * (2 * len(params)), np.isfinite(a).all(axis=1)
-        for (i_re, i_im), rows in groups.items():
-            re, im = a.real[rows, i_re:], a.imag[rows, i_im:]
-            d_re, d_im = (c[:, :-1] * np.arange(c.shape[1] - 1, 0, -1) for c in (re, im))  # polyder
-            stationary = _polymul(d_im, re) - _polymul(im, d_re)
-            finite[rows] &= np.isfinite(stationary).all(axis=1)
-            leads = _trim(stationary, np.abs(stationary).max(axis=1))
-            for row, s, lead, c in zip(rows, stationary, leads, im):
-                polys[2 * row:2 * row + 2] = s[lead:], c
+        re, im = (_zero_noise(c, np.abs(a).max(axis=1)) for c in (a.real, a.imag))
+        d_re, d_im = (c[:, :-1] * np.arange(c.shape[1] - 1, 0, -1) for c in (re, im))  # polyder
+        stationary = _polymul(d_im, re) - _polymul(im, d_re)
+        finite = np.isfinite(a).all(axis=1) & np.isfinite(stationary).all(axis=1)
         if not finite.all():
-            raise _not_finite("conditional-phase polynomial coefficients", params[int(np.argmin(finite))])
+            raise _not_finite("conditional-phase polynomial coefficients", rates[:, np.argmin(finite)])
+        # one stack: the stationarity rows, then the Im(A) rows padded in front
+        k = rates.shape[1]
+        stack = np.zeros((2 * k, stationary.shape[1]))
+        stack[:k] = _zero_noise(stationary, np.abs(stationary).max(axis=1))
+        stack[k:, -im.shape[1]:] = im
         # complex roots add only their real parts: extra candidates, never a
         # lost one when rounding lifts a real root off the axis
-        roots = _real_roots(polys)
-        offsets = [sorted({*s.tolist(), *im.tolist(), 0.0}) for s, im in zip(roots[::2], roots[1::2])]
-        counts = [len(o) for o in offsets]
-        columns = np.repeat(rates, counts, axis=1)
-        omega = columns[4] + (columns[1] + columns[2]) * np.concatenate(offsets)
-        magnitudes = np.abs(_conditional_phases(*columns, omega, bg))
+        roots = _real_roots(stack)
+        offsets = np.sort(np.hstack([roots[:k], roots[k:], np.zeros((k, 1))]), axis=1)
+        omega = rates[4, :, None] + (rates[1] + rates[2])[:, None] * offsets
         # per point, the largest candidate (the first nan, if any; the lowest
         # energy on ties) of a table padded with -1
-        table = np.full((len(params), max(counts)), -1.0)
-        table[np.arange(table.shape[1]) < np.array(counts)[:, None]] = magnitudes
-        best = np.cumsum([0] + counts[:-1]) + np.argmax(table, axis=1)
-        finite = np.isfinite(magnitudes[best]) & np.isfinite(omega[best])
+        valid = ~np.isnan(offsets)
+        table = np.full(offsets.shape, -1.0)
+        table[valid] = np.abs(_conditional_phases(*np.repeat(rates, valid.sum(axis=1), axis=1), omega[valid], bg))
+        best = np.argmax(table, axis=1)
+        magnitudes, omega = table[np.arange(k), best], omega[np.arange(k), best]
+        finite = np.isfinite(magnitudes) & np.isfinite(omega)
         if not finite.all():
-            raise _not_finite("conditional-phase magnitudes", params[int(np.argmin(finite))])
-    return list(zip(magnitudes[best].tolist(), omega[best].tolist()))
+            raise _not_finite("conditional-phase magnitudes", rates[:, np.argmin(finite)])
+    return list(zip(magnitudes.tolist(), omega.tolist()))
 
 
-def _not_finite(what, p: SystemParams) -> DegenerateModelError:
-    named = ", ".join(f"{name}={getattr(p, name)!r}" for name in PARAM_FIELDS[:4])
+def _not_finite(what, rates) -> DegenerateModelError:
+    named = ", ".join(f"{name}={value!r}" for name, value in zip(PARAM_FIELDS[:4], rates.tolist()))
     return DegenerateModelError(f"{what} are not finite at {named}")
 
 
@@ -208,7 +216,7 @@ def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
     case of :func:`sweep_kappa`'s batched evaluation; the roots are those of
     :func:`numpy.roots`, bit for bit.
     """
-    return _max_conditional_phases([p], bg)[0]
+    return _max_conditional_phases(np.array([[getattr(p, name)] for name in PARAM_FIELDS]), bg)[0]
 
 
 def sweep_kappa(base: SystemParams, kappa_values) -> list:
@@ -219,16 +227,25 @@ def sweep_kappa(base: SystemParams, kappa_values) -> list:
     where kappa is within 10% of 4*g are logged as matching the kappa/4 ~ g
     guideline. The phase polynomials of every kappa are built in one pass
     over rate arrays, their roots found with one stacked ``eigvals`` per
-    polynomial length, and the conditional phases at all the candidates of
-    all kappas evaluated in one array pass of :func:`relative_phase`, which
-    rounds as per-point calls do.
+    polynomial degree, and the conditional phases at all the candidates of
+    all kappas evaluated in one array pass of :func:`relative_phase`; the
+    on-resonance amplitudes come from one more pass of that chain. Both
+    round as per-point calls do.
     """
     kappas = sorted(float(k) for k in np.asarray(kappa_values, dtype=float))
-    params = [replace(base, kappa_top=kappa, omega_qd=base.omega_c) for kappa in kappas]
+    rows = [(base.g, kappa, base.kappa_side, base.gamma, base.omega_c, base.omega_c) for kappa in kappas]
+    params = [SystemParams(*row) for row in rows]
+    if not params:
+        return []
+    rates = np.array(rows).T
+    found = _max_conditional_phases(rates)
+    with np.errstate(all="ignore"):  # silent, as CPython's scalar arithmetic is
+        r_d, _ = _amplitudes(*rates, rates[4])
+    # Python's float ** 2 is libm's pow, as np.float64's is; an array square is x * x
+    refl = [r ** 2 for r in np.abs(r_d).tolist()]
     points = []
-    for p, (magnitude, argmax) in zip(params, _max_conditional_phases(params)):
-        refl = float(np.abs(reflection_amplitude(p, omega=p.omega_c)) ** 2)
-        points.append(DesignPoint(p, magnitude, argmax, refl))
+    for p, (magnitude, argmax), r in zip(params, found, refl):
+        points.append(DesignPoint(p, magnitude, argmax, r))
         if abs(p.kappa_top - 4.0 * base.g) <= 0.1 * 4.0 * base.g:
             logger.info("kappa=%.4g matches the kappa/4 ~ g guideline", p.kappa_top)
     return points

@@ -79,8 +79,9 @@ def _model_partials(vec: np.ndarray, omega):
 class FitProblem:
     """Observed spectra, free-parameter mask and starting point.
 
-    ``guess`` maps every parameter name to a value; parameters not listed
-    in ``free`` stay fixed at their guess. ``bounds`` is computed, not
+    ``guess`` maps every parameter name to a value; other keys are dropped
+    with one warning that names them. Parameters not listed in ``free``
+    stay fixed at their guess. ``bounds`` is computed, not
     passed in: energies are bounded by the observed scan window, rates
     by [0, 1e3] ueV.
     """
@@ -102,7 +103,10 @@ class FitProblem:
             raise ValueError(f"unknown free parameters: {unknown}")
         if len(set(self.free)) != len(self.free):
             raise ValueError(f"free parameters repeat: {list(self.free)}")
-        self.guess = {n: float(v) for n, v in self.guess.items()}
+        ignored = [n for n in self.guess if n not in PARAM_NAMES]
+        if ignored:
+            warnings.warn(f"guess keys that are not fit parameters are ignored: {ignored}", stacklevel=3)
+        self.guess = {n: float(v) for n, v in self.guess.items() if n in PARAM_NAMES}
         _as_vector(self.guess)  # completeness check
 
         # (spectrum, is_phase, new_grid): a block on its predecessor's grid

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import os
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -62,13 +61,15 @@ def _text(x) -> str:
 
 def atomic_write_text(path, text: str):
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    data = text.encode("utf-8")  # first: text that cannot be encoded creates nothing
+    if not os.path.isdir(path.parent):
+        path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     # os.open gives 0o666 less the umask; mkstemp would give 0600
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -196,8 +197,13 @@ def read_channels_csv(path) -> ChannelRecord:
 
 
 def write_design_csv(path, points):
-    fields = attrgetter("params.kappa_top", "max_conditional_phase", "argmax_omega", "on_resonance_reflectivity", "feasible")
-    _write_rows(path, DESIGN_HEADER, (map(_text, fields(pt)) for pt in points))
+    _write_rows(path, DESIGN_HEADER, (
+        (
+            repr(float(pt.params.kappa_top)), repr(float(pt.max_conditional_phase)),
+            repr(float(pt.argmax_omega)), repr(float(pt.on_resonance_reflectivity)), _text(pt.feasible),
+        )
+        for pt in points
+    ))
 
 
 def read_design_csv(path):

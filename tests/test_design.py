@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -71,8 +71,9 @@ def oracle_relative_phase(p, omega, bg=None):
 
 
 def oracle_max_conditional_phase(p, bg=None):
-    """max_conditional_phase through the per-point coefficient chain."""
-    stationary, im = _real_roots(_phase_polynomials(p, bg))
+    """max_conditional_phase through the per-point coefficient chain and
+    :func:`numpy.roots` of each polynomial."""
+    stationary, im = (np.roots(c).real for c in _phase_polynomials(p, bg))
     omega = p.omega_c + p.kappa_total * np.unique(np.concatenate([stationary, im, [0.0]]))
     magnitudes = [abs(oracle_relative_phase(p, w, bg)) for w in omega]
     i = int(np.argmax(magnitudes))
@@ -420,9 +421,27 @@ class TestBatchedPolynomials:
             )
             bg = BackgroundModel(rng.uniform(0.0, 0.95), rng.uniform(-np.pi, np.pi)) if rng.random() < 0.7 else None
             kappas = (p.kappa_top, np.nextafter(p.kappa_top, 0.0), np.nextafter(p.kappa_top, np.inf))
-            (_, argmax), *shifted = design._max_conditional_phases([replace(p, kappa_top=k) for k in kappas], bg)
+            rates = np.array([astuple(replace(p, kappa_top=k)) for k in kappas]).T
+            (_, argmax), *shifted = design._max_conditional_phases(rates, bg)
             moved += [abs(w - argmax) / p.kappa_total for _, w in shifted]
         assert max(moved) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "overrides, underflows",
+        [({"g": 0.0}, False), ({"g": 1e-200, "gamma": 1e-310}, True)],
+        ids=["uncoupled", "underflowing"],
+    )
+    def test_reflectivity_branches_match_per_point_chain(self, overrides, underflows, monkeypatch):
+        # the empty-cavity rows, and a coupled denominator below the floor at
+        # resonance (g * g underflows beside a subnormal d_qd)
+        calls = []
+        monkeypatch.setattr(design, "_amplitude_underflow", lambda *a: calls.append(a) or _underflow(*a))
+        base = SystemParams(**{**DEVICE, **overrides})
+        kappas = np.linspace(0.05, 200.0, 240)
+        got, want = sweep_kappa(base, kappas), oracle_sweep(base, kappas)
+        assert got == want and np.array_equal(bits(got), bits(want))
+        # the last pass is the on-resonance amplitudes, one row per kappa
+        assert [a[0].size for a in calls[-1:]] == ([kappas.size] if underflows else [])
 
     def test_uncoupled_sweep_peaks_at_resonance(self):
         rng = np.random.default_rng(18)
@@ -452,7 +471,27 @@ class TestDesignPoint:
             assert point.feasible == feasible and interface_feasible(point) == feasible
 
 
+def padded_stack(polys, dtype=float):
+    """The coefficient rows zero-padded in front to one width."""
+    width = max(len(c) for c in polys)
+    stack = np.zeros((len(polys), width), dtype=dtype)
+    for row, c in zip(stack, polys):
+        row[width - len(c):] = c
+    return stack
+
+
 class TestRealRoots:
+    """Each row of one stack, rows of mixed sizes, against ``np.roots`` of
+    the row alone: the same bits, then nan."""
+
+    def assert_rows_match_np_roots(self, polys, dtype=float):
+        got = _real_roots(padded_stack(polys, dtype))
+        assert got.shape == (len(polys), max(len(c) for c in polys) - 1)
+        for c, roots in zip(polys, got):
+            want = np.roots(c).real
+            assert np.array_equal(roots[:want.size].view(np.uint64), want.view(np.uint64)), c
+            assert np.isnan(roots[want.size:]).all(), c
+
     def test_matches_np_roots_bit_for_bit(self):
         rng = np.random.default_rng(20)
         polys = [rng.normal(size=n) for n in range(10) for _ in range(5)]
@@ -470,16 +509,18 @@ class TestRealRoots:
             np.poly([0.5, 0.5, 0.5, -1.0]),  # repeated roots
             np.poly([1 + 2j, 1 - 2j, 0.3, -0.7 + 0.1j, -0.7 - 0.1j]),  # conjugate pairs
             np.poly([2.0, 2.0, 1 + 1j, 1 - 1j, 0.0]),
+            np.array([0.0, 2.0 - 1j, 0.0]),
+            np.zeros(4, dtype=complex),
         ]
         polys = [polys[i] for i in rng.permutation(len(polys))]
-        got = _real_roots(polys)
-        assert len(got) == len(polys)
-        for c, roots in zip(polys, got):
-            want = np.roots(c).real
-            assert np.array_equal(roots.view(np.uint64), want.view(np.uint64)), c
+        # a complex stack has complex companions, as np.roots of a complex row
+        complex_rows = [np.iscomplexobj(c) for c in polys]
+        assert 0 < sum(complex_rows) < len(polys)
+        self.assert_rows_match_np_roots([c for c, z in zip(polys, complex_rows) if not z])
+        self.assert_rows_match_np_roots([c for c, z in zip(polys, complex_rows) if z], complex)
 
     def test_degenerate_inputs(self):
-        assert _real_roots([]) == []
-        empty, zeros, constant, trailing = _real_roots([np.zeros(0), np.zeros(3), [4.0], [0.0, 3.0, 0.0, 0.0]])
-        assert empty.size == zeros.size == constant.size == 0
-        assert np.array_equal(trailing, [0.0, 0.0])
+        assert _real_roots(np.zeros((0, 4))).shape == (0, 3)
+        empty, zeros, constant, trailing = _real_roots(padded_stack([np.zeros(0), np.zeros(3), [4.0], [0.0, 3.0, 0.0, 0.0]]))
+        assert np.isnan(empty).all() and np.isnan(zeros).all() and np.isnan(constant).all()
+        assert np.array_equal(trailing, [0.0, 0.0, np.nan], equal_nan=True)

@@ -67,6 +67,17 @@ class TestResiduals:
         with pytest.raises(ValueError):
             FitProblem(guess=bad, intensity=synthetic_intensity(p))
 
+    def test_guess_keys_that_are_not_parameters_warn_and_drop(self):
+        p = device()
+        guess = make_guess(p)
+        guess["g"] *= 1.2
+        observed = synthetic_intensity(p)
+        with pytest.warns(UserWarning, match=r"ignored: \['beta_mag', 'kapa_top'\]") as record:
+            problem = FitProblem(guess={**guess, "beta_mag": 0.9, "kapa_top": "x"}, intensity=observed)
+        assert len(record) == 1
+        assert list(problem.guess) == list(PARAM_NAMES)
+        assert repr(fit(problem)) == repr(fit(FitProblem(guess=guess, intensity=observed)))
+
 
 class TestFit:
     def test_noiseless_round_trip_from_perturbed_guess(self):

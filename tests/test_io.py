@@ -133,6 +133,20 @@ class TestFileModes:
         for path in (tmp_path / "synth" / "coupled.csv", tmp_path / "fit" / "fit_report.txt"):
             assert stat.S_IMODE(os.stat(path).st_mode) == expected
 
+    def test_missing_nested_out_directory_is_created(self, tmp_path):
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["design", "--out", str(out)]) == 0
+        assert (out / "design.csv").is_file()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
+    def test_out_at_or_below_a_file_exits_1_with_one_line(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept", encoding="utf-8")
+        assert main(["design", "--out", str(taken / below)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("pillar-qed: error: ")
+        assert taken.read_text(encoding="utf-8") == "kept" and list(tmp_path.iterdir()) == [taken]
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):
             atomic_write_text(tmp_path / "bad.txt", "\ud800")
