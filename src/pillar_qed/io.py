@@ -5,9 +5,10 @@ Spectra: header ``omega_ueV,value``; channel tables:
 ``kappa,max_phase_rad,argmax_ueV,refl_on_res,feasible``. All files are
 UTF-8 with LF line endings, floats written as shortest round-trip
 decimals, and writes are atomic (temp file then rename); a written file
-gets mode ``0o666`` less the umask, as ``open()`` would give it. The
-omega column of a gridded file is formatted once per distinct set of
-grid bits, so the spectra of a scan, which share one grid, reuse it.
+gets mode ``0o666`` less the umask, as ``open()`` would give it. A
+gridded file's floats are formatted in one orjson call, whose Ryu digits
+are ``repr``'s; a row holding a value that ``repr`` writes with an
+exponent is formatted by ``repr``.
 Gridded files are parsed by numpy's C reader, each field as ``float()`` reads
 it, with no ``#`` comments; the row reader only names the first bad line.
 Reports and run configs are flat ``key = value`` files in which ``#`` starts
@@ -16,7 +17,6 @@ a comment.
 
 from __future__ import annotations
 
-import functools
 import os
 from pathlib import Path
 
@@ -77,28 +77,50 @@ def atomic_write_text(path, text: str):
         raise
 
 
-@functools.lru_cache(maxsize=1)
-def _grid_reprs(bits: bytes) -> tuple:
-    """``repr`` of each float64 in ``bits``; keyed on the bits, so ``-0.0``
-    and ``0.0`` never share an entry and a grid mutated in place misses."""
-    return tuple(map(repr, np.frombuffer(bits).tolist()))
-
-
 def _write_rows(path, header, rows):
     """``header``, then each row's field texts joined by commas, one line each."""
     atomic_write_text(path, "\n".join([header, *map(",".join, rows)]) + "\n")
 
 
-def _write_grid_table(path, header, omega, columns):
-    """One row per float64 grid point: omega, then each column, as shortest
-    round-trip decimals. Non-finite values raise and write nothing."""
-    if not all(np.isfinite(c).all() for c in columns):
+def _format_rows(table) -> str:
+    """Each row of a C-contiguous 2-D float64 ``table`` as ``repr``'s texts
+    joined by commas, each line ending in a newline.
+
+    Ryu, as orjson ships it, gives the digits of ``repr`` (shortest round
+    trip, closest on ties); the two write different forms only outside
+    1e-4 <= |x| < 1e16 (``0.00001`` and ``1e16`` for ``1e-05`` and
+    ``1e+16``), so a row holding a nonzero value there is written by
+    ``repr``. orjson writes ``null`` for non-finite values: callers check.
+    """
+    if not len(table):
+        return ""
+    import orjson
+
+    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n").decode()
+    magnitude = np.abs(table)
+    exponent = np.flatnonzero((((magnitude < 1e-4) & (magnitude != 0.0)) | (magnitude >= 1e16)).any(axis=1))
+    if exponent.size:
+        lines = text.split("\n")
+        for k in exponent.tolist():
+            lines[k] = ",".join(map(repr, table[k].tolist()))
+        text = "\n".join(lines)
+    return text + "\n"
+
+
+def _write_grid_table(path, header, columns):
+    """One row per grid point of the equal-length ``columns``, omega first,
+    as shortest round-trip decimals. Complex or non-finite values raise and
+    write nothing."""
+    if any(np.iscomplexobj(c) for c in columns):
+        raise ValueError(f"{path}: values are complex, file not written")
+    table = np.ascontiguousarray(np.column_stack(columns), dtype=np.float64)
+    if not np.isfinite(table).all():
         raise DegenerateModelError(f"{path}: values are not finite, file not written")
-    _write_rows(path, header, zip(_grid_reprs(omega.tobytes()), *(map(repr, c.tolist()) for c in columns)))
+    atomic_write_text(path, f"{header}\n{_format_rows(table)}")
 
 
 def write_spectrum_csv(path, spectrum: Spectrum):
-    _write_grid_table(path, SPECTRUM_HEADER, spectrum.omega, [np.asarray(spectrum.values, dtype=float)])
+    _write_grid_table(path, SPECTRUM_HEADER, [spectrum.omega, spectrum.values])
 
 
 def _read_columns(path, header, parsers):
@@ -184,11 +206,11 @@ def read_spectrum_csv(path) -> Spectrum:
 
 
 def write_channels_csv(path, rec: ChannelRecord):
-    omega = np.atleast_1d(np.asarray(rec.omega, dtype=float))
-    cols = [np.atleast_1d(np.asarray(getattr(rec, n), dtype=float)) for n in ("h", "v", "d", "a")]
+    omega = np.atleast_1d(np.asarray(rec.omega))
+    cols = [np.atleast_1d(np.asarray(getattr(rec, n))) for n in ("h", "v", "d", "a")]
     if any(c.size != omega.size for c in cols):
         raise ValueError("channel columns must match the omega grid length")
-    _write_grid_table(path, CHANNELS_HEADER, omega, cols)
+    _write_grid_table(path, CHANNELS_HEADER, [omega, *cols])
 
 
 def read_channels_csv(path) -> ChannelRecord:

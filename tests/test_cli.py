@@ -772,14 +772,14 @@ _SRC = Path(pillar_qed.__file__).resolve().parents[1]
 
 
 def _modules_loaded_by(argv):
-    """``pillar_qed`` submodules and ``numpy.ma`` loaded by one CLI run in a
-    fresh interpreter."""
+    """``pillar_qed`` submodules, ``numpy.ma`` and ``orjson`` loaded by one
+    CLI run in a fresh interpreter."""
     script = (
         "import json, sys\n"
         "from pillar_qed.cli import main\n"
         f"assert main({list(argv)!r}) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m.startswith('pillar_qed.') or m == 'numpy.ma')))\n"
+        " if m.startswith('pillar_qed.') or m in ('numpy.ma', 'orjson'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(_SRC))
     proc = subprocess.run(
@@ -794,15 +794,15 @@ class TestSubcommandImports:
     def test_design(self, tmp_path):
         loaded = _modules_loaded_by(["design", "--out", str(tmp_path)])
         assert "pillar_qed.design" in loaded
-        assert not loaded & {"pillar_qed.estimation", "pillar_qed.leastsq", "pillar_qed.tuning", "numpy.ma"}
+        assert not loaded & {"pillar_qed.estimation", "pillar_qed.leastsq", "pillar_qed.tuning", "numpy.ma", "orjson"}
 
     def test_fit(self, tmp_path):
         assert run("synth", "--out", str(tmp_path)) == 0
         loaded = _modules_loaded_by(["fit", str(tmp_path / "coupled.csv"), "--out", str(tmp_path / "fit")])
         assert "pillar_qed.estimation" in loaded
-        assert not loaded & {"pillar_qed.design", "pillar_qed.tuning"}
+        assert not loaded & {"pillar_qed.design", "pillar_qed.tuning", "orjson"}
 
     def test_scan(self, tmp_path):
         loaded = _modules_loaded_by(["scan", "--out", str(tmp_path), "--set", "temperatures=19:23:3"])
-        assert "pillar_qed.tuning" in loaded
+        assert {"pillar_qed.tuning", "orjson"} <= loaded
         assert not loaded & {"pillar_qed.design", "pillar_qed.estimation", "pillar_qed.leastsq"}

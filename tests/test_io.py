@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import stat
 import tempfile
 import warnings
@@ -7,16 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pillar_qed import Spectrum
 from pillar_qed.cli import main
 from pillar_qed.config import DEFAULTS, parse_grid
 from pillar_qed.interferometer import ChannelRecord
+from pillar_qed.scattering import DegenerateModelError
 import pillar_qed.io
 from pillar_qed.io import (
     CHANNELS_HEADER,
     SPECTRUM_HEADER,
     FileFormatError,
+    _format_rows,
     _grid_fault,
     _read_columns,
     _read_grid_table,
@@ -90,6 +95,8 @@ class TestGridWritersMatchReference:
 
 
 class TestGridCacheNeverStale:
+    """Grids written in turn, or changed in place, each give their own bytes."""
+
     def test_alternating_grids(self, tmp_path):
         other = np.linspace(10.0, 20.0, 7)
         for k, omega in enumerate([CLI_GRID, other, CLI_GRID, other, GRIDS["extremes"], other]):
@@ -114,6 +121,72 @@ class TestGridCacheNeverStale:
         omega += 0.5
         write_spectrum_csv(path, Spectrum(omega, values))
         assert path.read_text(encoding="utf-8") == _spectrum_text(omega, values)
+
+
+def _repr_rows(table):
+    """Reference: each row of ``table`` as ``repr``'s texts joined by commas, one line each."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+
+
+# the edges of repr's fixed-point range [1e-4, 1e16), the largest and the
+# smallest doubles, a half-integer near 2**50 and a signed zero
+EDGE_VALUES = [
+    math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0),
+    9999999999999998.0, 1e16, 1e15 + 0.5, 5e-324, -0.0, 1.7976931348623157e308,
+]
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))).filter(math.isfinite),
+    # each edge value, its negative and its neighbours
+    st.sampled_from(sorted({
+        y for x in EDGE_VALUES for y in (x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))
+        if math.isfinite(y)
+    })),
+)
+
+
+class TestFormatRowsMatchesRepr:
+    """One orjson pass gives the text of ``repr`` row by row, the rows whose
+    exponent forms differ included."""
+
+    @settings(max_examples=300)
+    @given(table=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(1, 6)), elements=_FINITE))
+    def test_any_finite_table(self, table):
+        assert _format_rows(table) == _repr_rows(table)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.array(EDGE_VALUES)[:, None],
+            np.column_stack([np.linspace(1.0, 9.0, 9), EDGE_VALUES, EDGE_VALUES[::-1]]),
+            np.array([EDGE_VALUES]),
+            np.array([[1333596.0, 0.25]]),
+            np.zeros((0, 5)),
+        ],
+        ids=["column", "rows_among_plain_ones", "one_row_of_edges", "one_row", "zero_rows"],
+    )
+    def test_edge_values(self, table):
+        assert _format_rows(table) == _repr_rows(table)
+
+    def test_zero_rows_write_the_header_alone(self, tmp_path):
+        empty = np.array([])
+        write_channels_csv(tmp_path / "t.csv", ChannelRecord(empty, empty, empty, empty, empty))
+        assert (tmp_path / "t.csv").read_bytes() == f"{CHANNELS_HEADER}\n".encode()
+
+
+class TestGridWritersRefuse:
+    def test_complex_spectrum(self, tmp_path):
+        path = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: values are complex, file not written$"):
+            write_spectrum_csv(path, Spectrum([1.0, 2.0], [1 + 2j, 3 + 4j]))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_omega(self, tmp_path):
+        ones = np.ones(3)
+        with pytest.raises(DegenerateModelError, match="values are not finite, file not written"):
+            write_channels_csv(tmp_path / "c.csv", ChannelRecord(np.array([1.0, np.nan, 3.0]), ones, ones, ones, ones))
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(params=[0o022, 0o077, 0o002], ids=lambda m: f"umask{m:03o}")
