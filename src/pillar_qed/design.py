@@ -181,6 +181,9 @@ def _max_conditional_phases(rates, bg: BackgroundModel | None = None):
         # complex roots add only their real parts: extra candidates, never a
         # lost one when rounding lifts a real root off the axis
         roots = _real_roots(stack)
+        # an uncoupled dot has r_coupled == r_empty bit for bit, so its
+        # roots are rounding noise and omega_c is its one candidate
+        roots[np.tile(rates[0] == 0, 2)] = np.nan
         offsets = np.sort(np.hstack([roots[:k], roots[k:], np.zeros((k, 1))]), axis=1)
         omega = rates[4, :, None] + (rates[1] + rates[2])[:, None] * offsets
         # per point, the largest candidate (the first nan, if any; the lowest
@@ -211,7 +214,8 @@ def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
     reaches pi on a root of ``Im(A)`` where ``Re(A) < 0`` (the
     overcoupled cusp at resonance). Those roots and ``omega_c`` are
     evaluated in one array pass of :func:`relative_phase` and the largest
-    wins, the lowest energy on ties. The returned magnitude lies in [0, pi]
+    wins, the lowest energy on ties; an uncoupled dot (g == 0) gives
+    ``(0.0, omega_c)``. The returned magnitude lies in [0, pi]
     and equals ``abs(relative_phase(p, argmax, bg))``. This is the one-row
     case of :func:`sweep_kappa`'s batched evaluation; the roots are those of
     :func:`numpy.roots`, bit for bit.

@@ -6,8 +6,9 @@ Spectra: header ``omega_ueV,value``; channel tables:
 UTF-8 with LF line endings, floats written as shortest round-trip
 decimals, and writes are atomic (temp file then rename); a written file
 gets mode ``0o666`` less the umask, as ``open()`` would give it. A
-gridded file's floats are formatted in one orjson call, whose Ryu digits
-are ``repr``'s; a row holding a value that ``repr`` writes with an
+gridded file's floats are formatted in one orjson call on the table as one
+flat vector, whose Ryu digits are ``repr``'s, and each row's last comma
+becomes a newline; a row holding a value that ``repr`` writes with an
 exponent is formatted by ``repr``.
 Gridded files are parsed by numpy's C reader, each field as ``float()`` reads
 it, with no ``#`` comments; the row reader only names the first bad line.
@@ -83,20 +84,26 @@ def _write_rows(path, header, rows):
 
 
 def _format_rows(table) -> str:
-    """Each row of a C-contiguous 2-D float64 ``table`` as ``repr``'s texts
-    joined by commas, each line ending in a newline.
+    """Each row of a 2-D float64 ``table`` as ``repr``'s texts joined by
+    commas, each line ending in a newline.
 
     Ryu, as orjson ships it, gives the digits of ``repr`` (shortest round
     trip, closest on ties); the two write different forms only outside
     1e-4 <= |x| < 1e16 (``0.00001`` and ``1e16`` for ``1e-05`` and
     ``1e+16``), so a row holding a nonzero value there is written by
-    ``repr``. orjson writes ``null`` for non-finite values: callers check.
+    ``repr``. The table is dumped as one flat vector, and every n-th comma
+    of an n-column table becomes a newline in place. orjson writes ``null``
+    for non-finite values: callers check.
     """
     if not len(table):
         return ""
     import orjson
 
-    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n").decode()
+    buf = bytearray(orjson.dumps(table.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+    view = np.frombuffer(buf, dtype=np.uint8)
+    n = table.shape[1]
+    view[np.flatnonzero(view == ord(","))[n - 1::n]] = ord("\n")
+    text = buf[1:-1].decode()
     magnitude = np.abs(table)
     exponent = np.flatnonzero((((magnitude < 1e-4) & (magnitude != 0.0)) | (magnitude >= 1e16)).any(axis=1))
     if exponent.size:
@@ -113,7 +120,7 @@ def _write_grid_table(path, header, columns):
     write nothing."""
     if any(np.iscomplexobj(c) for c in columns):
         raise ValueError(f"{path}: values are complex, file not written")
-    table = np.ascontiguousarray(np.column_stack(columns), dtype=np.float64)
+    table = np.asarray(np.column_stack(columns), dtype=np.float64)
     if not np.isfinite(table).all():
         raise DegenerateModelError(f"{path}: values are not finite, file not written")
     atomic_write_text(path, f"{header}\n{_format_rows(table)}")

@@ -72,9 +72,10 @@ def oracle_relative_phase(p, omega, bg=None):
 
 def oracle_max_conditional_phase(p, bg=None):
     """max_conditional_phase through the per-point coefficient chain and
-    :func:`numpy.roots` of each polynomial."""
-    stationary, im = (np.roots(c).real for c in _phase_polynomials(p, bg))
-    omega = p.omega_c + p.kappa_total * np.unique(np.concatenate([stationary, im, [0.0]]))
+    :func:`numpy.roots` of each polynomial; an uncoupled dot's roots are
+    rounding noise, so omega_c is its one candidate."""
+    roots = [] if p.g == 0 else [np.roots(c).real for c in _phase_polynomials(p, bg)]
+    omega = p.omega_c + p.kappa_total * np.unique(np.concatenate([*roots, [0.0]]))
     magnitudes = [abs(oracle_relative_phase(p, w, bg)) for w in omega]
     i = int(np.argmax(magnitudes))
     return float(magnitudes[i]), float(omega[i])
@@ -481,6 +482,21 @@ class TestBatchedPolynomials:
             points = sweep_kappa(base, kappas)
             assert [(pt.max_conditional_phase, pt.argmax_omega) for pt in points] == [(0.0, base.omega_c)] * 240
             assert points == oracle_sweep(base, kappas)
+
+    @pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+    def test_uncoupled_dot_under_background_peaks_at_resonance(self, detuned):
+        """With g == 0 every candidate has magnitude 0, so a root of rounding
+        noise must not win the lowest-energy tie: each draw gives omega_c."""
+        rng = np.random.default_rng(25)
+        for _ in range(100):
+            p = SystemParams(
+                g=0.0, kappa_top=rng.uniform(0.05, 120.0), kappa_side=rng.uniform(0.0, 50.0),
+                gamma=rng.uniform(0.0, 20.0), omega_c=WC, omega_qd=WC + detuned * rng.uniform(-30.0, 30.0),
+            )
+            bg = BackgroundModel(rng.uniform(0.0, 0.95), rng.uniform(-np.pi, np.pi))
+            got = np.array(max_conditional_phase(p, bg)).view(np.uint64)
+            assert np.array_equal(got, np.array((0.0, WC)).view(np.uint64)), (p, bg)
+            assert np.array_equal(got, np.array(oracle_max_conditional_phase(p, bg)).view(np.uint64)), (p, bg)
 
 
 class TestDesignPoint:

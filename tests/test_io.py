@@ -94,8 +94,9 @@ class TestGridWritersMatchReference:
         _check_both_writers(tmp_path, GRIDS["strided_view"], "view")
 
 
-class TestGridCacheNeverStale:
-    """Grids written in turn, or changed in place, each give their own bytes."""
+class TestEachGridWritesItsOwnBytes:
+    """Grids written in turn, or changed in place between writes, each give
+    their own bytes: nothing carries over from one write to the next."""
 
     def test_alternating_grids(self, tmp_path):
         other = np.linspace(10.0, 20.0, 7)
@@ -146,6 +147,15 @@ _FINITE = st.one_of(
 )
 
 
+def _long_table_with_exponent_rows():
+    """A 2001-row channel table whose first, last and two adjacent rows
+    each hold one value that ``repr`` writes with an exponent."""
+    table = np.column_stack([1333596.0 + np.linspace(-100.0, 100.0, 2001), np.random.default_rng(25).random((2001, 4))])
+    for row, column, x in [(0, 1, 1e-05), (1000, 2, -3e-07), (1001, 4, 2.5e20), (2000, 3, 1e16)]:
+        table[row, column] = x
+    return table
+
+
 class TestFormatRowsMatchesRepr:
     """One orjson pass gives the text of ``repr`` row by row, the rows whose
     exponent forms differ included."""
@@ -163,8 +173,15 @@ class TestFormatRowsMatchesRepr:
             np.array([EDGE_VALUES]),
             np.array([[1333596.0, 0.25]]),
             np.zeros((0, 5)),
+            # the flat pass must read rows in order whatever the memory layout
+            np.asfortranarray(np.column_stack([np.linspace(1.0, 9.0, 9), EDGE_VALUES, EDGE_VALUES[::-1]])),
+            np.column_stack([np.linspace(1.0, 9.0, 9), EDGE_VALUES, np.arange(9.0), EDGE_VALUES[::-1]])[:, ::2],
+            _long_table_with_exponent_rows(),
         ],
-        ids=["column", "rows_among_plain_ones", "one_row_of_edges", "one_row", "zero_rows"],
+        ids=[
+            "column", "rows_among_plain_ones", "one_row_of_edges", "one_row", "zero_rows",
+            "fortran_order", "column_strided", "long_with_exponent_rows",
+        ],
     )
     def test_edge_values(self, table):
         assert _format_rows(table) == _repr_rows(table)
