@@ -11,22 +11,18 @@ the price of reflectivity.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .interferometer import BackgroundModel, apply_background
+from .interferometer import BackgroundModel
 from .scattering import (
-    _DENOMINATOR_FLOOR,
     PARAM_FIELDS,
     DegenerateModelError,
     SystemParams,
-    _amplitude_underflow,
-    _coefficient_rows,
-    _product,
     _quotient,
-    _underflows,
     principal_angle,
+    reflection_amplitude,
 )
 
 __all__ = [
@@ -60,45 +56,22 @@ class DesignPoint:
         return self.max_conditional_phase > 0.5 * np.pi
 
 
-def _amplitudes(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
-    """Coupled and empty-cavity amplitudes ``(r_d, r_c)`` at each point of a
-    flat ``omega``, the rates scalars or flat arrays as long: the chain of
-    :func:`reflection_amplitude` with every complex product and quotient
-    rounded as CPython rounds scalars, so an array gives the bits of
-    per-point calls."""
-    d_c = 1j * (omega_c - omega) + 0.5 * (kappa_top + kappa_side)
-    if _underflows(d_c):
-        raise DegenerateModelError("cavity response denominator underflow")
-    r_c = 1.0 - _quotient(kappa_top, d_c)
-    d_qd = 1j * (omega_qd - omega) + 0.5 * gamma
-    den = _product(d_qd, d_c) + g * g
-    empty, low = g == 0, (g != 0) & (np.abs(den) < _DENOMINATOR_FLOOR)
-    with np.errstate(divide="ignore", invalid="ignore"):  # those rows are replaced
-        r_d = np.where(empty, r_c, 1.0 - _quotient(_product(kappa_top, d_qd), den))
-    if low.any():
-        r_d[low] = _amplitude_underflow(*(np.broadcast_to(x, low.shape)[low] for x in (g, kappa_top, d_c, d_qd)))
-    return r_d, r_c
-
-
-def _conditional_phases(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega, bg):
-    """:func:`relative_phase` at each ``omega``, the rates scalars or flat
-    arrays as long, from one pass of :func:`_amplitudes`."""
-    shape = np.shape(omega)
-    r_d, r_c = _amplitudes(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, np.asarray(omega, dtype=float).ravel())
-    if bg is not None:
-        r_d, r_c = apply_background(r_d, bg), apply_background(r_c, bg)
-    return principal_angle(_product(r_d, r_c.conj()).reshape(shape))
-
-
 def relative_phase(p: SystemParams, omega, bg: BackgroundModel | None = None):
     """Principal-valued phase of the coupled amplitude relative to the empty one.
 
-    ``angle(r_coupled * conj(r_empty))`` in (-pi, pi], per point; the
-    empty cavity is ``p`` with g = 0. A scalar ``omega`` gives a float. An
-    array is evaluated in one pass that rounds as CPython's scalar complex
-    arithmetic does, so it equals per-point calls bit for bit.
+    ``angle(r_coupled * conj(r_empty))`` in (-pi, pi], per point; the empty
+    cavity is ``p`` with g = 0. It is taken as the angle of the exact ratio
+    ``1 + eps / P(u)`` (:func:`_phase_polynomials`), free of cancellation.
+    A scalar ``omega`` gives a float, an array the bits of per-point calls;
+    a phase that is not finite raises :class:`DegenerateModelError`.
     """
-    return _conditional_phases(*(getattr(p, name) for name in PARAM_FIELDS), omega, bg)
+    rates = np.array([[getattr(p, name)] for name in PARAM_FIELDS])
+    omega = np.asarray(omega, dtype=float)
+    with np.errstate(all="ignore"):
+        phi = _phases(_phase_polynomials(rates, bg), ((omega - p.omega_c) / p.kappa_total).ravel())
+    if not np.isfinite(phi).all():
+        raise _not_finite("conditional phases", rates[:, 0])
+    return phi.reshape(omega.shape) if omega.ndim else float(phi[0])
 
 
 def _polymul(a, b):
@@ -109,11 +82,46 @@ def _polymul(a, b):
     return out
 
 
-def _zero_noise(rows, scale):
-    """``rows`` with each row's leading rounding noise set to zero: every
-    coefficient before the first at least 1e-12 of the row's ``scale``."""
-    lead = np.argmax(np.abs(rows) >= 1e-12 * scale[:, None], axis=1)
-    return np.where(np.arange(rows.shape[1]) < lead[:, None], 0.0, rows)
+def _polyval(rows, u):
+    """Complex coefficients along the last axis, highest power first, at real ``u``."""
+    out = rows[..., 0]
+    for i in range(1, rows.shape[-1]):
+        out = out * u + rows[..., i]
+    return out
+
+
+def _phase_polynomials(rates, bg: BackgroundModel | None = None):
+    """``(P, N'_c, q, s t, eps)`` of each column of ``rates`` (the six
+    :data:`PARAM_FIELDS` by K sets), coefficients highest power first. In
+    the offset ``u = (omega - omega_c) / k``, with ``k = kappa_top +
+    kappa_side``, ``t = kappa_top / k`` and ``G = (g / k)^2``: ``d_c = -i u
+    + 1/2``, ``N_c = d_c - t``, ``d_qd = -i u + q`` and ``D_d = d_qd d_c +
+    G``, so ``r_d - r_c = t G / (d_c D_d)``. With a background ``r' = f + s
+    r``, ``r'_d / r'_c = 1 + eps / P(u)`` exactly, where ``P = N'_c D_d``,
+    ``N'_c = f d_c + s N_c`` and ``eps = s t G``. ``s t`` is 0 for g == 0.
+    """
+    g, kappa_top, kappa_side, gamma, omega_c, omega_qd = rates
+    k = kappa_top + kappa_side
+    t, coupling = kappa_top / k, (g / k) ** 2
+    q = 0.5 * gamma / k + 1j * ((omega_qd - omega_c) / k)
+    s, f = (1.0, 0.0) if bg is None else (np.sqrt(1.0 - bg.fraction), bg.field)
+    n_c = (f + s) * np.array([-1j, 0.5]) - np.outer(t, [0.0, s])
+    d_d = np.stack([np.full_like(q, -1.0), -1j * q - 0.5j, 0.5 * q + coupling], axis=1)
+    return _polymul(n_c, d_d), n_c, q, s * np.where(g > 0, t, 0.0), s * t * coupling
+
+
+def _phases(polys, u):
+    """``angle(1 + w)``, ``w = eps / P(u)``, at each ``u``, from
+    :func:`_phase_polynomials` output that broadcasts against it. Where
+    ``d_qd = 0`` the dot alone reflects, ``r_d = 1`` however small G is, so
+    ``w = s t / N'_c``; where ``N'_c = 0`` (critical coupling at resonance)
+    the empty cavity does not reflect and the phase is 0. Smith's division
+    keeps a subnormal ``P`` finite."""
+    p, n_c, q, st, eps = polys
+    n_u = _polyval(n_c, u)
+    dark = (q.real == 0) & (q.imag == u)
+    w = _quotient(np.where(dark, st, eps), np.where(dark, n_u, _polyval(p, u)))
+    return np.where(n_u == 0, 0.0, principal_angle(1.0 + w))
 
 
 def _real_roots(stack):
@@ -143,54 +151,35 @@ def _real_roots(stack):
 
 
 def _max_conditional_phases(rates, bg: BackgroundModel | None = None):
-    """:func:`max_conditional_phase` of each column of ``rates``, the six
-    :data:`PARAM_FIELDS` by K parameter sets, as a list of K pairs.
-
-    The polynomials of all sets are built together, one stacked shifted add
-    per coefficient. Leading noise is zeroed rather than cut, so rows of
-    every trimmed length share one stack: the products, derivatives and
-    roots of a zero-padded row equal those of the cut one bit for bit. The
-    candidates of all sets are evaluated in one :func:`_conditional_phases`.
-    """
-    # rates whose products overflow leave inf or nan coefficients or
-    # magnitudes: one plain error instead of numpy's warnings and eigvals'
-    # complaint. No yield in here: a suspended generator would leak the
-    # error state to its caller
+    """:func:`max_conditional_phase` of each column of ``rates`` (the six
+    :data:`PARAM_FIELDS` by K sets) as a list of K pairs, in one pass."""
+    # overflowing rates leave inf or nan coefficients or magnitudes: one plain
+    # error, no numpy warning (no yield in here: it would leak the errstate)
     with np.errstate(all="ignore"):
-        n_d, d_d = _coefficient_rows(*rates)
-        # the empty cavity, _coefficient_rows' g == 0 rows without their leading zero
-        d_c = np.broadcast_to(np.array([-1j, 0.5]), n_d[:, 1:].shape)
-        n_c = d_c - np.stack([np.zeros_like(rates[1]), rates[1] / (rates[1] + rates[2])], axis=1)
-        if bg is not None:
-            scale = np.sqrt(1.0 - bg.fraction)
-            n_d = bg.field * d_d + scale * n_d
-            n_c = bg.field * d_c + scale * n_c
-        a = _polymul(_polymul(n_d, n_c.conj()), _polymul(d_d.conj(), d_c))
-        # both parts trim against |A|: a tiny Im(A) keeps no noise as its lead
-        re, im = (_zero_noise(c, np.abs(a).max(axis=1)) for c in (a.real, a.imag))
-        d_re, d_im = (c[:, :-1] * np.arange(c.shape[1] - 1, 0, -1) for c in (re, im))  # polyder
-        stationary = _polymul(d_im, re) - _polymul(im, d_re)
-        finite = np.isfinite(a).all(axis=1) & np.isfinite(stationary).all(axis=1)
+        polys = _phase_polynomials(rates, bg)
+        p, eps = polys[0], polys[-1]
+        shifted = (p + np.outer(eps, [0.0, 0.0, 0.0, 1.0])).conj()
+        stationary = _polymul(_polymul(p[:, :-1] * [3.0, 2.0, 1.0], p.conj()), shifted).imag
+        finite = np.isfinite(p).all(axis=1) & np.isfinite(eps) & np.isfinite(stationary).all(axis=1)
         if not finite.all():
             raise _not_finite("conditional-phase polynomial coefficients", rates[:, np.argmin(finite)])
-        # one stack: the stationarity rows, then the Im(A) rows padded in front
+        # the stationarity rows, then Im(P)'s; complex roots add their real
+        # parts, extra candidates; with eps == 0 omega_c is the one candidate
         k = rates.shape[1]
         stack = np.zeros((2 * k, stationary.shape[1]))
-        stack[:k] = _zero_noise(stationary, np.abs(stationary).max(axis=1))
-        stack[k:, -im.shape[1]:] = im
-        # complex roots add only their real parts: extra candidates, never a
-        # lost one when rounding lifts a real root off the axis
+        stack[:k], stack[k:, -p.shape[1]:] = stationary, p.imag
+        stack[np.tile(eps == 0, 2)] = 0.0
         roots = _real_roots(stack)
-        # an uncoupled dot has r_coupled == r_empty bit for bit, so its
-        # roots are rounding noise and omega_c is its one candidate
-        roots[np.tile(rates[0] == 0, 2)] = np.nan
+        if bg is None:  # |phi| is even in u at zero detuning: ties go below omega_c
+            fold = np.tile(rates[5] == rates[4], 2)
+            roots[fold] = -np.abs(roots[fold])
         offsets = np.sort(np.hstack([roots[:k], roots[k:], np.zeros((k, 1))]), axis=1)
-        omega = rates[4, :, None] + (rates[1] + rates[2])[:, None] * offsets
-        # per point, the largest candidate (the first nan, if any; the lowest
-        # energy on ties) of a table padded with -1
-        valid = ~np.isnan(offsets)
-        table = np.full(offsets.shape, -1.0)
-        table[valid] = np.abs(_conditional_phases(*np.repeat(rates, valid.sum(axis=1), axis=1), omega[valid], bg))
+        width = rates[1] + rates[2]
+        omega = rates[4, :, None] + width[:, None] * offsets
+        # per set, the largest candidate at its rounded omega (the first nan,
+        # if any; the lowest energy on ties) of a table padded with -1
+        phases = _phases([x[:, None] for x in polys], (omega - rates[4, :, None]) / width[:, None])
+        table = np.where(np.isnan(offsets), -1.0, np.abs(phases))
         best = np.argmax(table, axis=1)
         magnitudes, omega = table[np.arange(k), best], omega[np.arange(k), best]
         finite = np.isfinite(magnitudes) & np.isfinite(omega)
@@ -200,25 +189,20 @@ def _max_conditional_phases(rates, bg: BackgroundModel | None = None):
 
 
 def _not_finite(what, rates) -> DegenerateModelError:
-    named = ", ".join(f"{name}={value!r}" for name, value in zip(PARAM_FIELDS[:4], rates.tolist()))
+    named = ", ".join(f"{name}={float(value)!r}" for name, value in zip(PARAM_FIELDS[:4], rates))
     return DegenerateModelError(f"{what} are not finite at {named}")
 
 
 def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
     """Largest conditional phase magnitude and where it occurs.
 
-    ``r_coupled * conj(r_empty)`` has the phase of the polynomial
-    ``A = N_d conj(N_c) conj(D_d) D_c`` in the scaled offset u, since the
-    two differ by the positive factor ``|D_d D_c|^2``. The magnitude
-    therefore peaks at a root of ``Im(A)' Re(A) - Im(A) Re(A)'``, or
-    reaches pi on a root of ``Im(A)`` where ``Re(A) < 0`` (the
-    overcoupled cusp at resonance). Those roots and ``omega_c`` are
-    evaluated in one array pass of :func:`relative_phase` and the largest
-    wins, the lowest energy on ties; an uncoupled dot (g == 0) gives
-    ``(0.0, omega_c)``. The returned magnitude lies in [0, pi]
-    and equals ``abs(relative_phase(p, argmax, bg))``. This is the one-row
-    case of :func:`sweep_kappa`'s batched evaluation; the roots are those of
-    :func:`numpy.roots`, bit for bit.
+    The phase ``angle(1 + eps / P(u))`` is stationary at the real roots of
+    ``Im(P' conj(P) conj(P + eps))`` (degree 8) and reaches +-pi only at
+    real roots of ``Im(P)`` (degree 3; the overcoupled cusp). Those roots
+    and ``omega_c`` are evaluated at their rounded energies and the largest
+    wins, the lowest energy on ties; with eps == 0 (g == 0, or G
+    underflows) ``omega_c`` is the one candidate. The magnitude lies in
+    [0, pi] and equals ``abs(relative_phase(p, argmax, bg))``.
     """
     return _max_conditional_phases(np.array([[getattr(p, name)] for name in PARAM_FIELDS]), bg)[0]
 
@@ -229,27 +213,23 @@ def sweep_kappa(base: SystemParams, kappa_values) -> list:
     g, kappa_side, gamma and omega_c are held fixed and the dot sits at
     omega_c, whatever ``base.omega_qd``; output is sorted by kappa. Points
     where kappa is within 10% of 4*g are logged as matching the kappa/4 ~ g
-    guideline. The phase polynomials of every kappa are built in one pass
-    over rate arrays, their roots found with one stacked ``eigvals`` per
-    polynomial degree, and the conditional phases at all the candidates of
-    all kappas evaluated in one array pass of :func:`relative_phase`; the
-    on-resonance amplitudes come from one more pass of that chain. Both
-    round as per-point calls do.
+    guideline. The phases of all kappas take one batched pass, each point
+    bit for bit :func:`max_conditional_phase`; the on-resonance
+    reflectivity is one scalar :func:`reflection_amplitude` per kappa, and
+    one that is not finite raises :class:`DegenerateModelError`.
     """
     kappas = sorted(float(k) for k in np.asarray(kappa_values, dtype=float))
     rows = [(base.g, kappa, base.kappa_side, base.gamma, base.omega_c, base.omega_c) for kappa in kappas]
     params = [SystemParams(*row) for row in rows]
     if not params:
         return []
-    rates = np.array(rows).T
-    found = _max_conditional_phases(rates)
-    with np.errstate(all="ignore"):  # silent, as CPython's scalar arithmetic is
-        r_d, _ = _amplitudes(*rates, rates[4])
-    # Python's float ** 2 is libm's pow, as np.float64's is; an array square is x * x
-    refl = [r ** 2 for r in np.abs(r_d).tolist()]
     points = []
-    for p, (magnitude, argmax), r in zip(params, found, refl):
-        points.append(DesignPoint(p, magnitude, argmax, r))
+    for p, (magnitude, argmax) in zip(params, _max_conditional_phases(np.array(rows).T)):
+        with np.errstate(all="ignore"):  # silent, as CPython's scalar arithmetic is
+            refl = float(np.abs(reflection_amplitude(p, omega=p.omega_c)) ** 2)
+        if not np.isfinite(refl):
+            raise _not_finite("on-resonance reflectivities", astuple(p))
+        points.append(DesignPoint(p, magnitude, argmax, refl))
         if abs(p.kappa_top - 4.0 * base.g) <= 0.1 * 4.0 * base.g:
             logger.info("kappa=%.4g matches the kappa/4 ~ g guideline", p.kappa_top)
     return points

@@ -134,15 +134,6 @@ def _underflows(x):
     return small.any() if isinstance(small, np.ndarray) else small
 
 
-def _product(a, b):
-    """CPython's complex ``a * b``, elementwise over arrays: four plain
-    products, where numpy's complex loops may round otherwise."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def _quotient(a, b):
     """CPython's complex ``a / b``, elementwise over arrays: Smith's division,
     which divides by ``denom`` where numpy multiplies by its reciprocal."""
@@ -233,27 +224,6 @@ def _amplitude_partials(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omeg
         coupling = kappa_top * g * g / (den * den)
     loss = kappa_top * q * q
     return r, (dg, 0.5 * loss - q, 0.5 * loss, -0.5 * coupling, 1j * loss, -1j * coupling)
-
-
-def _coefficient_rows(g, kappa_top, kappa_side, gamma, omega_c, omega_qd):
-    """Numerators and denominators of :func:`_amplitude`, one row per rate set.
-
-    Takes one array per rate and returns complex ``(K, 3)`` arrays ``(num,
-    den)``, highest power first, in the scaled offset ``u = (omega -
-    omega_c) / (kappa_top + kappa_side)``: ``r = polyval(num[i], u) /
-    polyval(den[i], u)``. The scaling keeps the coefficients of order one at
-    any absolute energy. ``g == 0`` rows hold the cancelled empty-cavity form
-    of :func:`_amplitude`, degree 1 behind a leading zero.
-    """
-    k = kappa_top + kappa_side
-    t = kappa_top / k
-    q = 0.5 * gamma / k + 1j * ((omega_qd - omega_c) / k)  # d_qd = -i u + q
-    den = np.stack([np.full_like(q, -1.0), -1j * q - 0.5j, 0.5 * q + (g / k) ** 2], axis=1)
-    num = den + np.stack([np.zeros_like(q), 1j * t, -t * q], axis=1)
-    empty = g == 0
-    num[empty] = den[empty] = [0.0, -1j, 0.5]
-    num[empty, 2] -= t[empty]
-    return num, den
 
 
 def principal_angle(z):

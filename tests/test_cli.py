@@ -578,9 +578,10 @@ class TestErrorBoundary:
             # overflowing rates or noise leave non-finite values that no file may hold
             (("synth", "--set", "kappa_top=1e308"), "{out}/coupled.csv: values are not finite, file not written"),
             (("synth", "--set", "noise=1e308"), "{out}/coupled.csv: values are not finite, file not written"),
+            # the phases stay finite; the amplitude at kappa_top=1e308 does not
             (
                 ("design", "--set", "kappa_values=2:1e308:3"),
-                "conditional-phase magnitudes are not finite at g=9.4, kappa_top=1e+308, kappa_side=24.7, gamma=5.0",
+                "on-resonance reflectivities are not finite at g=9.4, kappa_top=1e+308, kappa_side=24.7, gamma=5.0",
             ),
         ],
         ids=[

@@ -120,26 +120,31 @@ class TestReflectionAmplitude:
             _amplitude(0.0, 1e-320, 0.0, 0.0, 1000.0, 1000.0, 1000.0)
 
     def test_polynomial_coefficients_reproduce_amplitude(self):
-        from pillar_qed.scattering import _amplitude, _coefficient_rows
+        """The conditional phase's polynomials give the amplitudes' ratio:
+        r'_d / r'_c = 1 + eps / P(u) in the scaled offset, with and without
+        a background."""
+        from pillar_qed.design import _phase_polynomials, _polyval
+        from pillar_qed.interferometer import BackgroundModel, apply_background
 
         rng = np.random.default_rng(3)
         rates = np.array([
             (g, rng.uniform(0.05, 60.0), rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0), wc, wc + rng.uniform(-30.0, 30.0))
             for g, wc in zip(rng.uniform(0.0, 50.0, size=300), rng.uniform(1e3, 2e6, size=300))
         ])
-        rates[::3, 0] = 0.0  # the cancelled empty-cavity rows
-        num, den = _coefficient_rows(*rates.T)
-        assert num.shape == den.shape == (300, 3)
-        assert np.all(num[::3, 0] == 0) and np.all(den[::3, 0] == 0)
+        rates[::3, 0] = 0.0  # uncoupled dots: the ratio is 1
         worst = 0.0
-        for row, n, d in zip(rates, num, den):
+        for i, row in enumerate(rates):
+            bg = BackgroundModel(rng.uniform(0.0, 0.95), rng.uniform(-np.pi, np.pi)) if i % 2 else None
+            p, *_, eps = _phase_polynomials(row[:, None], bg)
+            assert p.shape == (1, 4) and eps.shape == (1,)
             g, kap, ks, gam, wc, wqd = row
             omega = wc + rng.uniform(-200.0, 200.0, size=64)
-            u = (omega - wc) / (kap + ks)
-            expected = _amplitude(g, kap, ks, gam, wc, wqd, omega)
-            r = np.polyval(n, u) / np.polyval(d, u)
-            worst = max(worst, np.max(np.abs(r - expected)))
-        assert worst <= 1e-12
+            r_d, r_c = _amplitude(g, kap, ks, gam, wc, wqd, omega), _amplitude(0.0, kap, ks, gam, wc, wqd, omega)
+            if bg is not None:
+                r_d, r_c = apply_background(r_d, bg), apply_background(r_c, bg)
+            ratio = 1.0 + eps / _polyval(p, (omega - wc) / (kap + ks))
+            worst = max(worst, np.max(np.abs(ratio - r_d / r_c)))
+        assert worst <= 1e-12  # measured: 6.0e-14
 
     def test_partials_match_central_difference(self):
         rng = np.random.default_rng(8)

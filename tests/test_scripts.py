@@ -59,9 +59,9 @@ def test_summary_report_output(tmp_path):
 # are byte-identical from run to run and across BLAS thread counts; a
 # reviewed change to an output's bytes updates its digest here.
 CLI_OUTPUT_DIGESTS = {
-    "design/design.csv": "54141465c8f52f06ab4184771f019c262b2af95afae827e5e06bb0045c094df4",
+    "design/design.csv": "71bd64f84070e6e5d3accb60ca794dd9adc0e2c674d7b686ea5962470ea7fecc",
     "design_uncoupled/design.csv": "3ce1298bf529100c51ee207f46a71ecc7ff522d83ff58c21cf5fd6e18727f241",
-    "design_wide/design.csv": "4edb409c245cc2de09a5f8de1f2d7bf455b6130fe15a317287ef7e902e9ab1e5",
+    "design_wide/design.csv": "bb9991cbb084fd2a671845e11179ca3ac2bee87fdd1825747ccd11e0869bbce4",
     "fit/fit_report.txt": "13233cb45ab141585cce1452c3acb4f1f880dbc946887ffd45bfb312acfcd5b7",
     "fit_background/fit_report.txt": "16a3a3af6588c9a0f4eefeb06bb1ca42668fbb571933bd94132c17849c7b8db9",
     "fit_beta/fit_report.txt": "13233cb45ab141585cce1452c3acb4f1f880dbc946887ffd45bfb312acfcd5b7",
