@@ -53,6 +53,8 @@ RUNS = (
     ("scan_config", ["scan", "--config", "{root}/run.cfg"]),
     # the scan's own resolved config, read back: must rewrite scan/ byte for byte
     ("scan_roundtrip", ["scan", "--config", "{root}/scan/scan_config.txt"]),
+    # a phased, half-strength background mixed into every scan spectrum
+    ("scan_bg", ["scan", "--background", "0.5", "--set", "background_phase=0.8", "--set", "temperatures=20:22:3"]),
     ("design", ["design"]),
     # 240 top-mirror rates, across the overcoupled cusp at kappa_side
     ("design_wide", ["design", "--set", "kappa_values=0.5:120:240"]),

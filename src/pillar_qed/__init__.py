@@ -30,23 +30,23 @@ _EXPORTS = {
         "residuals",
     ),
     "interferometer": (
-        "BackgroundModel",
-        "ChannelRecord",
         "ReferenceArm",
-        "apply_background",
         "conditional_fringe_phase",
         "dip_visibility",
         "extract_phase",
         "fringe_phase",
         "infer_background_fraction",
-        "measured_intensity",
         "quadrature_offset",
         "simulate_channels",
     ),
     "scattering": (
+        "BackgroundModel",
+        "ChannelRecord",
         "Spectrum",
         "SystemParams",
+        "apply_background",
         "coupling_regime",
+        "measured_intensity",
         "polariton_eigenvalues",
         "q_factor",
         "rabi_splitting",

@@ -6,7 +6,7 @@ outputs are deterministic for a fixed config and seed. Exit codes:
 2 numerical failure; either error prints one line on stderr. The
 ``PILLAR_QED_LOG`` environment variable sets the log level. Each
 ``cmd_*`` imports the modules that only it runs (``design``, ``estimation``,
-``tuning``), so a subcommand loads none of the others.
+``interferometer``, ``tuning``), so a subcommand loads none of the others.
 """
 
 from __future__ import annotations
@@ -21,16 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import interferometer, io
+from . import io
 from .config import DEFAULTS, ConfigError, RunConfig, load_config_file
-from .interferometer import (
-    ReferenceArm,
-    calibrate_bias,
-    extract_phase,
-    quadrature_offset,
-    simulate_channels,
-)
-from .scattering import DegenerateModelError, Spectrum, reflection_amplitude
+from .scattering import ChannelRecord, DegenerateModelError, Spectrum, apply_background, reflection_amplitude
 
 __all__ = ["main", "build_parser"]
 
@@ -85,6 +78,8 @@ def _write(path, writer, *payload):
 
 
 def cmd_synth(args, cfg, out):
+    from .interferometer import simulate_channels
+
     rng = np.random.default_rng(cfg.seed)
     p = cfg.system_params()
     bg = cfg.background_model()
@@ -92,14 +87,12 @@ def cmd_synth(args, cfg, out):
     grid = cfg.grid
 
     for name, params in {"coupled": p, "empty": replace(p, g=0.0)}.items():
-        amplitude = interferometer.apply_background(reflection_amplitude(params, omega=grid), bg)
+        amplitude = apply_background(reflection_amplitude(params, omega=grid), bg)
         intensity = _maybe_noisy(np.abs(amplitude) ** 2, cfg, rng)
         _write(out / f"{name}.csv", io.write_spectrum_csv, Spectrum(grid, intensity))
 
         rec = simulate_channels(amplitude, ref, omega=grid)
-        rec = interferometer.ChannelRecord(
-            grid, *(_maybe_noisy(c, cfg, rng) for c in (rec.h, rec.v, rec.d, rec.a))
-        )
+        rec = ChannelRecord(grid, *(_maybe_noisy(c, cfg, rng) for c in (rec.h, rec.v, rec.d, rec.a)))
         _write(out / f"channels_{name}.csv", io.write_channels_csv, rec)
 
 
@@ -134,6 +127,8 @@ def cmd_fit(args, cfg, out):
 
 
 def cmd_phase(args, cfg, out):
+    from .interferometer import ReferenceArm, calibrate_bias, extract_phase, quadrature_offset
+
     rec = io.read_channels_csv(args.channels_csv)
 
     if args.calibrate_edges:

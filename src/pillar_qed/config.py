@@ -14,11 +14,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .interferometer import BackgroundModel, ReferenceArm, quadrature_offset
 from .io import _key_values
-from .scattering import PARAM_FIELDS, SystemParams
+from .scattering import PARAM_FIELDS, BackgroundModel, SystemParams
 
 if TYPE_CHECKING:
+    from .interferometer import ReferenceArm
     from .tuning import TuningModel
 
 __all__ = ["ConfigError", "RunConfig", "load_config_file", "parse_energy", "parse_grid"]
@@ -165,6 +165,8 @@ class RunConfig:
         return BackgroundModel(fraction=self.background, phase=self.background_phase)
 
     def reference_arm(self) -> ReferenceArm:
+        from .interferometer import ReferenceArm, quadrature_offset
+
         offset = quadrature_offset(self.beta_mag) if self.sb_offset is None else self.sb_offset
         return ReferenceArm(beta=self.beta_mag, sb_offset=offset)
 

@@ -15,9 +15,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .interferometer import BackgroundModel
 from .scattering import (
     PARAM_FIELDS,
+    BackgroundModel,
     DegenerateModelError,
     SystemParams,
     _quotient,

@@ -1,11 +1,10 @@
-"""Two-beam polarization interferometer and mode-matching background model.
+"""Two-beam polarization interferometer readout and background inference.
 
 One arm carries the cavity reflection (H), the other a reference
 reflection from the unetched planar region (V). A variable retarder sets
 the static phase offset between the arms; a 50:50 analysis mixes them into
-D and A channels whose difference reads out the reflection phase.
-Un-modematched light adds a coherent, spectrally flat field that dilutes
-the measured dip depth and phase.
+D and A channels whose difference reads out the reflection phase. A dip's
+visibility pins the fraction of coherent un-modematched background in it.
 """
 
 from __future__ import annotations
@@ -16,21 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scattering import Spectrum, SystemParams, reflection_amplitude
+from .scattering import BackgroundModel, ChannelRecord, Spectrum, SystemParams, measured_intensity
 
 __all__ = [
     "NoSolutionError",
-    "ChannelRecord",
     "ReferenceArm",
-    "BackgroundModel",
     "quadrature_offset",
     "simulate_channels",
     "extract_phase",
     "fringe_phase",
     "conditional_fringe_phase",
     "calibrate_bias",
-    "apply_background",
-    "measured_intensity",
     "dip_visibility",
     "infer_background_fraction",
 ]
@@ -68,44 +63,6 @@ class ReferenceArm:
     def bias(self) -> float:
         """Residual phase offset from the quadrature point."""
         return self.sb_offset - cmath.phase(self.beta) + 0.5 * np.pi
-
-
-@dataclass(frozen=True)
-class BackgroundModel:
-    """Coherent un-modematched admixture: intensity fraction and phase."""
-
-    fraction: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.fraction < 1.0):
-            raise ValueError(f"background fraction must be in [0, 1), got {self.fraction}")
-        if not np.isfinite(self.phase):
-            raise ValueError("background phase must be finite")
-
-    @property
-    def field(self) -> complex:
-        return np.sqrt(self.fraction) * np.exp(1j * self.phase)
-
-
-@dataclass(frozen=True)
-class ChannelRecord:
-    """Detector intensities at one probe energy (or arrays over a grid).
-
-    Normalization: a far-detuned unit signal gives h = 1 when the
-    background is absent.
-    """
-
-    omega: float
-    h: float
-    v: float
-    d: float
-    a: float
-
-    def __post_init__(self):
-        for name in ("h", "v", "d", "a"):
-            if np.any(np.asarray(getattr(self, name)) < 0):
-                raise ValueError(f"channel {name} must be non-negative")
 
 
 def quadrature_offset(beta) -> float:
@@ -205,23 +162,6 @@ def calibrate_bias(raw_phase) -> float:
     if raw_phase.ndim != 1 or raw_phase.size < 5:
         raise ValueError("edge calibration needs a gridded record with >= 5 points")
     return _edge_baseline(raw_phase)
-
-
-def apply_background(r, bg: BackgroundModel):
-    """Mix a coherent, frequency-flat background field into ``r``.
-
-    Returns ``sqrt(b)*exp(i*phase) + sqrt(1-b)*r`` with b the intensity
-    fraction of un-modematched light in the collected signal.
-    """
-    return bg.field + np.sqrt(1.0 - bg.fraction) * np.asarray(r, dtype=complex)
-
-
-def measured_intensity(p: SystemParams, omega, bg: BackgroundModel | None = None):
-    """Recorded intensity |sqrt(b)*e^{i*phase} + sqrt(1-b)*r(omega)|^2."""
-    r = reflection_amplitude(p, omega=omega)
-    if bg is not None:
-        r = apply_background(r, bg)
-    return np.abs(r) ** 2
 
 
 def _edge_baseline(values: np.ndarray) -> float:

@@ -23,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .interferometer import ChannelRecord
-from .scattering import DegenerateModelError, Spectrum
+from .scattering import ChannelRecord, DegenerateModelError, Spectrum
 
 __all__ = [
     "FileFormatError",

@@ -3,7 +3,10 @@
 All energies and rates are in ueV with hbar = 1, so energies and angular
 frequencies are interchangeable. The probe drives the cavity through the
 top mirror only; sidewall scattering, absorption and transmission through
-the bottom mirror are lumped into a single extra loss rate.
+the bottom mirror are lumped into a single extra loss rate. The measured
+signal adds a coherent, spectrally flat field of un-modematched light,
+which dilutes the dip depth and phase; :class:`ChannelRecord` holds the
+interferometer's detector intensities.
 """
 
 from __future__ import annotations
@@ -17,8 +20,12 @@ __all__ = [
     "DegenerateModelError",
     "SystemParams",
     "Spectrum",
+    "BackgroundModel",
+    "ChannelRecord",
     "reflection_amplitude",
     "reflectivity",
+    "apply_background",
+    "measured_intensity",
     "polariton_eigenvalues",
     "rabi_splitting",
     "coupling_regime",
@@ -29,12 +36,13 @@ _DENOMINATOR_FLOOR = 1e-300
 
 
 class DegenerateModelError(ValueError):
-    """Raised when the response denominator underflows to zero."""
+    """Raised when the response denominator underflows to zero, or when a
+    design output or a table to be written is not finite."""
 
 
 def _check_finite(name, value):
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {float(value)}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +131,44 @@ class Spectrum:
 
     def __len__(self):
         return self.omega.size
+
+
+@dataclass(frozen=True)
+class BackgroundModel:
+    """Coherent un-modematched admixture: intensity fraction and phase."""
+
+    fraction: float
+    phase: float = 0.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.fraction < 1.0):
+            raise ValueError(f"background fraction must be in [0, 1), got {self.fraction}")
+        if not np.isfinite(self.phase):
+            raise ValueError("background phase must be finite")
+
+    @property
+    def field(self) -> complex:
+        return np.sqrt(self.fraction) * np.exp(1j * self.phase)
+
+
+@dataclass(frozen=True)
+class ChannelRecord:
+    """Detector intensities at one probe energy (or arrays over a grid).
+
+    Normalization: a far-detuned unit signal gives h = 1 when the
+    background is absent.
+    """
+
+    omega: float
+    h: float
+    v: float
+    d: float
+    a: float
+
+    def __post_init__(self):
+        for name in ("h", "v", "d", "a"):
+            if np.any(np.asarray(getattr(self, name)) < 0):
+                raise ValueError(f"channel {name} must be non-negative")
 
 
 def _underflows(x):
@@ -268,6 +314,23 @@ def reflection_amplitude(p: SystemParams, omega):
 def reflectivity(p: SystemParams, omega):
     """|r(omega)|^2, a fraction in [0, 1] for any passive parameter set."""
     r = reflection_amplitude(p, omega=omega)
+    return np.abs(r) ** 2
+
+
+def apply_background(r, bg: BackgroundModel):
+    """Mix a coherent, frequency-flat background field into ``r``.
+
+    Returns ``sqrt(b)*exp(i*phase) + sqrt(1-b)*r`` with b the intensity
+    fraction of un-modematched light in the collected signal.
+    """
+    return bg.field + np.sqrt(1.0 - bg.fraction) * np.asarray(r, dtype=complex)
+
+
+def measured_intensity(p: SystemParams, omega, bg: BackgroundModel | None = None):
+    """Recorded intensity |sqrt(b)*e^{i*phase} + sqrt(1-b)*r(omega)|^2."""
+    r = reflection_amplitude(p, omega=omega)
+    if bg is not None:
+        r = apply_background(r, bg)
     return np.abs(r) ** 2
 
 

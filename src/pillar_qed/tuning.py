@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .interferometer import BackgroundModel, measured_intensity
-from .scattering import Spectrum, SystemParams
+from .scattering import BackgroundModel, Spectrum, SystemParams, measured_intensity
 
 __all__ = [
     "UnresolvedSplittingError",

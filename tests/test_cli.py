@@ -509,6 +509,8 @@ class TestErrorBoundary:
             ("synth", "--set", "seed=1e3"),
             ("synth", "--seed", "-1"),
             ("fit", "coupled.csv", "--set", "fit_max_iterations=x"),
+            # the dot energy overflows to a numpy inf at 1e10 K
+            ("scan", "--set", "qd_slope=1e300", "--set", "temperatures=1e10", "--set", "t_max=1e11"),
         ],
         ids=[
             "design_kappa_zero",
@@ -535,6 +537,7 @@ class TestErrorBoundary:
             "seed_exponent",
             "seed_negative",
             "fit_max_iterations_text",
+            "scan_omega_qd_overflow",
         ],
     )
     def test_invalid_value_exits_1_with_one_line(self, tmp_path, capsys, recwarn, argv):
@@ -551,6 +554,8 @@ class TestErrorBoundary:
         for key in ("seed", "fit_max_iterations"):  # an integer key's error names it
             if f"--{key}" in argv or any(a.startswith(f"{key}=") for a in argv):
                 assert key in err
+        if "qd_slope=1e300" in argv:  # a float, not its numpy repr
+            assert err.endswith("got inf\n")
 
     @pytest.mark.parametrize("body", ["", "  \n\t\n\n"], ids=["header_only", "whitespace_body"])
     @pytest.mark.parametrize("command, header", [("fit", SPECTRUM_HEADER), ("phase", CHANNELS_HEADER)], ids=["fit", "phase"])
@@ -789,21 +794,40 @@ def _modules_loaded_by(argv):
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+# the modules of the fit, the design sweep and the scan
+_NOT_READOUT = {"pillar_qed.design", "pillar_qed.estimation", "pillar_qed.leastsq", "pillar_qed.tuning"}
+
+
 class TestSubcommandImports:
     """Each subcommand loads only the modules it runs."""
 
     def test_design(self, tmp_path):
         loaded = _modules_loaded_by(["design", "--out", str(tmp_path)])
         assert "pillar_qed.design" in loaded
-        assert not loaded & {"pillar_qed.estimation", "pillar_qed.leastsq", "pillar_qed.tuning", "numpy.ma", "orjson"}
+        assert not loaded & {
+            "pillar_qed.estimation", "pillar_qed.interferometer", "pillar_qed.leastsq", "pillar_qed.tuning",
+            "numpy.ma", "orjson",
+        }
 
     def test_fit(self, tmp_path):
         assert run("synth", "--out", str(tmp_path)) == 0
         loaded = _modules_loaded_by(["fit", str(tmp_path / "coupled.csv"), "--out", str(tmp_path / "fit")])
         assert "pillar_qed.estimation" in loaded
-        assert not loaded & {"pillar_qed.design", "pillar_qed.tuning", "orjson"}
+        assert not loaded & {"pillar_qed.design", "pillar_qed.interferometer", "pillar_qed.tuning", "orjson"}
 
     def test_scan(self, tmp_path):
         loaded = _modules_loaded_by(["scan", "--out", str(tmp_path), "--set", "temperatures=19:23:3"])
         assert {"pillar_qed.tuning", "orjson"} <= loaded
-        assert not loaded & {"pillar_qed.design", "pillar_qed.estimation", "pillar_qed.leastsq"}
+        assert not loaded & {"pillar_qed.design", "pillar_qed.estimation", "pillar_qed.interferometer", "pillar_qed.leastsq"}
+
+    # the two subcommands that simulate or read channels load the readout
+    def test_synth(self, tmp_path):
+        loaded = _modules_loaded_by(["synth", "--out", str(tmp_path)])
+        assert "pillar_qed.interferometer" in loaded
+        assert not loaded & _NOT_READOUT
+
+    def test_phase(self, tmp_path):
+        assert run("synth", "--out", str(tmp_path)) == 0
+        loaded = _modules_loaded_by(["phase", str(tmp_path / "channels_coupled.csv"), "--out", str(tmp_path / "phase")])
+        assert "pillar_qed.interferometer" in loaded
+        assert not loaded & _NOT_READOUT

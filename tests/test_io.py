@@ -14,8 +14,7 @@ from hypothesis.extra import numpy as hnp
 from pillar_qed import Spectrum
 from pillar_qed.cli import main
 from pillar_qed.config import DEFAULTS, parse_grid
-from pillar_qed.interferometer import ChannelRecord
-from pillar_qed.scattering import DegenerateModelError
+from pillar_qed.scattering import ChannelRecord, DegenerateModelError
 import pillar_qed.io
 from pillar_qed.io import (
     CHANNELS_HEADER,

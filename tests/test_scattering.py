@@ -124,7 +124,7 @@ class TestReflectionAmplitude:
         r'_d / r'_c = 1 + eps / P(u) in the scaled offset, with and without
         a background."""
         from pillar_qed.design import _phase_polynomials, _polyval
-        from pillar_qed.interferometer import BackgroundModel, apply_background
+        from pillar_qed.scattering import BackgroundModel, apply_background
 
         rng = np.random.default_rng(3)
         rates = np.array([
@@ -414,6 +414,9 @@ class TestTypes:
                 for name in VALID_PARAMS
                 for value in (math.inf, -math.inf)
             ),
+            # a numpy scalar is named as a float, not by its numpy repr
+            pytest.param({**VALID_PARAMS, "omega_qd": np.float64(np.inf)}, id="omega_qd_np_inf"),
+            pytest.param({**VALID_PARAMS, "g": np.float64(-np.inf)}, id="g_np_minus_inf"),
         ],
     )
     def test_invalid_system_params(self, kwargs):
@@ -421,7 +424,7 @@ class TestTypes:
             SystemParams(**kwargs)
         for name, value in kwargs.items():
             if not math.isfinite(value):
-                assert str(info.value) == f"{name} must be finite, got {value!r}"
+                assert str(info.value) == f"{name} must be finite, got {float(value)!r}"
 
     def test_field_types_give_identical_bits(self):
         """Fields are stored as Python floats: a numpy scalar field would take

@@ -92,6 +92,11 @@ CLI_OUTPUT_DIGESTS = {
     "scan/scan_T22.7500K.csv": "c0896812c1259bbbece53795a42a7268a5d0b38136b2d244118f3e280bf2372b",
     "scan/scan_T23.0000K.csv": "1d6dedb4be6a1b925f807517e895e0c1024d0b43fd8d1945c6f8f131a2a2425b",
     "scan/scan_config.txt": "297e3c42f102dbbee4f834ed1108bc0343b55757aba5d31fed5043ea16592635",
+    "scan_bg/manifest.csv": "0c9ddd7631836903395068dfdb6450482da06ff55c9c8530a486f27e022856ec",
+    "scan_bg/scan_T20.0000K.csv": "77ff1468dfbeaa631894fc17c09551141774b73cbdbc77b1a361362b9df67650",
+    "scan_bg/scan_T21.0000K.csv": "ce2b37db2b7727bdc3e9681ccf1e74b4acdb7344f7d1803cf2719df1f087db0f",
+    "scan_bg/scan_T22.0000K.csv": "622dfd6fa6cdb8f960af7a0f0097780189bfcda3b382e36e8497968a66122b1b",
+    "scan_bg/scan_config.txt": "4b1eb39b48c49cea8efd1b2f173d92b2468d5d40cce21465e85d7db3bbde6ee8",
     "scan_config/manifest.csv": "47d6ef04cbf7baf7db964405c8f455888a7c711fc3610112033e3543ad203034",
     "scan_config/scan_T20.0000K.csv": "9aa34ee65e0e6e46da427e4c927a9c9545c6dbc554abe4fa2d4f88f30adc8a38",
     "scan_config/scan_T20.5000K.csv": "b7aa4e1cdfbf5f5f98fcf346ce49fe8de2b43269d44cf83af30801ee2bbfdcc9",
