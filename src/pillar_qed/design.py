@@ -53,7 +53,7 @@ class DesignPoint:
     @property
     def feasible(self) -> bool:
         """True iff the maximal conditional phase exceeds pi/2."""
-        return self.max_conditional_phase > 0.5 * np.pi
+        return bool(self.max_conditional_phase > 0.5 * np.pi)
 
 
 def relative_phase(p: SystemParams, omega, bg: BackgroundModel | None = None):

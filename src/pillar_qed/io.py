@@ -4,8 +4,9 @@ Spectra: header ``omega_ueV,value``; channel tables:
 ``omega_ueV,h,v,d,a``; design tables:
 ``kappa,max_phase_rad,argmax_ueV,refl_on_res,feasible``. All files are
 UTF-8 with LF line endings, floats written as shortest round-trip
-decimals, and writes are atomic (temp file then rename); a written file
-gets mode ``0o666`` less the umask, as ``open()`` would give it. A
+decimals, and writes are atomic (temp file then rename, missing parent
+directories created on demand); a written file gets mode ``0o666`` less
+the umask, as ``open()`` would give it. A
 gridded file's floats are formatted in one orjson call on the table as one
 flat vector, whose Ryu digits are ``repr``'s, and each row's last comma
 becomes a newline; a row holding a value that ``repr`` writes with an
@@ -19,7 +20,6 @@ a comment.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -52,21 +52,24 @@ class FileFormatError(ValueError):
 
 def _text(x) -> str:
     """A scalar as written: ``true``/``false``, a float's shortest round-trip decimal, else ``str``."""
-    if isinstance(x, float):
-        return repr(float(x))
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 
 def atomic_write_text(path, text: str):
-    path = Path(path)
+    path = os.fspath(path)
     data = text.encode("utf-8")  # first: text that cannot be encoded creates nothing
-    if not os.path.isdir(path.parent):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = path + f".{os.urandom(8).hex()}.tmp"  # str + str: a bytes path raises TypeError
     # os.open gives 0o666 less the umask; mkstemp would give 0600
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:  # a missing parent: create it, then try once more
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -98,16 +101,17 @@ def _format_rows(table) -> str:
         return ""
     import orjson
 
-    buf = bytearray(orjson.dumps(table.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+    flat = table.ravel()
+    buf = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
     view = np.frombuffer(buf, dtype=np.uint8)
     n = table.shape[1]
     view[np.flatnonzero(view == ord(","))[n - 1::n]] = ord("\n")
     text = buf[1:-1].decode()
-    magnitude = np.abs(table)
-    exponent = np.flatnonzero((((magnitude < 1e-4) & (magnitude != 0.0)) | (magnitude >= 1e16)).any(axis=1))
-    if exponent.size:
+    magnitude = np.abs(flat)
+    exponent = ((magnitude < 1e-4) & (magnitude != 0.0)) | (magnitude >= 1e16)
+    if exponent.any():  # the flat test: a per-row .any(axis=1) costs three times as much
         lines = text.split("\n")
-        for k in exponent.tolist():
+        for k in np.unique(np.flatnonzero(exponent) // n).tolist():
             lines[k] = ",".join(map(repr, table[k].tolist()))
         text = "\n".join(lines)
     return text + "\n"

@@ -116,14 +116,17 @@ def _strict_minima(values: np.ndarray) -> np.ndarray:
 
 def _vertices(omega: np.ndarray, values: np.ndarray, i: np.ndarray) -> np.ndarray:
     """Vertex positions of the parabolas through the points around
-    indices ``i``; a zero denominator reports the grid point."""
-    x0, x1, x2 = omega[i - 1], omega[i], omega[i + 1]
-    y0, y1, y2 = values[i - 1], values[i], values[i + 1]
-    num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-    den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xv = x1 - 0.5 * num / den
-    return np.where(den == 0, x1, xv)
+    indices ``i``; a zero denominator reports the grid point. Python floats
+    per index, with the bits of float64 arrays (``a * a`` is numpy's
+    ``a ** 2``): for two indices numpy's dispatch outweighs the arithmetic."""
+    out = []
+    for k in i.tolist():
+        x0, x1, x2 = omega[k - 1 : k + 2].tolist()
+        y0, y1, y2 = values[k - 1 : k + 2].tolist()
+        a, b = x1 - x0, x1 - x2
+        den = a * (y1 - y2) - b * (y1 - y0)
+        out.append(x1 if den == 0 else x1 - 0.5 * (a * a * (y1 - y2) - b * b * (y1 - y0)) / den)
+    return np.array(out, dtype=float)
 
 
 def _prominent_dips(omega, values) -> np.ndarray:

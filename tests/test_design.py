@@ -613,7 +613,7 @@ class TestDesignPoint:
         half_pi = 0.5 * np.pi
         for magnitude, feasible in [(0.0, False), (half_pi, False), (np.nextafter(half_pi, 4.0), True), (np.pi, True)]:
             point = DesignPoint(p, magnitude, WC, 0.5)
-            assert point.feasible == feasible and interface_feasible(point) == feasible
+            assert point.feasible is feasible and interface_feasible(point) is feasible
 
 
 def padded_stack(polys, dtype=float):

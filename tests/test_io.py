@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pillar_qed import Spectrum
+from pillar_qed import DesignPoint, Spectrum, SystemParams
 from pillar_qed.cli import main
 from pillar_qed.config import DEFAULTS, parse_grid
 from pillar_qed.scattering import ChannelRecord, DegenerateModelError
@@ -25,9 +25,15 @@ from pillar_qed.io import (
     _read_columns,
     _read_grid_table,
     atomic_write_text,
+    read_design_csv,
+    read_report,
     write_channels_csv,
+    write_design_csv,
+    write_report,
     write_spectrum_csv,
 )
+
+from conftest import DEVICE
 
 CLI_GRID = parse_grid(DEFAULTS["grid"])
 
@@ -146,6 +152,14 @@ _FINITE = st.one_of(
 )
 
 
+def _table_with(cells, shape):
+    """A table of plain values with ``x`` at each ``(row, column, x)`` of ``cells``."""
+    table = 1.0 + np.arange(shape[0] * shape[1], dtype=float).reshape(shape) / 8.0
+    for row, column, x in cells:
+        table[row, column] = x
+    return table
+
+
 def _long_table_with_exponent_rows():
     """A 2001-row channel table whose first, last and two adjacent rows
     each hold one value that ``repr`` writes with an exponent."""
@@ -176,10 +190,15 @@ class TestFormatRowsMatchesRepr:
             np.asfortranarray(np.column_stack([np.linspace(1.0, 9.0, 9), EDGE_VALUES, EDGE_VALUES[::-1]])),
             np.column_stack([np.linspace(1.0, 9.0, 9), EDGE_VALUES, np.arange(9.0), EDGE_VALUES[::-1]])[:, ::2],
             _long_table_with_exponent_rows(),
+            # the flat test maps each value to its row: two in one row, and a
+            # row's last column beside the next row's first
+            _table_with([(6, 1, 2e-05), (6, 3, -1e17)], (8, 5)),
+            _table_with([(2, 4, 3e-09), (3, 0, 1e16)], (8, 5)),
         ],
         ids=[
             "column", "rows_among_plain_ones", "one_row_of_edges", "one_row", "zero_rows",
             "fortran_order", "column_strided", "long_with_exponent_rows",
+            "two_in_one_row", "last_column_then_first",
         ],
     )
     def test_edge_values(self, table):
@@ -240,6 +259,45 @@ class TestFileModes:
         with pytest.raises(UnicodeEncodeError):
             atomic_write_text(tmp_path / "bad.txt", "\ud800")
         assert list(tmp_path.iterdir()) == []
+
+    def test_missing_parents_created(self, tmp_path):
+        path = tmp_path / "a" / "b" / "c" / "f.txt"
+        atomic_write_text(path, "x\n")
+        assert path.read_text(encoding="utf-8") == "x\n" and list(path.parent.iterdir()) == [path]
+
+    def test_directory_target_left_untouched(self, tmp_path):
+        target = tmp_path / "d"
+        target.mkdir()
+        (target / "kept").write_text("kept", encoding="utf-8")
+        with pytest.raises(OSError):
+            atomic_write_text(target, "x\n")
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == [target / "kept"]
+        assert (target / "kept").read_text(encoding="utf-8") == "kept"
+
+    @pytest.mark.parametrize("below", [["f.txt"], ["sub", "f.txt"]], ids=["in_file", "below_file"])
+    def test_parent_that_is_a_file_creates_nothing(self, tmp_path, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept", encoding="utf-8")
+        with pytest.raises(OSError):
+            atomic_write_text(taken.joinpath(*below), "x\n")
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text(encoding="utf-8") == "kept"
+
+
+class TestNumpyScalarsReadBack:
+    """Flags and floats held as numpy scalars are written as the readers read them."""
+
+    @pytest.mark.parametrize("phase, feasible", [(np.float64(2.0), True), (np.float64(0.5), False)])
+    def test_design_point(self, tmp_path, phase, feasible):
+        point = DesignPoint(SystemParams(**DEVICE), phase, np.float64(1333590.0), np.float64(0.5))
+        assert type(point.feasible) is bool
+        write_design_csv(tmp_path / "design.csv", [point])
+        (row,) = read_design_csv(tmp_path / "design.csv")
+        assert row["feasible"] is feasible and row["max_phase_rad"] == phase
+
+    def test_report(self, tmp_path):
+        write_report(tmp_path / "r.txt", {"converged": np.bool_(True), "stalled": np.bool_(False), "x": np.float32(0.1)})
+        report = read_report(tmp_path / "r.txt")
+        assert report == {"converged": "true", "stalled": "false", "x": repr(float(np.float32(0.1)))}
 
 
 def _row_reader(path, header, n):

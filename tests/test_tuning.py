@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -337,6 +339,34 @@ class TestLocalMinima:
             omega, values = np.asarray(omega, dtype=float), np.asarray(values, dtype=float)
             assert _vertices(omega, values, _strict_minima(values)).tolist() == _local_minima_loop(omega, values)
         assert _vertices(np.zeros(3), np.array([1.0, 0.0, 1.0]), np.array([1])).tolist() == [0.0]
+
+    @pytest.mark.parametrize(
+        "omega, values",
+        [
+            ([0.0, 1.0, 2.0], [np.inf, 0.0, np.inf]),
+            ([0.0, 1.0, 2.0], [1.0, -np.inf, 2.0]),
+            ([-np.inf, 0.0, 1.0], [1.0, 0.0, 2.0]),
+            ([0.0, 1.0, np.inf], [1.0, 0.0, np.inf]),
+            ([-1e200, 0.0, 1.0], [1.0, 0.0, 2.0]),  # a * a overflows, b * b does not
+            ([0.0, 1e200, 3e200], [1e200, 0.0, 1e300]),  # both overflow
+            ([0.0, 1e-170, 3e-170], [1.0, 0.0, 2.0]),  # both underflow to zero
+        ],
+        ids=["inf_both_sides", "minus_inf_dip", "minus_inf_omega", "inf_right", "one_square_overflows",
+             "both_squares_overflow", "squares_underflow"],
+    )
+    def test_non_finite_and_overflowing_match_reference_loop(self, omega, values):
+        omega, values = np.array(omega), np.array(values)
+        with np.errstate(all="ignore"):
+            expected = _local_minima_loop(omega, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _vertices(omega, values, _strict_minima(values))
+        assert got.dtype == np.float64 and len(expected) > 0
+        np.testing.assert_array_equal(got, expected)
+
+    def test_no_index_gives_empty_float_array(self):
+        got = _vertices(np.arange(5.0), np.arange(5.0), np.array([], dtype=np.intp))
+        assert got.shape == (0,) and got.dtype == np.float64
 
     def test_quadratic_vertex_recovered(self):
         grid = np.linspace(0.0, 10.0, 41)
