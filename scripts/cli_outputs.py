@@ -42,6 +42,9 @@ RUNS = (
     ]),
     # a phase block on a coarser grid than the intensity block
     ("synth_coarse", ["synth", "--grid", "1333496:1333696:1001"]),
+    # g * g underflows: the grid holds omega_qd, so every coupled point takes
+    # the amplitude's divided form
+    ("synth_underflow", ["synth", "--set", "g=1e-200", "--set", "gamma=1e-310"]),
     ("phase_coarse", ["phase", "{root}/synth_coarse/channels_coupled.csv"]),
     ("fit_two_grids", ["fit", "{root}/synth_noisy/coupled.csv", "--phase-csv", "{root}/phase_coarse/phase.csv"]),
     # a free background, fit in s = sqrt(b)
@@ -59,6 +62,8 @@ RUNS = (
     # 240 top-mirror rates, across the overcoupled cusp at kappa_side
     ("design_wide", ["design", "--set", "kappa_values=0.5:120:240"]),
     ("design_uncoupled", ["design", "--set", "g=0"]),
+    # the on-resonance reflectivity of every kappa in the divided form
+    ("design_underflow", ["design", "--set", "g=1e-200", "--set", "gamma=1e-310"]),
 )
 
 

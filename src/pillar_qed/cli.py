@@ -1,11 +1,6 @@
-"""Command-line front end.
+"""Command-line front end; ``_DESCRIPTION`` is its ``--help`` text.
 
-Subcommands: ``synth``, ``fit``, ``phase``, ``scan``, ``design``. All
-outputs are deterministic for a fixed config and seed. Exit codes:
-0 success, 1 usage error (arguments, config, input file or model value),
-2 numerical failure; either error prints one line on stderr. The
-``PILLAR_QED_LOG`` environment variable sets the log level. Each
-``cmd_*`` imports the modules that only it runs (``design``, ``estimation``,
+Each ``cmd_*`` imports the modules that only it runs (``design``, ``estimation``,
 ``interferometer``, ``tuning``), so a subcommand loads none of the others.
 """
 
@@ -28,6 +23,12 @@ from .scattering import ChannelRecord, DegenerateModelError, Spectrum, apply_bac
 __all__ = ["main", "build_parser"]
 
 logger = logging.getLogger("pillar_qed.cli")
+
+_DESCRIPTION = (
+    "Subcommands: synth, fit, phase, scan, design. All outputs are deterministic for a fixed config and seed."
+    " Exit codes: 0 success, 1 usage error (arguments, config, input file or model value), 2 numerical failure;"
+    " either error prints one line on stderr. The PILLAR_QED_LOG environment variable sets the log level."
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -204,7 +205,7 @@ _COMMON = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pillar-qed", description=__doc__)
+    parser = _Parser(prog="pillar-qed", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (_, help_line, own) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_line)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import leastsq
-from .scattering import PARAM_FIELDS, Spectrum, _amplitude, _amplitude_partials
+from .scattering import PARAM_FIELDS, BackgroundModel, Spectrum, _amplitude, _amplitude_partials, apply_background
 
 __all__ = [
     "PARAM_NAMES",
@@ -57,12 +57,8 @@ def _as_vector(params) -> np.ndarray:
 
 def _model_amplitude(vec: np.ndarray, omega):
     g, kap, ks, gam, wc, wqd, b = vec
-    if not 0.0 <= b < 1.0:
-        raise ValueError(f"background must lie in [0, 1), got {b}")
     r = _amplitude(g, kap, ks, gam, wc, wqd, omega)
-    if b != 0.0:
-        r = np.sqrt(b) + np.sqrt(1.0 - b) * r
-    return r
+    return r if b == 0.0 else apply_background(r, BackgroundModel(b))
 
 
 def _model_partials(vec: np.ndarray, omega):

@@ -36,8 +36,9 @@ _DENOMINATOR_FLOOR = 1e-300
 
 
 class DegenerateModelError(ValueError):
-    """Raised when the response denominator underflows to zero, or when a
-    design output or a table to be written is not finite."""
+    """Raised when the response denominator underflows to zero (for the
+    derivatives, also where its square does), or when a design output or a
+    table to be written is not finite."""
 
 
 def _check_finite(name, value):
@@ -194,41 +195,43 @@ def _quotient(a, b):
     return out
 
 
+def _response(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
+    """``(n, D, exact)`` with r = 1 - kappa_top n / D, for :func:`_amplitude`.
+
+    Normally n = d_qd and D = d_qd d_c + g^2; g == 0 gives the empty cavity
+    n = 1, D = d_c, whatever omega_qd and gamma are. Where D underflows with
+    g > 0 (g * g vanishing beside a vanishing d_qd), the whole array takes
+    the form divided by d_qd, and ``exact`` is False: n = 1 and
+    D = d_c + g (g / d_qd), by Smith's division since 1 / d_qd overflows for
+    a subnormal d_qd, and n = 0, D = 1 where d_qd = 0 (the dot alone
+    reflects). Raises :class:`DegenerateModelError` where the denominator
+    in use underflows.
+    """
+    d_c = 1j * (omega_c - omega) + 0.5 * (kappa_top + kappa_side)
+    if g == 0:
+        if _underflows(d_c):
+            raise DegenerateModelError("cavity response denominator underflow")
+        return 1.0, d_c, True
+    d_qd = 1j * (omega_qd - omega) + 0.5 * gamma
+    den = d_qd * d_c + g * g
+    if not _underflows(den):
+        return d_qd, den, True
+    resonant = d_qd == 0
+    with np.errstate(over="ignore"):
+        den = d_c + g * _quotient(g, np.where(resonant, 1.0, d_qd))
+    if np.any(~resonant & (np.abs(den) < _DENOMINATOR_FLOOR)):
+        raise DegenerateModelError("coupled response denominator underflow")
+    return np.where(resonant, 0.0, 1.0)[()], np.where(resonant, 1.0, den)[()], False
+
+
 def _amplitude(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
     """Raw reflection amplitude without parameter validation.
 
     Takes scalar parameters and a scalar or ndarray ``omega``; used
     directly by the fitting code, which checks its own bounds.
     """
-    d_c = 1j * (omega_c - omega) + 0.5 * (kappa_top + kappa_side)
-    if g == 0:
-        # QD factor cancels algebraically: the empty cavity, whatever
-        # omega_qd and gamma are.
-        if _underflows(d_c):
-            raise DegenerateModelError("cavity response denominator underflow")
-        return 1.0 - kappa_top / d_c
-    d_qd = 1j * (omega_qd - omega) + 0.5 * gamma
-    den = d_qd * d_c + g * g
-    if _underflows(den):
-        return _amplitude_underflow(g, kappa_top, d_c, d_qd)
-    return 1.0 - kappa_top * d_qd / den
-
-
-def _amplitude_underflow(g, kappa_top, d_c, d_qd):
-    """:func:`_amplitude` where g * g underflows beside a vanishing d_qd.
-
-    Dividing D by d_qd gives r = 1 - kappa_top / (d_c + g (g / d_qd)), with
-    g / d_qd by Smith's division (1 / d_qd overflows for a subnormal d_qd),
-    and r = 1 where d_qd = 0 and g > 0 (the dot alone reflects). Raises
-    :class:`DegenerateModelError` where that denominator underflows too.
-    """
-    resonant = d_qd == 0
-    with np.errstate(over="ignore"):
-        den = d_c + g * _quotient(g, np.where(resonant, 1.0, d_qd))
-    dark = resonant & (g != 0)
-    if np.any(~dark & (np.abs(den) < _DENOMINATOR_FLOOR)):
-        raise DegenerateModelError("coupled response denominator underflow")
-    return np.where(dark, 1.0 + 0j, 1.0 - kappa_top / np.where(dark, 1.0, den))[()]
+    n, den, _ = _response(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega)
+    return 1.0 - kappa_top * n / den
 
 
 def _amplitude_partials(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
@@ -237,37 +240,30 @@ def _amplitude_partials(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omeg
     Returns ``(r, dr)``: ``r`` equals ``_amplitude(...)`` exactly and ``dr``
     is a tuple of dr/dg, dr/dkappa_top, dr/dkappa_side, dr/dgamma,
     dr/domega_c and dr/domega_qd, each shaped like ``omega``. With
-    ``r = 1 - kappa_top * d_qd / D`` they are 2 g kappa_top d_qd / D^2,
-    -d_qd/D + kappa_top d_qd^2 / (2 D^2), kappa_top d_qd^2 / (2 D^2),
-    -kappa_top g^2 / (2 D^2), i kappa_top d_qd^2 / D^2 and
-    -i kappa_top g^2 / D^2. ``g == 0`` uses the cancelled empty-cavity
-    form (d_qd / D = 1 / d_c), where the g, gamma and omega_qd partials
-    vanish.
+    ``q = n / D`` from :func:`_response` they are 2 g kappa_top q / D,
+    kappa_top q^2 / 2 - q, kappa_top q^2 / 2, -kappa_top g^2 / (2 D^2),
+    i kappa_top q^2 and -i kappa_top g^2 / D^2, the g, gamma and omega_qd
+    columns being exact zeros for g == 0.
 
-    Raises :class:`DegenerateModelError` wherever D underflows, including
-    the points where :func:`_amplitude` still has a value (an underflowing
-    g * g beside d_qd = 0): the derivatives are unbounded there, dr/dgamma
-    alone being about kappa_top / g^2.
+    Raises :class:`DegenerateModelError` where :func:`_response` is not
+    exact (also where :func:`_amplitude` has a value, at an underflowing
+    g * g beside d_qd = 0) and where D^2 underflows: the derivatives are
+    unbounded there, dr/dgamma alone being about kappa_top / g^2.
     """
-    d_c = 1j * (omega_c - omega) + 0.5 * (kappa_top + kappa_side)
+    n, den, exact = _response(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega)
+    den2 = den * den
+    if not exact or (g != 0 and _underflows(den2)):
+        raise DegenerateModelError(
+            "coupled response denominator underflow: derivatives unbounded"
+            " (dr/dgamma ~ kappa_top / g^2)"
+        )
+    r = 1.0 - kappa_top * n / den
+    q = n / den
     if g == 0:
-        if _underflows(d_c):
-            raise DegenerateModelError("cavity response denominator underflow")
-        r = 1.0 - kappa_top / d_c
-        q = 1.0 / d_c
         dg = coupling = np.zeros_like(q)
     else:
-        d_qd = 1j * (omega_qd - omega) + 0.5 * gamma
-        den = d_qd * d_c + g * g
-        if _underflows(den):
-            raise DegenerateModelError(
-                "coupled response denominator underflow: derivatives unbounded"
-                " (dr/dgamma ~ kappa_top / g^2)"
-            )
-        r = 1.0 - kappa_top * d_qd / den
-        q = d_qd / den
         dg = 2.0 * g * kappa_top * q / den
-        coupling = kappa_top * g * g / (den * den)
+        coupling = kappa_top * g * g / den2
     loss = kappa_top * q * q
     return r, (dg, 0.5 * loss - q, 0.5 * loss, -0.5 * coupling, 1j * loss, -1j * coupling)
 
@@ -313,8 +309,7 @@ def reflection_amplitude(p: SystemParams, omega):
 
 def reflectivity(p: SystemParams, omega):
     """|r(omega)|^2, a fraction in [0, 1] for any passive parameter set."""
-    r = reflection_amplitude(p, omega=omega)
-    return np.abs(r) ** 2
+    return measured_intensity(p, omega)
 
 
 def apply_background(r, bg: BackgroundModel):

@@ -606,6 +606,19 @@ class TestErrorBoundary:
         assert err == f"pillar-qed: numerical failure: {message.format(out=tmp_path)}\n"
         assert not recwarn.list
 
+    def test_fit_with_an_underflowing_square_exits_2(self, tmp_path, capsys, recwarn):
+        # D = g^2 = 1e-200 at the grid point omega_qd passes the floor, but
+        # the Jacobian's D^2 underflows: no "converged" fit from a nan Jacobian
+        assert run("synth", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        argv = ("fit", str(tmp_path / "coupled.csv"), "--set", "g=1e-100", "--set", "gamma=0")
+        assert run(*argv, "--out", str(tmp_path / "fit")) == 2
+        assert capsys.readouterr().err == (
+            "pillar-qed: numerical failure: coupled response denominator underflow:"
+            " derivatives unbounded (dr/dgamma ~ kappa_top / g^2)\n"
+        )
+        assert not (tmp_path / "fit").exists() and not recwarn.list
+
     def test_overflowing_coefficients_exit_2_with_one_line(self, tmp_path, capsys, recwarn):
         # gamma ** 2 overflows in the conditional-phase polynomials; numpy's
         # invalid-value warning must not reach stderr before the message
@@ -771,7 +784,10 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--help"])
         assert exc.value.code == 0
-        assert "{" + ",".join(_OWN_ARGS) + "}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "{" + ",".join(_OWN_ARGS) + "}" in out
+        # user-facing text, not the module's implementation notes
+        assert "``" not in out and "cmd_" not in out
 
 
 _SRC = Path(pillar_qed.__file__).resolve().parents[1]

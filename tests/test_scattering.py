@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from pillar_qed.scattering import (
     DegenerateModelError,
     _amplitude,
     _amplitude_partials,
+    _response,
     principal_angle,
 )
 
@@ -173,6 +175,51 @@ class TestReflectionAmplitude:
         for omega in (999.0, np.array([999.0, 1001.0])):
             r, _ = _amplitude_partials(*x, omega)
             assert np.array_equal(r, _amplitude(*x, omega))
+
+    @pytest.mark.parametrize("omega", [1000.0, np.array([999.0, 1000.0])], ids=["scalar", "array"])
+    def test_partials_refuse_an_underflowing_square(self, omega):
+        # D = g^2 = 1e-200 at the dot passes the floor, but D^2 underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateModelError, match="derivatives unbounded"):
+                _amplitude_partials(1e-100, 1.0, 0.0, 0.0, 1000.0, 1000.0, omega)
+
+    def test_partials_refuse_or_agree_wherever_the_amplitude_returns(self):
+        """g and gamma each 0, moderate or down to 1e-320, at and beside the
+        dot: the partials raise DegenerateModelError or give _amplitude's r,
+        bits and type, with six finite partials, and nothing warns."""
+        rng = np.random.default_rng(29)
+
+        def rate():
+            kind = rng.integers(3)
+            if kind == 0:
+                return 0.0
+            return rng.uniform(0.0, 50.0) if kind == 1 else 10.0 ** rng.uniform(-320.0, math.log10(50.0))
+
+        checks = divided = refused = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(10000):
+                wc = 1000.0 if rng.random() < 0.5 else 1333596.0
+                wqd = wc if rng.random() < 0.5 else wc + rng.uniform(-30.0, 30.0)
+                x = (rate(), rng.uniform(0.05, 100.0), rng.uniform(0.0, 80.0), rate(), wc, wqd)
+                beside = np.nextafter(wqd, np.inf)
+                for omega in (wqd, beside, wqd - 1.0, np.array([wqd - 1.0, np.nextafter(wqd, 0.0), wqd, beside])):
+                    try:
+                        r = _amplitude(*x, omega)
+                    except DegenerateModelError:
+                        continue
+                    checks += 1
+                    divided += not _response(*x, omega)[2]
+                    try:
+                        r_p, dr = _amplitude_partials(*x, omega)
+                    except DegenerateModelError:
+                        refused += 1
+                        continue
+                    assert type(r_p) is type(r) and _bits(r_p) == _bits(r), (x, omega)
+                    assert len(dr) == 6 and all(np.isfinite(d).all() for d in dr), (x, omega)
+        # every regime is reached: measured 1280 divided forms, 2666 refusals
+        assert checks == 40000 and divided > 500 and refused > 1000, (checks, divided, refused)
 
     @given(p=system_params(), detuning=st.floats(min_value=-1e3, max_value=1e3))
     def test_coupled_g_zero_equals_empty(self, p, detuning):

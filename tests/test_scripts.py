@@ -61,6 +61,7 @@ def test_summary_report_output(tmp_path):
 CLI_OUTPUT_DIGESTS = {
     "design/design.csv": "71bd64f84070e6e5d3accb60ca794dd9adc0e2c674d7b686ea5962470ea7fecc",
     "design_uncoupled/design.csv": "3ce1298bf529100c51ee207f46a71ecc7ff522d83ff58c21cf5fd6e18727f241",
+    "design_underflow/design.csv": "855bd7761ff813fea53f51adc6659dbe69d303794fbe2b8033ad1f44adf32607",
     "design_wide/design.csv": "bb9991cbb084fd2a671845e11179ca3ac2bee87fdd1825747ccd11e0869bbce4",
     "fit/fit_report.txt": "13233cb45ab141585cce1452c3acb4f1f880dbc946887ffd45bfb312acfcd5b7",
     "fit_background/fit_report.txt": "16a3a3af6588c9a0f4eefeb06bb1ca42668fbb571933bd94132c17849c7b8db9",
@@ -120,6 +121,10 @@ CLI_OUTPUT_DIGESTS = {
     "synth_noisy/channels_empty.csv": "6d0544023896494e1929f83fd8f66c6c8c950ed1123d62653852ba678b130adb",
     "synth_noisy/coupled.csv": "ace4df073f0a84a0b4ed67dbcfcf282f0d6ac9ebb20609949026d60699ee16ba",
     "synth_noisy/empty.csv": "009a1bdb57bf7690ba649da97db8b3103c402e1c05e0a633adeae936c5cae6a7",
+    "synth_underflow/channels_coupled.csv": "3aeee3ddfcd6b75fc3d6e0afc8bf60052b1a62a3ea52e5a3b141454f3936f78c",
+    "synth_underflow/channels_empty.csv": "3aeee3ddfcd6b75fc3d6e0afc8bf60052b1a62a3ea52e5a3b141454f3936f78c",
+    "synth_underflow/coupled.csv": "d42477c47a833f6be6901c694b56d71200dd1792e2ecac89200d0f03c3e56375",
+    "synth_underflow/empty.csv": "d42477c47a833f6be6901c694b56d71200dd1792e2ecac89200d0f03c3e56375",
 }
 # scan_roundtrip reruns scan from its own scan_config.txt: the same bytes
 CLI_OUTPUT_DIGESTS.update(
