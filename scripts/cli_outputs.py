@@ -52,6 +52,12 @@ RUNS = (
         "fit", "{root}/synth_bg/coupled.csv",
         "--set", "fit_free=g,kappa_top,kappa_side,gamma,background", "--background", "0.5",
     ]),
+    # a joint fit with all seven parameters free: the only run whose report
+    # depends on the omega_c, omega_qd and background Jacobian columns
+    ("fit_all_free", [
+        "fit", "{root}/synth_noisy/coupled.csv", "--phase-csv", "{root}/phase/phase.csv",
+        "--set", "fit_free=g,kappa_top,kappa_side,gamma,omega_c,omega_qd,background",
+    ]),
     ("scan", ["scan"]),
     ("scan_config", ["scan", "--config", "{root}/run.cfg"]),
     # the scan's own resolved config, read back: must rewrite scan/ byte for byte

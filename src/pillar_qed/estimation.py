@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import leastsq
-from .scattering import PARAM_FIELDS, BackgroundModel, Spectrum, _amplitude, _amplitude_partials, apply_background
+from .scattering import PARAM_FIELDS, BackgroundModel, Spectrum, apply_background
+from .scattering import _amplitude_partials, _reflection, _response
 
 __all__ = [
     "PARAM_NAMES",
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 PARAM_NAMES = (*PARAM_FIELDS, "background")
+_BACKGROUND = PARAM_NAMES.index("background")
 
 _RATE_BOUNDS = (0.0, 1e3)
 _DEFAULT_BOUNDS = {
@@ -53,22 +55,6 @@ def _as_vector(params) -> np.ndarray:
     if vec.shape != (len(PARAM_NAMES),):
         raise ValueError(f"parameter vector must have length {len(PARAM_NAMES)}")
     return vec
-
-
-def _model_amplitude(vec: np.ndarray, omega):
-    g, kap, ks, gam, wc, wqd, b = vec
-    r = _amplitude(g, kap, ks, gam, wc, wqd, omega)
-    return r if b == 0.0 else apply_background(r, BackgroundModel(b))
-
-
-def _model_partials(vec: np.ndarray, omega):
-    """Model amplitude m and a tuple of its partials in the first six
-    parameters and in s = sqrt(background)."""
-    g, kap, ks, gam, wc, wqd, b = vec
-    r, dr = _amplitude_partials(g, kap, ks, gam, wc, wqd, omega)
-    s, c = np.sqrt(b), np.sqrt(1.0 - b)
-    m = s + c * r if b != 0.0 else r
-    return m, tuple(c * d for d in dr) + (1.0 - s / c * r,)
 
 
 @dataclass
@@ -105,12 +91,17 @@ class FitProblem:
         self.guess = {n: float(v) for n, v in self.guess.items() if n in PARAM_NAMES}
         _as_vector(self.guess)  # completeness check
 
-        # (spectrum, is_phase, new_grid): a block on its predecessor's grid
-        # (the usual joint fit) reuses that block's model amplitude
-        self.blocks = tuple(
-            (s, is_phase, k == 0 or not np.array_equal(s.omega, observed[k - 1][0].omega))
-            for k, (s, is_phase) in enumerate(observed)
-        )
+        # (omega, blocks) per grid, a block being (values, is_phase, rows):
+        # the model is evaluated once per grid, so once for the usual joint
+        # fit; rows is a block's slice of the stacked residuals
+        self.grids, start = [], 0
+        for s, is_phase in observed:
+            if not self.grids or not np.array_equal(s.omega, self.grids[-1][0]):
+                self.grids.append((s.omega, []))
+            self.grids[-1][1].append((s.values, is_phase, slice(start, start + len(s))))
+            start += len(s)
+        self.n_residuals = start
+        self._kept = (None, None)  # see residuals
         omega_all = np.concatenate([s.omega for s, _ in observed])
         window = (float(omega_all.min()), float(omega_all.max()))
         self.bounds = {**_DEFAULT_BOUNDS, "omega_c": window, "omega_qd": window}
@@ -140,35 +131,55 @@ class FitResult:
 
 
 def residuals(params, problem: FitProblem) -> np.ndarray:
-    """(model - observed) stacked over the provided spectra."""
+    """(model - observed) stacked over the provided spectra.
+
+    The model evaluation is kept on ``problem`` with the bytes of the
+    parameter vector, one ``(response, r, m, |m|^2 or None)`` per grid, for
+    :func:`_jacobian` at the same point.
+    """
     vec = _as_vector(params)
-    blocks = []
-    for spectrum, is_phase, new_grid in problem.blocks:
-        if new_grid:
-            m = _model_amplitude(vec, spectrum.omega)
-        model = np.angle(m) if is_phase else np.abs(m) ** 2
-        blocks.append(model - spectrum.values)
-    return np.concatenate(blocks)
+    g, kap, ks, gam, wc, wqd, b = vec
+    out, models = np.empty(problem.n_residuals), []
+    for omega, blocks in problem.grids:
+        response = _response(g, kap, ks, gam, wc, wqd, omega)
+        r = _reflection(kap, response)
+        m = r if b == 0.0 else apply_background(r, BackgroundModel(b))
+        abs2 = None
+        for values, is_phase, rows in blocks:
+            if not is_phase:
+                abs2 = np.abs(m) ** 2
+            np.subtract(np.angle(m) if is_phase else abs2, values, out=out[rows])
+        models.append((response, r, m, abs2))
+    problem._kept = (vec.tobytes(), models)
+    return out
 
 
-def _residual_jacobian(vec: np.ndarray, problem: FitProblem, columns) -> np.ndarray:
-    """Closed-form Jacobian of :func:`residuals` in the parameters at
-    indices ``columns`` of ``PARAM_NAMES``, with ``background``
-    differentiated in s = sqrt(background)."""
-    blocks = []
-    for spectrum, is_phase, new_grid in problem.blocks:
-        if new_grid:
-            m, dm = _model_partials(vec, spectrum.omega)
-            m_conj = m.conj()
-        if is_phase:
-            # np.angle(0) == 0, so the phase is flat where the amplitude vanishes
-            abs2 = np.abs(m) ** 2
-            scale = np.divide(1.0, abs2, out=np.zeros_like(abs2), where=abs2 > 0)
-            blocks.append([(m_conj * dm[k]).imag * scale for k in columns])
-        else:
-            blocks.append([(m_conj * dm[k]).real * 2.0 for k in columns])
+def _jacobian(vec: np.ndarray, models: list, problem: FitProblem, columns) -> np.ndarray:
+    """Closed-form Jacobian of :func:`residuals` at ``vec`` from the model it
+    kept there, in the parameters at indices ``columns`` of ``PARAM_NAMES``;
+    ``background`` is differentiated in s = sqrt(background)."""
+    g, kap, *_, b = vec
+    s, c = np.sqrt(b), np.sqrt(1.0 - b)
+    model_columns = [k for k in columns if k != _BACKGROUND]
     # F-ordered on purpose: the LM's jacobian.T @ r rounds by memory order, and fit_report.txt with it
-    return np.array([np.concatenate(rows) for rows in zip(*blocks)]).T
+    jacobian = np.empty((problem.n_residuals, len(columns)), order="F")
+    for (_, blocks), (response, r, m, abs2) in zip(problem.grids, models):
+        dr = _amplitude_partials(g, kap, response, model_columns)
+        dm = dict(zip(model_columns, dr if b == 0.0 else [c * d for d in dr]))
+        if _BACKGROUND in columns:
+            dm[_BACKGROUND] = 1.0 - s / c * r
+        m_conj = m.conj()
+        # conj(m) dm, shared by the intensity and phase blocks of the grid
+        products = [m_conj * dm[k] for k in columns]
+        for _, is_phase, rows in blocks:
+            if is_phase:
+                # np.angle(0) == 0, so the phase is flat where the amplitude vanishes
+                abs2 = np.abs(m) ** 2 if abs2 is None else abs2
+                scale = np.divide(1.0, abs2, out=np.zeros_like(abs2), where=abs2 > 0)
+            for j, product in enumerate(products):
+                part, factor = (product.imag, scale) if is_phase else (product.real, 2.0)
+                np.multiply(part, factor, out=jacobian[rows, j])
+    return jacobian
 
 
 def _free_residuals(problem: FitProblem, params):
@@ -182,7 +193,7 @@ def _free_residuals(problem: FitProblem, params):
     """
     x_full = _as_vector(params)
     idx = problem.free_indices()
-    root = idx == PARAM_NAMES.index("background")
+    root = idx == _BACKGROUND
 
     def free_coordinates(values):
         values = np.array(values, dtype=float)
@@ -198,7 +209,11 @@ def _free_residuals(problem: FitProblem, params):
         return residuals(full(x), problem)
 
     def jac(x):
-        return _residual_jacobian(full(x), problem, idx)
+        # LM asks at points fun has just evaluated; any other gets a fresh model
+        vec = full(x)
+        if problem._kept[0] != vec.tobytes():
+            residuals(vec, problem)
+        return _jacobian(vec, problem._kept[1], problem, idx)
 
     bounds = np.array([problem.bounds[n] for n in problem.free]).T
     return fun, jac, free_coordinates(x_full[idx]), tuple(map(free_coordinates, bounds)), full

@@ -90,7 +90,8 @@ def levenberg_marquardt(fun, jac, x0, bounds=None, max_iterations: int = MAX_ITE
         # every stop test runs here, so the result carries the Jacobian
         # and gradient of the point it reports
         jacobian = np.asarray(jac(x), dtype=float)
-        grad_norm = float(np.linalg.norm(2.0 * jacobian.T @ r))
+        jtr = jacobian.T @ r
+        grad_norm = float(np.linalg.norm(2.0 * jtr))  # doubling is exact: 2 J^T r's bits
         if quiet >= QUIET_ITERATIONS:
             reason = "cost_stall"
             break
@@ -103,7 +104,6 @@ def levenberg_marquardt(fun, jac, x0, bounds=None, max_iterations: int = MAX_ITE
             break
 
         jtj, diag = _normal_equations(jacobian)
-        jtr = jacobian.T @ r
 
         accepted = False
         while lam <= _LAMBDA_CEIL:

@@ -196,7 +196,7 @@ def _quotient(a, b):
 
 
 def _response(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
-    """``(n, D, exact)`` with r = 1 - kappa_top n / D, for :func:`_amplitude`.
+    """``(n, D, exact)`` with r = 1 - kappa_top n / D, for :func:`_reflection`.
 
     Normally n = d_qd and D = d_qd d_c + g^2; g == 0 gives the empty cavity
     n = 1, D = d_c, whatever omega_qd and gamma are. Where D underflows with
@@ -224,48 +224,51 @@ def _response(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
     return np.where(resonant, 0.0, 1.0)[()], np.where(resonant, 1.0, den)[()], False
 
 
-def _amplitude(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
-    """Raw reflection amplitude without parameter validation.
-
-    Takes scalar parameters and a scalar or ndarray ``omega``; used
-    directly by the fitting code, which checks its own bounds.
-    """
-    n, den, _ = _response(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega)
+def _reflection(kappa_top, response):
+    """r = 1 - kappa_top n / D from a :func:`_response` triple."""
+    n, den, _ = response
     return 1.0 - kappa_top * n / den
 
 
-def _amplitude_partials(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
-    """:func:`_amplitude` and its closed-form partial derivatives.
+def _amplitude(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
+    """Raw reflection amplitude without parameter validation, for scalar
+    parameters and a scalar or ndarray ``omega``."""
+    return _reflection(kappa_top, _response(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega))
 
-    Returns ``(r, dr)``: ``r`` equals ``_amplitude(...)`` exactly and ``dr``
-    is a tuple of dr/dg, dr/dkappa_top, dr/dkappa_side, dr/dgamma,
-    dr/domega_c and dr/domega_qd, each shaped like ``omega``. With
-    ``q = n / D`` from :func:`_response` they are 2 g kappa_top q / D,
-    kappa_top q^2 / 2 - q, kappa_top q^2 / 2, -kappa_top g^2 / (2 D^2),
-    i kappa_top q^2 and -i kappa_top g^2 / D^2, the g, gamma and omega_qd
-    columns being exact zeros for g == 0.
 
-    Raises :class:`DegenerateModelError` where :func:`_response` is not
-    exact (also where :func:`_amplitude` has a value, at an underflowing
-    g * g beside d_qd = 0) and where D^2 underflows: the derivatives are
+def _amplitude_partials(g, kappa_top, response, columns):
+    """Closed-form partial derivatives of :func:`_reflection`.
+
+    ``response`` is the :func:`_response` triple at the point; ``columns``
+    index (g, kappa_top, kappa_side, gamma, omega_c, omega_qd), and one
+    partial shaped like ``omega`` is returned per index, in order. With
+    ``q = n / D`` they are 2 g kappa_top q / D, kappa_top q^2 / 2 - q,
+    kappa_top q^2 / 2, -kappa_top g^2 / (2 D^2), i kappa_top q^2 and
+    -i kappa_top g^2 / D^2, the g, gamma and omega_qd columns being exact
+    zeros for g == 0.
+
+    Raises :class:`DegenerateModelError` where the response is not exact
+    (also where :func:`_amplitude` has a value, at an underflowing g * g
+    beside d_qd = 0) and where D^2 underflows: the derivatives are
     unbounded there, dr/dgamma alone being about kappa_top / g^2.
     """
-    n, den, exact = _response(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega)
+    n, den, exact = response
     den2 = den * den
     if not exact or (g != 0 and _underflows(den2)):
         raise DegenerateModelError(
             "coupled response denominator underflow: derivatives unbounded"
             " (dr/dgamma ~ kappa_top / g^2)"
         )
-    r = 1.0 - kappa_top * n / den
     q = n / den
+    loss = kappa_top * q * q
     if g == 0:
         dg = coupling = np.zeros_like(q)
     else:
-        dg = 2.0 * g * kappa_top * q / den
-        coupling = kappa_top * g * g / den2
-    loss = kappa_top * q * q
-    return r, (dg, 0.5 * loss - q, 0.5 * loss, -0.5 * coupling, 1j * loss, -1j * coupling)
+        dg = 2.0 * g * kappa_top * q / den if 0 in columns else None
+        coupling = kappa_top * g * g / den2 if 3 in columns or 5 in columns else None
+    formulas = (lambda: dg, lambda: 0.5 * loss - q, lambda: 0.5 * loss,
+                lambda: -0.5 * coupling, lambda: 1j * loss, lambda: -1j * coupling)
+    return tuple(formulas[k]() for k in columns)
 
 
 def principal_angle(z):

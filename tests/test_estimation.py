@@ -13,7 +13,9 @@ from pillar_qed import (
     reflectivity,
     residuals,
 )
-from pillar_qed.estimation import PARAM_NAMES, _free_residuals, _residual_jacobian, _std_errors
+from pillar_qed import estimation
+from pillar_qed.estimation import PARAM_NAMES, _free_residuals, _std_errors
+from pillar_qed.scattering import _response
 
 from conftest import DEVICE, central_difference, grid_around, model_steps
 
@@ -34,6 +36,39 @@ def model_spectra(vec, grid):
     (ordered as ``PARAM_NAMES``), built through the public synthesis path."""
     m = apply_background(reflection_amplitude(SystemParams(*vec[:6]), grid), BackgroundModel(vec[6]))
     return np.abs(m) ** 2, np.angle(m)
+
+
+def reference_jacobian(vec, problem, columns):
+    """The Jacobian of ``residuals`` by the formulas the fit used before it
+    reused the residual call's model: all seven partials of the measured
+    amplitude formed afresh at ``vec``, every model partial scaled by
+    sqrt(1 - b), ``conj(m) dm`` formed per block, the columns stacked and
+    transposed into F order. The oracle for bit-for-bit comparisons."""
+    g, kap, ks, gam, wc, wqd, b = vec
+    blocks = []
+    for omega, grid_blocks in problem.grids:
+        n, den, _ = _response(g, kap, ks, gam, wc, wqd, omega)
+        r = 1.0 - kap * n / den
+        q = n / den
+        if g == 0:
+            dg = coupling = np.zeros_like(q)
+        else:
+            dg = 2.0 * g * kap * q / den
+            coupling = kap * g * g / (den * den)
+        loss = kap * q * q
+        dr = (dg, 0.5 * loss - q, 0.5 * loss, -0.5 * coupling, 1j * loss, -1j * coupling)
+        root, c = np.sqrt(b), np.sqrt(1.0 - b)
+        m = root + c * r if b != 0.0 else r
+        dm = tuple(c * d for d in dr) + (1.0 - root / c * r,)
+        m_conj = m.conj()
+        for _, is_phase, _ in grid_blocks:
+            if is_phase:
+                abs2 = np.abs(m) ** 2
+                scale = np.divide(1.0, abs2, out=np.zeros_like(abs2), where=abs2 > 0)
+                blocks.append([(m_conj * dm[k]).imag * scale for k in columns])
+            else:
+                blocks.append([(m_conj * dm[k]).real * 2.0 for k in columns])
+    return np.array([np.concatenate(rows) for rows in zip(*blocks)]).T
 
 
 class TestResiduals:
@@ -367,7 +402,8 @@ class TestResidualJacobian:
                 phase=Spectrum(grid, phase),
                 free=PARAM_NAMES,
             )
-            jacobian = _residual_jacobian(vec, problem, problem.free_indices())
+            _, jac, x, _, _ = _free_residuals(problem, problem.guess)
+            jacobian = jac(x)
             assert np.all(np.isfinite(jacobian))
             assert np.all(jacobian[100] == 0.0)
 
@@ -382,7 +418,110 @@ class TestResidualJacobian:
         spectrum = synthetic_intensity(p, n=201)
         for blocks in ({"intensity": spectrum}, {"phase": spectrum}, {"intensity": spectrum, "phase": spectrum}):
             problem = FitProblem(guess=make_guess(p), **blocks)
-            vec = np.array([problem.guess[n] for n in PARAM_NAMES])
-            jacobian = _residual_jacobian(vec, problem, problem.free_indices())
+            fun, jac, x, _, _ = _free_residuals(problem, problem.guess)
+            fun(x)
+            jacobian = jac(x)
             assert jacobian.shape == (len(blocks) * len(spectrum), len(problem.free))
             assert jacobian.flags.f_contiguous and not jacobian.flags.c_contiguous
+
+
+def bit_problem(blocks, free, background, n=501):
+    """A fit problem off its optimum on the device: ``blocks`` names the
+    observed spectra ("joint" on one grid, "two_grids" with a coarser
+    phase grid, "intensity" or "phase")."""
+    rng = np.random.default_rng(30)
+    truth = np.array([9.4, 1.2, 24.7, 5.0, 1333596.0, 1333599.0, background])
+    grid = grid_around(1333596.0, 100.0, n)
+    coarse = grid_around(1333596.0, 80.0, n // 2)
+    intensity = Spectrum(grid, model_spectra(truth, grid)[0] * (1 + 0.01 * rng.standard_normal(grid.size)))
+    phase_grid = coarse if blocks == "two_grids" else grid
+    phase = Spectrum(phase_grid, model_spectra(truth, phase_grid)[1] + 0.01 * rng.standard_normal(phase_grid.size))
+    observed = {
+        "joint": {"intensity": intensity, "phase": phase},
+        "two_grids": {"intensity": intensity, "phase": phase},
+        "intensity": {"intensity": intensity},
+        "phase": {"phase": phase},
+    }[blocks]
+    guess = dict(zip(PARAM_NAMES, truth * np.array([1.1, 0.9, 1.05, 1.2, 1.0, 1.0, 0.8])))
+    guess["omega_qd"] -= 1.5
+    return FitProblem(guess=guess, free=free, **observed)
+
+
+# the free sets of the fits in scripts/cli_outputs.py, and all seven
+FREE_SETS = {
+    "rates": ("g", "kappa_top", "kappa_side", "gamma"),
+    "rates_background": ("g", "kappa_top", "kappa_side", "gamma", "background"),
+    "all": PARAM_NAMES,
+}
+
+
+def assert_same_jacobian(jacobian, reference):
+    assert jacobian.shape == reference.shape
+    assert jacobian.tobytes() == reference.tobytes()
+    assert jacobian.flags.f_contiguous and reference.flags.f_contiguous
+
+
+class TestJacobianReuse:
+    """The Jacobian is formed from the last residual call's model when it
+    was taken at the same point, and only for the free columns: bit for
+    bit the reference formula's, in its memory order, and never stale."""
+
+    @pytest.mark.parametrize("background", [0.0, 0.3])
+    @pytest.mark.parametrize("free", list(FREE_SETS))
+    @pytest.mark.parametrize("blocks", ["joint", "two_grids", "intensity", "phase"])
+    def test_matches_reference_bit_for_bit(self, blocks, free, background):
+        problem = bit_problem(blocks, FREE_SETS[free], background)
+        fun, jac, x, _, full = _free_residuals(problem, problem.guess)
+        reference = reference_jacobian(full(x), problem, problem.free_indices())
+        assert_same_jacobian(jac(x), reference)  # no residual call yet: fresh
+        fun(x)
+        assert_same_jacobian(jac(x), reference)  # from the kept model
+
+    def test_fit_jacobians_match_reference(self):
+        # every Jacobian of a joint seven-parameter fit, at each point LM asks
+        problem = bit_problem("joint", PARAM_NAMES, 0.3)
+        fun, jac, x, _, full = _free_residuals(problem, problem.guess)
+        points = []
+
+        def recording_jac(y):
+            jacobian = jac(y)
+            points.append((full(y), jacobian))
+            return jacobian
+
+        estimation.leastsq.levenberg_marquardt(fun, recording_jac, x, max_iterations=4)
+        assert len(points) == 5
+        for vec, jacobian in points:
+            assert_same_jacobian(jacobian, reference_jacobian(vec, problem, problem.free_indices()))
+
+    def test_kept_model_evaluates_no_response(self, monkeypatch):
+        problem = bit_problem("two_grids", FREE_SETS["rates"], 0.0)
+        fun, jac, x, _, _ = _free_residuals(problem, problem.guess)
+        calls = []
+
+        def counting_response(*args):
+            calls.append(args)
+            return _response(*args)
+
+        monkeypatch.setattr(estimation, "_response", counting_response)
+        fun(x)
+        assert len(calls) == 2  # one per grid
+        jac(x)
+        assert len(calls) == 2
+        jac(x + 0.5)
+        assert len(calls) == 4
+
+    def test_other_point_is_evaluated_afresh(self):
+        problem = bit_problem("joint", PARAM_NAMES, 0.3)
+        fun, jac, x, _, full = _free_residuals(problem, problem.guess)
+        y = x * 1.01
+        fun(y)
+        assert_same_jacobian(jac(x), reference_jacobian(full(x), problem, problem.free_indices()))
+        assert_same_jacobian(jac(y), reference_jacobian(full(y), problem, problem.free_indices()))
+
+    def test_point_mutated_in_place_is_evaluated_afresh(self):
+        problem = bit_problem("joint", FREE_SETS["rates_background"], 0.3)
+        fun, jac, x, _, full = _free_residuals(problem, problem.guess)
+        fun(x)
+        x[0] += 0.5
+        x[4] *= 0.9
+        assert_same_jacobian(jac(x), reference_jacobian(full(x), problem, problem.free_indices()))

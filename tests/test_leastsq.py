@@ -60,6 +60,22 @@ class TestJacobian:
             assert np.array_equal(a, b)
         assert np.array_equal(jacobian_points[-1], res.x)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("max_iterations", [1, 3, 500])
+    def test_grad_norm_is_that_of_the_reported_point_bit_for_bit(self, order, max_iterations):
+        # the norm of 2 J^T r taken by scaling the whole Jacobian first: the
+        # same bits, since doubling is exact, in either memory order
+        res = levenberg_marquardt(
+            exponential_residuals,
+            lambda x: np.asarray(exponential_jacobian(x), order=order),
+            np.array([5.0, 5.0, 5.0]),
+            max_iterations=max_iterations,
+        )
+        assert res.jacobian.flags[f"{order}_CONTIGUOUS"]
+        expected = float(np.linalg.norm(2.0 * res.jacobian.T @ res.residuals))
+        assert np.float64(res.grad_norm).tobytes() == np.float64(expected).tobytes()
+        assert res.grad_norm > 0.0
+
     def test_gradient_consistency_with_objective(self):
         # 2*J^T r against a direct finite difference of sum(r**2)
         rng = np.random.default_rng(7)

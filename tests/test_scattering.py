@@ -22,6 +22,7 @@ from pillar_qed.scattering import (
     DegenerateModelError,
     _amplitude,
     _amplitude_partials,
+    _reflection,
     _response,
     principal_angle,
 )
@@ -34,6 +35,11 @@ REFL_COUPLED_ONRES = 0.9509217991596723
 REFL_EMPTY_ONRES = 0.8232584487410741
 RABI_SPLIT = 15.628099692541
 Q_DEVICE = 51490.193050193055
+
+
+def all_partials(g, kap, ks, gam, wc, wqd, omega):
+    """The six partials of r at a point, from the point's own response."""
+    return _amplitude_partials(g, kap, _response(g, kap, ks, gam, wc, wqd, omega), range(6))
 
 
 def single_expression_amplitude(g, kap, ks, gam, wc, wqd, w):
@@ -158,23 +164,36 @@ class TestReflectionAmplitude:
             wqd = wc + rng.uniform(-20.0, 20.0)
             omega = grid_around(1333596.0, 100.0, 2001)
             x = np.array([g, kap, ks, gam, wc, wqd])
-            r, dr = _amplitude_partials(*x, omega)
-            assert np.array_equal(r, _amplitude(*x, omega))
-            dr = np.array(dr)
+            response = _response(*x, omega)
+            assert np.array_equal(_reflection(kap, response), _amplitude(*x, omega))
+            dr = np.array(_amplitude_partials(g, kap, response, range(6)))
             numeric = central_difference(lambda y: _amplitude(*y, omega), x, model_steps(x))
             scale = np.max(np.abs(numeric), axis=0)
             worst = np.maximum(worst, np.max(np.abs(dr.T - numeric), axis=0) / np.where(scale > 0, scale, 1.0))
         assert np.all(worst <= 1e-7)  # measured: at most 1.4e-8 (gamma)
+
+    @pytest.mark.parametrize("g", [0.0, 9.4])
+    def test_partial_columns_are_those_of_all_six(self, g):
+        # any subset, in any order, gives the bits of the full set's columns
+        x = (g, 1.2, 24.7, 5.0, 1333596.0, 1333599.0)
+        for omega in (1333597.0, grid_around(1333596.0, 100.0, 201)):
+            response = _response(*x, omega)
+            every = _amplitude_partials(g, 1.2, response, range(6))
+            for columns in ([], [3], [5, 0], [0, 1, 2, 3], [1, 2, 4, 5], [3, 5], list(range(6))):
+                picked = _amplitude_partials(g, 1.2, response, columns)
+                assert len(picked) == len(columns)
+                for k, d in zip(columns, picked):
+                    assert _bits(d) == _bits(every[k]), (columns, k)
 
     def test_partials_refuse_the_underflowing_coupling(self):
         # _amplitude has a value here (r = 1 at the dark point), but
         # dr/dgamma ~ kappa_top / g^2 is unbounded
         x = (1e-200, 1.0, 0.0, 0.0, 1000.0, 1000.0)
         with pytest.raises(DegenerateModelError, match="derivatives unbounded"):
-            _amplitude_partials(*x, np.array([999.0, 1000.0]))
+            all_partials(*x, np.array([999.0, 1000.0]))
         for omega in (999.0, np.array([999.0, 1001.0])):
-            r, _ = _amplitude_partials(*x, omega)
-            assert np.array_equal(r, _amplitude(*x, omega))
+            assert len(all_partials(*x, omega)) == 6
+            assert np.array_equal(_reflection(x[1], _response(*x, omega)), _amplitude(*x, omega))
 
     @pytest.mark.parametrize("omega", [1000.0, np.array([999.0, 1000.0])], ids=["scalar", "array"])
     def test_partials_refuse_an_underflowing_square(self, omega):
@@ -182,12 +201,13 @@ class TestReflectionAmplitude:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateModelError, match="derivatives unbounded"):
-                _amplitude_partials(1e-100, 1.0, 0.0, 0.0, 1000.0, 1000.0, omega)
+                all_partials(1e-100, 1.0, 0.0, 0.0, 1000.0, 1000.0, omega)
 
     def test_partials_refuse_or_agree_wherever_the_amplitude_returns(self):
         """g and gamma each 0, moderate or down to 1e-320, at and beside the
-        dot: the partials raise DegenerateModelError or give _amplitude's r,
-        bits and type, with six finite partials, and nothing warns."""
+        dot: the partials raise DegenerateModelError or give six finite
+        partials while the same response gives _amplitude's r, bits and
+        type, and nothing warns."""
         rng = np.random.default_rng(29)
 
         def rate():
@@ -210,12 +230,14 @@ class TestReflectionAmplitude:
                     except DegenerateModelError:
                         continue
                     checks += 1
-                    divided += not _response(*x, omega)[2]
+                    response = _response(*x, omega)
+                    divided += not response[2]
                     try:
-                        r_p, dr = _amplitude_partials(*x, omega)
+                        dr = _amplitude_partials(x[0], x[1], response, range(6))
                     except DegenerateModelError:
                         refused += 1
                         continue
+                    r_p = _reflection(x[1], response)
                     assert type(r_p) is type(r) and _bits(r_p) == _bits(r), (x, omega)
                     assert len(dr) == 6 and all(np.isfinite(d).all() for d in dr), (x, omega)
         # every regime is reached: measured 1280 divided forms, 2666 refusals

@@ -64,6 +64,7 @@ CLI_OUTPUT_DIGESTS = {
     "design_underflow/design.csv": "855bd7761ff813fea53f51adc6659dbe69d303794fbe2b8033ad1f44adf32607",
     "design_wide/design.csv": "bb9991cbb084fd2a671845e11179ca3ac2bee87fdd1825747ccd11e0869bbce4",
     "fit/fit_report.txt": "13233cb45ab141585cce1452c3acb4f1f880dbc946887ffd45bfb312acfcd5b7",
+    "fit_all_free/fit_report.txt": "98e226ecc6ea337771fc194627892485af006d30475de662eebf8b3ddc9ec093",
     "fit_background/fit_report.txt": "16a3a3af6588c9a0f4eefeb06bb1ca42668fbb571933bd94132c17849c7b8db9",
     "fit_beta/fit_report.txt": "13233cb45ab141585cce1452c3acb4f1f880dbc946887ffd45bfb312acfcd5b7",
     "fit_joint/fit_report.txt": "fddeeec69519076bd09fadd323cad32ef27b06635193f6defc7cc356703faaa5",
