@@ -11,6 +11,7 @@ the price of reflectivity.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ class DesignPoint:
     on_resonance_reflectivity: float
 
     def __post_init__(self):
-        if not (0.0 <= self.max_conditional_phase <= np.pi + 1e-12):
+        if not (0.0 <= self.max_conditional_phase <= math.pi + 1e-12):
             raise ValueError("max conditional phase must lie in [0, pi]")
         if not (0.0 <= self.on_resonance_reflectivity <= 1.0 + 1e-12):
             raise ValueError("reflectivity must lie in [0, 1]")
@@ -53,7 +54,7 @@ class DesignPoint:
     @property
     def feasible(self) -> bool:
         """True iff the maximal conditional phase exceeds pi/2."""
-        return bool(self.max_conditional_phase > 0.5 * np.pi)
+        return bool(self.max_conditional_phase > 0.5 * math.pi)
 
 
 def relative_phase(p: SystemParams, omega, bg: BackgroundModel | None = None):
@@ -63,7 +64,10 @@ def relative_phase(p: SystemParams, omega, bg: BackgroundModel | None = None):
     cavity is ``p`` with g = 0. It is taken as the angle of the exact ratio
     ``1 + eps / P(u)`` (:func:`_phase_polynomials`), free of cancellation.
     A scalar ``omega`` gives a float, an array the bits of per-point calls;
-    a phase that is not finite raises :class:`DegenerateModelError`.
+    a phase that is not finite raises :class:`DegenerateModelError`. A call
+    costs tens of microseconds of numpy dispatch whatever the size of
+    ``omega``, some 50 times a scalar :func:`reflection_amplitude`, so pass
+    the energies of a loop as one array.
     """
     rates = np.array([[getattr(p, name)] for name in PARAM_FIELDS])
     omega = np.asarray(omega, dtype=float)
@@ -76,14 +80,15 @@ def relative_phase(p: SystemParams, omega, bg: BackgroundModel | None = None):
 
 def _polymul(a, b):
     """Row-wise products of stacked polynomials ``a`` (K, m) and ``b`` (K, n)."""
-    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1), dtype=np.result_type(a, b))
+    terms = a[:, :, None] * b[:, None, :]
+    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1), dtype=terms.dtype)
     for i in range(a.shape[1]):
-        out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
+        out[:, i:i + b.shape[1]] += terms[:, i]
     return out
 
 
 def _polyval(rows, u):
-    """Complex coefficients along the last axis, highest power first, at real ``u``."""
+    """Complex coefficients along the last axis, highest power first, at real ``u`` (any dtype)."""
     out = rows[..., 0]
     for i in range(1, rows.shape[-1]):
         out = out * u + rows[..., i]
@@ -105,8 +110,9 @@ def _phase_polynomials(rates, bg: BackgroundModel | None = None):
     t, coupling = kappa_top / k, (g / k) ** 2
     q = 0.5 * gamma / k + 1j * ((omega_qd - omega_c) / k)
     s, f = (1.0, 0.0) if bg is None else (np.sqrt(1.0 - bg.fraction), bg.field)
-    n_c = (f + s) * np.array([-1j, 0.5]) - np.outer(t, [0.0, s])
-    d_d = np.stack([np.full_like(q, -1.0), -1j * q - 0.5j, 0.5 * q + coupling], axis=1)
+    n_c = (f + s) * np.array([-1j, 0.5]) - t[:, None] * [0.0, s]
+    d_d = np.empty((q.size, 3), dtype=complex)
+    d_d[:, 0], d_d[:, 1], d_d[:, 2] = -1.0, -1j * q - 0.5j, 0.5 * q + coupling
     return _polymul(n_c, d_d), n_c, q, s * np.where(g > 0, t, 0.0), s * t * coupling
 
 
@@ -118,33 +124,35 @@ def _phases(polys, u):
     the empty cavity does not reflect and the phase is 0. Smith's division
     keeps a subnormal ``P`` finite."""
     p, n_c, q, st, eps = polys
-    n_u = _polyval(n_c, u)
-    dark = (q.real == 0) & (q.imag == u)
-    w = _quotient(np.where(dark, st, eps), np.where(dark, n_u, _polyval(p, u)))
-    return np.where(n_u == 0, 0.0, principal_angle(1.0 + w))
+    z = u.astype(complex)  # what complex * real casts u to, cast once
+    n_u = _polyval(n_c, z)
+    num, den = eps, _polyval(p, z)
+    if not q.real.all():  # d_qd = 0 needs a lossless dot
+        dark = (q.real == 0) & (q.imag == u)
+        num, den = np.where(dark, st, eps), np.where(dark, n_u, den)
+    return np.where(n_u == 0, 0.0, principal_angle(1.0 + _quotient(num, den)))
 
 
 def _real_roots(stack):
     """``np.roots(row).real`` of each row of the 2-D ``stack``, bit for bit.
 
     Row k's roots fill the start of row k of the result, which is one
-    column narrower than ``stack``; the rest is nan. Leading zeros are
+    column narrower than ``stack``; the rest is 0. Leading zeros are
     stripped, so rows may be zero-padded in front, and trailing zeros are
-    roots at zero after the others, as in :func:`numpy.roots`; the
-    companion matrices of one size share one ``eigvals`` call.
+    roots at zero, as in :func:`numpy.roots`; the companion matrices of
+    one size share one ``eigvals`` call.
     """
     stack = np.asarray(stack, dtype=np.result_type(stack, 0.0))
     n = stack.shape[1]
     nonzero = stack != 0
-    found = nonzero.any(axis=1)
-    first = np.argmax(nonzero, axis=1)
-    degree = np.where(found, n - 1 - np.argmax(nonzero[:, ::-1], axis=1) - first, 0)
+    first = nonzero.argmax(axis=1)
+    degree = (nonzero * np.arange(n)).argmax(axis=1) - first  # last nonzero - first; 0 for a zero row
     roots = np.zeros((stack.shape[0], n - 1))
-    roots[np.arange(n - 1) >= np.where(found, n - 1 - first, 0)[:, None]] = np.nan
     for d in set(degree.tolist()) - {0}:
         rows = np.flatnonzero(degree == d)
         coeffs = stack[rows[:, None], first[rows, None] + np.arange(d + 1)]
-        companion = np.tile(np.eye(d, k=-1, dtype=stack.dtype), (rows.size, 1, 1))
+        companion = np.zeros((rows.size, d, d), dtype=stack.dtype)
+        companion.reshape(rows.size, d * d)[:, d::d + 1] = 1.0  # the subdiagonal
         companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
         roots[rows, :d] = np.linalg.eigvals(companion).real
     return roots
@@ -158,30 +166,30 @@ def _max_conditional_phases(rates, bg: BackgroundModel | None = None):
     with np.errstate(all="ignore"):
         polys = _phase_polynomials(rates, bg)
         p, eps = polys[0], polys[-1]
-        shifted = (p + np.outer(eps, [0.0, 0.0, 0.0, 1.0])).conj()
-        stationary = _polymul(_polymul(p[:, :-1] * [3.0, 2.0, 1.0], p.conj()), shifted).imag
+        conj, shifted = p.conj(), p.conj()  # conj(P + eps) up to signs of zeros, which no sum keeps
+        shifted[:, -1] += eps
+        stationary = _polymul(_polymul(p[:, :-1] * [3.0, 2.0, 1.0], conj), shifted).imag
         finite = np.isfinite(p).all(axis=1) & np.isfinite(eps) & np.isfinite(stationary).all(axis=1)
         if not finite.all():
             raise _not_finite("conditional-phase polynomial coefficients", rates[:, np.argmin(finite)])
-        # the stationarity rows, then Im(P)'s; complex roots add their real
-        # parts, extra candidates; with eps == 0 omega_c is the one candidate
+        # per set, a stationarity row and an Im(P) row: complex roots add their
+        # real parts, and the zeros that pad Im(P)'s at most 3 roots are
+        # omega_c, the one candidate where eps == 0
         k = rates.shape[1]
-        stack = np.zeros((2 * k, stationary.shape[1]))
-        stack[:k], stack[k:, -p.shape[1]:] = stationary, p.imag
-        stack[np.tile(eps == 0, 2)] = 0.0
-        roots = _real_roots(stack)
+        stack = np.zeros((k, 2, stationary.shape[1]))
+        stack[:, 0], stack[:, 1, -p.shape[1]:] = stationary, p.imag
+        stack[eps == 0] = 0.0
+        offsets = _real_roots(stack.reshape(2 * k, -1)).reshape(k, -1)
         if bg is None:  # |phi| is even in u at zero detuning: ties go below omega_c
-            fold = np.tile(rates[5] == rates[4], 2)
-            roots[fold] = -np.abs(roots[fold])
-        offsets = np.sort(np.hstack([roots[:k], roots[k:], np.zeros((k, 1))]), axis=1)
+            np.copysign(offsets, -1.0, out=offsets, where=(rates[5] == rates[4])[:, None])
+        offsets.sort(axis=1)
         width = rates[1] + rates[2]
         omega = rates[4, :, None] + width[:, None] * offsets
         # per set, the largest candidate at its rounded omega (the first nan,
-        # if any; the lowest energy on ties) of a table padded with -1
-        phases = _phases([x[:, None] for x in polys], (omega - rates[4, :, None]) / width[:, None])
-        table = np.where(np.isnan(offsets), -1.0, np.abs(phases))
-        best = np.argmax(table, axis=1)
-        magnitudes, omega = table[np.arange(k), best], omega[np.arange(k), best]
+        # if any; the lowest energy on ties)
+        phases = np.abs(_phases([x[:, None] for x in polys], (omega - rates[4, :, None]) / width[:, None]))
+        best = np.argmax(phases, axis=1)
+        magnitudes, omega = phases[np.arange(k), best], omega[np.arange(k), best]
         finite = np.isfinite(magnitudes) & np.isfinite(omega)
         if not finite.all():
             raise _not_finite("conditional-phase magnitudes", rates[:, np.argmin(finite)])
@@ -225,9 +233,10 @@ def sweep_kappa(base: SystemParams, kappa_values) -> list:
         return []
     points = []
     for p, (magnitude, argmax) in zip(params, _max_conditional_phases(np.array(rows).T)):
-        with np.errstate(all="ignore"):  # silent, as CPython's scalar arithmetic is
-            refl = float(np.abs(reflection_amplitude(p, omega=p.omega_c)) ** 2)
-        if not np.isfinite(refl):
+        # r is real on resonance at zero detuning, where CPython's abs and
+        # numpy's agree bit for bit (they differ for complex r)
+        refl = float(abs(reflection_amplitude(p, omega=p.omega_c)) ** 2)
+        if not math.isfinite(refl):
             raise _not_finite("on-resonance reflectivities", astuple(p))
         points.append(DesignPoint(p, magnitude, argmax, refl))
         if abs(p.kappa_top - 4.0 * base.g) <= 0.1 * 4.0 * base.g:

@@ -77,6 +77,9 @@ class FitProblem:
         observed = [(s, is_phase) for s, is_phase in ((self.intensity, False), (self.phase, True)) if s is not None]
         if not observed:
             raise ValueError("need at least one observed spectrum")
+        for s, name in ((self.intensity, "intensity"), (self.phase, "phase")):
+            if s is not None and np.iscomplexobj(s.values):
+                raise ValueError(f"observed {name} values must be real, got {s.values.dtype}")
         self.free = tuple(self.free)
         if not self.free:
             raise ValueError("need at least one free parameter")

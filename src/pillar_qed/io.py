@@ -80,9 +80,9 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def _write_rows(path, header, rows):
-    """``header``, then each row's field texts joined by commas, one line each."""
-    atomic_write_text(path, "\n".join([header, *map(",".join, rows)]) + "\n")
+def _write_lines(path, header, lines):
+    """``header``, then each of ``lines``, each ending in a newline."""
+    atomic_write_text(path, "\n".join([header, *lines]) + "\n")
 
 
 def _format_rows(table) -> str:
@@ -229,11 +229,9 @@ def read_channels_csv(path) -> ChannelRecord:
 
 
 def write_design_csv(path, points):
-    _write_rows(path, DESIGN_HEADER, (
-        (
-            repr(float(pt.params.kappa_top)), repr(float(pt.max_conditional_phase)),
-            repr(float(pt.argmax_omega)), repr(float(pt.on_resonance_reflectivity)), _text(pt.feasible),
-        )
+    _write_lines(path, DESIGN_HEADER, (
+        f"{float(pt.params.kappa_top)!r},{float(pt.max_conditional_phase)!r},{float(pt.argmax_omega)!r},"
+        f"{float(pt.on_resonance_reflectivity)!r},{'true' if pt.feasible else 'false'}"
         for pt in points
     ))
 
@@ -247,7 +245,7 @@ def read_design_csv(path):
 
 def write_manifest_csv(path, entries):
     """``entries``: iterable of (temperature, filename)."""
-    _write_rows(path, MANIFEST_HEADER, ((_text(t), name) for t, name in entries))
+    _write_lines(path, MANIFEST_HEADER, (f"{_text(t)},{name}" for t, name in entries))
 
 
 def read_manifest_csv(path):

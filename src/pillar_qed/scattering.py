@@ -41,11 +41,6 @@ class DegenerateModelError(ValueError):
     table to be written is not finite."""
 
 
-def _check_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {float(value)}")
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Rate and energy constants of the coupled dot-cavity system (ueV).
@@ -75,14 +70,17 @@ class SystemParams:
     omega_qd: float | None = None
 
     def __post_init__(self):
-        if self.omega_qd is None:
-            object.__setattr__(self, "omega_qd", self.omega_c)
+        # stored as Python floats through the instance dict, past the frozen check: a numpy
+        # scalar would take numpy's complex scalar arithmetic, which rounds otherwise than CPython's
+        stored = self.__dict__
+        if stored["omega_qd"] is None:
+            stored["omega_qd"] = stored["omega_c"]
         for name in PARAM_FIELDS:
-            value = getattr(self, name)
-            _check_finite(name, value)
-            # a numpy scalar field would route the amplitude through numpy's
-            # complex scalar arithmetic, which rounds otherwise than CPython's
-            object.__setattr__(self, name, float(value))
+            value = stored[name]
+            if not math.isfinite(value):  # TypeError for a value that is not a real number
+                raise ValueError(f"{name} must be finite, got {float(value)}")
+            if type(value) is not float:
+                stored[name] = float(value)
         if self.g < 0:
             raise ValueError(f"g must be >= 0, got {self.g}")
         if self.kappa_top <= 0:

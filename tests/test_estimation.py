@@ -102,6 +102,15 @@ class TestResiduals:
         with pytest.raises(ValueError):
             FitProblem(guess=bad, intensity=synthetic_intensity(p))
 
+    @pytest.mark.parametrize("block", ["intensity", "phase"])
+    def test_complex_observed_values_refused(self, block):
+        p = device()
+        grid = grid_around(p.omega_c, 50.0, 101)
+        real = Spectrum(grid, np.zeros(grid.size))
+        spectra = {"intensity": real, "phase": real, block: Spectrum(grid, reflectivity(p, grid) + 0j)}
+        with pytest.raises(ValueError, match=f"^observed {block} values must be real, got complex128$"):
+            FitProblem(guess=make_guess(p), **spectra)
+
     def test_guess_keys_that_are_not_parameters_warn_and_drop(self):
         p = device()
         guess = make_guess(p)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -486,6 +487,11 @@ class TestTypes:
             # a numpy scalar is named as a float, not by its numpy repr
             pytest.param({**VALID_PARAMS, "omega_qd": np.float64(np.inf)}, id="omega_qd_np_inf"),
             pytest.param({**VALID_PARAMS, "g": np.float64(-np.inf)}, id="g_np_minus_inf"),
+            *(
+                pytest.param({**VALID_PARAMS, name: np.float64(np.nan)}, id=f"{name}_np_nan")
+                for name in VALID_PARAMS
+            ),
+            pytest.param({**VALID_PARAMS, "gamma": np.array(np.inf)}, id="gamma_0d_inf"),
         ],
     )
     def test_invalid_system_params(self, kwargs):
@@ -494,6 +500,44 @@ class TestTypes:
         for name, value in kwargs.items():
             if not math.isfinite(value):
                 assert str(info.value) == f"{name} must be finite, got {float(value)!r}"
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, value)
+            for value in ("1.0", 1.0 + 0j, None)
+            for name in VALID_PARAMS
+            if not (name == "omega_qd" and value is None)  # None is the zero-detuning default
+        ],
+    )
+    def test_non_real_field_raises_type_error(self, name, value):
+        with pytest.raises(TypeError):
+            SystemParams(**{**VALID_PARAMS, name: value})
+
+    @pytest.mark.parametrize(
+        "convert", [int, np.int64, np.float64, np.float32, np.array, bool], ids=lambda f: f.__name__
+    )
+    def test_real_fields_stored_as_python_floats(self, convert):
+        values = dict(g=2, kappa_top=3, kappa_side=0, gamma=1, omega_c=1000, omega_qd=999)
+        if convert is bool:
+            values = dict(g=True, kappa_top=True, kappa_side=False, gamma=False, omega_c=True, omega_qd=True)
+        p = SystemParams(**{name: convert(value) for name, value in values.items()})
+        assert all(type(getattr(p, name)) is float for name in VALID_PARAMS)
+        assert [getattr(p, name) for name in VALID_PARAMS] == [float(value) for value in values.values()]
+        assert type(SystemParams(np.float64(1.0), 1.0, 0.0, 0.0, np.float64(5.0)).omega_qd) is float
+
+    def test_replace_validates(self):
+        p = SystemParams(**VALID_PARAMS)
+        with pytest.raises(ValueError, match="^g must be >= 0, got -1.0$"):
+            replace(p, g=-1.0)
+        with pytest.raises(ValueError, match="^kappa_side must be finite, got nan$"):
+            replace(p, kappa_side=np.float64(np.nan))
+        with pytest.raises(TypeError):
+            replace(p, gamma="0.5")
+        moved = replace(p, kappa_top=np.float64(2.5))
+        assert type(moved.kappa_top) is float and moved.kappa_top == 2.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            moved.g = 2.0
 
     def test_field_types_give_identical_bits(self):
         """Fields are stored as Python floats: a numpy scalar field would take
