@@ -63,9 +63,10 @@ class FitProblem:
 
     ``guess`` maps every parameter name to a value; other keys are dropped
     with one warning that names them. Parameters not listed in ``free``
-    stay fixed at their guess. ``bounds`` is computed, not
-    passed in: energies are bounded by the observed scan window, rates
-    by [0, 1e3] ueV.
+    stay fixed at their guess. ``bounds`` is computed, not passed in:
+    energies are bounded by the observed scan window, ``kappa_top`` by
+    [1e-6, 1e3] ueV, the other rates by [0, 1e3] ueV and ``background`` by
+    [0, 0.999].
     """
 
     guess: dict
@@ -104,7 +105,6 @@ class FitProblem:
             self.grids[-1][1].append((s.values, is_phase, slice(start, start + len(s))))
             start += len(s)
         self.n_residuals = start
-        self._kept = (None, None)  # see residuals
         omega_all = np.concatenate([s.omega for s, _ in observed])
         window = (float(omega_all.min()), float(omega_all.max()))
         self.bounds = {**_DEFAULT_BOUNDS, "omega_c": window, "omega_qd": window}
@@ -121,7 +121,8 @@ class FitProblem:
 
 @dataclass
 class FitResult:
-    """Recovered parameters and convergence diagnostics."""
+    """Recovered parameters and convergence diagnostics; ``residual_norm``
+    is the sum of squared residuals at ``params``, not its square root."""
 
     params: dict
     residual_norm: float
@@ -134,13 +135,13 @@ class FitResult:
 
 
 def residuals(params, problem: FitProblem) -> np.ndarray:
-    """(model - observed) stacked over the provided spectra.
+    """(model - observed) stacked over the provided spectra."""
+    return _evaluate(_as_vector(params), problem)[0]
 
-    The model evaluation is kept on ``problem`` with the bytes of the
-    parameter vector, one ``(response, r, m, |m|^2 or None)`` per grid, for
-    :func:`_jacobian` at the same point.
-    """
-    vec = _as_vector(params)
+
+def _evaluate(vec: np.ndarray, problem: FitProblem):
+    """:func:`residuals` at the parameter vector ``vec`` and its model, one
+    ``(response, r, m, |m|^2 or None)`` per grid, for :func:`_jacobian`."""
     g, kap, ks, gam, wc, wqd, b = vec
     out, models = np.empty(problem.n_residuals), []
     for omega, blocks in problem.grids:
@@ -153,14 +154,14 @@ def residuals(params, problem: FitProblem) -> np.ndarray:
                 abs2 = np.abs(m) ** 2
             np.subtract(np.angle(m) if is_phase else abs2, values, out=out[rows])
         models.append((response, r, m, abs2))
-    problem._kept = (vec.tobytes(), models)
-    return out
+    return out, models
 
 
 def _jacobian(vec: np.ndarray, models: list, problem: FitProblem, columns) -> np.ndarray:
-    """Closed-form Jacobian of :func:`residuals` at ``vec`` from the model it
-    kept there, in the parameters at indices ``columns`` of ``PARAM_NAMES``;
-    ``background`` is differentiated in s = sqrt(background)."""
+    """Closed-form Jacobian of :func:`residuals` at ``vec`` from the model
+    :func:`_evaluate` returned there, in the parameters at indices
+    ``columns`` of ``PARAM_NAMES``; ``background`` is differentiated in
+    s = sqrt(background)."""
     g, kap, *_, b = vec
     s, c = np.sqrt(b), np.sqrt(1.0 - b)
     model_columns = [k for k in columns if k != _BACKGROUND]
@@ -188,8 +189,8 @@ def _jacobian(vec: np.ndarray, models: list, problem: FitProblem, columns) -> np
 def _free_residuals(problem: FitProblem, params):
     """The fit over the free parameters, the rest held at ``params``.
 
-    Returns ``(fun, jac, x0, bounds, full)`` in the free coordinates: the
-    free parameter values, except that a free ``background`` b enters as
+    Returns ``(fun, x0, bounds, full)`` in the free coordinates: the free
+    parameter values, except that a free ``background`` b enters as
     s = sqrt(b) with bounds on s; ``full(x)`` is the parameter vector at
     ``x``. The admixture s + sqrt(1 - s^2) r has a finite slope at b = 0,
     the default and lower bound, where d/db is infinite.
@@ -209,17 +210,12 @@ def _free_residuals(problem: FitProblem, params):
         return vec
 
     def fun(x):
-        return residuals(full(x), problem)
-
-    def jac(x):
-        # LM asks at points fun has just evaluated; any other gets a fresh model
-        vec = full(x)
-        if problem._kept[0] != vec.tobytes():
-            residuals(vec, problem)
-        return _jacobian(vec, problem._kept[1], problem, idx)
+        vec = full(x)  # a copy: the Jacobian is that of x as it was here
+        out, models = _evaluate(vec, problem)
+        return out, lambda: _jacobian(vec, models, problem, idx)
 
     bounds = np.array([problem.bounds[n] for n in problem.free]).T
-    return fun, jac, free_coordinates(x_full[idx]), tuple(map(free_coordinates, bounds)), full
+    return fun, free_coordinates(x_full[idx]), tuple(map(free_coordinates, bounds)), full
 
 
 def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> FitResult:
@@ -228,8 +224,8 @@ def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> Fi
     Deterministic: identical problems give bit-identical results. Non-
     convergence is reported through the ``converged`` flag, never raised.
     """
-    fun, jac, x0, bounds, full = _free_residuals(problem, problem.guess)
-    res = leastsq.levenberg_marquardt(fun, jac, x0, bounds=bounds, max_iterations=max_iterations)
+    fun, x0, bounds, full = _free_residuals(problem, problem.guess)
+    res = leastsq.levenberg_marquardt(fun, x0, bounds=bounds, max_iterations=max_iterations)
     params = dict(zip(PARAM_NAMES, full(res.x).tolist()))
     std_errors, condition = _std_errors(res.jacobian, res.residuals, res.x, bounds, problem.free)
     return FitResult(

@@ -49,11 +49,12 @@ def _normal_equations(jacobian):
     return jtj, np.maximum(diag, max(np.max(diag), 1.0) * 1e-14)
 
 
-def levenberg_marquardt(fun, jac, x0, bounds=None, max_iterations: int = MAX_ITERATIONS) -> LeastSquaresResult:
-    """Minimize ``sum(fun(x)**2)`` with damped normal equations.
+def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIONS) -> LeastSquaresResult:
+    """Minimize ``sum(r**2)`` with damped normal equations.
 
-    ``jac(x)`` returns the Jacobian of ``fun`` at ``x``, one column per
-    parameter; it is evaluated at the start and at each accepted point.
+    ``fun(x)`` returns ``(r, jac)``: the residuals at ``x`` and a callable
+    whose ``jac()`` forms the Jacobian there, one column per parameter,
+    called once at the start and at each accepted point, never at a trial.
 
     The damping multiplies the diagonal of J^T J (with a floor that also
     regularizes singular normal equations), so the step interpolates
@@ -79,7 +80,8 @@ def levenberg_marquardt(fun, jac, x0, bounds=None, max_iterations: int = MAX_ITE
         raise ValueError("lower bounds exceed upper bounds")
     x = _clip(x, lower, upper)
 
-    r = np.asarray(fun(x), dtype=float)
+    r, jac = fun(x)
+    r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("residuals are not finite at the starting point")
     cost = float(r @ r)
@@ -89,7 +91,7 @@ def levenberg_marquardt(fun, jac, x0, bounds=None, max_iterations: int = MAX_ITE
     while True:
         # every stop test runs here, so the result carries the Jacobian
         # and gradient of the point it reports
-        jacobian = np.asarray(jac(x), dtype=float)
+        jacobian = np.asarray(jac(), dtype=float)
         jtr = jacobian.T @ r
         grad_norm = float(np.linalg.norm(2.0 * jtr))  # doubling is exact: 2 J^T r's bits
         if quiet >= QUIET_ITERATIONS:
@@ -113,7 +115,8 @@ def levenberg_marquardt(fun, jac, x0, bounds=None, max_iterations: int = MAX_ITE
                 lam *= 2.0
                 continue
             x_try = _clip(x + step, lower, upper)
-            r_try = np.asarray(fun(x_try), dtype=float)
+            r_try, jac_try = fun(x_try)
+            r_try = np.asarray(r_try, dtype=float)
             cost_try = float(r_try @ r_try)
             if cost_try < cost:
                 accepted = True
@@ -126,7 +129,7 @@ def levenberg_marquardt(fun, jac, x0, bounds=None, max_iterations: int = MAX_ITE
             break
 
         rel_decrease = (cost - cost_try) / max(cost, np.finfo(float).tiny)
-        x, r, cost = x_try, r_try, cost_try
+        x, r, jac, cost = x_try, r_try, jac_try, cost_try
         lam = max(lam / 3.0, _LAMBDA_FLOOR)
         quiet = quiet + 1 if rel_decrease < COST_TOL else 0
 

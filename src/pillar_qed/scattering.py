@@ -187,7 +187,7 @@ def _quotient(a, b):
     s, t = np.where(swap, a.imag, a.real), np.where(swap, a.real, a.imag)
     ratio = q / p
     denom = p + q * ratio
-    out = np.empty(ratio.shape, dtype=complex)
+    out = np.empty(s.shape, dtype=complex)  # s spans the broadcast of a and b
     out.real = (s + t * ratio) / denom
     out.imag = np.where(swap, s * ratio - t, t - s * ratio) / denom
     return out

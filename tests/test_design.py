@@ -185,6 +185,15 @@ class TestCPythonComplexArithmetic:
         want = np.array([x / y for x, y in zip(a.tolist(), b.tolist())])
         assert np.array_equal(_quotient(a, b).view(np.uint64), want.view(np.uint64))
 
+    def test_quotient_broadcasts_a_column_over_a_row(self):
+        # the output takes the broadcast shape, not the denominator's
+        a, b = complex_pairs(400, 32)
+        a, b = a[:13].reshape(13, 1), b[b != 0][:169].reshape(1, 169)
+        want = np.array([[complex(x) / complex(y) for y in b[0]] for x in a[:, 0]])
+        got = _quotient(a, b)
+        assert got.shape == (13, 169)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestRelativePhaseArray:
     """An array omega gives the bits of per-point scalar calls, and the

@@ -111,6 +111,14 @@ class TestResiduals:
         with pytest.raises(ValueError, match=f"^observed {block} values must be real, got complex128$"):
             FitProblem(guess=make_guess(p), **spectra)
 
+    def test_residuals_leave_problem_unchanged(self):
+        problem = bit_problem("two_grids", PARAM_NAMES, 0.3)
+        before = dict(vars(problem))
+        residuals(problem.guess, problem)
+        after = vars(problem)
+        assert list(after) == list(before)
+        assert all(after[k] is before[k] for k in before)
+
     def test_guess_keys_that_are_not_parameters_warn_and_drop(self):
         p = device()
         guess = make_guess(p)
@@ -295,8 +303,9 @@ class TestUncertainty:
     @staticmethod
     def errors_at(params, problem):
         """Standard errors from the Jacobian taken at ``params``."""
-        fun, jac, x, bounds, _ = _free_residuals(problem, params)
-        return _std_errors(jac(x), fun(x), x, bounds, problem.free)[0]
+        fun, x, bounds, _ = _free_residuals(problem, params)
+        r, jac = fun(x)
+        return _std_errors(jac(), r, x, bounds, problem.free)[0]
 
     def test_cost_stall_errors_taken_at_reported_point(self):
         p = device()
@@ -375,9 +384,9 @@ class TestResidualJacobian:
             phase=Spectrum(grid, phase + 0.01 * rng.standard_normal(n)),
             free=PARAM_NAMES,
         )
-        fun, jac, x, _, _ = _free_residuals(problem, problem.guess)
-        numeric = central_difference(fun, x, model_steps(x))
-        return np.max(np.abs(jac(x) - numeric), axis=0) / np.max(np.abs(numeric), axis=0)
+        fun, x, _, _ = _free_residuals(problem, problem.guess)
+        numeric = central_difference(lambda y: fun(y)[0], x, model_steps(x))
+        return np.max(np.abs(fun(x)[1]() - numeric), axis=0) / np.max(np.abs(numeric), axis=0)
 
     def test_device_constants(self):
         rng = np.random.default_rng(2)
@@ -411,8 +420,8 @@ class TestResidualJacobian:
                 phase=Spectrum(grid, phase),
                 free=PARAM_NAMES,
             )
-            _, jac, x, _, _ = _free_residuals(problem, problem.guess)
-            jacobian = jac(x)
+            fun, x, _, _ = _free_residuals(problem, problem.guess)
+            jacobian = fun(x)[1]()
             assert np.all(np.isfinite(jacobian))
             assert np.all(jacobian[100] == 0.0)
 
@@ -427,9 +436,8 @@ class TestResidualJacobian:
         spectrum = synthetic_intensity(p, n=201)
         for blocks in ({"intensity": spectrum}, {"phase": spectrum}, {"intensity": spectrum, "phase": spectrum}):
             problem = FitProblem(guess=make_guess(p), **blocks)
-            fun, jac, x, _, _ = _free_residuals(problem, problem.guess)
-            fun(x)
-            jacobian = jac(x)
+            fun, x, _, _ = _free_residuals(problem, problem.guess)
+            jacobian = fun(x)[1]()
             assert jacobian.shape == (len(blocks) * len(spectrum), len(problem.free))
             assert jacobian.flags.f_contiguous and not jacobian.flags.c_contiguous
 
@@ -471,40 +479,47 @@ def assert_same_jacobian(jacobian, reference):
 
 
 class TestJacobianReuse:
-    """The Jacobian is formed from the last residual call's model when it
-    was taken at the same point, and only for the free columns: bit for
-    bit the reference formula's, in its memory order, and never stale."""
+    """A fit point's Jacobian is formed from the model its residuals were
+    taken from, and only for the free columns: bit for bit the reference
+    formula's, in its memory order, and only where the LM accepts."""
 
     @pytest.mark.parametrize("background", [0.0, 0.3])
     @pytest.mark.parametrize("free", list(FREE_SETS))
     @pytest.mark.parametrize("blocks", ["joint", "two_grids", "intensity", "phase"])
     def test_matches_reference_bit_for_bit(self, blocks, free, background):
         problem = bit_problem(blocks, FREE_SETS[free], background)
-        fun, jac, x, _, full = _free_residuals(problem, problem.guess)
+        fun, x, _, full = _free_residuals(problem, problem.guess)
         reference = reference_jacobian(full(x), problem, problem.free_indices())
-        assert_same_jacobian(jac(x), reference)  # no residual call yet: fresh
-        fun(x)
-        assert_same_jacobian(jac(x), reference)  # from the kept model
+        r, jac = fun(x)
+        assert r.tobytes() == residuals(full(x), problem).tobytes()
+        assert_same_jacobian(jac(), reference)
+        assert_same_jacobian(jac(), reference)  # forming it consumes nothing
 
     def test_fit_jacobians_match_reference(self):
         # every Jacobian of a joint seven-parameter fit, at each point LM asks
         problem = bit_problem("joint", PARAM_NAMES, 0.3)
-        fun, jac, x, _, full = _free_residuals(problem, problem.guess)
+        fun, x, _, full = _free_residuals(problem, problem.guess)
         points = []
 
-        def recording_jac(y):
-            jacobian = jac(y)
-            points.append((full(y), jacobian))
-            return jacobian
+        def recording_fun(y):
+            r, jac = fun(y)
+            vec = full(y)
 
-        estimation.leastsq.levenberg_marquardt(fun, recording_jac, x, max_iterations=4)
+            def recording_jac():
+                jacobian = jac()
+                points.append((vec, jacobian))
+                return jacobian
+
+            return r, recording_jac
+
+        estimation.leastsq.levenberg_marquardt(recording_fun, x, max_iterations=4)
         assert len(points) == 5
         for vec, jacobian in points:
             assert_same_jacobian(jacobian, reference_jacobian(vec, problem, problem.free_indices()))
 
     def test_kept_model_evaluates_no_response(self, monkeypatch):
         problem = bit_problem("two_grids", FREE_SETS["rates"], 0.0)
-        fun, jac, x, _, _ = _free_residuals(problem, problem.guess)
+        fun, x, _, _ = _free_residuals(problem, problem.guess)
         calls = []
 
         def counting_response(*args):
@@ -512,25 +527,61 @@ class TestJacobianReuse:
             return _response(*args)
 
         monkeypatch.setattr(estimation, "_response", counting_response)
-        fun(x)
+        _, jac = fun(x)
         assert len(calls) == 2  # one per grid
-        jac(x)
+        jac()
         assert len(calls) == 2
-        jac(x + 0.5)
+        fun(x + 0.5)[1]()
         assert len(calls) == 4
+
+    def test_lm_forms_each_accepted_jacobian_once(self):
+        # the LM calls the Jacobian of the start and of each accepted step
+        # once, never a rejected trial's; every point's callable still forms
+        # that point's Jacobian after later evaluations
+        problem = bit_problem("joint", FREE_SETS["rates_background"], 0.3)
+        fun, x0, bounds, full = _free_residuals(problem, problem.guess)
+        points, jacs, calls = [], [], []
+
+        def counting_fun(x):
+            r, jac = fun(x)
+            k = len(points)
+            points.append((x.copy(), float(r @ r)))
+            jacs.append(jac)
+            calls.append(0)
+
+            def counting_jac():
+                calls[k] += 1
+                return jac()
+
+            return r, counting_jac
+
+        res = estimation.leastsq.levenberg_marquardt(counting_fun, x0, bounds=bounds)
+        accepted, best = [], np.inf
+        for k, (_, cost) in enumerate(points):
+            if cost < best:
+                accepted.append(k)
+                best = cost
+        assert len(points) > len(accepted) > 2
+        assert np.array_equal(points[accepted[-1]][0], res.x)
+        assert calls == [int(k in accepted) for k in range(len(points))]
+        for (x, _), jac in zip(points, jacs):
+            assert_same_jacobian(jac(), reference_jacobian(full(x), problem, problem.free_indices()))
 
     def test_other_point_is_evaluated_afresh(self):
         problem = bit_problem("joint", PARAM_NAMES, 0.3)
-        fun, jac, x, _, full = _free_residuals(problem, problem.guess)
+        fun, x, _, full = _free_residuals(problem, problem.guess)
         y = x * 1.01
-        fun(y)
-        assert_same_jacobian(jac(x), reference_jacobian(full(x), problem, problem.free_indices()))
-        assert_same_jacobian(jac(y), reference_jacobian(full(y), problem, problem.free_indices()))
+        _, jac_x = fun(x)
+        _, jac_y = fun(y)
+        assert_same_jacobian(jac_x(), reference_jacobian(full(x), problem, problem.free_indices()))
+        assert_same_jacobian(jac_y(), reference_jacobian(full(y), problem, problem.free_indices()))
 
     def test_point_mutated_in_place_is_evaluated_afresh(self):
         problem = bit_problem("joint", FREE_SETS["rates_background"], 0.3)
-        fun, jac, x, _, full = _free_residuals(problem, problem.guess)
-        fun(x)
+        fun, x, _, full = _free_residuals(problem, problem.guess)
+        reference = reference_jacobian(full(x), problem, problem.free_indices())
+        _, jac = fun(x)
         x[0] += 0.5
         x[4] *= 0.9
-        assert_same_jacobian(jac(x), reference_jacobian(full(x), problem, problem.free_indices()))
+        assert_same_jacobian(jac(), reference)  # keeps the point it was taken at
+        assert_same_jacobian(fun(x)[1](), reference_jacobian(full(x), problem, problem.free_indices()))

@@ -30,6 +30,12 @@ def exponential_jacobian(x):
     return np.column_stack([decay, -x[0] * T_EXP * decay, np.ones_like(T_EXP)])
 
 
+def paired(residuals, jacobian):
+    """The ``fun`` that ``levenberg_marquardt`` takes: residuals at x and a
+    callable forming the Jacobian there."""
+    return lambda x: (residuals(x), lambda: jacobian(x))
+
+
 class TestJacobian:
     def test_matches_analytic_on_linear_model(self):
         jac = central_difference(quadratic_residuals, np.array([0.5, 0.5]), [1e-6, 1e-6])
@@ -40,14 +46,16 @@ class TestJacobian:
         evaluated, jacobian_points = [], []
 
         def fun(x):
-            evaluated.append(x.copy())
-            return exponential_residuals(x)
+            point = x.copy()
+            evaluated.append(point)
 
-        def jac(x):
-            jacobian_points.append(x.copy())
-            return exponential_jacobian(x)
+            def jac():
+                jacobian_points.append(point)
+                return exponential_jacobian(point)
 
-        res = levenberg_marquardt(fun, jac, np.array([5.0, 5.0, 5.0]))
+            return exponential_residuals(x), jac
+
+        res = levenberg_marquardt(fun, np.array([5.0, 5.0, 5.0]))
         accepted, best = [], np.inf
         for x in evaluated:
             cost = float(np.sum(exponential_residuals(x) ** 2))
@@ -66,8 +74,7 @@ class TestJacobian:
         # the norm of 2 J^T r taken by scaling the whole Jacobian first: the
         # same bits, since doubling is exact, in either memory order
         res = levenberg_marquardt(
-            exponential_residuals,
-            lambda x: np.asarray(exponential_jacobian(x), order=order),
+            paired(exponential_residuals, lambda x: np.asarray(exponential_jacobian(x), order=order)),
             np.array([5.0, 5.0, 5.0]),
             max_iterations=max_iterations,
         )
@@ -99,14 +106,14 @@ class TestJacobian:
 
 class TestLevenbergMarquardt:
     def test_linear_problem_exact(self):
-        res = levenberg_marquardt(quadratic_residuals, quadratic_jacobian, np.array([0.0, 0.0]))
+        res = levenberg_marquardt(paired(quadratic_residuals, quadratic_jacobian), np.array([0.0, 0.0]))
         assert res.converged
         np.testing.assert_allclose(res.x, [2.0, 3.0], atol=1e-8)
         assert res.cost < 1e-16
 
     def test_nonlinear_matches_scipy(self):
         x0 = np.array([1.0, 1.0, 0.0])
-        ours = levenberg_marquardt(exponential_residuals, exponential_jacobian, x0)
+        ours = levenberg_marquardt(paired(exponential_residuals, exponential_jacobian), x0)
         reference = scipy_least_squares(exponential_residuals, x0)
         assert ours.converged
         np.testing.assert_allclose(ours.x, reference.x, atol=1e-6)
@@ -121,7 +128,7 @@ class TestLevenbergMarquardt:
             costs.append((calls["n"], float(r @ r)))
             return r
 
-        levenberg_marquardt(fun, exponential_jacobian, np.array([1.0, 1.0, 0.0]))
+        levenberg_marquardt(paired(fun, exponential_jacobian), np.array([1.0, 1.0, 0.0]))
         # reconstruct accepted-cost sequence: cost never increases between
         # accepted iterates, which bound the running minimum from above
         running = np.minimum.accumulate([c for _, c in costs])
@@ -139,23 +146,22 @@ class TestLevenbergMarquardt:
             trace.append(np.array(x, dtype=float))
             return exponential_residuals(x)
 
-        res = original(fun, exponential_jacobian, np.array([1.0, 1.0, 0.0]))
+        res = original(paired(fun, exponential_jacobian), np.array([1.0, 1.0, 0.0]))
         assert res.converged
         # final cost is the global minimum of everything evaluated
         all_costs = [float(np.sum(exponential_residuals(x) ** 2)) for x in trace]
         assert res.cost <= min(all_costs) + 1e-18
 
     def test_deterministic(self):
-        a = levenberg_marquardt(exponential_residuals, exponential_jacobian, np.array([1.0, 1.0, 0.0]))
-        b = levenberg_marquardt(exponential_residuals, exponential_jacobian, np.array([1.0, 1.0, 0.0]))
+        a = levenberg_marquardt(paired(exponential_residuals, exponential_jacobian), np.array([1.0, 1.0, 0.0]))
+        b = levenberg_marquardt(paired(exponential_residuals, exponential_jacobian), np.array([1.0, 1.0, 0.0]))
         assert np.array_equal(a.x, b.x)
         assert a.cost == b.cost
         assert a.iterations == b.iterations
 
     def test_bounds_are_respected(self):
         res = levenberg_marquardt(
-            quadratic_residuals,
-            quadratic_jacobian,
+            paired(quadratic_residuals, quadratic_jacobian),
             np.array([0.0, 0.0]),
             bounds=(np.array([0.0, 0.0]), np.array([1.5, 10.0])),
         )
@@ -163,13 +169,13 @@ class TestLevenbergMarquardt:
         assert res.x[0] == pytest.approx(1.5, abs=1e-6)  # pinned at the bound
 
     def test_start_at_optimum_converges_immediately(self):
-        res = levenberg_marquardt(quadratic_residuals, quadratic_jacobian, np.array([2.0, 3.0]))
+        res = levenberg_marquardt(paired(quadratic_residuals, quadratic_jacobian), np.array([2.0, 3.0]))
         assert res.converged
         assert res.iterations <= 2
         np.testing.assert_allclose(res.x, [2.0, 3.0], atol=1e-10)
 
     def test_nonconvergence_reported_not_raised(self):
-        res = levenberg_marquardt(exponential_residuals, exponential_jacobian, np.array([5.0, 5.0, 5.0]), max_iterations=1)
+        res = levenberg_marquardt(paired(exponential_residuals, exponential_jacobian), np.array([5.0, 5.0, 5.0]), max_iterations=1)
         assert not res.converged
         assert res.reason == "max_iterations"
 
@@ -180,6 +186,6 @@ class TestLevenbergMarquardt:
         def degenerate(x):
             return (x[0] + x[1]) * t - 2.0 * t
 
-        res = levenberg_marquardt(degenerate, lambda x: np.column_stack([t, t]), np.array([0.0, 0.0]))
+        res = levenberg_marquardt(paired(degenerate, lambda x: np.column_stack([t, t])), np.array([0.0, 0.0]))
         assert res.converged
         assert res.cost < 1e-12
