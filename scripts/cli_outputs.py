@@ -70,6 +70,13 @@ RUNS = (
     ("design_uncoupled", ["design", "--set", "g=0"]),
     # the on-resonance reflectivity of every kappa in the divided form
     ("design_underflow", ["design", "--set", "g=1e-200", "--set", "gamma=1e-310"]),
+    # g = 28.7 beside a cavity 2.4e-39 and a dot 1.4e-24 wide: the root
+    # polynomials' coefficients span past 2**100, so they are solved in the
+    # offset u, not in u**2
+    ("design_narrow_peak", [
+        "design", "--set", "omega_c=1", "--set", "g=28.74274494891464", "--set", "kappa_side=2.3876984544217297e-39",
+        "--set", "gamma=1.4257917435192681e-24", "--set", "kappa_values=1e-62:3e-62:3",
+    ]),
 )
 
 

@@ -134,27 +134,42 @@ def _phases(polys, u):
 
 
 def _real_roots(stack):
-    """``np.roots(row).real`` of each row of the 2-D ``stack``, bit for bit.
+    """The real parts of the roots of each row of the 2-D ``stack``, as a
+    multiset, with :func:`numpy.roots`' conventions.
 
     Row k's roots fill the start of row k of the result, which is one
     column narrower than ``stack``; the rest is 0. Leading zeros are
     stripped, so rows may be zero-padded in front, and trailing zeros are
     roots at zero, as in :func:`numpy.roots`; the companion matrices of
-    one size share one ``eigvals`` call.
+    one size share one ``eigvals`` call. A row whose nonzero coefficients
+    sit only at even offsets from its leading one, and span less than
+    2**100, is a polynomial in ``v = u**2``: its roots are the real parts
+    of both complex square roots of each root in v, at half the degree.
+    Any other row gets ``np.roots(row).real`` bit for bit.
     """
     stack = np.asarray(stack, dtype=np.result_type(stack, 0.0))
     n = stack.shape[1]
     nonzero = stack != 0
     first = nonzero.argmax(axis=1)
     degree = (nonzero * np.arange(n)).argmax(axis=1) - first  # last nonzero - first; 0 for a zero row
+    size = np.abs(stack)
+    even = ~(nonzero & ((np.arange(n) - first[:, None]) % 2 == 1)).any(axis=1)
+    # a wider spread of roots would square past what eigvals resolves in v
+    step = 1 + (even & (np.where(nonzero, size, np.inf).min(axis=1) > 2.0**-100 * size.max(axis=1)))
     roots = np.zeros((stack.shape[0], n - 1))
-    for d in set(degree.tolist()) - {0}:
-        rows = np.flatnonzero(degree == d)
-        coeffs = stack[rows[:, None], first[rows, None] + np.arange(d + 1)]
-        companion = np.zeros((rows.size, d, d), dtype=stack.dtype)
-        companion.reshape(rows.size, d * d)[:, d::d + 1] = 1.0  # the subdiagonal
-        companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
-        roots[rows, :d] = np.linalg.eigvals(companion).real
+    for d, s in {(d, s) for d, s in zip(degree.tolist(), step.tolist()) if d}:
+        rows, m = np.flatnonzero((degree == d) & (step == s)), d // s
+        coeffs = stack[rows[:, None], first[rows, None] + s * np.arange(m + 1)]
+        found = -coeffs[:, 1:] / coeffs[:, :1]  # the one root of a 1 x 1 companion
+        if m > 1:
+            companion = np.zeros((rows.size, m, m), dtype=stack.dtype)
+            companion.reshape(rows.size, m * m)[:, m::m + 1] = 1.0  # the subdiagonal
+            companion[:, 0] = found
+            found = np.linalg.eigvals(companion)
+        if s == 2:
+            found = np.sqrt(found.astype(complex)).real
+            found = np.concatenate([found, -found], axis=1)
+        roots[rows, :d] = found.real
     return roots
 
 
@@ -205,8 +220,9 @@ def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
     """Largest conditional phase magnitude and where it occurs.
 
     The phase ``angle(1 + eps / P(u))`` is stationary at the real roots of
-    ``Im(P' conj(P) conj(P + eps))`` (degree 8) and reaches +-pi only at
-    real roots of ``Im(P)`` (degree 3; the overcoupled cusp). Those roots
+    ``Im(P' conj(P) conj(P + eps))`` (degree 8; a quartic in ``u**2`` at
+    zero detuning without a background) and reaches +-pi only at real
+    roots of ``Im(P)`` (degree 3; the overcoupled cusp). Those roots
     and ``omega_c`` are evaluated at their rounded energies and the largest
     wins, the lowest energy on ties; with eps == 0 (g == 0, or G
     underflows) ``omega_c`` is the one candidate. The magnitude lies in

@@ -552,6 +552,97 @@ class TestBatchedPolynomials:
             assert np.array_equal(got, np.array((0.0, WC)).view(np.uint64)), (p, bg)
 
 
+class TestZeroDetuningParity:
+    """At zero detuning without a background ``P(-u) = conj(P(u))``: the
+    stationarity row is even in u and ``Im(P)`` odd, so
+    :func:`_real_roots` solves both in ``u**2``."""
+
+    def test_root_rows_are_polynomials_in_u_squared(self, monkeypatch):
+        """The rows of every sweep below have exactly 0.0 at each odd power
+        of the stationarity row and each even power of ``Im(P)``."""
+        stacks = []
+        monkeypatch.setattr(design, "_real_roots", lambda stack: stacks.append(stack.copy()) or _real_roots(stack))
+        rng = np.random.default_rng(36)
+        bases = [SystemParams(**{k: v * rng.uniform(0.8, 1.2) for k, v in DEVICE.items()}) for _ in range(30)]
+        bases += [
+            SystemParams(
+                g=rng.uniform(0.01, 60.0), kappa_top=1.0, kappa_side=rng.uniform(0.0, 80.0),
+                gamma=rng.uniform(0.0, 30.0), omega_c=WC * rng.uniform(0.5, 1.5),
+            )
+            for _ in range(30)
+        ]
+        bases += [SystemParams(**{**DEVICE, "g": 1e-200, "gamma": 1e-310})]
+        for base in bases:
+            for kappas in (np.linspace(2.0, 60.0, 30), [1e-300, 1e308]):
+                try:
+                    sweep_kappa(base, kappas)
+                except DegenerateModelError:  # the reflectivity at 1e308
+                    pass
+        assert len(stacks) == 2 * len(bases)
+        stack = np.concatenate(stacks)
+        stationary, imag = stack[0::2], stack[1::2]  # coefficients of u**8 ... u**0
+        assert stationary.any(axis=1).mean() > 0.9 and imag.any(axis=1).mean() > 0.9
+        assert not stationary[:, 1::2].any() and not imag[:, 0::2].any()
+
+    def test_detuned_rows_have_odd_and_even_powers(self, monkeypatch):
+        """A detuned dot breaks both parities: its rows are solved in u."""
+        stacks = []
+        monkeypatch.setattr(design, "_real_roots", lambda stack: stacks.append(stack.copy()) or _real_roots(stack))
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            p = SystemParams(**{**DEVICE, "omega_qd": WC + rng.uniform(-30.0, 30.0)})
+            max_conditional_phase(p)
+        stack = np.concatenate(stacks)
+        assert stack[0::2, 1::2].any(axis=1).all() and stack[1::2, 0::2].any(axis=1).all()
+
+
+class TestFullDegreeRootOracle:
+    """Against the same sweep with every root row solved at full degree by
+    :func:`numpy.roots`, which is how the rows were solved before the
+    zero-detuning rows were solved in ``u**2``."""
+
+    @pytest.mark.parametrize("seed", [38, 39, 40])
+    def test_extreme_draws_keep_the_full_degree_maximum(self, seed, monkeypatch):
+        """Rates 10**U(-200, 300) at zero detuning, omega_c in {0, 1, WC}:
+        the two raise together, and wherever the full-degree maximum is
+        above 1e-12 rad the maximum here is at most 1e-9 relative below
+        it. Measured on 30000 draws: no raise differs, and the worst point
+        above 1e-12 rad is 4.1e-16 lower. Far below it the maximum here can
+        be much lower: where a dot's terms underflow out of the rows,
+        ``np.roots`` gives imaginary roots real parts of rounding noise
+        (5e-17) that happen to land on a larger phase (2.2e-178 rad against
+        9.7e-196 on one draw); in ``u**2`` those roots are exactly imaginary."""
+        rng = np.random.default_rng(seed)
+        for _ in range(1500):
+            rates = np.array([*10.0 ** rng.uniform(-200.0, 300.0, size=4), 0.0, 0.0])
+            rates[4:] = (0.0, 1.0, WC)[rng.integers(3)]
+            got, want = [], []
+            for out, roots in ((got, _real_roots), (want, np_roots_oracle)):
+                monkeypatch.setattr(design, "_real_roots", roots)
+                try:
+                    out += design._max_conditional_phases(rates[:, None])
+                except DegenerateModelError:
+                    out.append(None)
+            assert (got[0] is None) == (want[0] is None), rates
+            if want[0] is not None and want[0][0] > 1e-12:
+                assert got[0][0] >= want[0][0] * (1.0 - 1e-9), rates
+
+    def test_narrow_peak_is_solved_at_full_degree(self, monkeypatch):
+        """The design_narrow_peak CLI run: both root rows trip the guard, so
+        the sweep is the full-degree one bit for bit. In u**2 it lost the
+        peak: 8.7e-57 rad in place of 9.57e-49."""
+        base = SystemParams(
+            g=28.74274494891464, kappa_top=1.0, kappa_side=2.3876984544217297e-39,
+            gamma=1.4257917435192681e-24, omega_c=1.0,
+        )
+        kappas = [1e-62, 2e-62, 3e-62]
+        got = sweep_kappa(base, kappas)
+        monkeypatch.setattr(design, "_real_roots", np_roots_oracle)
+        want = sweep_kappa(base, kappas)
+        assert np.array_equal(bits(got), bits(want))
+        assert got[0].max_conditional_phase == 9.574590683000507e-49
+
+
 class TestExactRatio:
     """The traps of the ratio 1 + eps / P(u): each input against the value
     the amplitudes give."""
@@ -600,20 +691,23 @@ class TestExactRatio:
 
     def test_mirror_ties_go_to_the_lower_energy(self):
         # at zero detuning without a background |phi| is even in the offset:
-        # the two mirror maxima tie, and the lower energy wins. At the first
-        # set the unfolded roots put the upper mirror one ulp ahead
+        # the two mirror maxima tie, and the lower energy wins. Roots found
+        # in u**2 are exact mirrors. The narrow peak's rows trip the guard
+        # and are solved in u, where np.roots puts the upper mirror ahead in
+        # the last bits, as it did at the first WC set before the rows were
+        # solved in u**2
         rng = np.random.default_rng(26)
         draws = [(4.4363859252427634e-05, 35.30705179903408, 14.726417790840745, 2.259891453030032)]
         for _ in range(300):
             g = rng.uniform(0.0, 20.0) if rng.random() < 0.5 else 10.0 ** rng.uniform(-6.0, -3.0)
             draws.append((g, rng.uniform(0.05, 120.0), rng.uniform(0.0, 50.0), rng.uniform(0.0, 20.0)))
+        narrow = SystemParams(28.74274494891464, 1e-62, 2.3876984544217297e-39, 1.4257917435192681e-24, 1.0)
         below = 0
-        for rates in draws:
-            p = SystemParams(*rates, WC)
+        for p in [narrow] + [SystemParams(*rates, WC) for rates in draws]:
             magnitude, argmax = max_conditional_phase(p)
-            assert argmax <= WC, p
-            assert abs(relative_phase(p, 2.0 * WC - argmax)) == magnitude, p
-            below += argmax < WC
+            assert argmax <= p.omega_c, p
+            assert abs(relative_phase(p, 2.0 * p.omega_c - argmax)) == magnitude, p
+            below += argmax < p.omega_c
         assert below > 200
 
     def test_max_conditional_phase_matches_mpmath_truth(self):
@@ -664,9 +758,49 @@ def padded_stack(polys, dtype=float):
     return stack
 
 
+def even_row(q, lead=0, trail=0):
+    """The coefficients of ``Q(u**2)`` for Q's ``q``, behind ``lead`` zeros
+    and ahead of ``trail`` zeros (roots at zero: odd polynomials for odd
+    ``trail``)."""
+    row = np.zeros(lead + 2 * len(q) - 1 + trail, dtype=np.result_type(q, 0.0))
+    row[lead:lead + 2 * len(q) - 1:2] = q
+    return row
+
+
+def truth_real_roots(mp, row):
+    """The sorted real parts of the roots of ``row`` and their largest
+    magnitude, as eigenvalues of its companion matrix at 80 digits (which,
+    unlike ``polyroots``, converge at multiple roots); trailing zeros are
+    roots at zero."""
+    row = np.trim_zeros(np.asarray(row), "f")
+    inner = np.trim_zeros(row, "b")
+    d = inner.size - 1
+    with mp.workdps(80):
+        coeffs = [mp.mpc(complex(c)) for c in inner]
+        companion = mp.matrix(d, d)
+        for j in range(d):
+            companion[0, j] = -coeffs[j + 1] / coeffs[0]
+            if j:
+                companion[j, j - 1] = 1
+        found = mp.eig(companion, left=False, right=False) if d else []
+        real = sorted([float(mp.re(r)) for r in found] + [0.0] * (row.size - inner.size))
+        return np.array(real), max([float(abs(r)) for r in found], default=0.0)
+
+
+def np_roots_oracle(stack):
+    """``np.roots(row).real`` of each row, zero-filled to the shape of
+    :func:`_real_roots`' result: every row at its full degree."""
+    out = np.zeros((stack.shape[0], stack.shape[1] - 1))
+    for row, dest in zip(stack, out):
+        roots = np.roots(row).real
+        dest[:roots.size] = roots
+    return out
+
+
 class TestRealRoots:
     """Each row of one stack, rows of mixed sizes, against ``np.roots`` of
-    the row alone: the same bits, then zeros."""
+    the row alone: the same bits, then zeros. Rows in ``u**2`` against the
+    roots at 80 digits."""
 
     def assert_rows_match_np_roots(self, polys, dtype=float):
         got = _real_roots(padded_stack(polys, dtype))
@@ -708,3 +842,59 @@ class TestRealRoots:
         empty, zeros, constant, trailing = _real_roots(padded_stack([np.zeros(0), np.zeros(3), [4.0], [0.0, 3.0, 0.0, 0.0]]))
         assert not (empty.any() or zeros.any() or constant.any())
         assert np.array_equal(trailing, [0.0, 0.0, 0.0])
+
+    def assert_rows_match_truth(self, polys, tol, mp):
+        worst = 0.0
+        for c in polys:
+            got = _real_roots(c[None])[0]
+            want, scale = truth_real_roots(mp, c)
+            assert not got[want.size:].any(), c
+            worst = max(worst, np.max(np.abs(np.sort(got[:want.size]) - want), initial=0.0) / scale)
+        assert worst <= tol, worst
+        return worst
+
+    def test_rows_in_u_squared_match_mpmath(self):
+        """Even and odd rows (``Q(u**2)`` and ``u Q(u**2)``), padded front
+        and back, solved in ``v = u**2``: the sorted real parts of their
+        roots against the 80-digit truth, relative to the largest root.
+        Both square roots of each v count, so the multiset is the one of
+        ``np.roots``. Separated roots, real or complex coefficients, and
+        spreads up to 2**99 just under the guard: measured at most 7.2e-16
+        (np.roots: 1.6e-15). Double and near-double roots, which float64
+        coefficients split by about sqrt(eps): measured at most 1.3e-8
+        (np.roots: 3.9e-8)."""
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(34)
+        pads = lambda: rng.integers(0, 3, size=2)
+        separated, clustered = [], []
+        for m in range(1, 5):
+            for _ in range(4):
+                separated.append(even_row(rng.normal(size=m + 1), *pads()))
+                separated.append(even_row(rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1), *pads()))
+        separated += [even_row(np.poly([1.0, 2.0 ** -e]) * rng.choice([-1, 1]), *pads()) for e in (10, 50, 80, 99)]
+        for _ in range(6):
+            a, b = rng.normal(), rng.normal() + 1j * rng.normal()
+            clustered.append(even_row(np.poly([a, a, rng.normal()]), *pads()))  # double roots in v
+            clustered.append(even_row(np.poly([b, b, b.conjugate(), b.conjugate()]).real, *pads()))
+            v = rng.uniform(0.1, 4.0)
+            clustered.append(even_row(np.poly([v, v * (1.0 + 10.0 ** rng.uniform(-12.0, -4.0)), rng.normal()]), *pads()))
+        clustered.append(even_row(np.poly([0.25, 0.25]), 1, 1))  # exact double roots +-1/2
+        self.assert_rows_match_truth(separated, 2e-15, mp)
+        self.assert_rows_match_truth(clustered, 1e-7, mp)
+
+    def test_guard_and_rows_without_parity_match_np_roots_bit_for_bit(self):
+        """Rows in ``u**2`` whose nonzero coefficients span 2**100 or more,
+        and rows with an odd-offset coefficient, are solved at full degree:
+        ``np.roots`` bit for bit."""
+        rng = np.random.default_rng(35)
+        polys = [even_row(np.poly([1.0, 2.0 ** -e]), *rng.integers(0, 3, size=2)) for e in (100, 101, 160, 400)]
+        # the narrow peak's shape: roots +-1e-30 beside +-1, and beside +-1e30
+        polys += [even_row(np.poly([1.0, 1e-60])), even_row(np.poly([1e60, 1.0, 1e-60]), 1, 1)]
+        polys += [even_row(np.poly([1.0, 2.0 ** -120]) * (1.0 + 2.0j))]
+        for m in range(1, 5):  # one coefficient just behind the leading one
+            lead, trail = rng.integers(0, 3, size=2)
+            row = even_row(rng.normal(size=m + 1), lead, trail)
+            row[lead + 1] = rng.normal()
+            polys.append(row)
+        self.assert_rows_match_np_roots([c for c in polys if not np.iscomplexobj(c)])
+        self.assert_rows_match_np_roots([c for c in polys if np.iscomplexobj(c)], complex)

@@ -60,6 +60,7 @@ def test_summary_report_output(tmp_path):
 # reviewed change to an output's bytes updates its digest here.
 CLI_OUTPUT_DIGESTS = {
     "design/design.csv": "71bd64f84070e6e5d3accb60ca794dd9adc0e2c674d7b686ea5962470ea7fecc",
+    "design_narrow_peak/design.csv": "5d2fe1133003b3d7e39313dc41d3ae019ef41ce8d52045f7ca8dc50247c623a2",
     "design_uncoupled/design.csv": "3ce1298bf529100c51ee207f46a71ecc7ff522d83ff58c21cf5fd6e18727f241",
     "design_underflow/design.csv": "855bd7761ff813fea53f51adc6659dbe69d303794fbe2b8033ad1f44adf32607",
     "design_wide/design.csv": "bb9991cbb084fd2a671845e11179ca3ac2bee87fdd1825747ccd11e0869bbce4",
