@@ -5,7 +5,8 @@
 
 Each run goes through ``pillar_qed.cli.main`` in this process and writes
 into its own subdirectory. The data files are deterministic, so two
-checkouts can be compared with one ``diff -r`` of their trees.
+checkouts can be compared with one ``diff -r`` of their trees. OUTDIR must
+be new or empty.
 """
 
 import sys
@@ -27,8 +28,8 @@ temperatures = 20:22:5
 # outputs of earlier runs
 RUNS = (
     ("synth", ["synth"]),
-    ("synth_noisy", ["synth", "--set", "noise=0.01", "--seed", "3"]),
-    ("synth_bg", ["synth", "--background", "0.7"]),
+    ("synth_noisy", ["synth", "--set", "noise=0.01", "--set", "seed=3"]),
+    ("synth_bg", ["synth", "--set", "background=0.7"]),
     ("phase", ["phase", "{root}/synth/channels_coupled.csv"]),
     ("phase_edges", ["phase", "{root}/synth/channels_coupled.csv", "--calibrate-edges"]),
     ("phase_noisy", ["phase", "{root}/synth_noisy/channels_coupled.csv"]),
@@ -41,7 +42,7 @@ RUNS = (
         "fit", "{root}/synth_noisy/coupled.csv", "--set", "fit_max_iterations=2", "--allow-nonconverged",
     ]),
     # a phase block on a coarser grid than the intensity block
-    ("synth_coarse", ["synth", "--grid", "1333496:1333696:1001"]),
+    ("synth_coarse", ["synth", "--set", "grid=1333496:1333696:1001"]),
     # g * g underflows: the grid holds omega_qd, so every coupled point takes
     # the amplitude's divided form
     ("synth_underflow", ["synth", "--set", "g=1e-200", "--set", "gamma=1e-310"]),
@@ -50,7 +51,7 @@ RUNS = (
     # a free background, fit in s = sqrt(b)
     ("fit_background", [
         "fit", "{root}/synth_bg/coupled.csv",
-        "--set", "fit_free=g,kappa_top,kappa_side,gamma,background", "--background", "0.5",
+        "--set", "fit_free=g,kappa_top,kappa_side,gamma,background", "--set", "background=0.5",
     ]),
     # a joint fit with all seven parameters free: the only run whose report
     # depends on the omega_c, omega_qd and background Jacobian columns
@@ -63,7 +64,7 @@ RUNS = (
     # the scan's own resolved config, read back: must rewrite scan/ byte for byte
     ("scan_roundtrip", ["scan", "--config", "{root}/scan/scan_config.txt"]),
     # a phased, half-strength background mixed into every scan spectrum
-    ("scan_bg", ["scan", "--background", "0.5", "--set", "background_phase=0.8", "--set", "temperatures=20:22:3"]),
+    ("scan_bg", ["scan", "--set", "background=0.5", "--set", "background_phase=0.8", "--set", "temperatures=20:22:3"]),
     ("design", ["design"]),
     # 240 top-mirror rates, across the overcoupled cusp at kappa_side
     ("design_wide", ["design", "--set", "kappa_values=0.5:120:240"]),
@@ -84,6 +85,9 @@ def main():
     if len(sys.argv) != 2:
         raise SystemExit("usage: cli_outputs.py OUTDIR")
     root = sys.argv[1]
+    # a reused tree would keep the files that a change stopped writing
+    if Path(root).exists() and any(Path(root).iterdir()):
+        raise SystemExit(f"cli_outputs.py: {root} exists and is not empty; give a new OUTDIR")
     Path(root).mkdir(parents=True, exist_ok=True)
     Path(root, "run.cfg").write_text(RUN_CFG, encoding="utf-8")
     for name, args in RUNS:

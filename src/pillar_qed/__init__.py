@@ -17,7 +17,6 @@ import importlib
 _EXPORTS = {
     "design": (
         "DesignPoint",
-        "interface_feasible",
         "max_conditional_phase",
         "relative_phase",
         "sweep_kappa",

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .config import DEFAULTS, ConfigError, RunConfig, load_config_file
+from .config import ConfigError, RunConfig, load_config_file
 from .scattering import ChannelRecord, DegenerateModelError, Spectrum, apply_background, reflection_amplitude
 
 __all__ = ["main", "build_parser"]
@@ -62,9 +62,7 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         overrides[key] = value
-    # --seed, --background and --grid set the key of the same name
-    flags = {key: value for key, value in vars(args).items() if key in DEFAULTS and value is not None}
-    return RunConfig.build(file_values, {**overrides, **flags})
+    return RunConfig.build(file_values, overrides)
 
 
 def _maybe_noisy(values, cfg, rng):
@@ -194,9 +192,6 @@ _COMMANDS = {
 _COMMON = (
     ("--config", {"metavar": "PATH", "help": "flat key = value config file"}),
     ("--out", {"metavar": "DIR", "default": "out", "help": "output directory"}),
-    ("--seed", {"metavar": "N", "help": "override the config seed"}),
-    ("--background", {"metavar": "B", "help": "override the background fraction"}),
-    ("--grid", {"metavar": "START:STOP:N", "help": "override the probe grid (ueV)"}),
     ("--set", {
         "metavar": "KEY=VALUE", "action": "append", "default": [], "dest": "overrides",
         "help": "override any config key (repeatable)",

@@ -141,7 +141,7 @@ class RunConfig:
 
     @classmethod
     def build(cls, file_values: dict | None = None, overrides: dict | None = None):
-        """Merge defaults, file values and flag overrides (flags win)."""
+        """Merge defaults, file values and ``--set`` overrides (overrides win)."""
         raw = dict(DEFAULTS)
         for source in (file_values or {}), (overrides or {}):
             for key, value in source.items():

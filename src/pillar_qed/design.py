@@ -31,7 +31,6 @@ __all__ = [
     "relative_phase",
     "max_conditional_phase",
     "sweep_kappa",
-    "interface_feasible",
 ]
 
 logger = logging.getLogger(__name__)
@@ -226,7 +225,9 @@ def max_conditional_phase(p: SystemParams, bg: BackgroundModel | None = None):
     and ``omega_c`` are evaluated at their rounded energies and the largest
     wins, the lowest energy on ties; with eps == 0 (g == 0, or G
     underflows) ``omega_c`` is the one candidate. The magnitude lies in
-    [0, pi] and equals ``abs(relative_phase(p, argmax, bg))``.
+    [0, pi] and equals ``abs(relative_phase(p, argmax, bg))``. A dot
+    narrower than about 1e-150 kappa_total can lose its peak, as the
+    low-order coefficients underflow; every such lost phase is below 1e-12 rad.
     """
     return _max_conditional_phases(np.array([[getattr(p, name)] for name in PARAM_FIELDS]), bg)[0]
 
@@ -258,8 +259,3 @@ def sweep_kappa(base: SystemParams, kappa_values) -> list:
         if abs(p.kappa_top - 4.0 * base.g) <= 0.1 * 4.0 * base.g:
             logger.info("kappa=%.4g matches the kappa/4 ~ g guideline", p.kappa_top)
     return points
-
-
-def interface_feasible(point: DesignPoint) -> bool:
-    """:attr:`DesignPoint.feasible`: the maximal conditional phase exceeds pi/2."""
-    return point.feasible

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scattering import BackgroundModel, ChannelRecord, Spectrum, SystemParams, measured_intensity
+from .scattering import BackgroundModel, ChannelRecord, Spectrum, SystemParams
+from .scattering import apply_background, reflection_amplitude
 
 __all__ = [
     "NoSolutionError",
@@ -62,7 +63,7 @@ class ReferenceArm:
     @property
     def bias(self) -> float:
         """Residual phase offset from the quadrature point."""
-        return self.sb_offset - cmath.phase(self.beta) + 0.5 * np.pi
+        return self.sb_offset - quadrature_offset(self.beta)
 
 
 def quadrature_offset(beta) -> float:
@@ -201,10 +202,10 @@ def infer_background_fraction(
     if grid is None:
         grid = np.linspace(p.omega_c - 100.0, p.omega_c + 100.0, 2001)
     grid = np.asarray(grid, dtype=float)
+    r = reflection_amplitude(p, omega=grid)  # b only mixes in a flat field
 
     def vis(b: float) -> float:
-        bg = BackgroundModel(b)
-        return dip_visibility(Spectrum(grid, measured_intensity(p, grid, bg)))
+        return dip_visibility(Spectrum(grid, np.abs(apply_background(r, BackgroundModel(b))) ** 2))
 
     lo, hi = 0.0, 1.0 - 1e-9
     if vis(lo) < observed_visibility:

@@ -27,7 +27,6 @@ from pillar_qed import (
     extract_phase,
     fit,
     fringe_phase,
-    interface_feasible,
     make_guess,
     q_factor,
     quadrature_offset,
@@ -190,10 +189,10 @@ def test_criterion_6_design_point():
     refl = redesigned.on_resonance_reflectivity
 
     ok = (
-        interface_feasible(redesigned)
+        redesigned.feasible
         and on_res_phase == pytest.approx(np.pi, abs=1e-12)
         and abs(refl - 0.19) <= 0.03
-        and not interface_feasible(as_built)
+        and not as_built.feasible
     )
     _report(
         6,
@@ -202,10 +201,10 @@ def test_criterion_6_design_point():
         f"{on_res_phase:.6f} (=pi), reflectivity {refl:.4f} (0.19 +- 0.03); "
         f"kappa=1.2: feasible={as_built.feasible}",
     )
-    assert interface_feasible(redesigned)
+    assert redesigned.feasible
     assert on_res_phase == pytest.approx(np.pi, abs=1e-12)
     assert abs(refl - 0.19) <= 0.03
-    assert not interface_feasible(as_built)
+    assert not as_built.feasible
 
 
 def test_criterion_7_interferometer_round_trip():

@@ -137,16 +137,16 @@ class TestSynth:
 
     def test_noise_deterministic_per_seed(self, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        assert run("synth", "--out", str(a), "--set", "noise=0.01", "--seed", "7") == 0
-        assert run("synth", "--out", str(b), "--set", "noise=0.01", "--seed", "7") == 0
-        assert run("synth", "--out", str(c), "--set", "noise=0.01", "--seed", "8") == 0
+        assert run("synth", "--out", str(a), "--set", "noise=0.01", "--set", "seed=7") == 0
+        assert run("synth", "--out", str(b), "--set", "noise=0.01", "--set", "seed=7") == 0
+        assert run("synth", "--out", str(c), "--set", "noise=0.01", "--set", "seed=8") == 0
         assert read_bytes_map(a) == read_bytes_map(b)
         assert read_bytes_map(a) != read_bytes_map(c)
 
     def test_background_flag_changes_only_admixture(self, tmp_path):
         plain, mixed = tmp_path / "plain", tmp_path / "mixed"
-        assert run("synth", "--out", str(plain), "--background", "0") == 0
-        assert run("synth", "--out", str(mixed), "--background", "0.7") == 0
+        assert run("synth", "--out", str(plain), "--set", "background=0") == 0
+        assert run("synth", "--out", str(mixed), "--set", "background=0.7") == 0
         p = SystemParams(**DEVICE)
         r = reflection_amplitude(replace(p, g=0.0), GRID)
         intrinsic = read_spectrum_csv(plain / "empty.csv").values
@@ -204,7 +204,7 @@ class TestFit:
 
     def test_background_phase_refused(self, tmp_path, capsys):
         # the fit mixes a zero-phase background; a phased one would fit a wrong basin
-        flags = ("--background", "0.5", "--set", "background_phase=1.0")
+        flags = ("--set", "background=0.5", "--set", "background_phase=1.0")
         assert run("synth", "--out", str(tmp_path), *flags) == 0
         capsys.readouterr()
         assert run("fit", str(tmp_path / "coupled.csv"), "--out", str(tmp_path / "fit"), *flags) == 1
@@ -496,18 +496,18 @@ class TestErrorBoundary:
             ("scan", "--set", "omega_qd=-1"),
             ("fit", "coupled.csv", "--set", "fit_free=g,g"),
             ("fit", "coupled.csv", "--set", "fit_free=g,beta_mag"),  # the reference arm, not a fit parameter
-            ("synth", "--grid", "0:inf:5"),
-            ("synth", "--grid", "nan:1:5"),
-            ("synth", "--grid", "1,2,nan"),
+            ("synth", "--set", "grid=0:inf:5"),
+            ("synth", "--set", "grid=nan:1:5"),
+            ("synth", "--set", "grid=1,2,nan"),
             ("design", "--set", "kappa_values=1:inf:3"),
             ("scan", "--set", "temperatures=19:inf:3"),
             ("scan", "--set", "temperatures=19,inf"),
             ("design", "--set", "g=1 MeV"),
             # 8 PB: larger than the address space, so nothing is allocated
             ("design", "--set", "kappa_values=2:60:1000000000000000"),
-            ("synth", "--grid", "0:1:1000000000000000"),
+            ("synth", "--set", "grid=0:1:1000000000000000"),
             ("synth", "--set", "seed=1e3"),
-            ("synth", "--seed", "-1"),
+            ("synth", "--set", "seed=-1"),
             ("fit", "coupled.csv", "--set", "fit_max_iterations=x"),
             # the dot energy overflows to a numpy inf at 1e10 K
             ("scan", "--set", "qd_slope=1e300", "--set", "temperatures=1e10", "--set", "t_max=1e11"),
@@ -552,7 +552,7 @@ class TestErrorBoundary:
         assert len(err.splitlines()) == 1 and err.startswith("pillar-qed: error: ")
         assert not recwarn.list  # a warning would print its own stderr lines
         for key in ("seed", "fit_max_iterations"):  # an integer key's error names it
-            if f"--{key}" in argv or any(a.startswith(f"{key}=") for a in argv):
+            if any(a.startswith(f"{key}=") for a in argv):
                 assert key in err
         if "qd_slope=1e300" in argv:  # a float, not its numpy repr
             assert err.endswith("got inf\n")
@@ -732,21 +732,17 @@ class TestUsageErrors:
     def test_unknown_config_key(self, tmp_path):
         assert run("synth", "--out", str(tmp_path), "--set", "quality=high") == 1
 
-    def test_bad_grid(self, tmp_path):
-        assert run("synth", "--out", str(tmp_path), "--grid", "10:0:100") == 1
+    def test_bad_grid(self, tmp_path, capsys):
+        assert run("synth", "--out", str(tmp_path), "--set", "grid=10:0:100") == 1
+        assert capsys.readouterr().err.startswith("pillar-qed: error: grid: ")
 
-    def test_bad_background(self, tmp_path):
-        assert run("synth", "--out", str(tmp_path), "--background", "1.5") == 1
+    def test_bad_background(self, tmp_path, capsys):
+        assert run("synth", "--out", str(tmp_path), "--set", "background=1.5") == 1
+        assert capsys.readouterr().err == "pillar-qed: error: background must be in [0, 1), got 1.5\n"
 
 
-_COMMON_ARGV = (
-    "--config", "run.cfg", "--out", "o", "--seed", "3", "--background", "0.5",
-    "--grid", "0:10:11", "--set", "g=1", "--set", "gamma=2",
-)
-_COMMON_VARS = {
-    "config": "run.cfg", "out": "o", "seed": "3", "background": "0.5",
-    "grid": "0:10:11", "overrides": ["g=1", "gamma=2"],
-}
+_COMMON_ARGV = ("--config", "run.cfg", "--out", "o", "--set", "g=1", "--set", "gamma=2")
+_COMMON_VARS = {"config": "run.cfg", "out": "o", "overrides": ["g=1", "gamma=2"]}
 # each subcommand's own arguments, given in full, and what they parse to
 _OWN_ARGS = {
     "synth": ((), {}),
@@ -776,9 +772,17 @@ class TestParser:
         own_argv, own_vars = _OWN_ARGS[command]
         flags = [arg for arg in own_argv if arg.startswith("--")]
         positionals = [dest for dest in own_vars if "--" + dest.replace("_", "-") not in flags]
-        names = [*positionals, *flags, "--config", "--out", "--seed", "--background", "--grid", "--set"]
+        names = [*positionals, *flags, "--config", "--out", "--set"]
         positions = [text.index(f"\n  {name} ") for name in names]
         assert positions == sorted(positions)
+
+    @pytest.mark.parametrize("command", list(_OWN_ARGS))
+    def test_config_keys_have_no_flags_of_their_own(self, command, capsys):
+        # --set is the one command-line override of a config key
+        own_argv, _ = _OWN_ARGS[command]
+        for flag, value in (("--seed", "3"), ("--background", "0.5"), ("--grid", "0:10:11")):
+            assert main([command, *own_argv, flag, value]) == 1
+            assert f"unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
 
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

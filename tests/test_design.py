@@ -9,7 +9,6 @@ from pillar_qed import (
     DesignPoint,
     SystemParams,
     apply_background,
-    interface_feasible,
     max_conditional_phase,
     reflection_amplitude,
     relative_phase,
@@ -302,11 +301,9 @@ class TestSweep:
 
         as_built, redesigned = points
         assert not as_built.feasible
-        assert not interface_feasible(as_built)
         assert as_built.max_conditional_phase == pytest.approx(COND_MAX_INTRINSIC, abs=1e-6)
 
         assert redesigned.feasible
-        assert interface_feasible(redesigned)
         assert redesigned.max_conditional_phase == pytest.approx(np.pi, abs=1e-6)
         assert redesigned.on_resonance_reflectivity == pytest.approx(0.1888210545, abs=1e-9)
         assert redesigned.on_resonance_reflectivity == pytest.approx(0.19, abs=0.03)
@@ -746,7 +743,7 @@ class TestDesignPoint:
         half_pi = 0.5 * np.pi
         for magnitude, feasible in [(0.0, False), (half_pi, False), (np.nextafter(half_pi, 4.0), True), (np.pi, True)]:
             point = DesignPoint(p, magnitude, WC, 0.5)
-            assert point.feasible is feasible and interface_feasible(point) is feasible
+            assert point.feasible is feasible
 
 
 def padded_stack(polys, dtype=float):

@@ -242,6 +242,18 @@ class TestInferBackground:
         with pytest.raises(NoSolutionError):
             infer_background_fraction(0.45, empty_params)
 
+    def test_model_evaluated_once(self, empty_params, monkeypatch):
+        # the summary report's inversion: each bisection step only re-mixes
+        # the background into one amplitude
+        import pillar_qed.scattering as scattering
+
+        calls = []
+        response = scattering._response
+        monkeypatch.setattr(scattering, "_response", lambda *args: calls.append(1) or response(*args))
+        grid = np.linspace(empty_params.omega_c - 100.0, empty_params.omega_c + 100.0, 20001)
+        assert infer_background_fraction(0.15, empty_params, grid=grid) == 0.026808261844529627
+        assert len(calls) == 1
+
     def test_rejects_degenerate_observations(self, empty_params):
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
@@ -283,6 +295,11 @@ class TestCalibration:
 
 
 class TestReferenceArm:
+    def test_quadrature_offset_gives_zero_bias_exactly(self):
+        rng = np.random.default_rng(11)
+        betas = rng.uniform(1e-3, 1.0, 2000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000))
+        assert all(ReferenceArm(beta, quadrature_offset(beta)).bias == 0.0 for beta in betas)
+
     def test_invalid_magnitudes(self):
         with pytest.raises(ValueError):
             ReferenceArm(beta=0.0)

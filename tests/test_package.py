@@ -28,7 +28,6 @@ PUBLIC_NAMES = {
     "fit",
     "fringe_phase",
     "infer_background_fraction",
-    "interface_feasible",
     "make_guess",
     "max_conditional_phase",
     "measured_intensity",
@@ -91,7 +90,7 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         pillar_qed.no_such_name
     assert not hasattr(pillar_qed, "_SystemParams")
-    for deleted in ("phase", "estimate_g_from_splitting", "energies_at"):
+    for deleted in ("phase", "estimate_g_from_splitting", "energies_at", "interface_feasible"):
         with pytest.raises(AttributeError, match=deleted):
             getattr(pillar_qed, deleted)
     from pillar_qed import design

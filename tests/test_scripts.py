@@ -146,6 +146,16 @@ def test_cli_outputs_tree(tmp_path):
     assert digests == CLI_OUTPUT_DIGESTS, _digest_diagnosis(digests)
 
 
+def test_cli_outputs_refuses_a_used_outdir(tmp_path):
+    # a rerun into an old tree would keep the files a change stopped writing
+    (tmp_path / "tree").mkdir()
+    (tmp_path / "tree" / "stale.csv").write_text("x\n")
+    done = run_script("cli_outputs.py", str(tmp_path / "tree"), cwd=tmp_path)
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1 and "is not empty" in done.stderr
+    assert [p.name for p in (tmp_path / "tree").iterdir()] == ["stale.csv"]
+
+
 # numpy's CPU dispatch targets enabled where the digests above were recorded.
 # Some of numpy's SIMD loops (arcsin, arctan2) and OpenBLAS's kernels round
 # otherwise on other CPUs, so a machine without them may write other bytes.
