@@ -117,7 +117,7 @@ def cmd_fit(args, cfg, out):
         "residual_norm": result.residual_norm,
         "covariance_condition": result.covariance_condition,
         **result.params,
-        **{f"std_error_{name}": result.std_errors[name] for name in result.free},
+        **{f"std_error_{name}": error for name, error in result.std_errors.items()},
     }
     _write(out / "fit_report.txt", io.write_report, report)
 

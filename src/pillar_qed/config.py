@@ -2,8 +2,8 @@
 
 Energies accept an optional ``ueV``/``μeV``/``meV``/``eV`` suffix, spelled
 exactly so, and are stored in ueV. Grids and lists use ``START:STOP:N``
-(inclusive linspace) or comma values, all finite. Command-line flags
-override file values which override the defaults below.
+(inclusive linspace) or comma values, all finite. ``--set`` overrides
+file values which override the defaults below.
 """
 
 from __future__ import annotations
@@ -148,6 +148,8 @@ class RunConfig:
                 if key not in DEFAULTS:
                     raise ConfigError(f"unknown config key {key!r}")
                 raw[key] = str(value)
+                if any(c in raw[key] for c in "\n\r#"):  # scan_config.txt could not hold it
+                    raise ConfigError(f"{key}: value must not contain a line break or '#', got {raw[key]!r}")
         cfg = cls(raw)
         if not (0.0 <= cfg.background < 1.0):
             raise ConfigError(f"background must be in [0, 1), got {cfg.background}")

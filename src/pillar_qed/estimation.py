@@ -122,7 +122,11 @@ class FitProblem:
 @dataclass
 class FitResult:
     """Recovered parameters and convergence diagnostics; ``residual_norm``
-    is the sum of squared residuals at ``params``, not its square root."""
+    is the sum of squared residuals at ``params``, not its square root, and
+    ``std_errors`` is keyed by the free parameters in ``FitProblem.free`` order.
+    ``converged`` means only that the LM stopped on ``gradient``,
+    ``cost_stall`` or ``no_improvement`` rather than ``max_iterations``, not
+    that the model explains the data: a wrong basin can report it."""
 
     params: dict
     residual_norm: float
@@ -131,7 +135,6 @@ class FitResult:
     reason: str
     std_errors: dict
     covariance_condition: float
-    free: tuple
 
 
 def residuals(params, problem: FitProblem) -> np.ndarray:
@@ -226,32 +229,23 @@ def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> Fi
     """
     fun, x0, bounds, full = _free_residuals(problem, problem.guess)
     res = leastsq.levenberg_marquardt(fun, x0, bounds=bounds, max_iterations=max_iterations)
-    params = dict(zip(PARAM_NAMES, full(res.x).tolist()))
-    std_errors, condition = _std_errors(res.jacobian, res.residuals, res.x, bounds, problem.free)
-    return FitResult(
-        params=params,
-        residual_norm=res.cost,
-        iterations=res.iterations,
-        converged=res.converged,
-        reason=res.reason,
-        std_errors=std_errors,
-        covariance_condition=condition,
-        free=problem.free,
-    )
+    return FitResult(params=dict(zip(PARAM_NAMES, full(res.x).tolist())), **_assess(problem, res, bounds))
 
 
-def _std_errors(jacobian, resid, x, bounds, free):
-    """Standard errors of the free parameters and the condition of J^T J.
+def _assess(problem: FitProblem, res: leastsq.LeastSquaresResult, bounds) -> dict:
+    """Every :class:`FitResult` field but ``params``, from the LM's final
+    state ``res`` alone: no model is evaluated.
 
-    ``jacobian``, ``x`` and ``bounds`` are in the free coordinates of
-    :func:`_free_residuals`. The inverse (floor-damped) normal equations
-    are scaled by the residual variance over ``resid.size - len(free)``
-    degrees of freedom; a background error is mapped back from s to
-    b = s^2 as 2 s sigma_s. Parameters sitting on a bound are flagged
-    infinite.
+    ``res`` and ``bounds`` are in the free coordinates of
+    :func:`_free_residuals`. The standard errors come from the inverse
+    (floor-damped) normal equations scaled by the residual variance,
+    ``res.cost`` over ``res.residuals.size - len(problem.free)`` degrees of
+    freedom; a background error is mapped back from s to b = s^2 as
+    2 s sigma_s. Parameters sitting on a bound are flagged infinite.
     """
-    jtj, diag = leastsq._normal_equations(jacobian)
-    sigma2 = float(resid @ resid) / max(resid.size - len(free), 1)
+    free, x = problem.free, res.x
+    jtj, diag = leastsq._normal_equations(res.jacobian)
+    sigma2 = res.cost / max(res.residuals.size - len(free), 1)
     try:
         cov = sigma2 * np.linalg.inv(jtj + 1e-12 * np.diag(diag))
         errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -273,4 +267,5 @@ def _std_errors(jacobian, resid, x, bounds, free):
             std[name] = float(errors[k])
     if at_bound:
         warnings.warn(f"parameters at bounds, errors flagged infinite: {at_bound}")
-    return std, condition
+    return dict(residual_norm=res.cost, iterations=res.iterations, converged=res.converged, reason=res.reason,
+                std_errors=std, covariance_condition=condition)

@@ -557,6 +557,18 @@ class TestErrorBoundary:
         if "qd_slope=1e300" in argv:  # a float, not its numpy repr
             assert err.endswith("got inf\n")
 
+    @pytest.mark.parametrize(
+        "value", ["g\nkappa_top=5", "g\rkappa_top=5", "g#x"], ids=["newline", "carriage_return", "hash"]
+    )
+    def test_value_scan_config_cannot_hold_exits_1(self, tmp_path, capsys, value):
+        # scan_config.txt splits lines and strips '#': its rerun would read another config
+        out = tmp_path / "out"
+        assert run("scan", "--set", f"fit_free={value}", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"pillar-qed: error: fit_free: value must not contain a line break or '#', got {value!r}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("body", ["", "  \n\t\n\n"], ids=["header_only", "whitespace_body"])
     @pytest.mark.parametrize("command, header", [("fit", SPECTRUM_HEADER), ("phase", CHANNELS_HEADER)], ids=["fit", "phase"])
     def test_empty_table_exits_1_without_warning(self, tmp_path, capsys, recwarn, command, header, body):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from pillar_qed import (
     residuals,
 )
 from pillar_qed import estimation
-from pillar_qed.estimation import PARAM_NAMES, _free_residuals, _std_errors
+from pillar_qed.estimation import PARAM_NAMES, FitResult, _assess, _free_residuals
 from pillar_qed.scattering import _response
 
 from conftest import DEVICE, central_difference, grid_around, model_steps
@@ -302,10 +304,11 @@ class TestUncertainty:
 
     @staticmethod
     def errors_at(params, problem):
-        """Standard errors from the Jacobian taken at ``params``."""
+        """Standard errors from the Jacobian taken at ``params``: an LM run
+        that stops where it starts."""
         fun, x, bounds, _ = _free_residuals(problem, params)
-        r, jac = fun(x)
-        return _std_errors(jac(), r, x, bounds, problem.free)[0]
+        res = estimation.leastsq.levenberg_marquardt(fun, x, bounds=bounds, max_iterations=0)
+        return _assess(problem, res, bounds)["std_errors"]
 
     def test_cost_stall_errors_taken_at_reported_point(self):
         p = device()
@@ -585,3 +588,44 @@ class TestJacobianReuse:
         x[4] *= 0.9
         assert_same_jacobian(jac(), reference)  # keeps the point it was taken at
         assert_same_jacobian(fun(x)[1](), reference_jacobian(full(x), problem, problem.free_indices()))
+
+
+class TestAssess:
+    """Everything a fit reports beyond its parameters comes from the LM's
+    final state, in one post-fit step."""
+
+    @pytest.mark.parametrize("blocks", ["joint", "two_grids"])
+    def test_no_model_evaluation_after_lm(self, monkeypatch, blocks):
+        problem = bit_problem(blocks, FREE_SETS["rates_background"], 0.3)
+        calls, at_lm_return = [], []
+        lm = estimation.leastsq.levenberg_marquardt
+
+        def counting_response(*args):
+            calls.append(args)
+            return _response(*args)
+
+        def recording_lm(*args, **kwargs):
+            res = lm(*args, **kwargs)
+            at_lm_return.append(len(calls))
+            return res
+
+        monkeypatch.setattr(estimation, "_response", counting_response)
+        monkeypatch.setattr(estimation.leastsq, "levenberg_marquardt", recording_lm)
+        result = fit(problem)
+        assert result.iterations > 2
+        assert len(at_lm_return) == 1 and at_lm_return[0] > 0
+        assert len(calls) == at_lm_return[0]
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    @pytest.mark.parametrize("free", list(FREE_SETS))
+    def test_std_errors_keyed_in_free_order(self, free, order, recwarn):
+        names = FREE_SETS[free] if order == "forward" else FREE_SETS[free][::-1]
+        problem = bit_problem("joint", names, 0.3 if "background" in names else 0.0)
+        result = fit(problem)
+        assert not recwarn.list  # no parameter at a bound
+        assert list(result.std_errors) == list(problem.free) == list(names)
+
+    def test_fit_result_fields(self):
+        assert [f.name for f in dataclasses.fields(FitResult)] == [
+            "params", "residual_norm", "iterations", "converged", "reason", "std_errors", "covariance_condition",
+        ]
