@@ -150,9 +150,9 @@ def cmd_scan(args, cfg, out):
         if name in files:
             raise ConfigError(f"temperatures {files[name]!r} K and {t!r} K both write {name}")
         files[name] = t
-    p = cfg.system_params()
-    bg = cfg.background_model()
-    scan = tuning.synthesize_scan(p, cfg.tuning_model(), cfg.temperatures, cfg.grid, bg)
+    model = tuning.TuningModel(qd_slope=cfg.qd_slope, cavity_slope=cfg.cavity_slope, qd_ref=cfg.qd_ref,
+                               cavity_ref=cfg.cavity_ref, t_ref=cfg.t_ref, t_min=cfg.t_min, t_max=cfg.t_max)
+    scan = tuning.synthesize_scan(cfg.system_params(), model, cfg.temperatures, cfg.grid, cfg.background_model())
 
     entries = list(zip(scan.temperatures, files))
     for (_, name), spectrum in zip(entries, scan.spectra):

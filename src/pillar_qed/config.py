@@ -8,7 +8,6 @@ file values which override the defaults below.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -19,7 +18,6 @@ from .scattering import PARAM_FIELDS, BackgroundModel, SystemParams
 
 if TYPE_CHECKING:
     from .interferometer import ReferenceArm
-    from .tuning import TuningModel
 
 __all__ = ["ConfigError", "RunConfig", "load_config_file", "parse_energy", "parse_grid"]
 
@@ -171,9 +169,3 @@ class RunConfig:
 
         offset = quadrature_offset(self.beta_mag) if self.sb_offset is None else self.sb_offset
         return ReferenceArm(beta=self.beta_mag, sb_offset=offset)
-
-    def tuning_model(self) -> TuningModel:
-        # imported here so that only the subcommands that tune load tuning
-        from .tuning import TuningModel
-
-        return TuningModel(**{f.name: getattr(self, f.name) for f in fields(TuningModel)})

@@ -63,10 +63,10 @@ class FitProblem:
 
     ``guess`` maps every parameter name to a value; other keys are dropped
     with one warning that names them. Parameters not listed in ``free``
-    stay fixed at their guess. ``bounds`` is computed, not passed in:
-    energies are bounded by the observed scan window, ``kappa_top`` by
-    [1e-6, 1e3] ueV, the other rates by [0, 1e3] ueV and ``background`` by
-    [0, 0.999].
+    stay fixed at their guess. ``free_index`` (the positions of ``free`` in
+    ``PARAM_NAMES``) and ``bounds`` are computed, not passed in: energies
+    are bounded by the observed scan window, ``kappa_top`` by [1e-6, 1e3]
+    ueV, the other rates by [0, 1e3] ueV and ``background`` by [0, 0.999].
     """
 
     guess: dict
@@ -89,6 +89,7 @@ class FitProblem:
             raise ValueError(f"unknown free parameters: {unknown}")
         if len(set(self.free)) != len(self.free):
             raise ValueError(f"free parameters repeat: {list(self.free)}")
+        self.free_index = np.array([PARAM_NAMES.index(n) for n in self.free])
         ignored = [n for n in self.guess if n not in PARAM_NAMES]
         if ignored:
             warnings.warn(f"guess keys that are not fit parameters are ignored: {ignored}", stacklevel=3)
@@ -114,9 +115,6 @@ class FitProblem:
                 raise ValueError(
                     f"guess for {name} ({self.guess[name]}) outside bounds [{lo}, {hi}]"
                 )
-
-    def free_indices(self) -> np.ndarray:
-        return np.array([PARAM_NAMES.index(n) for n in self.free])
 
 
 @dataclass
@@ -144,17 +142,15 @@ def residuals(params, problem: FitProblem) -> np.ndarray:
 
 def _evaluate(vec: np.ndarray, problem: FitProblem):
     """:func:`residuals` at the parameter vector ``vec`` and its model, one
-    ``(response, r, m, |m|^2 or None)`` per grid, for :func:`_jacobian`."""
+    ``(response, r, m, |m|^2)`` per grid, for :func:`_jacobian`."""
     g, kap, ks, gam, wc, wqd, b = vec
     out, models = np.empty(problem.n_residuals), []
     for omega, blocks in problem.grids:
         response = _response(g, kap, ks, gam, wc, wqd, omega)
         r = _reflection(kap, response)
         m = r if b == 0.0 else apply_background(r, BackgroundModel(b))
-        abs2 = None
+        abs2 = np.abs(m) ** 2
         for values, is_phase, rows in blocks:
-            if not is_phase:
-                abs2 = np.abs(m) ** 2
             np.subtract(np.angle(m) if is_phase else abs2, values, out=out[rows])
         models.append((response, r, m, abs2))
     return out, models
@@ -181,7 +177,6 @@ def _jacobian(vec: np.ndarray, models: list, problem: FitProblem, columns) -> np
         for _, is_phase, rows in blocks:
             if is_phase:
                 # np.angle(0) == 0, so the phase is flat where the amplitude vanishes
-                abs2 = np.abs(m) ** 2 if abs2 is None else abs2
                 scale = np.divide(1.0, abs2, out=np.zeros_like(abs2), where=abs2 > 0)
             for j, product in enumerate(products):
                 part, factor = (product.imag, scale) if is_phase else (product.real, 2.0)
@@ -189,8 +184,8 @@ def _jacobian(vec: np.ndarray, models: list, problem: FitProblem, columns) -> np
     return jacobian
 
 
-def _free_residuals(problem: FitProblem, params):
-    """The fit over the free parameters, the rest held at ``params``.
+def _free_residuals(problem: FitProblem):
+    """The fit over the free parameters, started and the rest held at ``problem.guess``.
 
     Returns ``(fun, x0, bounds, full)`` in the free coordinates: the free
     parameter values, except that a free ``background`` b enters as
@@ -198,8 +193,8 @@ def _free_residuals(problem: FitProblem, params):
     ``x``. The admixture s + sqrt(1 - s^2) r has a finite slope at b = 0,
     the default and lower bound, where d/db is infinite.
     """
-    x_full = _as_vector(params)
-    idx = problem.free_indices()
+    x_full = _as_vector(problem.guess)
+    idx = problem.free_index
     root = idx == _BACKGROUND
 
     def free_coordinates(values):
@@ -227,7 +222,7 @@ def fit(problem: FitProblem, max_iterations: int = leastsq.MAX_ITERATIONS) -> Fi
     Deterministic: identical problems give bit-identical results. Non-
     convergence is reported through the ``converged`` flag, never raised.
     """
-    fun, x0, bounds, full = _free_residuals(problem, problem.guess)
+    fun, x0, bounds, full = _free_residuals(problem)
     res = leastsq.levenberg_marquardt(fun, x0, bounds=bounds, max_iterations=max_iterations)
     return FitResult(params=dict(zip(PARAM_NAMES, full(res.x).tolist())), **_assess(problem, res, bounds))
 

@@ -99,12 +99,12 @@ def simulate_channels(r, ref: ReferenceArm, omega=0.0) -> ChannelRecord:
     return ChannelRecord(omega=omega, h=h, v=v, d=d, a=a)
 
 
-def _normalized_fringe(rec: ChannelRecord, scale: float):
-    """``(d - a) / (scale * sqrt(h*v))``, clamped to [-1, 1] with one warning
-    that counts the rows beyond 1 + 1e-9."""
+def _normalized_fringe(rec: ChannelRecord):
+    """``(d - a) / (2*sqrt(h*v))``, clamped to [-1, 1] with one warning that
+    counts the rows beyond 1 + 1e-9, which no consistent record has."""
     if np.any(np.asarray(rec.h) <= 0) or np.any(np.asarray(rec.v) <= 0):
         raise ValueError("phase extraction requires h > 0 and v > 0")
-    s = (rec.d - rec.a) / (scale * np.sqrt(rec.h * rec.v))
+    s = (rec.d - rec.a) / (2.0 * np.sqrt(rec.h * rec.v))
     over = np.abs(s) - 1.0
     clamped = np.count_nonzero(over > _CLAMP_TOL)
     if clamped:
@@ -123,20 +123,24 @@ def extract_phase(rec: ChannelRecord, ref: ReferenceArm):
     true phases in (-pi/2, pi/2); inconsistent records (normalized fringe
     beyond 1 + 1e-9) are clamped with a warning.
     """
-    return np.arcsin(_normalized_fringe(rec, 2.0)) - ref.bias
+    return np.arcsin(_normalized_fringe(rec)) - ref.bias
 
 
 def fringe_phase(rec: ChannelRecord):
     """Fringe phase normalized by the monitor channels alone.
 
     Returns ``asin((d - a) / sqrt(h*v))``, the convention in which the
-    difference channel is read as sqrt(h*v)*sin(phi). Because the physical
-    fringe amplitude of the ideal 50:50 analysis is 2*sqrt(h*v), this
-    equals asin(2*sin(phi_true)) for a quadrature-calibrated reference,
-    about twice the true reflection phase for small angles. Conditional
+    difference channel is read as sqrt(h*v)*sin(phi). The physical fringe
+    amplitude of the ideal 50:50 analysis is 2*sqrt(h*v), so this is
+    asin(2*sin(phi_true)) for a quadrature-calibrated reference, about
+    twice the true phase for small angles, and saturates at +-pi/2 for
+    |phi_true| >= pi/6, with one warning that counts those rows. Conditional
     phase shifts quoted from fringe readouts use this convention.
     """
-    return np.arcsin(_normalized_fringe(rec, 1.0))
+    fringe = 2.0 * _normalized_fringe(rec)  # doubling is exact
+    if saturated := np.count_nonzero(np.abs(fringe) - 1.0 > _CLAMP_TOL):
+        warnings.warn(f"fringe phase saturated: {saturated} channel rows lie beyond |phi| = pi/6, read as +-pi/2")
+    return np.arcsin(np.clip(fringe, -1.0, 1.0))
 
 
 def conditional_fringe_phase(r_coupled, r_empty, ref: ReferenceArm):

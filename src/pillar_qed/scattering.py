@@ -228,12 +228,6 @@ def _reflection(kappa_top, response):
     return 1.0 - kappa_top * n / den
 
 
-def _amplitude(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega):
-    """Raw reflection amplitude without parameter validation, for scalar
-    parameters and a scalar or ndarray ``omega``."""
-    return _reflection(kappa_top, _response(g, kappa_top, kappa_side, gamma, omega_c, omega_qd, omega))
-
-
 def _amplitude_partials(g, kappa_top, response, columns):
     """Closed-form partial derivatives of :func:`_reflection`.
 
@@ -246,7 +240,7 @@ def _amplitude_partials(g, kappa_top, response, columns):
     zeros for g == 0.
 
     Raises :class:`DegenerateModelError` where the response is not exact
-    (also where :func:`_amplitude` has a value, at an underflowing g * g
+    (also where :func:`_reflection` has a value, at an underflowing g * g
     beside d_qd = 0) and where D^2 underflows: the derivatives are
     unbounded there, dr/dgamma alone being about kappa_top / g^2.
     """
@@ -303,9 +297,8 @@ def reflection_amplitude(p: SystemParams, omega):
     -------
     complex or ndarray of complex
     """
-    return _amplitude(
-        p.g, p.kappa_top, p.kappa_side, p.gamma, p.omega_c, p.omega_qd, omega
-    )
+    response = _response(p.g, p.kappa_top, p.kappa_side, p.gamma, p.omega_c, p.omega_qd, omega)
+    return _reflection(p.kappa_top, response)
 
 
 def reflectivity(p: SystemParams, omega):

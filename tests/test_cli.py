@@ -511,6 +511,12 @@ class TestErrorBoundary:
             ("fit", "coupled.csv", "--set", "fit_max_iterations=x"),
             # the dot energy overflows to a numpy inf at 1e10 K
             ("scan", "--set", "qd_slope=1e300", "--set", "temperatures=1e10", "--set", "t_max=1e11"),
+            ("synth", "--set", "grid=1:2"),
+            ("synth", "--set", "grid=1:2:x"),
+            ("synth", "--set", "sb_offset=inf"),
+            ("synth", "--set", "background_phase=inf"),
+            ("scan", "--set", "qd_slope=nan"),
+            ("scan", "--set", "t_min=300", "--set", "t_max=4"),
         ],
         ids=[
             "design_kappa_zero",
@@ -538,6 +544,12 @@ class TestErrorBoundary:
             "seed_negative",
             "fit_max_iterations_text",
             "scan_omega_qd_overflow",
+            "grid_two_fields",
+            "grid_count_text",
+            "sb_offset_inf",
+            "background_phase_inf",
+            "qd_slope_nan",
+            "t_window_reversed",
         ],
     )
     def test_invalid_value_exits_1_with_one_line(self, tmp_path, capsys, recwarn, argv):
@@ -556,6 +568,9 @@ class TestErrorBoundary:
                 assert key in err
         if "qd_slope=1e300" in argv:  # a float, not its numpy repr
             assert err.endswith("got inf\n")
+        for flag, message in (("grid=1:2", "grid must be START:STOP:N"), ("grid=1:2:x", "bad grid point count")):
+            if flag in argv:
+                assert message in err
 
     @pytest.mark.parametrize(
         "value", ["g\nkappa_top=5", "g\rkappa_top=5", "g#x"], ids=["newline", "carriage_return", "hash"]
@@ -661,12 +676,16 @@ def _csv_text(draw, header, n_values):
     return header + "\n" + "".join(",".join(map(repr, map(float, row))) + "\n" for row in rows)
 
 
-def _fresh_stderr(*argv):
+def _fresh_stderr(*argv, log_level=None):
     """stderr of ``python -m pillar_qed.cli *argv``, whose logging writes to
-    stderr; the command must exit 0."""
+    stderr, with ``PILLAR_QED_LOG`` unset or set to ``log_level``; the
+    command must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    env.pop("PILLAR_QED_LOG", None)
+    if log_level is not None:
+        env["PILLAR_QED_LOG"] = log_level
     proc = subprocess.run(
-        [sys.executable, "-m", "pillar_qed.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", "pillar_qed.cli", *argv], env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stderr
@@ -863,3 +882,73 @@ class TestSubcommandImports:
         loaded = _modules_loaded_by(["phase", str(tmp_path / "channels_coupled.csv"), "--out", str(tmp_path / "phase")])
         assert "pillar_qed.interferometer" in loaded
         assert not loaded & _NOT_READOUT
+
+
+class TestLogLevel:
+    """``PILLAR_QED_LOG`` sets the level of a fresh interpreter's log; an
+    unknown level falls back to ``warning``."""
+
+    def test_info_logs_the_guideline_rates_and_keeps_the_table(self, tmp_path):
+        err = _fresh_stderr("design", "--out", str(tmp_path / "info"), log_level="info")
+        assert err == "".join(
+            f"INFO pillar_qed.design: kappa={k} matches the kappa/4 ~ g guideline\n" for k in (34, 36, 38, 40)
+        )
+        assert _fresh_stderr("design", "--out", str(tmp_path / "quiet")) == ""
+        assert (tmp_path / "info" / "design.csv").read_bytes() == (tmp_path / "quiet" / "design.csv").read_bytes()
+
+    def test_unknown_level_falls_back_to_warning(self, tmp_path):
+        assert _fresh_stderr("design", "--out", str(tmp_path), log_level="bogus") == ""
+        # a warning still reaches the log at the fallback level
+        assert _fresh_stderr("scan", "--set", "temperatures=1:3:2", "--out", str(tmp_path), log_level="bogus") == (
+            "WARNING pillar_qed.cli: temperature 1.0 K outside validity window [4.0, 300.0] K\n"
+            "WARNING pillar_qed.cli: temperature 3.0 K outside validity window [4.0, 300.0] K\n"
+        )
+
+
+def _run_ok(*argv):
+    """``main(argv)``, raising RuntimeError (not an AssertionError, which the
+    pins below expect) unless it exits 0."""
+    if main(list(argv)) != 0:
+        raise RuntimeError(f"{argv[0]} failed")
+
+
+def _assert_lands_or_says_not_converged(report, truth):
+    """What ROADMAP items 2 and 5 require of a fit: each fitted rate within
+    10% of the truth, or ``converged = false`` in its report."""
+    if report["converged"] == "false":
+        return
+    off = {n: float(report[n]) for n, t in truth.items() if abs(float(report[n]) - t) > 0.1 * t}
+    assert not off, f"converged = {report['converged']} ({report['reason']}) with {off}, truth {truth}"
+
+
+class TestRoadmapPins:
+    """Open ROADMAP items pinned as expected failures. Each asserts what its
+    item requires; the change that mends the item turns its pin into a plain
+    test (``xfail_strict`` fails an unexpected pass)."""
+
+    RATES = {n: DEVICE[n] for n in ("g", "kappa_top", "kappa_side", "gamma")}
+
+    @pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 5")
+    def test_six_parameter_fit_from_a_far_start(self, tmp_path):
+        # reproduced: converged = true, iterations = 25, g = 0.0 and gamma = 0.0
+        _run_ok("synth", "--out", str(tmp_path / "s"), "--set", "noise=0.01", "--set", "seed=3")
+        _run_ok(
+            "fit", str(tmp_path / "s" / "coupled.csv"), "--out", str(tmp_path / "f"), "--allow-nonconverged",
+            "--set", "fit_free=g,kappa_top,kappa_side,gamma,omega_c,omega_qd", "--set", "omega_c=1333570.8",
+            "--set", "omega_qd=1333569.7", "--set", "g=12.2", "--set", "kappa_side=15.4", "--set", "gamma=7.1",
+        )
+        _assert_lands_or_says_not_converged(read_report(tmp_path / "f" / "fit_report.txt"), self.RATES)
+
+    @pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 2")
+    def test_joint_fit_of_an_overcoupled_phase(self, tmp_path):
+        # reproduced: 248 phase rows folded by up to 3.10 rad, then converged = true,
+        # kappa_side = 37.57 and gamma = 3.46 from a start at the truth
+        kappa = ("--set", "kappa_top=37.6")
+        _run_ok("synth", "--out", str(tmp_path / "s"), *kappa)
+        _run_ok("phase", str(tmp_path / "s" / "channels_coupled.csv"), "--out", str(tmp_path / "p"))
+        _run_ok(
+            "fit", str(tmp_path / "s" / "coupled.csv"), "--phase-csv", str(tmp_path / "p" / "phase.csv"),
+            "--out", str(tmp_path / "f"), "--allow-nonconverged", *kappa,
+        )
+        truth = {**self.RATES, "kappa_top": 37.6}
+        _assert_lands_or_says_not_converged(read_report(tmp_path / "f" / "fit_report.txt"), truth)

@@ -104,6 +104,14 @@ class TestResiduals:
         with pytest.raises(ValueError):
             FitProblem(guess=bad, intensity=synthetic_intensity(p))
 
+    def test_incomplete_parameters_refused(self):
+        p = device()
+        with pytest.raises(ValueError, match=r"^missing parameters: \['kappa_top', "):
+            FitProblem(guess={"g": 1.0}, intensity=synthetic_intensity(p))
+        problem = FitProblem(guess=make_guess(p), intensity=synthetic_intensity(p))
+        with pytest.raises(ValueError, match="^parameter vector must have length 7$"):
+            residuals(np.ones(3), problem)
+
     @pytest.mark.parametrize("block", ["intensity", "phase"])
     def test_complex_observed_values_refused(self, block):
         p = device()
@@ -306,7 +314,8 @@ class TestUncertainty:
     def errors_at(params, problem):
         """Standard errors from the Jacobian taken at ``params``: an LM run
         that stops where it starts."""
-        fun, x, bounds, _ = _free_residuals(problem, params)
+        problem = dataclasses.replace(problem, guess=params)
+        fun, x, bounds, _ = _free_residuals(problem)
         res = estimation.leastsq.levenberg_marquardt(fun, x, bounds=bounds, max_iterations=0)
         return _assess(problem, res, bounds)["std_errors"]
 
@@ -387,7 +396,7 @@ class TestResidualJacobian:
             phase=Spectrum(grid, phase + 0.01 * rng.standard_normal(n)),
             free=PARAM_NAMES,
         )
-        fun, x, _, _ = _free_residuals(problem, problem.guess)
+        fun, x, _, _ = _free_residuals(problem)
         numeric = central_difference(lambda y: fun(y)[0], x, model_steps(x))
         return np.max(np.abs(fun(x)[1]() - numeric), axis=0) / np.max(np.abs(numeric), axis=0)
 
@@ -423,7 +432,7 @@ class TestResidualJacobian:
                 phase=Spectrum(grid, phase),
                 free=PARAM_NAMES,
             )
-            fun, x, _, _ = _free_residuals(problem, problem.guess)
+            fun, x, _, _ = _free_residuals(problem)
             jacobian = fun(x)[1]()
             assert np.all(np.isfinite(jacobian))
             assert np.all(jacobian[100] == 0.0)
@@ -439,7 +448,7 @@ class TestResidualJacobian:
         spectrum = synthetic_intensity(p, n=201)
         for blocks in ({"intensity": spectrum}, {"phase": spectrum}, {"intensity": spectrum, "phase": spectrum}):
             problem = FitProblem(guess=make_guess(p), **blocks)
-            fun, x, _, _ = _free_residuals(problem, problem.guess)
+            fun, x, _, _ = _free_residuals(problem)
             jacobian = fun(x)[1]()
             assert jacobian.shape == (len(blocks) * len(spectrum), len(problem.free))
             assert jacobian.flags.f_contiguous and not jacobian.flags.c_contiguous
@@ -491,8 +500,8 @@ class TestJacobianReuse:
     @pytest.mark.parametrize("blocks", ["joint", "two_grids", "intensity", "phase"])
     def test_matches_reference_bit_for_bit(self, blocks, free, background):
         problem = bit_problem(blocks, FREE_SETS[free], background)
-        fun, x, _, full = _free_residuals(problem, problem.guess)
-        reference = reference_jacobian(full(x), problem, problem.free_indices())
+        fun, x, _, full = _free_residuals(problem)
+        reference = reference_jacobian(full(x), problem, problem.free_index)
         r, jac = fun(x)
         assert r.tobytes() == residuals(full(x), problem).tobytes()
         assert_same_jacobian(jac(), reference)
@@ -501,7 +510,7 @@ class TestJacobianReuse:
     def test_fit_jacobians_match_reference(self):
         # every Jacobian of a joint seven-parameter fit, at each point LM asks
         problem = bit_problem("joint", PARAM_NAMES, 0.3)
-        fun, x, _, full = _free_residuals(problem, problem.guess)
+        fun, x, _, full = _free_residuals(problem)
         points = []
 
         def recording_fun(y):
@@ -518,11 +527,11 @@ class TestJacobianReuse:
         estimation.leastsq.levenberg_marquardt(recording_fun, x, max_iterations=4)
         assert len(points) == 5
         for vec, jacobian in points:
-            assert_same_jacobian(jacobian, reference_jacobian(vec, problem, problem.free_indices()))
+            assert_same_jacobian(jacobian, reference_jacobian(vec, problem, problem.free_index))
 
     def test_kept_model_evaluates_no_response(self, monkeypatch):
         problem = bit_problem("two_grids", FREE_SETS["rates"], 0.0)
-        fun, x, _, _ = _free_residuals(problem, problem.guess)
+        fun, x, _, _ = _free_residuals(problem)
         calls = []
 
         def counting_response(*args):
@@ -542,7 +551,7 @@ class TestJacobianReuse:
         # once, never a rejected trial's; every point's callable still forms
         # that point's Jacobian after later evaluations
         problem = bit_problem("joint", FREE_SETS["rates_background"], 0.3)
-        fun, x0, bounds, full = _free_residuals(problem, problem.guess)
+        fun, x0, bounds, full = _free_residuals(problem)
         points, jacs, calls = [], [], []
 
         def counting_fun(x):
@@ -568,26 +577,26 @@ class TestJacobianReuse:
         assert np.array_equal(points[accepted[-1]][0], res.x)
         assert calls == [int(k in accepted) for k in range(len(points))]
         for (x, _), jac in zip(points, jacs):
-            assert_same_jacobian(jac(), reference_jacobian(full(x), problem, problem.free_indices()))
+            assert_same_jacobian(jac(), reference_jacobian(full(x), problem, problem.free_index))
 
     def test_other_point_is_evaluated_afresh(self):
         problem = bit_problem("joint", PARAM_NAMES, 0.3)
-        fun, x, _, full = _free_residuals(problem, problem.guess)
+        fun, x, _, full = _free_residuals(problem)
         y = x * 1.01
         _, jac_x = fun(x)
         _, jac_y = fun(y)
-        assert_same_jacobian(jac_x(), reference_jacobian(full(x), problem, problem.free_indices()))
-        assert_same_jacobian(jac_y(), reference_jacobian(full(y), problem, problem.free_indices()))
+        assert_same_jacobian(jac_x(), reference_jacobian(full(x), problem, problem.free_index))
+        assert_same_jacobian(jac_y(), reference_jacobian(full(y), problem, problem.free_index))
 
     def test_point_mutated_in_place_is_evaluated_afresh(self):
         problem = bit_problem("joint", FREE_SETS["rates_background"], 0.3)
-        fun, x, _, full = _free_residuals(problem, problem.guess)
-        reference = reference_jacobian(full(x), problem, problem.free_indices())
+        fun, x, _, full = _free_residuals(problem)
+        reference = reference_jacobian(full(x), problem, problem.free_index)
         _, jac = fun(x)
         x[0] += 0.5
         x[4] *= 0.9
         assert_same_jacobian(jac(), reference)  # keeps the point it was taken at
-        assert_same_jacobian(fun(x)[1](), reference_jacobian(full(x), problem, problem.free_indices()))
+        assert_same_jacobian(fun(x)[1](), reference_jacobian(full(x), problem, problem.free_index))
 
 
 class TestAssess:
@@ -624,6 +633,19 @@ class TestAssess:
         result = fit(problem)
         assert not recwarn.list  # no parameter at a bound
         assert list(result.std_errors) == list(problem.free) == list(names)
+
+    def test_nan_jacobian_gives_infinite_errors(self):
+        problem = bit_problem("joint", FREE_SETS["rates"], 0.0, n=51)
+        x = np.array([problem.guess[n] for n in problem.free])
+        res = estimation.leastsq.LeastSquaresResult(
+            x=x, cost=1.0, residuals=np.zeros(problem.n_residuals),
+            jacobian=np.full((problem.n_residuals, x.size), np.nan), grad_norm=np.nan,
+            iterations=0, reason="max_iterations",
+        )
+        with np.errstate(invalid="ignore"):
+            assessed = _assess(problem, res, (x - 1.0, x + 1.0))
+        assert assessed["std_errors"] == dict.fromkeys(problem.free, np.inf)
+        assert assessed["covariance_condition"] == np.inf
 
     def test_fit_result_fields(self):
         assert [f.name for f in dataclasses.fields(FitResult)] == [

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -139,6 +140,38 @@ class TestFringePhase:
         rec = simulate_channels(r, calibrated_ref(0.9))
         expected = np.arcsin(2 * np.sin(np.angle(r)))
         assert fringe_phase(rec) == pytest.approx(expected, abs=1e-9)
+
+    def test_saturation_warns_in_its_own_words(self):
+        # consistent records beyond |phi| = pi/6, where 2 sin(phi) > 1: extract_phase reads them
+        rec = simulate_channels(np.exp(1j * np.array([0.6, 1.2, 0.1])), ZERO_BIAS)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = fringe_phase(rec)
+            assert extract_phase(rec, ZERO_BIAS) == pytest.approx([0.6, 1.2, 0.1], abs=1e-12)
+        assert [str(w.message) for w in caught] == [
+            "fringe phase saturated: 2 channel rows lie beyond |phi| = pi/6, read as +-pi/2"
+        ]
+        assert values[:2].tolist() == [np.pi / 2, np.pi / 2]
+        assert values[2] == pytest.approx(np.arcsin(2 * np.sin(0.1)), abs=1e-12)
+
+    def test_unsaturated_rows_keep_the_monitor_scale_bits(self, device_params):
+        # doubling the physically normalized fringe is exact: the same bits as dividing by sqrt(h*v)
+        grid = grid_around(device_params.omega_c, 100.0, 2001)
+        rec = simulate_channels(reflection_amplitude(device_params, grid), ZERO_BIAS, omega=grid)
+        direct = np.arcsin((rec.d - rec.a) / np.sqrt(rec.h * rec.v))
+        assert fringe_phase(rec).tobytes() == direct.tobytes()
+
+    def test_conditional_fringe_saturates_at_the_redesign_point(self, device_params, empty_params):
+        # kappa_top = 37.6 winds the phase through +-pi: 1302 rows of each readout lie beyond pi/6
+        grid = grid_around(device_params.omega_c, 100.0, 2001)
+        r_d = reflection_amplitude(replace(device_params, kappa_top=37.6), grid)
+        r_c = reflection_amplitude(replace(empty_params, kappa_top=37.6), grid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            conditional_fringe_phase(r_d, r_c, ZERO_BIAS)
+        assert [str(w.message) for w in caught] == 2 * [
+            "fringe phase saturated: 1302 channel rows lie beyond |phi| = pi/6, read as +-pi/2"
+        ]
 
     def test_conditional_fringe_small_angle_doubling(self, device_params, empty_params):
         omega = device_params.omega_c - 6.2

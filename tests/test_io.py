@@ -223,6 +223,12 @@ class TestGridWritersRefuse:
             write_channels_csv(tmp_path / "c.csv", ChannelRecord(np.array([1.0, np.nan, 3.0]), ones, ones, ones, ones))
         assert list(tmp_path.iterdir()) == []
 
+    def test_channel_columns_off_the_grid(self, tmp_path):
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="^channel columns must match the omega grid length$"):
+            write_channels_csv(tmp_path / "c.csv", ChannelRecord(np.array([1.0, 2.0, 3.0]), ones, ones, ones[:2], ones))
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture(params=[0o022, 0o077, 0o002], ids=lambda m: f"umask{m:03o}")
 def umask(request):

@@ -179,6 +179,19 @@ class TestLevenbergMarquardt:
         assert not res.converged
         assert res.reason == "max_iterations"
 
+    def test_crossed_bounds_refused(self):
+        with pytest.raises(ValueError, match="^lower bounds exceed upper bounds$"):
+            levenberg_marquardt(
+                paired(quadratic_residuals, quadratic_jacobian), np.zeros(2), bounds=(np.array([0.0, 1.0]), np.zeros(2))
+            )
+
+    def test_non_finite_start_refused(self):
+        def nan_residuals(x):
+            return np.where(T_LINEAR > 0.5, np.nan, quadratic_residuals(x))
+
+        with pytest.raises(ValueError, match="^residuals are not finite at the starting point$"):
+            levenberg_marquardt(paired(nan_residuals, quadratic_jacobian), np.zeros(2))
+
     def test_singular_normal_equations_handled(self):
         # duplicated parameter makes J^T J exactly singular
         t = np.linspace(0, 1, 10)

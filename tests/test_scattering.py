@@ -21,7 +21,6 @@ from pillar_qed import (
 )
 from pillar_qed.scattering import (
     DegenerateModelError,
-    _amplitude,
     _amplitude_partials,
     _reflection,
     _response,
@@ -123,10 +122,11 @@ class TestReflectionAmplitude:
         assert reflection_amplitude(p, np.array([1333599.0]))[0] == empty
 
     def test_degenerate_denominator_guard(self):
+        # through the model's own steps, which take the kappa_top = 0 that SystemParams refuses
         with pytest.raises(DegenerateModelError):
-            _amplitude(0.0, 0.0, 0.0, 0.0, 1000.0, 1000.0, 1000.0)
+            _reflection(0.0, _response(0.0, 0.0, 0.0, 0.0, 1000.0, 1000.0, 1000.0))
         with pytest.raises(DegenerateModelError):
-            _amplitude(0.0, 1e-320, 0.0, 0.0, 1000.0, 1000.0, 1000.0)
+            _reflection(1e-320, _response(0.0, 1e-320, 0.0, 0.0, 1000.0, 1000.0, 1000.0))
 
     def test_polynomial_coefficients_reproduce_amplitude(self):
         """The conditional phase's polynomials give the amplitudes' ratio:
@@ -148,7 +148,8 @@ class TestReflectionAmplitude:
             assert p.shape == (1, 4) and eps.shape == (1,)
             g, kap, ks, gam, wc, wqd = row
             omega = wc + rng.uniform(-200.0, 200.0, size=64)
-            r_d, r_c = _amplitude(g, kap, ks, gam, wc, wqd, omega), _amplitude(0.0, kap, ks, gam, wc, wqd, omega)
+            r_d = reflection_amplitude(SystemParams(*row), omega)
+            r_c = reflection_amplitude(SystemParams(0.0, *row[1:]), omega)
             if bg is not None:
                 r_d, r_c = apply_background(r_d, bg), apply_background(r_c, bg)
             ratio = 1.0 + eps / _polyval(p, (omega - wc) / (kap + ks))
@@ -166,9 +167,10 @@ class TestReflectionAmplitude:
             omega = grid_around(1333596.0, 100.0, 2001)
             x = np.array([g, kap, ks, gam, wc, wqd])
             response = _response(*x, omega)
-            assert np.array_equal(_reflection(kap, response), _amplitude(*x, omega))
+            assert np.array_equal(_reflection(kap, response), reflection_amplitude(SystemParams(*x), omega))
             dr = np.array(_amplitude_partials(g, kap, response, range(6)))
-            numeric = central_difference(lambda y: _amplitude(*y, omega), x, model_steps(x))
+            # the g column steps below g = 0 when g == 0, where SystemParams refuses
+            numeric = central_difference(lambda y: _reflection(y[1], _response(*y, omega)), x, model_steps(x))
             scale = np.max(np.abs(numeric), axis=0)
             worst = np.maximum(worst, np.max(np.abs(dr.T - numeric), axis=0) / np.where(scale > 0, scale, 1.0))
         assert np.all(worst <= 1e-7)  # measured: at most 1.4e-8 (gamma)
@@ -187,14 +189,15 @@ class TestReflectionAmplitude:
                     assert _bits(d) == _bits(every[k]), (columns, k)
 
     def test_partials_refuse_the_underflowing_coupling(self):
-        # _amplitude has a value here (r = 1 at the dark point), but
+        # the amplitude has a value here (r = 1 at the dark point), but
         # dr/dgamma ~ kappa_top / g^2 is unbounded
         x = (1e-200, 1.0, 0.0, 0.0, 1000.0, 1000.0)
         with pytest.raises(DegenerateModelError, match="derivatives unbounded"):
             all_partials(*x, np.array([999.0, 1000.0]))
         for omega in (999.0, np.array([999.0, 1001.0])):
             assert len(all_partials(*x, omega)) == 6
-            assert np.array_equal(_reflection(x[1], _response(*x, omega)), _amplitude(*x, omega))
+            r = reflection_amplitude(SystemParams(*x), omega)
+            assert np.array_equal(_reflection(x[1], _response(*x, omega)), r)
 
     @pytest.mark.parametrize("omega", [1000.0, np.array([999.0, 1000.0])], ids=["scalar", "array"])
     def test_partials_refuse_an_underflowing_square(self, omega):
@@ -207,8 +210,8 @@ class TestReflectionAmplitude:
     def test_partials_refuse_or_agree_wherever_the_amplitude_returns(self):
         """g and gamma each 0, moderate or down to 1e-320, at and beside the
         dot: the partials raise DegenerateModelError or give six finite
-        partials while the same response gives _amplitude's r, bits and
-        type, and nothing warns."""
+        partials while the same response gives reflection_amplitude's r,
+        bits and type, and nothing warns."""
         rng = np.random.default_rng(29)
 
         def rate():
@@ -224,10 +227,11 @@ class TestReflectionAmplitude:
                 wc = 1000.0 if rng.random() < 0.5 else 1333596.0
                 wqd = wc if rng.random() < 0.5 else wc + rng.uniform(-30.0, 30.0)
                 x = (rate(), rng.uniform(0.05, 100.0), rng.uniform(0.0, 80.0), rate(), wc, wqd)
+                p = SystemParams(*x)
                 beside = np.nextafter(wqd, np.inf)
                 for omega in (wqd, beside, wqd - 1.0, np.array([wqd - 1.0, np.nextafter(wqd, 0.0), wqd, beside])):
                     try:
-                        r = _amplitude(*x, omega)
+                        r = reflection_amplitude(p, omega)
                     except DegenerateModelError:
                         continue
                     checks += 1
@@ -304,7 +308,7 @@ class TestScalarPath:
     def test_underflow_raises_for_scalar_and_array(self, x, message):
         for omega in (1000.0, np.float64(1000.0), np.array([1000.0])):
             with pytest.raises(DegenerateModelError, match=f"^{message} response denominator underflow$"):
-                _amplitude(*x, omega)
+                _reflection(x[1], _response(*x, omega))
 
     def test_principal_angle_branch_edge(self):
         edge = complex(-1.0, -0.0)
@@ -572,3 +576,7 @@ class TestTypes:
             Spectrum(np.array([2.0, 1.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="^omega and values must be one-dimensional$"):
+            Spectrum(np.array([[1.0, 2.0]]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="^omega grid must be finite$"):
+            Spectrum(np.array([1.0, np.inf]), np.array([1.0, 2.0]))
