@@ -123,8 +123,10 @@ class FitResult:
     is the sum of squared residuals at ``params``, not its square root, and
     ``std_errors`` is keyed by the free parameters in ``FitProblem.free`` order.
     ``converged`` means only that the LM stopped on ``gradient``,
-    ``cost_stall`` or ``no_improvement`` rather than ``max_iterations``, not
-    that the model explains the data: a wrong basin can report it."""
+    ``cost_stall`` (also: the Gauss-Newton step predicts a relative decrease
+    of at most ``leastsq.COST_TOL``) or ``no_improvement`` rather than
+    ``max_iterations``, not that the model explains the data: a wrong basin
+    can report it."""
 
     params: dict
     residual_norm: float
@@ -242,6 +244,8 @@ def _assess(problem: FitProblem, res: leastsq.LeastSquaresResult, bounds) -> dic
     jtj, diag = leastsq._normal_equations(res.jacobian)
     sigma2 = res.cost / max(res.residuals.size - len(free), 1)
     try:
+        if not np.all(np.isfinite(jtj)):  # inv would return NaNs, not raise
+            raise np.linalg.LinAlgError("normal equations are not finite")
         cov = sigma2 * np.linalg.inv(jtj + 1e-12 * np.diag(diag))
         errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
         condition = float(np.linalg.cond(jtj))

@@ -3,7 +3,8 @@
 Deterministic by construction: the caller supplies the Jacobian, damping
 updates follow a fixed schedule, the stopping tolerances are the module
 constants below, and no randomness enters anywhere. Accepted steps never
-increase the cost.
+increase the cost. A fit stops once the Gauss-Newton step predicts a relative
+decrease of at most ``COST_TOL`` (MINPACK's test), before any trial there.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class LeastSquaresResult:
     jacobian: np.ndarray
     grad_norm: float
     iterations: int
+    evaluations: int
     reason: str
 
     @property
@@ -63,14 +65,16 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
 
     Convergence:
       * gradient norm below ``GRAD_TOL`` (immediate), or
-      * relative cost decrease below ``COST_TOL`` on ``QUIET_ITERATIONS``
-        successive iterations, or
+      * ``cost_stall``: the floor-damped Gauss-Newton step ``d`` predicts a
+        relative decrease ``J^T r . d`` of at most ``COST_TOL``, or the cost
+        falls by less on ``QUIET_ITERATIONS`` successive iterations, or
       * no damped step improves the cost even at the damping ceiling
         (numerically at an optimum).
 
     Non-convergence within ``max_iterations`` returns ``converged=False``
     with diagnostics rather than raising. The returned ``jacobian`` and
-    ``grad_norm`` are those of the returned ``x``.
+    ``grad_norm`` are those of the returned ``x``; ``evaluations`` counts
+    the calls of ``fun``.
     """
     x = np.asarray(x0, dtype=float)
     if bounds is None:
@@ -81,6 +85,7 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
     x = _clip(x, lower, upper)
 
     r, jac = fun(x)
+    evaluations = 1
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("residuals are not finite at the starting point")
@@ -106,6 +111,13 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
             break
 
         jtj, diag = _normal_equations(jacobian)
+        try:  # the Gauss-Newton step's predicted decrease bounds every damped step's
+            decrement = float(jtr @ np.linalg.solve(jtj + _LAMBDA_FLOOR * np.diag(diag), jtr))
+        except np.linalg.LinAlgError:
+            decrement = np.inf
+        if np.isfinite(decrement) and decrement <= COST_TOL * cost:
+            reason = "cost_stall"
+            break
 
         accepted = False
         while lam <= _LAMBDA_CEIL:
@@ -116,6 +128,7 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
                 continue
             x_try = _clip(x + step, lower, upper)
             r_try, jac_try = fun(x_try)
+            evaluations += 1
             r_try = np.asarray(r_try, dtype=float)
             cost_try = float(r_try @ r_try)
             if cost_try < cost:
@@ -140,5 +153,6 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
         jacobian=jacobian,
         grad_norm=grad_norm,
         iterations=iterations,
+        evaluations=evaluations,
         reason=reason,
     )

@@ -202,3 +202,52 @@ class TestLevenbergMarquardt:
         res = levenberg_marquardt(paired(degenerate, lambda x: np.column_stack([t, t])), np.array([0.0, 0.0]))
         assert res.converged
         assert res.cost < 1e-12
+
+
+def noisy_exponential_residuals(x):
+    # a fixed ripple the model cannot follow: the optimum's cost is not zero
+    return exponential_residuals(x) + 0.01 * np.sin(37.0 * T_EXP)
+
+
+class TestStopOnDecrement:
+    """The LM stops once the Gauss-Newton step predicts a relative decrease
+    of at most COST_TOL, before it evaluates any trial there."""
+
+    def evaluated(self, residuals, x0, **kwargs):
+        points = []
+
+        def fun(x):
+            points.append(x.copy())
+            return residuals(x), lambda: exponential_jacobian(x)
+
+        return levenberg_marquardt(fun, x0, **kwargs), points
+
+    def test_nonzero_residual_fit_stops_at_its_last_evaluation(self):
+        res, points = self.evaluated(noisy_exponential_residuals, np.array([1.0, 1.0, 0.0]))
+        assert res.reason == "cost_stall"
+        assert res.evaluations == len(points) == res.iterations
+        assert np.array_equal(points[-1], res.x)
+
+    def test_zero_residual_fit_still_stops_on_the_gradient(self):
+        # on exact data the decrement is about the cost itself
+        res, _ = self.evaluated(exponential_residuals, np.array([1.0, 1.0, 0.0]))
+        assert res.reason == "gradient"
+
+    def test_restart_at_the_stop_returns_it_unchanged(self):
+        res, _ = self.evaluated(noisy_exponential_residuals, np.array([1.0, 1.0, 0.0]))
+        again, _ = self.evaluated(noisy_exponential_residuals, res.x)
+        assert again.x.tobytes() == res.x.tobytes()
+        assert (again.iterations, again.evaluations, again.reason) == (1, 1, "cost_stall")
+        capped, _ = self.evaluated(noisy_exponential_residuals, res.x, max_iterations=0)
+        assert capped.reason == "max_iterations"
+
+    def test_nan_decrement_is_not_a_stall(self):
+        x0 = np.zeros(2)
+
+        def fun(x):
+            jacobian = np.full((T_LINEAR.size, 2), np.nan) if np.array_equal(x, x0) else quadratic_jacobian(x)
+            return quadratic_residuals(x), lambda: jacobian
+
+        with np.errstate(invalid="ignore"):
+            res = levenberg_marquardt(fun, x0)
+        assert res.reason == "no_improvement"

@@ -64,13 +64,13 @@ CLI_OUTPUT_DIGESTS = {
     "design_uncoupled/design.csv": "3ce1298bf529100c51ee207f46a71ecc7ff522d83ff58c21cf5fd6e18727f241",
     "design_underflow/design.csv": "855bd7761ff813fea53f51adc6659dbe69d303794fbe2b8033ad1f44adf32607",
     "design_wide/design.csv": "bb9991cbb084fd2a671845e11179ca3ac2bee87fdd1825747ccd11e0869bbce4",
-    "fit/fit_report.txt": "13233cb45ab141585cce1452c3acb4f1f880dbc946887ffd45bfb312acfcd5b7",
-    "fit_all_free/fit_report.txt": "98e226ecc6ea337771fc194627892485af006d30475de662eebf8b3ddc9ec093",
+    "fit/fit_report.txt": "16333856ebdf37119566b54efe0c96c740d9f84c4d694c2d7b090137ca94706d",
+    "fit_all_free/fit_report.txt": "9d6645cef44c997c88a8a6e3b0a8623ba083779443ddc9bc75b44ccbfc478933",
     "fit_background/fit_report.txt": "16a3a3af6588c9a0f4eefeb06bb1ca42668fbb571933bd94132c17849c7b8db9",
-    "fit_beta/fit_report.txt": "13233cb45ab141585cce1452c3acb4f1f880dbc946887ffd45bfb312acfcd5b7",
-    "fit_joint/fit_report.txt": "fddeeec69519076bd09fadd323cad32ef27b06635193f6defc7cc356703faaa5",
+    "fit_beta/fit_report.txt": "16333856ebdf37119566b54efe0c96c740d9f84c4d694c2d7b090137ca94706d",
+    "fit_joint/fit_report.txt": "3d4bd3c4c9f2e1670a239e9ce6f9de32bf298e691512a2cc99ebf30e1c9b6187",
     "fit_nonconverged/fit_report.txt": "a6c2129c0eeb3a8a13e7fa6309254e1c2c9edda18665491a8dd71ac5d40fd511",
-    "fit_two_grids/fit_report.txt": "71d9c69b1506d78560c2685d50158905d2e918cb6e7c8d1cd485a93aeaccd3d8",
+    "fit_two_grids/fit_report.txt": "72e93b4d9920142ed4ba55ad9fd4b6dbee3ecce46446113080e45cc95b1f14c3",
     "phase/phase.csv": "cfb8ff656e2a7680bb521c0bf35d9d558bfc11130d560e112d73643916a6c231",
     "phase_coarse/phase.csv": "e12169b5de7a0bfe369e6b2e47c22c0b33bac99c6b45179d2d574b44d2e1a052",
     "phase_edges/phase.csv": "4efc47e97498850424c170438a4aa50607248d1b33d39b12d57ac09cdd296a78",
