@@ -11,8 +11,12 @@ gridded file's floats are formatted in one orjson call on the table as one
 flat vector, whose Ryu digits are ``repr``'s, and each row's last comma
 becomes a newline; a row holding a value that ``repr`` writes with an
 exponent is formatted by ``repr``.
-Gridded files are parsed by numpy's C reader, each field as ``float()`` reads
-it, with no ``#`` comments; the row reader only names the first bad line.
+A channel table in the form written here is parsed by one ``orjson.loads``
+of its body as one flat JSON array, giving ``float()``'s bits. Spectra, and
+any other channel table, are parsed by numpy's C reader, each field as
+``float()`` reads it, with no ``#`` comments: ``fit`` reads only spectra, and
+importing orjson costs it more than the faster parse would save. The row
+reader only names the first bad line.
 Reports and run configs are flat ``key = value`` files in which ``#`` starts
 a comment.
 """
@@ -186,6 +190,35 @@ def _read_grid_table(path, header, n):
     return table
 
 
+def _read_json_table(path, header, n):
+    """The ``n`` float columns of a gridded CSV in the form written here,
+    parsed by one ``orjson.loads`` of the body as a flat JSON array, or None.
+
+    It accepts only bytes the row reader reads to the same table: the exact
+    header line, then lines of ``n`` comma-separated fields of ``0-9+-.eE``,
+    each ending in a newline, with no integer ``-0`` (JSON reads +0) and no
+    :func:`_grid_fault`. There JSON's numbers are a subset of ``float()``'s,
+    which orjson parses to the same bits (``tests/test_io.py`` pins it).
+    """
+    import orjson
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = f"{header}\n".encode()
+    body = data[len(head):]
+    seps = body.translate(None, b"0123456789+-.eE")  # what is left must be the commas and newlines
+    if not (data.startswith(head) and body.endswith(b"\n") and seps == (b"," * (n - 1) + b"\n") * (len(seps) // n)):
+        return None
+    try:
+        values = orjson.loads(b"[" + body[:-1].replace(b"\n", b",") + b"]")
+    except orjson.JSONDecodeError:  # a spelling outside JSON's grammar, or out of range
+        return None
+    table = np.fromiter(values, np.float64, len(values)).reshape(-1, n).T.copy()
+    if not table.all() and (b"-0," in body or b"-0\n" in body):  # only a zero can be a misread -0
+        return None
+    return table if _grid_fault(table) is None else None
+
+
 def _grid_fault(table):
     """``(row, reason)`` of the first row holding a non-finite value or not
     increasing omega, or None."""
@@ -224,7 +257,8 @@ def write_channels_csv(path, rec: ChannelRecord):
 
 
 def read_channels_csv(path) -> ChannelRecord:
-    omega, h, v, d, a = _read_grid_table(path, CHANNELS_HEADER, 5)
+    table = _read_json_table(path, CHANNELS_HEADER, 5)
+    omega, h, v, d, a = _read_grid_table(path, CHANNELS_HEADER, 5) if table is None else table
     return ChannelRecord(omega=omega, h=h, v=v, d=d, a=a)
 
 

@@ -62,6 +62,10 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
     regularizes singular normal equations), so the step interpolates
     between Gauss-Newton and scaled gradient descent. A trial step is
     accepted only if it lowers the cost; otherwise the damping grows.
+    Steps are clipped to ``bounds``. A parameter on a bound that ``-J^T r``
+    points out of is pinned for the iteration: the decrement and every
+    damped step leave out its column, so an optimum on a bound ends in
+    ``cost_stall`` there, not in clipped steps up to ``max_iterations``.
 
     Convergence:
       * gradient norm below ``GRAD_TOL`` (immediate), or
@@ -111,8 +115,11 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
             break
 
         jtj, diag = _normal_equations(jacobian)
+        # a parameter pinned at a bound gets a zero step
+        free = ~(((x <= lower) & (jtr > 0)) | ((x >= upper) & (jtr < 0)))
+        jtj, diag, g = jtj[np.ix_(free, free)], diag[free], jtr[free]
         try:  # the Gauss-Newton step's predicted decrease bounds every damped step's
-            decrement = float(jtr @ np.linalg.solve(jtj + _LAMBDA_FLOOR * np.diag(diag), jtr))
+            decrement = float(g @ np.linalg.solve(jtj + _LAMBDA_FLOOR * np.diag(diag), g))
         except np.linalg.LinAlgError:
             decrement = np.inf
         if np.isfinite(decrement) and decrement <= COST_TOL * cost:
@@ -120,9 +127,10 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
             break
 
         accepted = False
+        step = np.zeros_like(x)
         while lam <= _LAMBDA_CEIL:
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
+                step[free] = np.linalg.solve(jtj + lam * np.diag(diag), -g)
             except np.linalg.LinAlgError:
                 lam *= 2.0
                 continue

@@ -256,6 +256,29 @@ class TestStopOnDecrement:
             assert res.evaluations == len(points) <= self.MAX_EVALUATIONS
             assert np.array_equal(points[-1], res.x)
 
+    def test_background_pinned_at_zero_stops(self):
+        # background-free data: s = sqrt(b) is held at its lower bound, where
+        # clipping the full step crawled through 1307 evaluations
+        problem = bit_problem("joint", FREE_SETS["rates_background"], 0.0)
+        res, points = self.lm(problem)
+        assert res.reason == "cost_stall"
+        assert res.evaluations == len(points) <= self.MAX_EVALUATIONS
+        assert res.x[problem.free.index("background")] == 0.0
+
+    @pytest.mark.parametrize("blocks", ["joint", "intensity", "two_grids"])
+    def test_rate_pinned_by_a_wrong_fixed_background(self, blocks):
+        # background held at 0.24 against a truth of 0.3: kappa_side is
+        # driven to 0; measured 53-89 evaluations, 1308 when the step was
+        # clipped. The stop is a misfit, not a good fit: its cost is 5-6
+        # times that of the same data with the background free, which the
+        # LM's stop reason does not show (ROADMAP item 3's misfit test must)
+        problem = bit_problem(blocks, FREE_SETS["rates"], 0.3)
+        res, _ = self.lm(problem)
+        assert res.evaluations <= 100
+        assert res.x[problem.free.index("kappa_side")] == 0.0
+        honest, _ = self.lm(bit_problem(blocks, FREE_SETS["rates_background"], 0.3))
+        assert res.cost > 4.0 * honest.cost
+
     def test_restart_returns_the_stop_bit_for_bit(self, problems):
         for problem in problems:
             res, _ = self.lm(problem)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import re
@@ -6,6 +7,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,9 @@ from pillar_qed.io import (
     _grid_fault,
     _read_columns,
     _read_grid_table,
+    _read_json_table,
     atomic_write_text,
+    read_channels_csv,
     read_design_csv,
     read_report,
     write_channels_csv,
@@ -356,8 +360,24 @@ def _grid_file(draw, header, n):
 _TABLES = st.sampled_from([(SPECTRUM_HEADER, 2), (CHANNELS_HEADER, 5)])
 
 
+def _json_then_grid(path, header, n):
+    """The read of ``read_channels_csv``: one JSON pass, else the grid reader."""
+    table = _read_json_table(path, header, n)
+    return _read_grid_table(path, header, n) if table is None else table
+
+
+def _channel_row(*fields):
+    return ",".join(fields) + "\n"
+
+
+_FIRST_ROW = _channel_row("1.0", "0.5", "0.5", "0.5", "0.5")
+_SECOND_ROW = _channel_row("2.0", "0.5", "0.5", "0.5", "0.5")
+_CHANNEL_FIELDS = ("omega", "h", "v", "d", "a")
+
+
 class TestGridReaderMatchesRowReader:
-    """The numpy parse of a gridded table gives the row reader's bits or its error."""
+    """The numpy parse of a gridded table, and the JSON parse before it,
+    give the row reader's bits or its error."""
 
     @settings(max_examples=150)
     @given(case=_TABLES.flatmap(lambda t: st.tuples(st.just(t), _grid_file(*t))))
@@ -368,6 +388,26 @@ class TestGridReaderMatchesRowReader:
     @example(case=((SPECTRUM_HEADER, 2), f"{SPECTRUM_HEADER}\n1.0\x1c,0.5\n"))  # whitespace to numpy only
     @example(case=((SPECTRUM_HEADER, 2), f"{SPECTRUM_HEADER}\n1.0\n2.0\n"))
     @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n1.0,0.5,0.5,0.5,0.5,7\n"))
+    # the traps of JSON: an integer -0 reads as +0, and spellings float() and JSON part on
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_channel_row('-0', '-0', '0', '0.5', '-0')}{_SECOND_ROW}"))
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_channel_row('1.0', '0.5', '1e400', '0.5', '0.5')}"))
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_channel_row('1.0', '01', '0.5', '0.5', '0.5')}"))
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_channel_row('1.', '0.5', '0.5', '0.5', '0.5')}"))
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_channel_row('1.0', '0.5', '0.5', '.5', '0.5')}"))
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_channel_row('1.0', '0.5', '0.5', '0.5', '+1')}"))
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_channel_row('1E5', '0.5', '0.5', '0.5', '0.5')}"))
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_channel_row('1.0', '1e+05', '0.5', '0.5', '0.5')}"))
+    # a header of the right length, and an omega that does not increase
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER[:-1]}x\n{_SECOND_ROW}"))
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_SECOND_ROW}{_FIRST_ROW}"))
+    # two ragged rows holding ten fields between them, in both orders
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n1.0,0.5,0.5,0.5\n2.0,0.5,0.5,0.5,0.5,0.5\n"))
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n1.0,0.5,0.5,0.5,0.5,0.5\n2.0,0.5,0.5,0.5\n"))
+    # no last newline: after a whole row, and after a lone field
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_FIRST_ROW}{_SECOND_ROW[:-1]}"))
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_FIRST_ROW}25"))
+    # a blank line between two rows
+    @example(case=((CHANNELS_HEADER, 5), f"{CHANNELS_HEADER}\n{_FIRST_ROW}\n{_SECOND_ROW}"))
     def test_same_bits_or_same_error(self, case):
         (header, n), text = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -376,7 +416,15 @@ class TestGridReaderMatchesRowReader:
                 fh.write(text.encode("utf-8"))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # loadtxt warns on an empty body
-                assert _outcome(_read_grid_table, path, header, n) == _outcome(_row_reader, path, header, n)
+                expected = _outcome(_row_reader, path, header, n)
+                assert _outcome(_read_grid_table, path, header, n) == expected
+                assert _outcome(_json_then_grid, path, header, n) == expected
+
+    def test_integer_negative_zero_reads_negative(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{CHANNELS_HEADER}\n{_channel_row('-0', '-0', '0', '-0.0', '-0e0')}{_SECOND_ROW}", encoding="utf-8")
+        rec = read_channels_csv(path)
+        assert [math.copysign(1.0, getattr(rec, k)[0]) for k in _CHANNEL_FIELDS] == [-1, -1, 1, -1, -1]
 
     def test_clean_table_never_reaches_row_reader(self, tmp_path, monkeypatch):
         omega = GRIDS["extremes"]
@@ -385,3 +433,95 @@ class TestGridReaderMatchesRowReader:
         monkeypatch.setattr(pillar_qed.io, "_read_columns", None)
         table = _read_grid_table(tmp_path / "t.csv", CHANNELS_HEADER, 5)
         assert table.flags.c_contiguous and table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_written_channel_table_takes_the_json_parse(self, tmp_path, monkeypatch, name):
+        # exponent forms, signed zeros and subnormals included; neither
+        # numpy's reader nor the row reader may run
+        omega = GRIDS[name]
+        cols = [_values(omega.size, k) for k in range(1, 5)]
+        path = tmp_path / "t.csv"
+        write_channels_csv(path, ChannelRecord(omega, *cols))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the JSON parse declined a table written here")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        monkeypatch.setattr(pillar_qed.io, "_read_columns", refuse)
+        table = _read_json_table(path, CHANNELS_HEADER, 5)
+        assert table.dtype == np.float64 and table.shape == (5, omega.size) and table.flags.c_contiguous
+        assert table.tobytes() == np.array([omega, *cols]).tobytes()
+        rec = read_channels_csv(path)
+        assert all(getattr(rec, k).tobytes() == row.tobytes() for k, row in zip(_CHANNEL_FIELDS, table))
+
+    def test_crlf_copy_reads_the_same_bits(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path), "--set", "noise=0.01"]) == 0
+        path, crlf = tmp_path / "channels_coupled.csv", tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert _read_json_table(path, CHANNELS_HEADER, 5).shape == (5, 2001)
+        assert _read_json_table(crlf, CHANNELS_HEADER, 5) is None  # read by numpy's reader
+        lf, cr = read_channels_csv(path), read_channels_csv(crlf)
+        assert all(getattr(lf, k).tobytes() == getattr(cr, k).tobytes() for k in _CHANNEL_FIELDS)
+
+
+def _bits(values):
+    return np.fromiter(values, np.float64, len(values)).view(np.uint64)
+
+
+def _random_decimals(rng, count):
+    """Decimals of 1-30 significant digits, as integers, fractions or in
+    exponent form, with exponents near underflow, overflow and 1."""
+    texts = []
+    for _ in range(count):
+        digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 31))))
+        digits = digits.lstrip("0") or "0"
+        sign = "-" if rng.random() < 0.5 else ""
+        point = int(rng.integers(0, len(digits) + 1))
+        mantissa = digits if point in (0, len(digits)) else f"{digits[:point]}.{digits[point:]}"
+        if "." not in mantissa and mantissa != "0" and rng.random() < 0.2:
+            texts.append(sign + mantissa)  # an integer, beyond 2**64 from 20 digits on
+            continue
+        exponent = int(rng.choice([rng.integers(-345, -290), rng.integers(280, 320), rng.integers(-20, 21)]))
+        texts.append(f"{sign}{mantissa}{'eE'[int(rng.integers(2))]}{exponent:+d}")
+    return texts
+
+
+def _midpoints(rng, count):
+    """The exact decimal midpoint of two adjacent doubles, and the decimals
+    one unit above and below it in its last digit."""
+    texts = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        for bits in rng.integers(0, 2**63 - 2**52, count, dtype=np.uint64):  # finite, positive, below the largest
+            x = float(np.uint64(bits).view(np.float64))
+            mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+            unit = decimal.Decimal((0, (1,), mid.as_tuple().exponent))
+            texts += [str(v) for v in (mid, mid + unit, mid - unit)]
+    return texts
+
+
+class TestOrjsonParsesAsFloat:
+    """orjson's number parse gives ``float()``'s bits, the premise of the
+    channel tables' JSON read; only an integer ``-0`` differs, and a
+    number beyond the doubles is refused where ``float()`` gives inf."""
+
+    @pytest.mark.parametrize("family", ["repr_of_bit_patterns", "decimals", "midpoints"])
+    def test_same_bits_as_float(self, family):
+        rng = np.random.default_rng(39)
+        if family == "repr_of_bit_patterns":
+            values = rng.integers(0, 2**64, 100000, dtype=np.uint64, endpoint=False).view(np.float64)
+            texts = [repr(x) for x in values[np.isfinite(values)].tolist()]
+        elif family == "decimals":
+            texts = _random_decimals(rng, 20000)
+        else:
+            texts = _midpoints(rng, 4000)
+        finite = [t for t in texts if math.isfinite(float(t))]
+        assert len(finite) > len(texts) // 2
+        for text in set(texts) - set(finite):
+            with pytest.raises(orjson.JSONDecodeError):
+                orjson.loads(text)
+        parsed = orjson.loads(("[" + ",".join(finite) + "]").encode())
+        assert np.array_equal(_bits(parsed), _bits([float(t) for t in finite]))
+
+    def test_integer_negative_zero_is_the_one_difference(self):
+        assert _bits(orjson.loads(b"[-0,-0.0,-0e0,0]")).tolist() == _bits([0.0, -0.0, -0.0, 0.0]).tolist()

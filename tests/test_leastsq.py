@@ -251,3 +251,39 @@ class TestStopOnDecrement:
         with np.errstate(invalid="ignore"):
             res = levenberg_marquardt(fun, x0)
         assert res.reason == "no_improvement"
+
+
+class TestPinnedAtBound:
+    """A parameter on a bound that the descent direction points out of is
+    held there, and the other parameters are solved without its column."""
+
+    def test_linear_fit_stops_at_the_constrained_optimum(self):
+        # the intercept's optimum, 2, lies beyond its bound 1.5
+        res = levenberg_marquardt(
+            paired(quadratic_residuals, quadratic_jacobian), np.zeros(2), bounds=(np.zeros(2), np.array([1.5, 10.0]))
+        )
+        slope = 3.0 + 0.5 * T_LINEAR.sum() / (T_LINEAR @ T_LINEAR)  # the least-squares slope at intercept 1.5
+        assert res.reason == "cost_stall"
+        assert res.evaluations <= 6  # measured 4; clipping the full step crawled through 1309
+        assert res.x[0] == 1.5
+        assert res.x[1] == pytest.approx(slope, rel=1e-6)  # a relative decrease of COST_TOL moves it by about its root
+
+    def test_nonlinear_fit_matches_scipy_with_its_offset_pinned(self):
+        # the offset's truth, 0.4, lies beyond its bound 0.2
+        bounds = (np.zeros(3), np.array([10.0, 10.0, 0.2]))
+        x0 = np.array([1.0, 1.0, 0.0])
+        res = levenberg_marquardt(paired(exponential_residuals, exponential_jacobian), x0, bounds=bounds)
+        ref = scipy_least_squares(
+            exponential_residuals, x0, jac=exponential_jacobian, bounds=bounds, xtol=1e-15, ftol=1e-15, gtol=1e-15
+        )
+        assert res.reason == "cost_stall"
+        assert res.evaluations <= 32  # measured 26
+        assert res.x[2] == 0.2
+        np.testing.assert_allclose(res.x, ref.x, rtol=1e-6)
+        assert res.cost <= 2.0 * ref.cost * (1 + 1e-12)  # scipy's cost is half the sum of squares
+
+    def test_every_parameter_pinned_stops_without_raising(self):
+        start = np.array([1.5, 2.0])  # both optima lie above: the box's corner is the answer
+        res = levenberg_marquardt(paired(quadratic_residuals, quadratic_jacobian), start, bounds=(np.zeros(2), start))
+        assert (res.reason, res.iterations, res.evaluations) == ("cost_stall", 1, 1)
+        assert res.x.tobytes() == start.tobytes()
