@@ -20,12 +20,12 @@ from pillar_qed import (
     dip_visibility,
     infer_background_fraction,
     max_conditional_phase,
+    measured_intensity,
     polariton_eigenvalues,
     q_factor,
     quadrature_offset,
     rabi_splitting,
     reflection_amplitude,
-    reflectivity,
     sweep_kappa,
 )
 
@@ -42,8 +42,8 @@ def main():
     lo, hi = polariton_eigenvalues(p)
     print(f"dressed energies (ueV)       : {lo.real:.3f}, {hi.real:.3f}")
     print(f"dressed splitting (ueV)      : {rabi_splitting(p):.4f}")
-    print(f"on-resonance reflectivity    : coupled {reflectivity(p, p.omega_c):.4f}, "
-          f"empty {reflectivity(empty, p.omega_c):.4f}")
+    print(f"on-resonance reflectivity    : coupled {measured_intensity(p, p.omega_c):.4f}, "
+          f"empty {measured_intensity(empty, p.omega_c):.4f}")
 
     print("\n== conditional phase ==")
     mag, argmax = max_conditional_phase(p)
@@ -58,7 +58,7 @@ def main():
     print(f"fringe-readout max, b=0.7    : {np.max(np.abs(delta)):.5f} rad")
 
     print("\n== mode-matching background ==")
-    intrinsic = Spectrum(grid, reflectivity(empty, grid))
+    intrinsic = Spectrum(grid, measured_intensity(empty, grid))
     vis = dip_visibility(intrinsic)
     print(f"intrinsic empty-cavity dip visibility : {vis:.4f}")
     observed = 0.15

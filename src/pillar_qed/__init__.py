@@ -50,7 +50,6 @@ _EXPORTS = {
         "q_factor",
         "rabi_splitting",
         "reflection_amplitude",
-        "reflectivity",
     ),
     "tuning": (
         "TemperatureScan",

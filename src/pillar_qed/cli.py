@@ -62,7 +62,7 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         overrides[key] = value
-    return RunConfig.build(file_values, overrides)
+    return RunConfig(file_values, overrides)
 
 
 def _maybe_noisy(values, cfg, rng):

@@ -123,24 +123,14 @@ def load_config_file(path) -> dict:
 class RunConfig:
     """Typed, validated run configuration: one attribute per key of ``DEFAULTS``.
 
-    An ``auto`` ``cavity_ref`` is ``omega_c``; an ``auto`` ``qd_ref`` is
-    ``cavity_ref + 14`` ueV. ``raw`` keeps the merged key texts.
+    Built from the defaults, the config file's key texts and the ``--set``
+    overrides, later sources winning; ``raw`` keeps the merged texts. An
+    ``auto`` ``cavity_ref`` is ``omega_c``; an ``auto`` ``qd_ref`` is
+    ``cavity_ref + 14`` ueV. A bad key or value raises :class:`ConfigError`.
     """
 
-    def __init__(self, raw: dict):
-        self.raw = raw
-        for key, (_, parse) in _KEYS.items():
-            try:
-                setattr(self, key, parse(raw[key]))
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-        self.cavity_ref = self.omega_c if self.cavity_ref is None else self.cavity_ref
-        self.qd_ref = self.cavity_ref + 14.0 if self.qd_ref is None else self.qd_ref
-
-    @classmethod
-    def build(cls, file_values: dict | None = None, overrides: dict | None = None):
-        """Merge defaults, file values and ``--set`` overrides (overrides win)."""
-        raw = dict(DEFAULTS)
+    def __init__(self, file_values: dict | None = None, overrides: dict | None = None):
+        self.raw = raw = dict(DEFAULTS)
         for source in (file_values or {}), (overrides or {}):
             for key, value in source.items():
                 if key not in DEFAULTS:
@@ -148,15 +138,20 @@ class RunConfig:
                 raw[key] = str(value)
                 if any(c in raw[key] for c in "\n\r#"):  # scan_config.txt could not hold it
                     raise ConfigError(f"{key}: value must not contain a line break or '#', got {raw[key]!r}")
-        cfg = cls(raw)
-        if not (0.0 <= cfg.background < 1.0):
-            raise ConfigError(f"background must be in [0, 1), got {cfg.background}")
-        if not (np.isfinite(cfg.noise) and cfg.noise >= 0):
-            raise ConfigError(f"noise must be finite and >= 0, got {cfg.noise}")
+        for key, (_, parse) in _KEYS.items():
+            try:
+                setattr(self, key, parse(raw[key]))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        self.cavity_ref = self.omega_c if self.cavity_ref is None else self.cavity_ref
+        self.qd_ref = self.cavity_ref + 14.0 if self.qd_ref is None else self.qd_ref
+        if not (0.0 <= self.background < 1.0):
+            raise ConfigError(f"background must be in [0, 1), got {self.background}")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         for key in ("seed", "fit_max_iterations"):
-            if getattr(cfg, key) < 0:
-                raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
-        return cfg
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
 
     def system_params(self) -> SystemParams:
         return SystemParams(**{n: getattr(self, n) for n in PARAM_FIELDS})

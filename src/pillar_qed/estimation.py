@@ -78,9 +78,6 @@ class FitProblem:
         observed = [(s, is_phase) for s, is_phase in ((self.intensity, False), (self.phase, True)) if s is not None]
         if not observed:
             raise ValueError("need at least one observed spectrum")
-        for s, name in ((self.intensity, "intensity"), (self.phase, "phase")):
-            if s is not None and np.iscomplexobj(s.values):
-                raise ValueError(f"observed {name} values must be real, got {s.values.dtype}")
         self.free = tuple(self.free)
         if not self.free:
             raise ValueError("need at least one free parameter")
@@ -246,7 +243,7 @@ def _assess(problem: FitProblem, res: leastsq.LeastSquaresResult, bounds) -> dic
     try:
         if not np.all(np.isfinite(jtj)):  # inv would return NaNs, not raise
             raise np.linalg.LinAlgError("normal equations are not finite")
-        cov = sigma2 * np.linalg.inv(jtj + 1e-12 * np.diag(diag))
+        cov = sigma2 * np.linalg.inv(jtj + leastsq._LAMBDA_FLOOR * np.diag(diag))
         errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
         condition = float(np.linalg.cond(jtj))
     except np.linalg.LinAlgError:

@@ -182,11 +182,10 @@ def dip_visibility(s: Spectrum) -> float:
     """
     if len(s) < 5:
         raise ValueError("visibility needs at least 5 points")
-    values = np.asarray(s.values, dtype=float)
-    baseline = _edge_baseline(values)
+    baseline = _edge_baseline(s.values)
     if baseline <= 0:
         raise ValueError(f"non-positive baseline {baseline}")
-    return 1.0 - float(np.min(values)) / baseline
+    return 1.0 - float(np.min(s.values)) / baseline
 
 
 def infer_background_fraction(

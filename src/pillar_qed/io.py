@@ -3,11 +3,11 @@
 Spectra: header ``omega_ueV,value``; channel tables:
 ``omega_ueV,h,v,d,a``; design tables:
 ``kappa,max_phase_rad,argmax_ueV,refl_on_res,feasible``. All files are
-UTF-8 with LF line endings, floats written as shortest round-trip
-decimals, and writes are atomic (temp file then rename, missing parent
-directories created on demand); a written file gets mode ``0o666`` less
-the umask, as ``open()`` would give it. A
-gridded file's floats are formatted in one orjson call on the table as one
+UTF-8 (an input that is not raises :class:`FileFormatError` naming it) with
+LF line endings, floats written as shortest round-trip decimals, and writes
+are atomic (temp file then rename, missing parent directories created on
+demand); a written file gets mode ``0o666`` less the umask, as ``open()``
+would give it. A gridded file's floats are formatted in one orjson call on the table as one
 flat vector, whose Ryu digits are ``repr``'s, and each row's last comma
 becomes a newline; a row holding a value that ``repr`` writes with an
 exponent is formatted by ``repr``.
@@ -123,10 +123,8 @@ def _format_rows(table) -> str:
 
 def _write_grid_table(path, header, columns):
     """One row per grid point of the equal-length ``columns``, omega first,
-    as shortest round-trip decimals. Complex or non-finite values raise and
-    write nothing."""
-    if any(np.iscomplexobj(c) for c in columns):
-        raise ValueError(f"{path}: values are complex, file not written")
+    as shortest round-trip decimals. Non-finite values raise and write
+    nothing."""
     table = np.asarray(np.column_stack(columns), dtype=np.float64)
     if not np.isfinite(table).all():
         raise DegenerateModelError(f"{path}: values are not finite, file not written")
@@ -137,6 +135,16 @@ def write_spectrum_csv(path, spectrum: Spectrum):
     _write_grid_table(path, SPECTRUM_HEADER, [spectrum.omega, spectrum.values])
 
 
+def _read_text(path) -> str:
+    """A UTF-8 file's text, newlines translated as ``open()`` does; bytes
+    that are not UTF-8 raise :class:`FileFormatError` naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def _read_columns(path, header, parsers):
     """Line numbers and columns of a CSV file's non-blank rows, field k by ``parsers[k]``.
 
@@ -144,21 +152,20 @@ def _read_columns(path, header, parsers):
     input raises :class:`FileFormatError` naming ``path:line``.
     """
     n, linenos, rows = len(parsers), [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first != header:
-            raise FileFormatError(f"{path}: expected header {header!r}, got {first!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            if not (line := raw.strip()):
-                continue
-            parts = line.split(",", n - 1)
-            if len(parts) != n:
-                raise FileFormatError(f"{path}:{lineno}: expected {n} fields")
-            try:
-                rows.append([parse(part) for parse, part in zip(parsers, parts)])
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-            linenos.append(lineno)
+    first, *lines = _read_text(path).split("\n")
+    if first.strip() != header:
+        raise FileFormatError(f"{path}: expected header {header!r}, got {first.strip()!r}")
+    for lineno, raw in enumerate(lines, start=2):
+        if not (line := raw.strip()):
+            continue
+        parts = line.split(",", n - 1)
+        if len(parts) != n:
+            raise FileFormatError(f"{path}:{lineno}: expected {n} fields")
+        try:
+            rows.append([parse(part) for parse, part in zip(parsers, parts)])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        linenos.append(lineno)
     if not rows:
         raise FileFormatError(f"{path}: no data rows")
     return linenos, [list(column) for column in zip(*rows)]
@@ -171,8 +178,7 @@ def _read_grid_table(path, header, n):
     ``np.loadtxt`` rejects the body or a check fails, :func:`_read_columns`
     reads the file again to name the first bad row as ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first, _, body = fh.read().partition("\n")
+    first, _, body = _read_text(path).partition("\n")
     # loadtxt warns on a blank body, and reads \x1c-\x1f as whitespace where float() does not
     if first.strip() == header and body.strip() and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
         try:
@@ -297,9 +303,7 @@ def _key_values(path):
     """``(line, key, value)`` of each non-blank line of a ``key = value``
     file; ``#`` starts a comment, and a line without ``=`` raises
     :class:`FileFormatError` naming ``path:line``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = list(enumerate(fh, start=1))
-    for lineno, raw in lines:
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         if not (line := raw.split("#", 1)[0].strip()):
             continue
         if "=" not in line:

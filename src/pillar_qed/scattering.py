@@ -23,7 +23,6 @@ __all__ = [
     "BackgroundModel",
     "ChannelRecord",
     "reflection_amplitude",
-    "reflectivity",
     "apply_background",
     "measured_intensity",
     "polariton_eigenvalues",
@@ -105,14 +104,18 @@ PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered frequency grid with one real or complex value per point."""
+    """Ordered frequency grid with one real value per point, both stored as
+    float64 arrays. Complex values raise ``ValueError`` when the spectrum is
+    built, so no reader of a spectrum checks for them."""
 
     omega: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
-        values = np.asarray(self.values)
+        if np.iscomplexobj(self.values):
+            raise ValueError("spectrum values must be real, got complex values")
+        values = np.asarray(self.values, dtype=float)
         if omega.ndim != 1 or values.ndim != 1:
             raise ValueError("omega and values must be one-dimensional")
         if omega.size != values.size:
@@ -155,7 +158,9 @@ class ChannelRecord:
     """Detector intensities at one probe energy (or arrays over a grid).
 
     Normalization: a far-detuned unit signal gives h = 1 when the
-    background is absent.
+    background is absent. Every field must be real and every channel
+    non-negative; either fault raises ``ValueError`` when the record is
+    built. The fields are stored as given.
     """
 
     omega: float
@@ -165,8 +170,11 @@ class ChannelRecord:
     a: float
 
     def __post_init__(self):
-        for name in ("h", "v", "d", "a"):
-            if np.any(np.asarray(getattr(self, name)) < 0):
+        for name in ("omega", "h", "v", "d", "a"):
+            value = getattr(self, name)
+            if np.iscomplexobj(value):
+                raise ValueError(f"channel {name} must be real, got complex values")
+            if name != "omega" and np.any(np.asarray(value) < 0):
                 raise ValueError(f"channel {name} must be non-negative")
 
 
@@ -301,11 +309,6 @@ def reflection_amplitude(p: SystemParams, omega):
     return _reflection(p.kappa_top, response)
 
 
-def reflectivity(p: SystemParams, omega):
-    """|r(omega)|^2, a fraction in [0, 1] for any passive parameter set."""
-    return measured_intensity(p, omega)
-
-
 def apply_background(r, bg: BackgroundModel):
     """Mix a coherent, frequency-flat background field into ``r``.
 
@@ -316,7 +319,8 @@ def apply_background(r, bg: BackgroundModel):
 
 
 def measured_intensity(p: SystemParams, omega, bg: BackgroundModel | None = None):
-    """Recorded intensity |sqrt(b)*e^{i*phase} + sqrt(1-b)*r(omega)|^2."""
+    """Recorded intensity |sqrt(b)*e^{i*phase} + sqrt(1-b)*r(omega)|^2; without
+    ``bg``, the reflectivity |r(omega)|^2, in [0, 1] for any passive parameters."""
     r = reflection_amplitude(p, omega=omega)
     if bg is not None:
         r = apply_background(r, bg)

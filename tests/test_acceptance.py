@@ -28,11 +28,11 @@ from pillar_qed import (
     fit,
     fringe_phase,
     make_guess,
+    measured_intensity,
     q_factor,
     quadrature_offset,
     rabi_splitting,
     reflection_amplitude,
-    reflectivity,
     relative_phase,
     scan_dip_positions,
     simulate_channels,
@@ -109,7 +109,7 @@ def test_criterion_4_fit_round_trip():
     start = time.perf_counter()
     p = device()
     grid = np.linspace(WC - 100.0, WC + 100.0, 2001)
-    clean = Spectrum(grid, reflectivity(p, grid))
+    clean = Spectrum(grid, measured_intensity(p, grid))
     truth = make_guess(p)
 
     def perturbed_guess():

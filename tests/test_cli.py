@@ -83,7 +83,7 @@ class TestConfigParsing:
             parse_grid("5,4,3")
 
     def test_defaults_build(self):
-        cfg = RunConfig.build()
+        cfg = RunConfig()
         assert cfg.g == 9.4
         assert cfg.seed == 42
         assert len(cfg.grid) == 2001
@@ -97,7 +97,7 @@ class TestConfigParsing:
         from pillar_qed.config import load_config_file
 
         values = load_config_file(cfg_file)
-        cfg = RunConfig.build(values, {"g": "7.5"})
+        cfg = RunConfig(values, {"g": "7.5"})
         assert cfg.g == 7.5  # flag wins over file
         assert cfg.omega_c == pytest.approx(1333596.0)
 
@@ -609,6 +609,22 @@ class TestErrorBoundary:
         assert run(command, str(path), "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == f"pillar-qed: error: {path}: no data rows\n"
         assert not recwarn.list
+
+    @pytest.mark.parametrize(
+        "command, first_line",
+        [("fit", SPECTRUM_HEADER), ("phase", CHANNELS_HEADER), ("design", "g = 9.4")],
+        ids=["fit_spectrum", "phase_channels", "design_config"],
+    )
+    def test_undecodable_input_names_its_path(self, tmp_path, capsys, recwarn, command, first_line):
+        path = tmp_path / "input"
+        path.write_bytes(f"{first_line}\n".encode() + b"\xff\n")
+        argv = (command, "--config", str(path)) if command == "design" else (command, str(path))
+        assert run(*argv, "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"pillar-qed: error: {path}: 'utf-8' codec can't decode byte 0xff"
+            f" in position {len(first_line) + 1}: invalid start byte\n"
+        )
+        assert not (tmp_path / "out").exists() and not recwarn.list
 
     @pytest.mark.parametrize(
         "argv, message",

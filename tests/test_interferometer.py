@@ -90,6 +90,13 @@ class TestChannels:
         with pytest.raises(ValueError):
             ChannelRecord(omega=0.0, h=-0.1, v=1.0, d=0.5, a=0.4)
 
+    @pytest.mark.parametrize("field", ["omega", "h", "v", "d", "a"])
+    def test_complex_field_rejected(self, field):
+        values = dict(omega=np.arange(3.0), h=np.ones(3), v=np.ones(3), d=np.ones(3), a=np.ones(3))
+        values[field] = values[field] + 0j
+        with pytest.raises(ValueError, match=f"^channel {field} must be real, got complex values$"):
+            ChannelRecord(**values)
+
 
 class TestExtractPhase:
     @given(r=amplitudes(), beta=st.floats(min_value=0.05, max_value=1.0))

@@ -253,6 +253,22 @@ class TestStopOnDecrement:
         assert res.reason == "no_improvement"
 
 
+class TestQuietIterations:
+    def test_cost_stall_after_quiet_iterations(self):
+        """With a Jacobian 1e13 times too large, each accepted step lowers
+        the cost by about 1e-13 of it, while the Gauss-Newton prediction,
+        which does not depend on the Jacobian's scale, stays far above
+        COST_TOL: only QUIET_ITERATIONS such steps in a row stop the fit
+        (without that rule it runs to max_iterations)."""
+        y = 1.0 + 3.0 * T_LINEAR + 0.01 * np.sin(37.0 * T_LINEAR)
+
+        def fun(x):
+            return x[0] + x[1] * T_LINEAR - y, lambda: 1e13 * quadratic_jacobian(x)
+
+        res = levenberg_marquardt(fun, np.zeros(2))
+        assert (res.reason, res.iterations, res.evaluations) == ("cost_stall", 3, 4)
+
+
 class TestPinnedAtBound:
     """A parameter on a bound that the descent direction points out of is
     held there, and the other parameters are solved without its column."""

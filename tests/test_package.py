@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -36,7 +38,6 @@ PUBLIC_NAMES = {
     "quadrature_offset",
     "rabi_splitting",
     "reflection_amplitude",
-    "reflectivity",
     "relative_phase",
     "residuals",
     "scan_dip_positions",
@@ -62,6 +63,19 @@ def test_star_import_binds_the_public_names():
     exec("from pillar_qed import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
     assert set(pillar_qed.__all__) == PUBLIC_NAMES
+
+
+def test_exports_match_the_submodule_lists():
+    """The public surface is declared twice, in ``_EXPORTS`` and in each
+    submodule's ``__all__``: every export is listed in its submodule's
+    ``__all__``, and every ``__all__`` name of every submodule is defined."""
+    for module, names in pillar_qed._EXPORTS.items():
+        missing = set(names) - set(importlib.import_module(f"pillar_qed.{module}").__all__)
+        assert not missing, (module, missing)
+    for info in pkgutil.iter_modules(pillar_qed.__path__):
+        module = importlib.import_module(f"pillar_qed.{info.name}")
+        undefined = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not undefined, (info.name, undefined)
 
 
 def test_bare_import_loads_no_submodule():
@@ -90,7 +104,7 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         pillar_qed.no_such_name
     assert not hasattr(pillar_qed, "_SystemParams")
-    for deleted in ("phase", "estimate_g_from_splitting", "energies_at", "interface_feasible"):
+    for deleted in ("phase", "estimate_g_from_splitting", "energies_at", "interface_feasible", "reflectivity"):
         with pytest.raises(AttributeError, match=deleted):
             getattr(pillar_qed, deleted)
     from pillar_qed import design

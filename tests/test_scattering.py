@@ -12,11 +12,11 @@ from pillar_qed import (
     SystemParams,
     coupling_regime,
     max_conditional_phase,
+    measured_intensity,
     polariton_eigenvalues,
     q_factor,
     rabi_splitting,
     reflection_amplitude,
-    reflectivity,
     relative_phase,
 )
 from pillar_qed.scattering import (
@@ -324,21 +324,21 @@ class TestScalarPath:
 class TestReflectivity:
     def test_critically_coupled_dark_point(self):
         p = SystemParams(g=0.0, kappa_top=5.0, kappa_side=5.0, gamma=1.0, omega_c=1000.0)
-        assert reflectivity(p, 1000.0) == pytest.approx(0.0, abs=1e-30)
+        assert measured_intensity(p, 1000.0) == pytest.approx(0.0, abs=1e-30)
 
     def test_empty_cavity_device_constants(self, empty_params):
-        value = reflectivity(empty_params, empty_params.omega_c)
+        value = measured_intensity(empty_params, empty_params.omega_c)
         assert value == pytest.approx(REFL_EMPTY_ONRES, abs=1e-14)
 
     def test_design_point_twenty_percent(self):
         p = SystemParams(g=9.4, kappa_top=37.6, kappa_side=24.7, gamma=5.0, omega_c=1333596.0)
-        value = reflectivity(p, 1333596.0)
+        value = measured_intensity(p, 1333596.0)
         assert value == pytest.approx(0.1888210545319597, abs=1e-13)
         assert value == pytest.approx(0.19, abs=0.03)
 
     @given(p=system_params(), detuning=st.floats(min_value=-500, max_value=500))
     def test_bounded_by_one(self, p, detuning):
-        value = reflectivity(p, p.omega_c + detuning)
+        value = measured_intensity(p, p.omega_c + detuning)
         assert 0.0 <= value <= 1.0 + 1e-12
 
 
@@ -580,3 +580,7 @@ class TestTypes:
             Spectrum(np.array([[1.0, 2.0]]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="^omega grid must be finite$"):
             Spectrum(np.array([1.0, np.inf]), np.array([1.0, 2.0]))
+        grid = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="^spectrum values must be real, got complex values$"):
+            Spectrum(grid, 1j * grid)
+        assert Spectrum(grid, [3, 4]).values.dtype == np.float64

@@ -14,7 +14,6 @@ from pillar_qed import (
     TuningModel,
     anticrossing_gap,
     measured_intensity,
-    reflectivity,
     scan_dip_positions,
     synthesize_scan,
 )
@@ -182,7 +181,7 @@ class TestAnticrossingGap:
         # zero detuning, one dip on each side
         p = SystemParams(**DEVICE)
         dip = minimize_scalar(
-            lambda d: reflectivity(p, p.omega_c + d),
+            lambda d: measured_intensity(p, p.omega_c + d),
             bounds=(2.0, 30.0),
             method="bounded",
             options={"xatol": 1e-10},
@@ -225,7 +224,7 @@ class TestTemperatureScanType:
 def resonant_dips(p, n=8001, half_span=60.0):
     """The two prominent dips of the reflectivity of ``p`` around omega_c."""
     grid = grid_around(p.omega_c, half_span, n)
-    return _prominent_dips(grid, reflectivity(p, grid))
+    return _prominent_dips(grid, measured_intensity(p, grid))
 
 
 class TestProminentDips:
@@ -253,7 +252,7 @@ class TestProminentDips:
         # swamp the dip position at absolute energies of order 1e6
         upper, lower = (
             minimize_scalar(
-                lambda d: reflectivity(p, p.omega_c + d),
+                lambda d: measured_intensity(p, p.omega_c + d),
                 bounds=bounds,
                 method="bounded",
                 options={"xatol": 1e-10},
