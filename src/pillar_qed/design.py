@@ -22,7 +22,6 @@ from .scattering import (
     DegenerateModelError,
     SystemParams,
     _quotient,
-    principal_angle,
     reflection_amplitude,
 )
 
@@ -116,12 +115,12 @@ def _phase_polynomials(rates, bg: BackgroundModel | None = None):
 
 
 def _phases(polys, u):
-    """``angle(1 + w)``, ``w = eps / P(u)``, at each ``u``, from
-    :func:`_phase_polynomials` output that broadcasts against it. Where
-    ``d_qd = 0`` the dot alone reflects, ``r_d = 1`` however small G is, so
-    ``w = s t / N'_c``; where ``N'_c = 0`` (critical coupling at resonance)
-    the empty cavity does not reflect and the phase is 0. Smith's division
-    keeps a subnormal ``P`` finite."""
+    """``angle(1 + w)`` in (-pi, pi] (the -pi edge reads +pi), ``w = eps /
+    P(u)``, at each ``u``, from :func:`_phase_polynomials` output that
+    broadcasts against it. Where ``d_qd = 0`` the dot alone reflects, ``r_d =
+    1`` however small G is, so ``w = s t / N'_c``; where ``N'_c = 0``
+    (critical coupling at resonance) the empty cavity does not reflect and
+    the phase is 0. Smith's division keeps a subnormal ``P`` finite."""
     p, n_c, q, st, eps = polys
     z = u.astype(complex)  # what complex * real casts u to, cast once
     n_u = _polyval(n_c, z)
@@ -129,7 +128,8 @@ def _phases(polys, u):
     if not q.real.all():  # d_qd = 0 needs a lossless dot
         dark = (q.real == 0) & (q.imag == u)
         num, den = np.where(dark, st, eps), np.where(dark, n_u, den)
-    return np.where(n_u == 0, 0.0, principal_angle(1.0 + _quotient(num, den)))
+    phi = np.angle(1.0 + _quotient(num, den))  # arctan2(imag, real)
+    return np.where(n_u == 0, 0.0, np.where(phi == -np.pi, np.pi, phi))
 
 
 def _real_roots(stack):

@@ -103,8 +103,8 @@ class FitProblem:
             self.grids[-1][1].append((s.values, is_phase, slice(start, start + len(s))))
             start += len(s)
         self.n_residuals = start
-        omega_all = np.concatenate([s.omega for s, _ in observed])
-        window = (float(omega_all.min()), float(omega_all.max()))
+        ends = [float(w) for s, _ in observed for w in s.omega[[0, -1]]]  # each grid increases
+        window = (min(ends), max(ends))
         self.bounds = {**_DEFAULT_BOUNDS, "omega_c": window, "omega_qd": window}
         for name in PARAM_NAMES:
             lo, hi = self.bounds[name]

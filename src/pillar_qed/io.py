@@ -66,7 +66,8 @@ def _text(x) -> str:
 def atomic_write_text(path, text: str):
     path = os.fspath(path)
     data = text.encode("utf-8")  # first: text that cannot be encoded creates nothing
-    tmp = path + f".{os.urandom(8).hex()}.tmp"  # str + str: a bytes path raises TypeError
+    # beside the target, fixed length so any valid name fits; a bytes path raises TypeError
+    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
     # os.open gives 0o666 less the umask; mkstemp would give 0600
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
@@ -145,14 +146,15 @@ def _read_text(path) -> str:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def _read_columns(path, header, parsers):
+def _read_columns(path, header, parsers, text=None):
     """Line numbers and columns of a CSV file's non-blank rows, field k by ``parsers[k]``.
 
-    The last field takes the rest of the line, commas included. Malformed
-    input raises :class:`FileFormatError` naming ``path:line``.
+    ``text``, when given, is the file's text, already read. The last field
+    takes the rest of the line, commas included. Malformed input raises
+    :class:`FileFormatError` naming ``path:line``.
     """
     n, linenos, rows = len(parsers), [], []
-    first, *lines = _read_text(path).split("\n")
+    first, *lines = (_read_text(path) if text is None else text).split("\n")
     if first.strip() != header:
         raise FileFormatError(f"{path}: expected header {header!r}, got {first.strip()!r}")
     for lineno, raw in enumerate(lines, start=2):
@@ -176,9 +178,9 @@ def _read_grid_table(path, header, n):
 
     Every value must be finite and omega strictly increasing. When
     ``np.loadtxt`` rejects the body or a check fails, :func:`_read_columns`
-    reads the file again to name the first bad row as ``path:line``.
+    parses the same text to name the first bad row as ``path:line``.
     """
-    first, _, body = _read_text(path).partition("\n")
+    first, _, body = (text := _read_text(path)).partition("\n")
     # loadtxt warns on a blank body, and reads \x1c-\x1f as whitespace where float() does not
     if first.strip() == header and body.strip() and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
         try:
@@ -187,7 +189,7 @@ def _read_grid_table(path, header, n):
             table = None
         if table is not None and len(table) == n and _grid_fault(table) is None:
             return table
-    linenos, columns = _read_columns(path, header, (float,) * n)
+    linenos, columns = _read_columns(path, header, (float,) * n, text)
     table = np.array(columns)
     fault = _grid_fault(table)
     if fault is not None:

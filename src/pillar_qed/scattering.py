@@ -271,19 +271,6 @@ def _amplitude_partials(g, kappa_top, response, columns):
     return tuple(formulas[k]() for k in columns)
 
 
-def principal_angle(z):
-    """Argument in (-pi, pi]: the -pi branch edge maps to +pi.
-
-    A scalar or 0-d ``z`` gives a Python float, an array an array.
-    """
-    # np.angle's arithmetic, without its conversion of a scalar to an array
-    ang = np.arctan2(z.imag, z.real)
-    if isinstance(z, np.ndarray) and z.ndim:
-        return np.where(ang == -np.pi, np.pi, ang)
-    ang = float(ang)
-    return math.pi if ang == -math.pi else ang
-
-
 def reflection_amplitude(p: SystemParams, omega):
     """Complex reflection amplitude r(omega) of the driven system.
 

@@ -324,6 +324,18 @@ class TestScan:
         )
         assert not out.exists()
 
+    def test_noise_and_seed_change_only_the_recorded_config(self, tmp_path):
+        # scan writes noiseless spectra; it records the two keys as given
+        plain, keyed = tmp_path / "plain", tmp_path / "keyed"
+        assert run("scan", "--out", str(plain), "--set", "temperatures=19:23:3") == 0
+        assert run("scan", "--out", str(keyed), "--set", "noise=0.01", "--set", "seed=5",
+                   "--set", "temperatures=19:23:3") == 0
+        plain_files, keyed_files = read_bytes_map(plain), read_bytes_map(keyed)
+        assert sorted(plain_files) == sorted(keyed_files) and len(plain_files) == 5
+        assert [name for name in plain_files if plain_files[name] != keyed_files[name]] == ["scan_config.txt"]
+        config = read_report(keyed / "scan_config.txt")
+        assert (config["noise"], config["seed"]) == ("0.01", "5")
+
     def test_crossing_scan_gap_from_files(self, tmp_path):
         out = tmp_path / "out"
         assert run("scan", "--out", str(out), "--set", "temperatures=20:22:9") == 0

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import astuple, replace
 
@@ -17,7 +18,7 @@ from pillar_qed import (
 from pillar_qed import design
 from pillar_qed.design import _real_roots
 from pillar_qed import scattering
-from pillar_qed.scattering import DegenerateModelError, _quotient, principal_angle
+from pillar_qed.scattering import DegenerateModelError, _quotient
 
 from conftest import DEVICE, grid_around
 
@@ -36,7 +37,9 @@ def oracle_relative_phase(p, omega, bg=None):
     r_c = reflection_amplitude(replace(p, g=0.0), omega)
     if bg is not None:
         r_d, r_c = apply_background(r_d, bg), apply_background(r_c, bg)
-    return principal_angle(r_d * np.conj(r_c))
+    z = r_d * np.conj(r_c)
+    angle = float(np.arctan2(z.imag, z.real))
+    return math.pi if angle == -math.pi else angle
 
 
 def oracle_sweep(base, kappas):
@@ -643,6 +646,15 @@ class TestFullDegreeRootOracle:
 class TestExactRatio:
     """The traps of the ratio 1 + eps / P(u): each input against the value
     the amplitudes give."""
+
+    def test_branch_edge_reads_pi(self):
+        # eps = 1 over P = -0.5 + 5e-301j gives the ratio -1 - 2e-300j, whose
+        # arctan2 rounds to -pi; P = -1j gives 1 + 1j
+        p = np.array([[-0.5 + 5e-301j], [-1j]])
+        ratio = 1.0 + _quotient(np.ones(2), p[:, 0])
+        assert ratio[0] == -1 - 2e-300j and np.arctan2(ratio.imag, ratio.real)[0] == -math.pi
+        polys = (p, np.ones((2, 1), dtype=complex), np.full(2, 0.5 + 0j), np.zeros(2), np.ones(2))
+        assert design._phases(polys, np.zeros(2)).tolist() == [math.pi, 0.25 * math.pi]
 
     def test_critical_coupling(self):
         # kappa_top == kappa_side: the empty cavity does not reflect at resonance

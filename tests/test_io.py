@@ -30,6 +30,7 @@ from pillar_qed.io import (
     read_channels_csv,
     read_design_csv,
     read_report,
+    read_spectrum_csv,
     write_channels_csv,
     write_design_csv,
     write_report,
@@ -292,6 +293,17 @@ class TestFileModes:
             atomic_write_text(taken.joinpath(*below), "x\n")
         assert list(tmp_path.iterdir()) == [taken] and taken.read_text(encoding="utf-8") == "kept"
 
+    def test_long_file_name_written(self, tmp_path):
+        # 250 bytes: within the 255 a name may take, but not with a suffix added
+        path = tmp_path / ("n" * 246 + ".csv")
+        atomic_write_text(path, "x\n")
+        assert path.read_text(encoding="utf-8") == "x\n" and list(tmp_path.iterdir()) == [path]
+
+    def test_bytes_path_raises_type_error(self, tmp_path):
+        with pytest.raises(TypeError):
+            atomic_write_text(os.fsencode(tmp_path / "f.txt"), "x\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestNumpyScalarsReadBack:
     """Flags and floats held as numpy scalars are written as the readers read them."""
@@ -419,6 +431,16 @@ class TestGridReaderMatchesRowReader:
                 expected = _outcome(_row_reader, path, header, n)
                 assert _outcome(_read_grid_table, path, header, n) == expected
                 assert _outcome(_json_then_grid, path, header, n) == expected
+
+    @pytest.mark.parametrize("row", ["2.0,oops", "0.5,0.5"], ids=["unparsed", "not_increasing"])
+    def test_rejected_spectrum_is_read_once(self, tmp_path, monkeypatch, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"{SPECTRUM_HEADER}\n1.0,0.5\n{row}\n", encoding="utf-8")
+        reads, read_text = [], pillar_qed.io._read_text
+        monkeypatch.setattr(pillar_qed.io, "_read_text", lambda p: reads.append(p) or read_text(p))
+        with pytest.raises(FileFormatError, match=r"s\.csv:3: "):
+            read_spectrum_csv(path)
+        assert reads == [path]
 
     def test_integer_negative_zero_reads_negative(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -24,7 +24,6 @@ from pillar_qed.scattering import (
     _amplitude_partials,
     _reflection,
     _response,
-    principal_angle,
 )
 
 from conftest import DEVICE, central_difference, grid_around, model_steps, rates, system_params
@@ -310,16 +309,6 @@ class TestScalarPath:
             with pytest.raises(DegenerateModelError, match=f"^{message} response denominator underflow$"):
                 _reflection(x[1], _response(*x, omega))
 
-    def test_principal_angle_branch_edge(self):
-        edge = complex(-1.0, -0.0)
-        assert np.angle(edge) == -math.pi
-        for z in (edge, np.complex128(edge), np.array(edge)):
-            value = principal_angle(z)
-            assert type(value) is float and value == math.pi
-        values = principal_angle(np.array([edge, 1j]))
-        assert isinstance(values, np.ndarray)
-        assert values.tolist() == [math.pi, 0.5 * math.pi]
-
 
 class TestReflectivity:
     def test_critically_coupled_dark_point(self):
@@ -343,11 +332,12 @@ class TestReflectivity:
 
 
 class TestPhase:
-    """The reflection phase, read as ``principal_angle(reflection_amplitude(...))``."""
+    """The reflection phase: the angle of ``reflection_amplitude`` in (-pi, pi]."""
 
     @staticmethod
     def phase(p, omega):
-        return principal_angle(reflection_amplitude(p, omega))
+        angle = np.angle(reflection_amplitude(p, omega))
+        return np.where(angle == -np.pi, np.pi, angle)
 
     def test_far_detuned_phase_vanishes(self, device_params):
         assert abs(self.phase(device_params, device_params.omega_c + 1e6)) < 1e-4
