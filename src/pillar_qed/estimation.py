@@ -63,7 +63,8 @@ class FitProblem:
 
     ``guess`` maps every parameter name to a value; other keys are dropped
     with one warning that names them. Parameters not listed in ``free``
-    stay fixed at their guess. ``free_index`` (the positions of ``free`` in
+    stay fixed at their guess. ``start`` (the guess as a vector in
+    ``PARAM_NAMES`` order), ``free_index`` (the positions of ``free`` in
     ``PARAM_NAMES``) and ``bounds`` are computed, not passed in: energies
     are bounded by the observed scan window, ``kappa_top`` by [1e-6, 1e3]
     ueV, the other rates by [0, 1e3] ueV and ``background`` by [0, 0.999].
@@ -91,7 +92,7 @@ class FitProblem:
         if ignored:
             warnings.warn(f"guess keys that are not fit parameters are ignored: {ignored}", stacklevel=3)
         self.guess = {n: float(v) for n, v in self.guess.items() if n in PARAM_NAMES}
-        _as_vector(self.guess)  # completeness check
+        self.start = _as_vector(self.guess)  # also the completeness check
 
         # (omega, blocks) per grid, a block being (values, is_phase, rows):
         # the model is evaluated once per grid, so once for the usual joint
@@ -155,12 +156,12 @@ def _evaluate(vec: np.ndarray, problem: FitProblem):
     return out, models
 
 
-def _jacobian(vec: np.ndarray, models: list, problem: FitProblem, columns) -> np.ndarray:
+def _jacobian(vec: np.ndarray, models: list, problem: FitProblem) -> np.ndarray:
     """Closed-form Jacobian of :func:`residuals` at ``vec`` from the model
-    :func:`_evaluate` returned there, in the parameters at indices
-    ``columns`` of ``PARAM_NAMES``; ``background`` is differentiated in
-    s = sqrt(background)."""
+    :func:`_evaluate` returned there, in the free parameters of ``problem``;
+    ``background`` is differentiated in s = sqrt(background)."""
     g, kap, *_, b = vec
+    columns = problem.free_index
     s, c = np.sqrt(b), np.sqrt(1.0 - b)
     model_columns = [k for k in columns if k != _BACKGROUND]
     # F-ordered on purpose: the LM's jacobian.T @ r rounds by memory order, and fit_report.txt with it
@@ -184,7 +185,7 @@ def _jacobian(vec: np.ndarray, models: list, problem: FitProblem, columns) -> np
 
 
 def _free_residuals(problem: FitProblem):
-    """The fit over the free parameters, started and the rest held at ``problem.guess``.
+    """The fit over the free parameters, started and the rest held at ``problem.start``.
 
     Returns ``(fun, x0, bounds, full)`` in the free coordinates: the free
     parameter values, except that a free ``background`` b enters as
@@ -192,8 +193,7 @@ def _free_residuals(problem: FitProblem):
     ``x``. The admixture s + sqrt(1 - s^2) r has a finite slope at b = 0,
     the default and lower bound, where d/db is infinite.
     """
-    x_full = _as_vector(problem.guess)
-    idx = problem.free_index
+    x_full, idx = problem.start, problem.free_index
     root = idx == _BACKGROUND
 
     def free_coordinates(values):
@@ -202,14 +202,14 @@ def _free_residuals(problem: FitProblem):
         return values
 
     def full(x):
-        vec = x_full.copy()
+        vec = x_full.copy()  # start itself stays the problem's guess
         vec[idx] = np.where(root, x * x, x)
         return vec
 
     def fun(x):
         vec = full(x)  # a copy: the Jacobian is that of x as it was here
         out, models = _evaluate(vec, problem)
-        return out, lambda: _jacobian(vec, models, problem, idx)
+        return out, lambda: _jacobian(vec, models, problem)
 
     bounds = np.array([problem.bounds[n] for n in problem.free]).T
     return fun, free_coordinates(x_full[idx]), tuple(map(free_coordinates, bounds)), full

@@ -1,8 +1,8 @@
 """Damped (Levenberg-Marquardt style) least squares on a residual vector.
 
-Deterministic by construction: the caller supplies the Jacobian, damping
-updates follow a fixed schedule, the stopping tolerances are the module
-constants below, and no randomness enters anywhere. Accepted steps never
+Deterministic: the caller supplies residuals and Jacobian as float64 arrays,
+used as given; damping follows a fixed schedule, the stopping tolerances are
+the module constants below, and nothing is random. Accepted steps never
 increase the cost. A fit stops once the Gauss-Newton step predicts a relative
 decrease of at most ``COST_TOL`` (MINPACK's test), before any trial there.
 """
@@ -54,9 +54,10 @@ def _normal_equations(jacobian):
 def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIONS) -> LeastSquaresResult:
     """Minimize ``sum(r**2)`` with damped normal equations.
 
-    ``fun(x)`` returns ``(r, jac)``: the residuals at ``x`` and a callable
-    whose ``jac()`` forms the Jacobian there, one column per parameter,
-    called once at the start and at each accepted point, never at a trial.
+    ``fun(x)`` returns ``(r, jac)``: the float64 residual vector at ``x``
+    and a callable whose ``jac()`` returns the float64 Jacobian there, one
+    column per parameter, called once at the start and at each accepted
+    point, never at a trial. Neither is converted or copied.
 
     The damping multiplies the diagonal of J^T J (with a floor that also
     regularizes singular normal equations), so the step interpolates
@@ -90,7 +91,6 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
 
     r, jac = fun(x)
     evaluations = 1
-    r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("residuals are not finite at the starting point")
     cost = float(r @ r)
@@ -100,7 +100,7 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
     while True:
         # every stop test runs here, so the result carries the Jacobian
         # and gradient of the point it reports
-        jacobian = np.asarray(jac(), dtype=float)
+        jacobian = jac()
         jtr = jacobian.T @ r
         grad_norm = float(np.linalg.norm(2.0 * jtr))  # doubling is exact: 2 J^T r's bits
         if quiet >= QUIET_ITERATIONS:
@@ -126,7 +126,6 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
             reason = "cost_stall"
             break
 
-        accepted = False
         step = np.zeros_like(x)
         while lam <= _LAMBDA_CEIL:
             try:
@@ -137,15 +136,11 @@ def levenberg_marquardt(fun, x0, bounds=None, max_iterations: int = MAX_ITERATIO
             x_try = _clip(x + step, lower, upper)
             r_try, jac_try = fun(x_try)
             evaluations += 1
-            r_try = np.asarray(r_try, dtype=float)
             cost_try = float(r_try @ r_try)
             if cost_try < cost:
-                accepted = True
                 break
             lam *= 2.0
-
-        if not accepted:
-            # No damped step lowers the cost: numerically at an optimum.
+        else:  # no damped step lowers the cost: numerically at an optimum
             reason = "no_improvement"
             break
 

@@ -264,8 +264,8 @@ def _amplitude_partials(g, kappa_top, response, columns):
     if g == 0:
         dg = coupling = np.zeros_like(q)
     else:
-        dg = 2.0 * g * kappa_top * q / den if 0 in columns else None
-        coupling = kappa_top * g * g / den2 if 3 in columns or 5 in columns else None
+        dg = 2.0 * g * kappa_top * q / den
+        coupling = kappa_top * g * g / den2
     formulas = (lambda: dg, lambda: 0.5 * loss - q, lambda: 0.5 * loss,
                 lambda: -0.5 * coupling, lambda: 1j * loss, lambda: -1j * coupling)
     return tuple(formulas[k]() for k in columns)

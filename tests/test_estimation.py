@@ -213,6 +213,26 @@ class TestFit:
         assert a.residual_norm == b.residual_norm
         assert a.iterations == b.iterations
 
+    def test_guess_converted_once(self, monkeypatch):
+        # building the problem converts the guess; the fit reuses that vector
+        calls = []
+        as_vector = estimation._as_vector
+
+        def counting_as_vector(params):
+            calls.append(params)
+            return as_vector(params)
+
+        monkeypatch.setattr(estimation, "_as_vector", counting_as_vector)
+        p = device()
+        guess = make_guess(p)
+        guess["g"] *= 1.2
+        problem = FitProblem(guess=guess, intensity=synthetic_intensity(p, n=201))
+        assert len(calls) == 1
+        result = fit(problem)
+        assert result.converged and len(calls) == 1
+        # each fit point copies start, so the fit leaves it as built
+        assert problem.start.tolist() == [problem.guess[n] for n in PARAM_NAMES]
+
 
 class TestStopOnDecrement:
     """Criterion 4's ten 1%-noise fits stop on the Gauss-Newton decrement
@@ -548,11 +568,13 @@ def bit_problem(blocks, free, background, n=501):
     return FitProblem(guess=guess, free=free, **observed)
 
 
-# the free sets of the fits in scripts/cli_outputs.py, and all seven
+# the free sets of the fits in scripts/cli_outputs.py, all seven, and one
+# whose columns need neither dr/dg nor the g^2 / D^2 coupling term
 FREE_SETS = {
     "rates": ("g", "kappa_top", "kappa_side", "gamma"),
     "rates_background": ("g", "kappa_top", "kappa_side", "gamma", "background"),
     "all": PARAM_NAMES,
+    "no_coupling": ("kappa_top", "kappa_side", "omega_c", "background"),
 }
 
 

@@ -251,6 +251,8 @@ class TestStopOnDecrement:
         with np.errstate(invalid="ignore"):
             res = levenberg_marquardt(fun, x0)
         assert res.reason == "no_improvement"
+        # every damped trial is rejected: lambda doubles from 1e-3 past 1e15 in 60 trials
+        assert (res.iterations, res.evaluations) == (1, 61)
 
 
 class TestQuietIterations:
