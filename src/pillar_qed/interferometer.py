@@ -101,9 +101,12 @@ def simulate_channels(r, ref: ReferenceArm, omega=0.0) -> ChannelRecord:
 
 def _normalized_fringe(rec: ChannelRecord):
     """``(d - a) / (2*sqrt(h*v))``, clamped to [-1, 1] with one warning that
-    counts the rows beyond 1 + 1e-9, which no consistent record has."""
-    if np.any(np.asarray(rec.h) <= 0) or np.any(np.asarray(rec.v) <= 0):
-        raise ValueError("phase extraction requires h > 0 and v > 0")
+    counts the rows beyond 1 + 1e-9, which no consistent record has. A
+    record with h or v <= 0 is refused, naming its first such energy."""
+    bad = (np.asarray(rec.h) <= 0) | (np.asarray(rec.v) <= 0)
+    if bad.any():
+        omega = float(np.broadcast_to(rec.omega, bad.shape)[bad][0])
+        raise ValueError(f"phase extraction requires h > 0 and v > 0, not met at omega = {omega!r} ueV")
     s = (rec.d - rec.a) / (2.0 * np.sqrt(rec.h * rec.v))
     over = np.abs(s) - 1.0
     clamped = np.count_nonzero(over > _CLAMP_TOL)

@@ -151,30 +151,21 @@ def _prominences(values: np.ndarray, i: np.ndarray) -> np.ndarray:
     than the dip and stops before the first strictly lower point (or at
     the edge); the prominence is the lower of the two highest points
     walked over, less the dip (``scipy.signal.peak_prominences`` of
-    ``-values``). All walks advance together by binary lifting over
-    power-of-two range minima and maxima.
+    ``-values``). One stack pass per side walks every point at once: the
+    stack holds (value, highest point walked over to reach it) pairs, and
+    each point pops the tops no lower than itself, keeping their highest.
     """
-    n = values.size
-    lows, highs = [values], [values]  # level k: min / max of values[j : j + 2**k]
-    while 2 ** len(lows) <= n:
-        h = 2 ** (len(lows) - 1)
-        lows.append(np.minimum(lows[-1][:-h], lows[-1][h:]))
-        highs.append(np.maximum(highs[-1][:-h], highs[-1][h:]))
-    dip = values[i]
     tops = []
-    for side in (-1, 1):
-        edge = i.copy()  # last index walked over
-        top = dip.copy()
-        for k in reversed(range(len(lows))):
-            h = 2**k
-            first = edge - h if side < 0 else edge + 1
-            inside = (first >= 0) & (first + h <= n)
-            first = np.where(inside, first, 0)
-            step = inside & (lows[k][first] >= dip)
-            top = np.where(step, np.maximum(top, highs[k][first]), top)
-            edge = np.where(step, edge + side * h, edge)
-        tops.append(top)
-    return np.minimum(*tops) - dip
+    for side in (values, values[::-1]):
+        stack, top = [], []
+        for v in side.tolist():
+            t = v
+            while stack and stack[-1][0] >= v:
+                t = max(t, stack.pop()[1])
+            stack.append((v, t))
+            top.append(t)
+        tops.append(np.array(top))
+    return np.minimum(tops[0][i], tops[1][::-1][i]) - values[i]
 
 
 def scan_dip_positions(scan: TemperatureScan):

@@ -273,6 +273,18 @@ class TestPhase:
         magnitude, _ = max_conditional_phase(SystemParams(**DEVICE))
         assert file_max == pytest.approx(magnitude, abs=1e-4)
 
+    def test_critically_coupled_empty_cavity_names_its_energy(self, tmp_path, capsys):
+        # kappa_top = kappa_side: the empty cavity reflects nothing on resonance
+        assert run("synth", "--set", "kappa_top=24.7", "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "channels_empty.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1001] == "1333596.0,0.0,1.0,0.5,0.5"
+        capsys.readouterr()
+        assert run("phase", str(tmp_path / "channels_empty.csv"), "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "pillar-qed: error: phase extraction requires h > 0 and v > 0, not met at omega = 1333596.0 ueV\n"
+        )
+        assert not (tmp_path / "phase.csv").exists()
+
     @pytest.mark.parametrize("extra", [(), ("--calibrate-edges",)], ids=["reference", "calibrate_edges"])
     def test_clamped_rows_logged_once_with_their_count(self, tmp_path, extra):
         # 10 of 50 rows read a fringe of 2.5 / 2 > 1

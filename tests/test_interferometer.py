@@ -134,10 +134,13 @@ class TestExtractPhase:
     def test_requires_positive_monitors(self):
         ref = calibrated_ref(1.0)
         rec = ChannelRecord(0.0, 0.0, 1.0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            extract_phase(rec, ref)
-        with pytest.raises(ValueError):
-            fringe_phase(rec)
+        # the refusal names the first energy where h or v <= 0
+        grid = ChannelRecord(np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 0.0, 1.0]),
+                             np.array([1.0, 0.0, 1.0, 0.0]), np.full(4, 0.5), np.full(4, 0.5))
+        for rec, omega in ((rec, "0.0"), (replace(rec, omega=1333596.0, h=1.0, v=0.0), "1333596.0"), (grid, "2.0")):
+            for read in (lambda r: extract_phase(r, ref), fringe_phase):
+                with pytest.raises(ValueError, match=rf"h > 0 and v > 0, not met at omega = {omega} ueV$"):
+                    read(rec)
 
 
 class TestFringePhase:

@@ -16,7 +16,9 @@ from pillar_qed import (
     measured_intensity,
     scan_dip_positions,
     synthesize_scan,
+    tuning,
 )
+from pillar_qed.config import RunConfig
 from pillar_qed.tuning import (
     UnresolvedSplittingError,
     _prominences,
@@ -293,12 +295,37 @@ class TestProminentDips:
 class TestProminence:
     def test_matches_scipy(self):
         rng = np.random.default_rng(10)
+        cases = []
         for trial in range(200):
             n = int(rng.integers(3, 400))
             # integer samples exercise ties, which the walk passes over
-            values = rng.integers(0, 5, n).astype(float) if trial % 2 else rng.standard_normal(n)
+            cases.append(rng.integers(0, 5, n).astype(float) if trial % 2 else rng.standard_normal(n))
+        # 1%-noise reflectivity spectra at the sizes dip tracking meets
+        p = SystemParams(**DEVICE)
+        for n in (2001, 24001):
+            values = measured_intensity(p, grid_around(p.omega_c, 100.0, n))
+            cases.append(values * (1 + 0.01 * rng.standard_normal(n)))
+        assert _strict_minima(cases[-1]).size > 7000
+        for values in cases:
             i = _strict_minima(values)
             assert np.array_equal(_prominences(values, i), peak_prominences(-values, i)[0])
+
+    @pytest.mark.parametrize("overrides", [{}, {"background": "0.5", "background_phase": "0.8"}],
+                             ids=["defaults", "scan_bg"])
+    def test_cli_scans_compute_no_prominence(self, overrides, monkeypatch):
+        # the scans `scan` writes have at most two strict minima per
+        # spectrum, so dip tracking keeps them without a prominence
+        cfg = RunConfig(None, overrides)
+        model = TuningModel(cfg.qd_slope, cfg.cavity_slope, cfg.qd_ref, cfg.cavity_ref, cfg.t_ref,
+                            cfg.t_min, cfg.t_max)
+        scan = synthesize_scan(cfg.system_params(), model, cfg.temperatures, cfg.grid, cfg.background_model())
+        assert all(_strict_minima(s.values).size <= 2 for s in scan.spectra)
+
+        def refuse(values, i):
+            raise AssertionError("prominence computed")
+
+        monkeypatch.setattr(tuning, "_prominences", refuse)
+        assert len(scan_dip_positions(scan)) == len(cfg.temperatures)
 
 
 def _local_minima_loop(omega, values):
