@@ -162,29 +162,26 @@ def calibrate_bias(raw_phase) -> float:
     """Estimate the residual bias from the far-detuned edges of a scan.
 
     ``raw_phase`` is :func:`extract_phase` of a gridded record through a
-    zero-bias reference arm. Returns its median over the outer decile of
-    grid points on each side, where the signal phase is near zero. The
-    estimate carries the residual reflection phase at the window edges.
+    zero-bias reference arm. Returns its :func:`_edge_baseline`, read where
+    the signal phase is near zero. The estimate carries the residual
+    reflection phase at the window edges.
     """
-    raw_phase = np.asarray(raw_phase, dtype=float)
-    if raw_phase.ndim != 1 or raw_phase.size < 5:
-        raise ValueError("edge calibration needs a gridded record with >= 5 points")
-    return _edge_baseline(raw_phase)
+    return _edge_baseline(np.asarray(raw_phase, dtype=float))
 
 
 def _edge_baseline(values: np.ndarray) -> float:
+    """Median of the outer decile of points on each side of a 1-D array of at least 5 points."""
+    if values.ndim != 1 or values.size < 5:
+        raise ValueError("edge calibration needs a gridded record with >= 5 points")
     k = max(1, values.size // 10)
     return float(np.median(np.concatenate([values[:k], values[-k:]])))
 
 
 def dip_visibility(s: Spectrum) -> float:
-    """Fractional depth of the deepest dip relative to the edge baseline.
+    """Fractional depth of the deepest dip below the edge baseline.
 
-    The baseline is the median intensity over the outer decile of grid
-    points on each side of the scan window.
+    The baseline is :func:`_edge_baseline` of the spectrum's intensities.
     """
-    if len(s) < 5:
-        raise ValueError("visibility needs at least 5 points")
     baseline = _edge_baseline(s.values)
     if baseline <= 0:
         raise ValueError(f"non-positive baseline {baseline}")

@@ -38,9 +38,9 @@ class UnresolvedSplittingError(RuntimeError):
 class TuningModel:
     """Linear temperature dependence of the dot and cavity energies.
 
-    Energies are ``ref + slope * (t - t_ref)`` in ueV with slopes in
-    ueV/K. ``t_min``/``t_max`` declare the validity window; evaluating
-    outside it warns but proceeds.
+    Energies are ``ref + slope * (t - t_ref)`` in ueV, slopes in ueV/K.
+    Evaluating outside the window ``[t_min, t_max]`` warns but proceeds;
+    it defaults to [0, 400] K here and to [4, 300] K in the CLI config.
     """
 
     qd_slope: float

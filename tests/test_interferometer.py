@@ -231,7 +231,7 @@ class TestVisibility:
         assert vis == pytest.approx(1.0 - 0.8232584487410741, abs=5e-3)
 
     def test_needs_five_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=">= 5 points"):
             dip_visibility(Spectrum(np.arange(4.0), np.ones(4)))
 
     def test_nonpositive_baseline_rejected(self):
@@ -296,6 +296,12 @@ class TestInferBackground:
         grid = np.linspace(empty_params.omega_c - 100.0, empty_params.omega_c + 100.0, 20001)
         assert infer_background_fraction(0.15, empty_params, grid=grid) == 0.026808261844529627
         assert len(calls) == 1
+
+    def test_needs_five_grid_points(self, empty_params):
+        # the grid reaches the edge baseline's check through dip_visibility
+        grid = grid_around(empty_params.omega_c, 100.0, 4)
+        with pytest.raises(ValueError, match=">= 5 points"):
+            infer_background_fraction(0.15, empty_params, grid=grid)
 
     def test_rejects_degenerate_observations(self, empty_params):
         for bad in (0.0, 1.0, -0.2):

@@ -33,6 +33,7 @@ from pillar_qed.io import (
     read_spectrum_csv,
     write_channels_csv,
     write_design_csv,
+    write_manifest_csv,
     write_report,
     write_spectrum_csv,
 )
@@ -303,6 +304,34 @@ class TestFileModes:
         with pytest.raises(TypeError):
             atomic_write_text(os.fsencode(tmp_path / "f.txt"), "x\n")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestEveryWriterWritesAtomically:
+    """Each writer makes its one file through ``atomic_write_text``, the name
+    the README's atomic-write property and perfbench's write tracer rely on."""
+
+    def test_one_call_per_file(self, tmp_path, monkeypatch):
+        calls = []
+        write = pillar_qed.io.atomic_write_text
+        def record(path, text):
+            calls.append(path)
+            write(path, text)
+
+        monkeypatch.setattr(pillar_qed.io, "atomic_write_text", record)
+        omega = np.linspace(0.0, 1.0, 5)
+        point = DesignPoint(SystemParams(**DEVICE), 2.0, 1333590.0, 0.5)
+        writers = {
+            "spectrum.csv": lambda path: write_spectrum_csv(path, Spectrum(omega, _values(5))),
+            "channels.csv": lambda path: write_channels_csv(path, ChannelRecord(omega, *([np.ones(5)] * 4))),
+            "design.csv": lambda path: write_design_csv(path, [point]),
+            "manifest.csv": lambda path: write_manifest_csv(path, [(19.0, "scan_T19.0000K.csv")]),
+            "report.txt": lambda path: write_report(path, {"converged": True}),
+        }
+        for name, writer in writers.items():
+            calls.clear()
+            writer(tmp_path / name)
+            assert calls == [tmp_path / name], name
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
 
 
 class TestNumpyScalarsReadBack:
