@@ -1,13 +1,12 @@
 """Command-line front end; ``_DESCRIPTION`` is its ``--help`` text.
 
-Each ``cmd_*`` imports the modules that only it runs (``design``, ``estimation``,
-``interferometer``, ``tuning``), so a subcommand loads none of the others.
+Each ``cmd_*`` imports the modules that only it runs, and ``_logger`` imports
+``logging`` only to make a record, so a run loads no module it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 import warnings
@@ -21,8 +20,6 @@ from .config import ConfigError, RunConfig, load_config_file
 from .scattering import ChannelRecord, DegenerateModelError, Spectrum, apply_background, reflection_amplitude
 
 __all__ = ["main", "build_parser"]
-
-logger = logging.getLogger("pillar_qed.cli")
 
 _DESCRIPTION = (
     "Subcommands: synth, fit, phase, scan, design. All outputs are deterministic for a fixed config and seed."
@@ -165,6 +162,9 @@ def cmd_design(args, cfg, out):
     from . import design
 
     points = design.sweep_kappa(cfg.system_params(), cfg.kappa_values)
+    if "PILLAR_QED_LOG" in os.environ:  # unset is warning, which drops these notes (see _logger)
+        for kappa in (p.params.kappa_top for p in points if abs(p.params.kappa_top - 4.0 * cfg.g) <= 0.1 * 4.0 * cfg.g):
+            _logger("pillar_qed.design").info("kappa=%.4g matches the kappa/4 ~ g guideline", kappa)
     _write(out / "design.csv", io.write_design_csv, points)
 
 
@@ -209,16 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging():
-    level_name = os.environ.get("PILLAR_QED_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
+def _logger(name="pillar_qed.cli"):
+    """The named logger, on stderr at the PILLAR_QED_LOG level or else warning, which drops cmd_design's notes."""
+    import logging
+
+    level = getattr(logging, os.environ.get("PILLAR_QED_LOG", "warning").upper(), None)
+    level = level if isinstance(level, int) else logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    return logging.getLogger(name)
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
     try:
         # a non-finite result is refused where it is written or checked
         with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.showwarning = lambda message, *_: logger.warning("%s", message)  # one line each
+            warnings.showwarning = lambda message, *_: _logger().warning("%s", message)  # one line each
             handler = _COMMANDS[args.command][0]
             handler(args, _config_from_args(args), Path(args.out))
     except _NUMERICAL_ERRORS as exc:

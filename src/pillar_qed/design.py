@@ -10,7 +10,6 @@ the price of reflectivity.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import astuple, dataclass
 
@@ -32,7 +31,6 @@ __all__ = [
     "sweep_kappa",
 ]
 
-logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -236,10 +234,9 @@ def sweep_kappa(base: SystemParams, kappa_values) -> list:
     """One :class:`DesignPoint` per top-mirror rate, at zero detuning.
 
     g, kappa_side, gamma and omega_c are held fixed and the dot sits at
-    omega_c, whatever ``base.omega_qd``; output is sorted by kappa. Points
-    where kappa is within 10% of 4*g are logged as matching the kappa/4 ~ g
-    guideline. The phases of all kappas take one batched pass, each point
-    bit for bit :func:`max_conditional_phase`; the on-resonance
+    omega_c, whatever ``base.omega_qd``; output is sorted by kappa, and no
+    record is logged. The phases of all kappas take one batched pass, each
+    point bit for bit :func:`max_conditional_phase`; the on-resonance
     reflectivity is one scalar :func:`reflection_amplitude` per kappa, and
     one that is not finite raises :class:`DegenerateModelError`.
     """
@@ -256,6 +253,4 @@ def sweep_kappa(base: SystemParams, kappa_values) -> list:
         if not math.isfinite(refl):
             raise _not_finite("on-resonance reflectivities", astuple(p))
         points.append(DesignPoint(p, magnitude, argmax, refl))
-        if abs(p.kappa_top - 4.0 * base.g) <= 0.1 * 4.0 * base.g:
-            logger.info("kappa=%.4g matches the kappa/4 ~ g guideline", p.kappa_top)
     return points

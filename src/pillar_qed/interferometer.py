@@ -9,7 +9,7 @@ visibility pins the fraction of coherent un-modematched background in it.
 
 from __future__ import annotations
 
-import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -72,7 +72,7 @@ def quadrature_offset(beta) -> float:
     This is the software analogue of nulling the difference channel before
     a scan: with this offset the calibrated fringe reads sin(phase).
     """
-    return cmath.phase(complex(beta)) - 0.5 * np.pi
+    return math.atan2(beta.imag, beta.real) - 0.5 * np.pi
 
 
 def simulate_channels(r, ref: ReferenceArm, omega=0.0) -> ChannelRecord:

@@ -763,6 +763,22 @@ class TestAssess:
         assert assessed["covariance_condition"] == np.inf
         assert capfd.readouterr() == ("", "")
 
+    def test_rate_just_inside_its_bound_keeps_a_finite_error(self, recwarn):
+        # kappa_top at 1.5e-6 lies 5e-7 above its 1e-6 bound: near it, not on it
+        problem = bit_problem("joint", FREE_SETS["rates"], 0.0, n=51)
+        x = np.array([problem.guess[n] for n in problem.free])
+        x[problem.free.index("kappa_top")] = 1.5e-6
+        res = estimation.leastsq.LeastSquaresResult(
+            x=x, cost=1.0, residuals=np.zeros(problem.n_residuals),
+            jacobian=np.eye(problem.n_residuals, x.size), grad_norm=0.0,
+            iterations=1, evaluations=2, reason="cost_stall",
+        )
+        bounds = tuple(np.array([problem.bounds[n] for n in problem.free]).T)
+        assert bounds[0][problem.free.index("kappa_top")] == 1e-6
+        std_errors = _assess(problem, res, bounds)["std_errors"]
+        assert all(0.0 < error < np.inf for error in std_errors.values())
+        assert not recwarn.list  # no "parameters at bounds" warning
+
     def test_fit_result_fields(self):
         assert [f.name for f in dataclasses.fields(FitResult)] == [
             "params", "residual_norm", "iterations", "converged", "reason", "std_errors", "covariance_condition",

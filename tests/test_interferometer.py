@@ -131,6 +131,18 @@ class TestExtractPhase:
             value = extract_phase(bad, ref)
         assert value == pytest.approx(np.pi / 2)
 
+    def test_consistent_record_rounded_past_one_reads_quietly(self):
+        # simulate_channels' own record at |r| = 0.5 within 1e-6 rad of pi/2:
+        # rounding takes 16 rows' normalized fringe to 1 + 2.2e-16, which no
+        # "inconsistent channel record" warning may count
+        phi = np.pi / 2 + np.linspace(-1e-6, 1e-6, 2001)
+        rec = simulate_channels(0.5 * np.exp(1j * phi), ZERO_BIAS, omega=np.arange(phi.size, dtype=float))
+        assert np.max(np.abs(rec.d - rec.a) / (2.0 * np.sqrt(rec.h * rec.v))) > 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phases = extract_phase(rec, ZERO_BIAS)
+        np.testing.assert_allclose(phases, np.pi / 2, atol=2e-6)
+
     def test_requires_positive_monitors(self):
         ref = calibrated_ref(1.0)
         rec = ChannelRecord(0.0, 0.0, 1.0, 0.5, 0.5)

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -171,3 +172,13 @@ def _digest_diagnosis(digests):
         f"{len(differ)} files differ: {', '.join(differ)}; numpy dispatch enabled here {enabled}"
         f" (digests recorded under {DIGESTS_CPU_DISPATCH}); {env}"
     )
+
+
+def test_each_mutant_edit_applies_once():
+    # scripts/mutants.py is run by hand, not by Tier-1: this keeps its list
+    # in step with the sources it mutates
+    mutants = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))["MUTANTS"]
+    assert len({name for name, *_ in mutants}) == len(mutants)
+    for name, path, before, after in mutants:
+        assert before != after, name
+        assert (ROOT / path).read_text().count(before) == 1, name
