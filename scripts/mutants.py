@@ -51,6 +51,12 @@ MUTANTS = (
     ("design_imports_logging", "src/pillar_qed/design.py",
      "from __future__ import annotations\n\nimport math\n",
      "from __future__ import annotations\n\nimport logging\nimport math\n"),
+    ("grid_writer_skips_the_readers_rule", "src/pillar_qed/io.py",
+     "if (fault := _grid_fault(table.T)) is not None:", "if False:"),
+    ("eigenvalue_tie_keeps_its_order", "src/pillar_qed/scattering.py",
+     "if (lo.real, lo.imag) > (hi.real, hi.imag):", "if lo.real > hi.real:"),
+    ("declined_channel_table_read_again", "src/pillar_qed/io.py",
+     "_read_grid_table(path, CHANNELS_HEADER, 5, _read_text(path, data))", "_read_grid_table(path, CHANNELS_HEADER, 5)"),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work")

@@ -26,7 +26,6 @@ _EXPORTS = {
         "FitResult",
         "fit",
         "make_guess",
-        "residuals",
     ),
     "interferometer": (
         "ReferenceArm",

@@ -9,15 +9,11 @@ file values which override the defaults below.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .io import _key_values
 from .scattering import PARAM_FIELDS, BackgroundModel, SystemParams
-
-if TYPE_CHECKING:
-    from .interferometer import ReferenceArm
 
 __all__ = ["ConfigError", "RunConfig", "load_config_file", "parse_energy", "parse_grid"]
 
@@ -159,7 +155,7 @@ class RunConfig:
     def background_model(self) -> BackgroundModel:
         return BackgroundModel(fraction=self.background, phase=self.background_phase)
 
-    def reference_arm(self) -> ReferenceArm:
+    def reference_arm(self):
         from .interferometer import ReferenceArm, quadrature_offset
 
         offset = quadrature_offset(self.beta_mag) if self.sb_offset is None else self.sb_offset

@@ -23,7 +23,6 @@ __all__ = [
     "FitProblem",
     "FitResult",
     "make_guess",
-    "residuals",
     "fit",
 ]
 
@@ -43,18 +42,6 @@ _DEFAULT_BOUNDS = {
 def make_guess(p, background: float = 0.0) -> dict:
     """Full parameter dictionary from a :class:`SystemParams`."""
     return {**asdict(p), "background": background}
-
-
-def _as_vector(params) -> np.ndarray:
-    if isinstance(params, dict):
-        missing = [n for n in PARAM_NAMES if n not in params]
-        if missing:
-            raise ValueError(f"missing parameters: {missing}")
-        return np.array([float(params[n]) for n in PARAM_NAMES])
-    vec = np.asarray(params, dtype=float)
-    if vec.shape != (len(PARAM_NAMES),):
-        raise ValueError(f"parameter vector must have length {len(PARAM_NAMES)}")
-    return vec
 
 
 @dataclass
@@ -92,7 +79,10 @@ class FitProblem:
         if ignored:
             warnings.warn(f"guess keys that are not fit parameters are ignored: {ignored}", stacklevel=3)
         self.guess = {n: float(v) for n, v in self.guess.items() if n in PARAM_NAMES}
-        self.start = _as_vector(self.guess)  # also the completeness check
+        missing = [n for n in PARAM_NAMES if n not in self.guess]
+        if missing:
+            raise ValueError(f"missing parameters: {missing}")
+        self.start = np.array([self.guess[n] for n in PARAM_NAMES])
 
         # (omega, blocks) per grid, a block being (values, is_phase, rows):
         # the model is evaluated once per grid, so once for the usual joint
@@ -135,13 +125,9 @@ class FitResult:
     covariance_condition: float
 
 
-def residuals(params, problem: FitProblem) -> np.ndarray:
-    """(model - observed) stacked over the provided spectra."""
-    return _evaluate(_as_vector(params), problem)[0]
-
-
 def _evaluate(vec: np.ndarray, problem: FitProblem):
-    """:func:`residuals` at the parameter vector ``vec`` and its model, one
+    """The residuals (model - observed, stacked over the provided spectra)
+    at the parameter vector ``vec`` and its model, one
     ``(response, r, m, |m|^2)`` per grid, for :func:`_jacobian`."""
     g, kap, ks, gam, wc, wqd, b = vec
     out, models = np.empty(problem.n_residuals), []
@@ -157,7 +143,7 @@ def _evaluate(vec: np.ndarray, problem: FitProblem):
 
 
 def _jacobian(vec: np.ndarray, models: list, problem: FitProblem) -> np.ndarray:
-    """Closed-form Jacobian of :func:`residuals` at ``vec`` from the model
+    """Closed-form Jacobian of the residuals at ``vec`` from the model
     :func:`_evaluate` returned there, in the free parameters of ``problem``;
     ``background`` is differentiated in s = sqrt(background)."""
     g, kap, *_, b = vec

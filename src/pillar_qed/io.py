@@ -11,9 +11,9 @@ would give it. A gridded file's floats are formatted in one orjson call on the t
 flat vector, whose Ryu digits are ``repr``'s, and each row's last comma
 becomes a newline; a row holding a value that ``repr`` writes with an
 exponent is formatted by ``repr``.
-A channel table in the form written here is parsed by one ``orjson.loads``
-of its body as one flat JSON array, giving ``float()``'s bits. Spectra, and
-any other channel table, are parsed by numpy's C reader, each field as
+A channel table is read once; in the form written here its body is parsed
+by one ``orjson.loads`` as one flat JSON array, giving ``float()``'s bits.
+Spectra, and any other channel table, are parsed by numpy's C reader, each field as
 ``float()`` reads it, with no ``#`` comments: ``fit`` reads only spectra, and
 importing orjson costs it more than the faster parse would save. The row
 reader only names the first bad line.
@@ -24,6 +24,7 @@ a comment.
 from __future__ import annotations
 
 import os
+from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -124,11 +125,15 @@ def _format_rows(table) -> str:
 
 def _write_grid_table(path, header, columns):
     """One row per grid point of the equal-length ``columns``, omega first,
-    as shortest round-trip decimals. Non-finite values raise and write
-    nothing."""
+    as shortest round-trip decimals. A table that :func:`_grid_fault` refuses
+    raises and writes nothing: :class:`DegenerateModelError` for a non-finite
+    value, ``ValueError`` for an omega that does not increase."""
     table = np.asarray(np.column_stack(columns), dtype=np.float64)
-    if not np.isfinite(table).all():
-        raise DegenerateModelError(f"{path}: values are not finite, file not written")
+    if (fault := _grid_fault(table.T)) is not None:
+        k, what = fault
+        if not np.isfinite(table[k]).all():
+            raise DegenerateModelError(f"{path}: values are not finite, file not written")
+        raise ValueError(f"{path}:{k + 2}: {what}, file not written")
     atomic_write_text(path, f"{header}\n{_format_rows(table)}")
 
 
@@ -136,12 +141,15 @@ def write_spectrum_csv(path, spectrum: Spectrum):
     _write_grid_table(path, SPECTRUM_HEADER, [spectrum.omega, spectrum.values])
 
 
-def _read_text(path) -> str:
+def _read_text(path, data=None) -> str:
     """A UTF-8 file's text, newlines translated as ``open()`` does; bytes
-    that are not UTF-8 raise :class:`FileFormatError` naming ``path``."""
+    that are not UTF-8 raise :class:`FileFormatError` naming ``path``.
+    ``data``, when given, is the file's bytes, already read."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return TextIOWrapper(BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -173,14 +181,15 @@ def _read_columns(path, header, parsers, text=None):
     return linenos, [list(column) for column in zip(*rows)]
 
 
-def _read_grid_table(path, header, n):
+def _read_grid_table(path, header, n, text=None):
     """The ``n`` float columns of a gridded CSV, omega first, as one array.
 
-    Every value must be finite and omega strictly increasing. When
-    ``np.loadtxt`` rejects the body or a check fails, :func:`_read_columns`
-    parses the same text to name the first bad row as ``path:line``.
+    ``text`` is the file's text, if already read; every value must be finite
+    and omega strictly increasing. When ``np.loadtxt`` rejects the body or a
+    check fails, :func:`_read_columns` names the first bad row as ``path:line``.
     """
-    first, _, body = (text := _read_text(path)).partition("\n")
+    text = _read_text(path) if text is None else text
+    first, _, body = text.partition("\n")
     # loadtxt warns on a blank body, and reads \x1c-\x1f as whitespace where float() does not
     if first.strip() == header and body.strip() and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
         try:
@@ -198,8 +207,8 @@ def _read_grid_table(path, header, n):
     return table
 
 
-def _read_json_table(path, header, n):
-    """The ``n`` float columns of a gridded CSV in the form written here,
+def _read_json_table(data, header, n):
+    """The ``n`` float columns of gridded CSV bytes in the form written here,
     parsed by one ``orjson.loads`` of the body as a flat JSON array, or None.
 
     It accepts only bytes the row reader reads to the same table: the exact
@@ -210,8 +219,6 @@ def _read_json_table(path, header, n):
     """
     import orjson
 
-    with open(path, "rb") as fh:
-        data = fh.read()
     head = f"{header}\n".encode()
     body = data[len(head):]
     seps = body.translate(None, b"0123456789+-.eE")  # what is left must be the commas and newlines
@@ -229,12 +236,12 @@ def _read_json_table(path, header, n):
 
 def _grid_fault(table):
     """``(row, reason)`` of the first row holding a non-finite value or not
-    increasing omega, or None."""
-    finite = np.isfinite(table).all(axis=0)
-    bad = np.flatnonzero(~finite | np.r_[False, table[0, 1:] <= table[0, :-1]])
-    if not bad.size:
+    increasing omega, or None; rows are reduced only on a fault (slow when transposed)."""
+    finite, not_increasing = np.isfinite(table), table[0, 1:] <= table[0, :-1]
+    if finite.all() and not not_increasing.any():
         return None
-    k = bad[0]
+    finite = finite.all(axis=0)
+    k = np.flatnonzero(~finite | np.r_[False, not_increasing])[0]
     return k, "values must be finite" if not finite[k] else "omega must be strictly increasing"
 
 
@@ -265,8 +272,10 @@ def write_channels_csv(path, rec: ChannelRecord):
 
 
 def read_channels_csv(path) -> ChannelRecord:
-    table = _read_json_table(path, CHANNELS_HEADER, 5)
-    omega, h, v, d, a = _read_grid_table(path, CHANNELS_HEADER, 5) if table is None else table
+    with open(path, "rb") as fh:
+        data = fh.read()
+    table = _read_json_table(data, CHANNELS_HEADER, 5)
+    omega, h, v, d, a = _read_grid_table(path, CHANNELS_HEADER, 5, _read_text(path, data)) if table is None else table
     return ChannelRecord(omega=omega, h=h, v=v, d=d, a=a)
 
 

@@ -129,7 +129,7 @@ def _vertices(omega: np.ndarray, values: np.ndarray, i: np.ndarray) -> np.ndarra
     return np.array(out, dtype=float)
 
 
-def _prominent_dips(omega, values) -> np.ndarray:
+def _prominent_dips(omega: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Positions of the two most prominent strict minima, ascending.
 
     Fewer than two when fewer exist. Each is placed at its three-point
@@ -137,11 +137,10 @@ def _prominent_dips(omega, values) -> np.ndarray:
     all without computing a prominence; on a noisy one, prominence passes
     over the wiggles inside one dip.
     """
-    values = np.asarray(values, dtype=float)
     i = _strict_minima(values)
     if i.size > 2:
         i = np.sort(i[np.argsort(-_prominences(values, i), kind="stable")[:2]])
-    return _vertices(np.asarray(omega, dtype=float), values, i)
+    return _vertices(omega, values, i)
 
 
 def _prominences(values: np.ndarray, i: np.ndarray) -> np.ndarray:

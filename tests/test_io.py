@@ -26,6 +26,7 @@ from pillar_qed.io import (
     _read_columns,
     _read_grid_table,
     _read_json_table,
+    _read_text,
     atomic_write_text,
     read_channels_csv,
     read_design_csv,
@@ -229,6 +230,15 @@ class TestGridWritersRefuse:
             write_channels_csv(tmp_path / "c.csv", ChannelRecord(np.array([1.0, np.nan, 3.0]), ones, ones, ones, ones))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("omega", [[2.0, 1.0], [1.0, 1.0]], ids=["decreasing", "repeated"])
+    def test_omega_that_does_not_increase(self, tmp_path, omega):
+        # the readers' rule: a table written here reads back
+        halves = np.full(2, 0.5)
+        with pytest.raises(ValueError, match=r"c\.csv:3: omega must be strictly increasing, file not written$") as info:
+            write_channels_csv(tmp_path / "c.csv", ChannelRecord(np.array(omega), np.ones(2), np.ones(2), halves, halves))
+        assert type(info.value) is ValueError
+        assert list(tmp_path.iterdir()) == []
+
     def test_channel_columns_off_the_grid(self, tmp_path):
         ones = np.ones(3)
         with pytest.raises(ValueError, match="^channel columns must match the omega grid length$"):
@@ -403,8 +413,10 @@ _TABLES = st.sampled_from([(SPECTRUM_HEADER, 2), (CHANNELS_HEADER, 5)])
 
 def _json_then_grid(path, header, n):
     """The read of ``read_channels_csv``: one JSON pass, else the grid reader."""
-    table = _read_json_table(path, header, n)
-    return _read_grid_table(path, header, n) if table is None else table
+    with open(path, "rb") as fh:
+        data = fh.read()
+    table = _read_json_table(data, header, n)
+    return _read_grid_table(path, header, n, _read_text(path, data)) if table is None else table
 
 
 def _channel_row(*fields):
@@ -499,7 +511,7 @@ class TestGridReaderMatchesRowReader:
 
         monkeypatch.setattr(np, "loadtxt", refuse)
         monkeypatch.setattr(pillar_qed.io, "_read_columns", refuse)
-        table = _read_json_table(path, CHANNELS_HEADER, 5)
+        table = _read_json_table(path.read_bytes(), CHANNELS_HEADER, 5)
         assert table.dtype == np.float64 and table.shape == (5, omega.size) and table.flags.c_contiguous
         assert table.tobytes() == np.array([omega, *cols]).tobytes()
         rec = read_channels_csv(path)
@@ -509,9 +521,28 @@ class TestGridReaderMatchesRowReader:
         assert main(["synth", "--out", str(tmp_path), "--set", "noise=0.01"]) == 0
         path, crlf = tmp_path / "channels_coupled.csv", tmp_path / "crlf.csv"
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert _read_json_table(path, CHANNELS_HEADER, 5).shape == (5, 2001)
-        assert _read_json_table(crlf, CHANNELS_HEADER, 5) is None  # read by numpy's reader
+        assert _read_json_table(path.read_bytes(), CHANNELS_HEADER, 5).shape == (5, 2001)
+        assert _read_json_table(crlf.read_bytes(), CHANNELS_HEADER, 5) is None  # read by numpy's reader
         lf, cr = read_channels_csv(path), read_channels_csv(crlf)
+        assert all(getattr(lf, k).tobytes() == getattr(cr, k).tobytes() for k in _CHANNEL_FIELDS)
+
+    def test_each_table_is_opened_once(self, tmp_path, monkeypatch):
+        # a channel table the JSON parse declines is decoded from the bytes it read
+        halves = np.full(3, 0.5)
+        path, crlf, spectrum = tmp_path / "c.csv", tmp_path / "crlf.csv", tmp_path / "s.csv"
+        write_channels_csv(path, ChannelRecord(np.array([1.0, 2.0, 3.0]), halves, halves, halves, halves))
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        write_spectrum_csv(spectrum, Spectrum([1.0, 2.0, 3.0], halves))
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(pillar_qed.io, "open", counting_open, raising=False)
+        lf, cr = read_channels_csv(path), read_channels_csv(crlf)
+        read_spectrum_csv(spectrum)
+        assert opened == [path, crlf, spectrum]
         assert all(getattr(lf, k).tobytes() == getattr(cr, k).tobytes() for k in _CHANNEL_FIELDS)
 
 

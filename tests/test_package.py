@@ -39,7 +39,6 @@ PUBLIC_NAMES = {
     "rabi_splitting",
     "reflection_amplitude",
     "relative_phase",
-    "residuals",
     "scan_dip_positions",
     "simulate_channels",
     "sweep_kappa",
@@ -104,7 +103,7 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         pillar_qed.no_such_name
     assert not hasattr(pillar_qed, "_SystemParams")
-    for deleted in ("phase", "estimate_g_from_splitting", "energies_at", "interface_feasible", "reflectivity"):
+    for deleted in ("phase", "estimate_g_from_splitting", "energies_at", "interface_feasible", "reflectivity", "residuals"):
         with pytest.raises(AttributeError, match=deleted):
             getattr(pillar_qed, deleted)
     from pillar_qed import design

@@ -371,6 +371,10 @@ class TestPolaritons:
         lo, hi = polariton_eigenvalues(p)
         assert lo == pytest.approx(1100.0 - 2.0j, abs=1e-12)
         assert hi == pytest.approx(1200.0 - 2.5j, abs=1e-12)
+        # the dot one ulp below the cavity: both energies round to one real
+        # part, ordered by the imaginary part (mean - s has the larger one)
+        tie = SystemParams(**{**DEVICE, "g": 0.0, "omega_qd": math.nextafter(1333596.0, 0)})
+        assert polariton_eigenvalues(tie) == (1333596.0 - 12.95j, 1333596.0 - 2.5j)
 
     def test_device_splitting_closed_form_and_eigensolver(self, device_params):
         lo, hi = polariton_eigenvalues(device_params)
