@@ -55,8 +55,17 @@ MUTANTS = (
      "if (fault := _grid_fault(table.T)) is not None:", "if False:"),
     ("eigenvalue_tie_keeps_its_order", "src/pillar_qed/scattering.py",
      "if (lo.real, lo.imag) > (hi.real, hi.imag):", "if lo.real > hi.real:"),
-    ("declined_channel_table_read_again", "src/pillar_qed/io.py",
-     "_read_grid_table(path, CHANNELS_HEADER, 5, _read_text(path, data))", "_read_grid_table(path, CHANNELS_HEADER, 5)"),
+    ("declined_table_read_again", "src/pillar_qed/io.py",
+     "_read_text(path, data)", "_read_text(path)"),
+    ("free_form_text_reaches_the_parser", "src/pillar_qed/io.py",
+     r'if data.startswith(head) and body.endswith(b"\n") and seps == (b"," * (n - 1) + b"\n") * (len(seps) // n):',
+     "if data.startswith(head):"),
+    ("lm_decrement_solve_unguarded", "src/pillar_qed/leastsq.py",
+     "except np.linalg.LinAlgError:\n            decrement = np.inf", "except ZeroDivisionError:\n            decrement = np.inf"),
+    ("lm_damped_solve_unguarded", "src/pillar_qed/leastsq.py",
+     "except np.linalg.LinAlgError:\n                lam *= 2.0", "except ZeroDivisionError:\n                lam *= 2.0"),
+    ("negative_channel_names_no_energy", "src/pillar_qed/scattering.py",
+     'f"channel {name} must be non-negative, {_not_met_at(self.omega, bad)}"', 'f"channel {name} must be non-negative"'),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scattering import BackgroundModel, ChannelRecord, Spectrum, SystemParams
-from .scattering import apply_background, reflection_amplitude
+from .scattering import _not_met_at, apply_background, reflection_amplitude
 
 __all__ = [
     "NoSolutionError",
@@ -105,8 +105,7 @@ def _normalized_fringe(rec: ChannelRecord):
     record with h or v <= 0 is refused, naming its first such energy."""
     bad = (np.asarray(rec.h) <= 0) | (np.asarray(rec.v) <= 0)
     if bad.any():
-        omega = float(np.broadcast_to(rec.omega, bad.shape)[bad][0])
-        raise ValueError(f"phase extraction requires h > 0 and v > 0, not met at omega = {omega!r} ueV")
+        raise ValueError(f"phase extraction requires h > 0 and v > 0, {_not_met_at(rec.omega, bad)}")
     s = (rec.d - rec.a) / (2.0 * np.sqrt(rec.h * rec.v))
     over = np.abs(s) - 1.0
     clamped = np.count_nonzero(over > _CLAMP_TOL)

@@ -11,12 +11,12 @@ would give it. A gridded file's floats are formatted in one orjson call on the t
 flat vector, whose Ryu digits are ``repr``'s, and each row's last comma
 becomes a newline; a row holding a value that ``repr`` writes with an
 exponent is formatted by ``repr``.
-A channel table is read once; in the form written here its body is parsed
-by one ``orjson.loads`` as one flat JSON array, giving ``float()``'s bits.
-Spectra, and any other channel table, are parsed by numpy's C reader, each field as
-``float()`` reads it, with no ``#`` comments: ``fit`` reads only spectra, and
-importing orjson costs it more than the faster parse would save. The row
-reader only names the first bad line.
+A gridded file is read once. In the form written here (the exact header
+line, then rows of fields of ``0-9+-.eE``, each ending in a newline) a spectrum
+is parsed by numpy's C reader and a channel table by one ``orjson.loads``, both
+to ``float()``'s bits (``fit`` reads only spectra, and importing orjson would
+cost it more than it saves). Other text (CRLF, spaces, blank lines) goes to the
+row reader, 2-3x slower, which alone names the first bad line.
 Reports and run configs are flat ``key = value`` files in which ``#`` starts
 a comment.
 """
@@ -181,49 +181,44 @@ def _read_columns(path, header, parsers, text=None):
     return linenos, [list(column) for column in zip(*rows)]
 
 
-def _read_grid_table(path, header, n, text=None):
+def _read_grid_table(path, header, n, parse):
     """The ``n`` float columns of a gridded CSV, omega first, as one array.
 
-    ``text`` is the file's text, if already read; every value must be finite
-    and omega strictly increasing. When ``np.loadtxt`` rejects the body or a
-    check fails, :func:`_read_columns` names the first bad row as ``path:line``.
+    The body of a file in the written form goes to ``parse(body, n)``; other
+    bytes, a parse that returns None or a :func:`_grid_fault` go to
+    :func:`_read_columns`, which names the first bad row as ``path:line``.
     """
-    text = _read_text(path) if text is None else text
-    first, _, body = text.partition("\n")
-    # loadtxt warns on a blank body, and reads \x1c-\x1f as whitespace where float() does not
-    if first.strip() == header and body.strip() and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
-        try:
-            table = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=2).T.copy()
-        except ValueError:
-            table = None
-        if table is not None and len(table) == n and _grid_fault(table) is None:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = f"{header}\n".encode()
+    body = data[len(head):]
+    seps = body.translate(None, b"0123456789+-.eE")  # what is left must be the commas and newlines
+    if data.startswith(head) and body.endswith(b"\n") and seps == (b"," * (n - 1) + b"\n") * (len(seps) // n):
+        table = parse(body, n)
+        if table is not None and _grid_fault(table) is None:
             return table
-    linenos, columns = _read_columns(path, header, (float,) * n, text)
+    linenos, columns = _read_columns(path, header, (float,) * n, _read_text(path, data))
     table = np.array(columns)
-    fault = _grid_fault(table)
-    if fault is not None:
+    if (fault := _grid_fault(table)) is not None:
         k, what = fault
         raise FileFormatError(f"{path}:{linenos[k]}: {what}")
     return table
 
 
-def _read_json_table(data, header, n):
-    """The ``n`` float columns of gridded CSV bytes in the form written here,
-    parsed by one ``orjson.loads`` of the body as a flat JSON array, or None.
+def _parse_text(body, n):
+    """A written body by numpy's C reader, with ``float()``'s bits, or None where it refuses a field."""
+    try:
+        return np.loadtxt(body.decode().split("\n"), delimiter=",", comments=None, ndmin=2).T.copy()
+    except ValueError:
+        return None
 
-    It accepts only bytes the row reader reads to the same table: the exact
-    header line, then lines of ``n`` comma-separated fields of ``0-9+-.eE``,
-    each ending in a newline, with no integer ``-0`` (JSON reads +0) and no
-    :func:`_grid_fault`. There JSON's numbers are a subset of ``float()``'s,
-    which orjson parses to the same bits (``tests/test_io.py`` pins it).
-    """
+
+def _parse_json(body, n):
+    """A written body by one ``orjson.loads`` as a flat JSON array, or None.
+    JSON's numbers are a subset of ``float()``'s and parse to its bits
+    (``tests/test_io.py`` pins it), but for an integer ``-0``, read as +0."""
     import orjson
 
-    head = f"{header}\n".encode()
-    body = data[len(head):]
-    seps = body.translate(None, b"0123456789+-.eE")  # what is left must be the commas and newlines
-    if not (data.startswith(head) and body.endswith(b"\n") and seps == (b"," * (n - 1) + b"\n") * (len(seps) // n)):
-        return None
     try:
         values = orjson.loads(b"[" + body[:-1].replace(b"\n", b",") + b"]")
     except orjson.JSONDecodeError:  # a spelling outside JSON's grammar, or out of range
@@ -231,7 +226,7 @@ def _read_json_table(data, header, n):
     table = np.fromiter(values, np.float64, len(values)).reshape(-1, n).T.copy()
     if not table.all() and (b"-0," in body or b"-0\n" in body):  # only a zero can be a misread -0
         return None
-    return table if _grid_fault(table) is None else None
+    return table
 
 
 def _grid_fault(table):
@@ -259,7 +254,7 @@ def _parse_flag(text: str) -> bool:
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    omega, values = _read_grid_table(path, SPECTRUM_HEADER, 2)
+    omega, values = _read_grid_table(path, SPECTRUM_HEADER, 2, _parse_text)
     return Spectrum(omega, values)
 
 
@@ -272,10 +267,7 @@ def write_channels_csv(path, rec: ChannelRecord):
 
 
 def read_channels_csv(path) -> ChannelRecord:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    table = _read_json_table(data, CHANNELS_HEADER, 5)
-    omega, h, v, d, a = _read_grid_table(path, CHANNELS_HEADER, 5, _read_text(path, data)) if table is None else table
+    omega, h, v, d, a = _read_grid_table(path, CHANNELS_HEADER, 5, _parse_json)
     return ChannelRecord(omega=omega, h=h, v=v, d=d, a=a)
 
 

@@ -174,8 +174,14 @@ class ChannelRecord:
             value = getattr(self, name)
             if np.iscomplexobj(value):
                 raise ValueError(f"channel {name} must be real, got complex values")
-            if name != "omega" and np.any(np.asarray(value) < 0):
-                raise ValueError(f"channel {name} must be non-negative")
+            if name != "omega" and (bad := np.asarray(value) < 0).any():
+                raise ValueError(f"channel {name} must be non-negative, {_not_met_at(self.omega, bad)}")
+
+
+def _not_met_at(omega, bad) -> str:
+    """``not met at omega = ... ueV``, naming the first energy where the mask ``bad`` holds."""
+    omega, bad = np.broadcast_arrays(omega, bad)
+    return f"not met at omega = {float(omega[bad][0])!r} ueV"
 
 
 def _underflows(x):

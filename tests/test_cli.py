@@ -32,6 +32,8 @@ from pillar_qed.io import (
     DESIGN_HEADER,
     SPECTRUM_HEADER,
     FileFormatError,
+    _parse_json,
+    _parse_text,
     _read_columns,
     _read_grid_table,
     read_channels_csv,
@@ -285,6 +287,18 @@ class TestPhase:
         )
         assert not (tmp_path / "phase.csv").exists()
 
+    def test_negative_channel_names_its_energy(self, tmp_path, capsys):
+        assert run("synth", "--out", str(tmp_path)) == 0
+        path = tmp_path / "channels_coupled.csv"
+        _replace_field(path, 8, 1, "-0.5")
+        omega = path.read_text(encoding="utf-8").splitlines()[7].split(",")[0]
+        capsys.readouterr()
+        assert run("phase", str(path), "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"pillar-qed: error: channel h must be non-negative, not met at omega = {omega} ueV\n"
+        )
+        assert not (tmp_path / "phase.csv").exists()
+
     @pytest.mark.parametrize("extra", [(), ("--calibrate-edges",)], ids=["reference", "calibrate_edges"])
     def test_clamped_rows_logged_once_with_their_count(self, tmp_path, extra):
         # 10 of 50 rows read a fringe of 2.5 / 2 > 1
@@ -501,10 +515,12 @@ class TestGridTables:
 
     def test_bulk_parse_matches_row_reader(self, tmp_path):
         assert run("synth", "--out", str(tmp_path), "--set", "noise=0.01") == 0
-        for name, header, n in (("coupled.csv", SPECTRUM_HEADER, 2), ("channels_empty.csv", CHANNELS_HEADER, 5)):
+        for name, header, n, parse in (
+            ("coupled.csv", SPECTRUM_HEADER, 2, _parse_text), ("channels_empty.csv", CHANNELS_HEADER, 5, _parse_json)
+        ):
             path = tmp_path / name
             _, columns = _read_columns(path, header, (float,) * n)
-            assert np.array_equal(_read_grid_table(path, header, n), np.array(columns))
+            assert np.array_equal(_read_grid_table(path, header, n, parse), np.array(columns))
 
 
 def _replace_field(path, line, field, text):

@@ -87,8 +87,15 @@ class TestChannels:
         assert rec.d + rec.a == pytest.approx(rec.h + rec.v, abs=1e-12)
 
     def test_negative_channels_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^channel h must be non-negative, not met at omega = 0\.0 ueV$"):
             ChannelRecord(omega=0.0, h=-0.1, v=1.0, d=0.5, a=0.4)
+
+    @pytest.mark.parametrize("field", ["h", "v", "d", "a"])
+    def test_negative_channel_names_its_first_energy(self, field):
+        values = dict(omega=np.array([1.0, 2.0, 3.0, 4.0]), h=np.ones(4), v=np.ones(4), d=np.ones(4), a=np.ones(4))
+        values[field] = np.array([1.0, 0.0, -0.5, -2.0])
+        with pytest.raises(ValueError, match=rf"^channel {field} must be non-negative, not met at omega = 3\.0 ueV$"):
+            ChannelRecord(**values)
 
     @pytest.mark.parametrize("field", ["omega", "h", "v", "d", "a"])
     def test_complex_field_rejected(self, field):
@@ -149,7 +156,9 @@ class TestExtractPhase:
         # the refusal names the first energy where h or v <= 0
         grid = ChannelRecord(np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 0.0, 1.0]),
                              np.array([1.0, 0.0, 1.0, 0.0]), np.full(4, 0.5), np.full(4, 0.5))
-        for rec, omega in ((rec, "0.0"), (replace(rec, omega=1333596.0, h=1.0, v=0.0), "1333596.0"), (grid, "2.0")):
+        cases = ((rec, "0.0"), (replace(rec, omega=1333596.0, h=1.0, v=0.0), "1333596.0"), (grid, "2.0"),
+                 (replace(grid, h=0.0, v=1.0), "1.0"))  # the last: scalar monitors on a grid
+        for rec, omega in cases:
             for read in (lambda r: extract_phase(r, ref), fringe_phase):
                 with pytest.raises(ValueError, match=rf"h > 0 and v > 0, not met at omega = {omega} ueV$"):
                     read(rec)

@@ -23,10 +23,10 @@ from pillar_qed.io import (
     FileFormatError,
     _format_rows,
     _grid_fault,
+    _parse_json,
+    _parse_text,
     _read_columns,
     _read_grid_table,
-    _read_json_table,
-    _read_text,
     atomic_write_text,
     read_channels_csv,
     read_design_csv,
@@ -411,12 +411,14 @@ def _grid_file(draw, header, n):
 _TABLES = st.sampled_from([(SPECTRUM_HEADER, 2), (CHANNELS_HEADER, 5)])
 
 
-def _json_then_grid(path, header, n):
-    """The read of ``read_channels_csv``: one JSON pass, else the grid reader."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    table = _read_json_table(data, header, n)
-    return _read_grid_table(path, header, n, _read_text(path, data)) if table is None else table
+def _text_read(path, header, n):
+    """The grid reader with the spectra's parser, numpy's C reader."""
+    return _read_grid_table(path, header, n, _parse_text)
+
+
+def _json_read(path, header, n):
+    """The grid reader with the channel tables' parser, one JSON pass."""
+    return _read_grid_table(path, header, n, _parse_json)
 
 
 def _channel_row(*fields):
@@ -429,8 +431,8 @@ _CHANNEL_FIELDS = ("omega", "h", "v", "d", "a")
 
 
 class TestGridReaderMatchesRowReader:
-    """The numpy parse of a gridded table, and the JSON parse before it,
-    give the row reader's bits or its error."""
+    """Behind the one form check, numpy's parse and the JSON parse of a
+    gridded table give the row reader's bits or its error."""
 
     @settings(max_examples=150)
     @given(case=_TABLES.flatmap(lambda t: st.tuples(st.just(t), _grid_file(*t))))
@@ -470,15 +472,15 @@ class TestGridReaderMatchesRowReader:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # loadtxt warns on an empty body
                 expected = _outcome(_row_reader, path, header, n)
-                assert _outcome(_read_grid_table, path, header, n) == expected
-                assert _outcome(_json_then_grid, path, header, n) == expected
+                assert _outcome(_text_read, path, header, n) == expected
+                assert _outcome(_json_read, path, header, n) == expected
 
     @pytest.mark.parametrize("row", ["2.0,oops", "0.5,0.5"], ids=["unparsed", "not_increasing"])
     def test_rejected_spectrum_is_read_once(self, tmp_path, monkeypatch, row):
         path = tmp_path / "s.csv"
         path.write_text(f"{SPECTRUM_HEADER}\n1.0,0.5\n{row}\n", encoding="utf-8")
         reads, read_text = [], pillar_qed.io._read_text
-        monkeypatch.setattr(pillar_qed.io, "_read_text", lambda p: reads.append(p) or read_text(p))
+        monkeypatch.setattr(pillar_qed.io, "_read_text", lambda p, data: reads.append(p) or read_text(p, data))
         with pytest.raises(FileFormatError, match=r"s\.csv:3: "):
             read_spectrum_csv(path)
         assert reads == [path]
@@ -494,7 +496,7 @@ class TestGridReaderMatchesRowReader:
         write_channels_csv(tmp_path / "t.csv", ChannelRecord(omega, *(_values(omega.size, k) for k in range(4))))
         expected = _row_reader(tmp_path / "t.csv", CHANNELS_HEADER, 5)
         monkeypatch.setattr(pillar_qed.io, "_read_columns", None)
-        table = _read_grid_table(tmp_path / "t.csv", CHANNELS_HEADER, 5)
+        table = _read_grid_table(tmp_path / "t.csv", CHANNELS_HEADER, 5, _parse_text)
         assert table.flags.c_contiguous and table.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name", list(GRIDS))
@@ -511,7 +513,7 @@ class TestGridReaderMatchesRowReader:
 
         monkeypatch.setattr(np, "loadtxt", refuse)
         monkeypatch.setattr(pillar_qed.io, "_read_columns", refuse)
-        table = _read_json_table(path.read_bytes(), CHANNELS_HEADER, 5)
+        table = _read_grid_table(path, CHANNELS_HEADER, 5, _parse_json)
         assert table.dtype == np.float64 and table.shape == (5, omega.size) and table.flags.c_contiguous
         assert table.tobytes() == np.array([omega, *cols]).tobytes()
         rec = read_channels_csv(path)
@@ -521,10 +523,32 @@ class TestGridReaderMatchesRowReader:
         assert main(["synth", "--out", str(tmp_path), "--set", "noise=0.01"]) == 0
         path, crlf = tmp_path / "channels_coupled.csv", tmp_path / "crlf.csv"
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert _read_json_table(path.read_bytes(), CHANNELS_HEADER, 5).shape == (5, 2001)
-        assert _read_json_table(crlf.read_bytes(), CHANNELS_HEADER, 5) is None  # read by numpy's reader
+        assert _read_grid_table(path, CHANNELS_HEADER, 5, _parse_json).shape == (5, 2001)
+
+        def refuse(body, n):
+            raise AssertionError("a CRLF table reached a parser")
+
+        assert _read_grid_table(crlf, CHANNELS_HEADER, 5, refuse).shape == (5, 2001)  # read by the row reader
         lf, cr = read_channels_csv(path), read_channels_csv(crlf)
         assert all(getattr(lf, k).tobytes() == getattr(cr, k).tobytes() for k in _CHANNEL_FIELDS)
+
+    def test_only_the_written_form_reaches_loadtxt(self, tmp_path, monkeypatch):
+        omega = GRIDS["extremes"]
+        values = _values(omega.size, 1)
+        path, crlf = tmp_path / "s.csv", tmp_path / "crlf.csv"
+        write_spectrum_csv(path, Spectrum(omega, values))
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reader that may not run here ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "loadtxt", refuse)
+            spectrum = read_spectrum_csv(crlf)
+        assert spectrum.omega.tobytes() == omega.tobytes() and spectrum.values.tobytes() == values.tobytes()
+        monkeypatch.setattr(pillar_qed.io, "_read_columns", refuse)
+        spectrum = read_spectrum_csv(path)
+        assert spectrum.omega.tobytes() == omega.tobytes() and spectrum.values.tobytes() == values.tobytes()
 
     def test_each_table_is_opened_once(self, tmp_path, monkeypatch):
         # a channel table the JSON parse declines is decoded from the bytes it read

@@ -305,3 +305,42 @@ class TestPinnedAtBound:
         res = levenberg_marquardt(paired(quadratic_residuals, quadratic_jacobian), start, bounds=(np.zeros(2), start))
         assert (res.reason, res.iterations, res.evaluations) == ("cost_stall", 1, 1)
         assert res.x.tobytes() == start.tobytes()
+
+
+class TestFailedSolve:
+    """A solve that raises ``LinAlgError`` does not end the fit: a failed
+    decrement is no stall, and a failed damped solve doubles the damping."""
+
+    X0 = np.array([1.0, 1.0, 0.0])
+
+    def fit_failing_solve(self, monkeypatch, failing):
+        """The fit, and each solve's ``(matrix, right-hand side)``, when solve ``failing`` (1-based) raises."""
+        calls, solve = [], np.linalg.solve
+
+        def flaky(a, b):
+            calls.append((a.copy(), b.copy()))
+            if len(calls) == failing:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky)
+        return levenberg_marquardt(paired(exponential_residuals, exponential_jacobian), self.X0), calls
+
+    def test_failed_decrement_goes_on_to_the_damped_trials(self, monkeypatch):
+        expected = levenberg_marquardt(paired(exponential_residuals, exponential_jacobian), self.X0)
+        res, calls = self.fit_failing_solve(monkeypatch, 1)
+        # the first solve is the decrement's (right-hand side g); the next is
+        # a damped trial of the same iteration (right-hand side -g)
+        assert np.array_equal(calls[1][1], -calls[0][1])
+        assert res.converged and res.evaluations > 1
+        assert np.allclose(res.x, expected.x, rtol=1e-9, atol=0)
+
+    def test_failed_damped_solve_doubles_the_damping(self, monkeypatch):
+        expected = levenberg_marquardt(paired(exponential_residuals, exponential_jacobian), self.X0)
+        res, calls = self.fit_failing_solve(monkeypatch, 2)
+        (floor, g), (first, first_rhs), (second, second_rhs) = calls[:3]
+        assert np.array_equal(first_rhs, -g) and np.array_equal(second_rhs, -g)
+        # each damped matrix is J^T J + lambda * diag; lambda went from 1e-3 to 2e-3
+        assert np.diag(second - floor) / np.diag(first - floor) == pytest.approx(2.0, rel=1e-6)
+        assert res.converged
+        assert np.allclose(res.x, expected.x, rtol=1e-9, atol=0)
